@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import twovertex
 from .elements import format_element, graded_components, mul, parse_element
-from .errors import LpaError
+from .errors import LpaError, ParseError
 from .graphs import (
     Graph,
     classify_vertex,
@@ -39,13 +39,20 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load_graph(path: str) -> Graph:
-    return parse_graph(FsPath(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
 
 
 def _load_ideal_arg(g: Graph, spec: str):
     """An ideal argument is inline JSON (starts with '{') or a file path."""
-    text = spec if spec.lstrip().startswith("{") else FsPath(spec).read_text(encoding="utf-8")
+    text = spec if spec.lstrip().startswith("{") else _read_text(spec)
     return generator_set_from_json(g, text)
 
 
@@ -375,10 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LpaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (LpaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

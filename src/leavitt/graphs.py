@@ -12,6 +12,17 @@ simple path whose edge sources are pairwise distinct.  Vertices are
 classified K0 / K1 / K2 by having zero, exactly one, or at least two closed
 simple paths based at them; a graph satisfies Condition (K) when no vertex
 is K1.
+
+The class of a vertex is fixed by its strongly connected component (SCC):
+K0 when the SCC has no internal edge, K1 when it has exactly as many
+internal edges as vertices (the SCC is then a single cycle), K2 otherwise.
+One iterative Tarjan pass (SIAM J. Comput. 1, 1972) per graph, made on the
+first query and cached, answers every K-class question in linear time.
+
+Hereditary saturated sets are the closed sets of a closure operator, which
+is computed with a worklist; :func:`all_hereditary_saturated_sets` lists
+them with Ganter's NextClosure ("Two basic algorithms in concept analysis",
+1984), with polynomial delay instead of a scan of all vertex subsets.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphError
@@ -66,6 +76,7 @@ class Graph:
     _vindex: dict = field(init=False, repr=False, compare=False)
     _eindex: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
+    _kclass: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
@@ -74,6 +85,7 @@ class Graph:
         for e, (s, _) in zip(self.edges, self.ends):
             out[s].append(e)
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "_kclass", None)  # filled by _k_classes
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
@@ -280,7 +292,8 @@ class Cycle:
 
     Two rotations of the same cycle compare unequal but share
     :meth:`rotation_key`; :meth:`canonical` picks the rotation whose edge
-    sequence is least in the graph's edge order.
+    sequence is least in the graph's edge order.  The edges of a cycle are
+    distinct, so that rotation is the one starting at its least edge.
     """
 
     graph: Graph
@@ -307,24 +320,24 @@ class Cycle:
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.sources)
 
-    def _rotations(self) -> list[tuple[str, ...]]:
-        es = self.edges
-        return [es[i:] + es[:i] for i in range(len(es))]
+    def _least_start(self) -> tuple[int, list[int]]:
+        idx = [self.graph.edge_index(e) for e in self.edges]
+        return idx.index(min(idx)), idx
 
     def rotation_key(self) -> tuple[int, ...]:
-        g = self.graph
-        return min(tuple(g.edge_index(e) for e in rot) for rot in self._rotations())
+        i, idx = self._least_start()
+        return tuple(idx[i:] + idx[:i])
 
     def canonical(self) -> "Cycle":
-        g = self.graph
-        best = min(self._rotations(), key=lambda rot: tuple(g.edge_index(e) for e in rot))
-        return Cycle(self.graph, best)
+        i, _ = self._least_start()
+        return Cycle(self.graph, self.edges[i:] + self.edges[:i])
 
     def based_at(self, v: str) -> "Cycle":
-        for rot in self._rotations():
-            if self.graph.src(rot[0]) == v:
-                return Cycle(self.graph, rot)
-        raise DomainError(f"vertex {v!r} is not on the cycle")
+        srcs = self.sources
+        if v not in srcs:
+            raise DomainError(f"vertex {v!r} is not on the cycle")
+        i = srcs.index(v)
+        return Cycle(self.graph, self.edges[i:] + self.edges[:i])
 
     def to_path(self) -> Path:
         return Path.of(self.graph, self.edges)
@@ -369,57 +382,140 @@ def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
     """All cycles whose vertex set contains v, rotated to start at v.
 
     Finite because cycle sources are pairwise distinct.  Ordered by
-    (length, edge sequence) under the graph's edge order.
+    (length, edge sequence) under the graph's edge order.  Exponential in
+    general; the K-classification does not use it.
     """
     g.check_vertex(v)
     found: list[Cycle] = []
-
-    def walk(current: str, trail: list[str], visited: set[str]) -> None:
-        for e in g.out_edges(current):
+    trail: list[str] = []
+    visited = {v}
+    stack = [(v, iter(g.out_edges(v)))]
+    while stack:
+        here, pending = stack[-1]
+        for e in pending:
             w = g.rng(e)
             if w == v:
                 found.append(Cycle(g, tuple(trail) + (e,)))
             elif w not in visited:
                 trail.append(e)
                 visited.add(w)
-                walk(w, trail, visited)
-                visited.remove(w)
+                stack.append((w, iter(g.out_edges(w))))
+                break
+        else:
+            stack.pop()
+            if trail:
                 trail.pop()
-
-    walk(v, [], {v})
+                visited.remove(here)
     found.sort(key=lambda c: (len(c.edges), tuple(g.edge_index(e) for e in c.edges)))
     return tuple(found)
+
+
+def _adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists over vertex indices, one entry per edge."""
+    vi = g._vindex
+    succ: list[list[int]] = [[] for _ in g.vertices]
+    pred: list[list[int]] = [[] for _ in g.vertices]
+    for s, r in g.ends:
+        succ[vi[s]].append(vi[r])
+        pred[vi[r]].append(vi[s])
+    return succ, pred
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Component number of every vertex, by an iterative Tarjan pass."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while the vertex is unvisited or on the stack
+    stack: list[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+    return comp
+
+
+def _k_classes(g: Graph) -> tuple[dict[str, str], dict[str, str]]:
+    """K-class of every vertex, plus an out-edge of each vertex that stays
+    inside its SCC (the unique one for K1 vertices).  Cached on the graph."""
+    if g._kclass is None:
+        succ, _ = _adjacency(g)
+        comp = _strong_components(succ)
+        sizes = [0] * len(comp)
+        for c in comp:
+            sizes[c] += 1
+        internal = [0] * len(sizes)
+        inner: dict[str, str] = {}
+        vi = g._vindex
+        for e, (s, r) in zip(g.edges, g.ends):
+            c = comp[vi[s]]
+            if c == comp[vi[r]]:
+                internal[c] += 1
+                inner[s] = e
+        kinds = {}
+        for v, c in zip(g.vertices, comp):
+            m = internal[c]
+            kinds[v] = "K0" if m == 0 else "K1" if m == sizes[c] else "K2"
+        object.__setattr__(g, "_kclass", (kinds, inner))
+    return g._kclass
+
+
+def _k1_cycle(g: Graph, inner: dict[str, str], v: str) -> Cycle:
+    """The cycle of a K1 vertex, read off its SCC starting at v."""
+    edges = [inner[v]]
+    here = g.rng(edges[0])
+    while here != v:
+        edges.append(inner[here])
+        here = g.rng(edges[-1])
+    return Cycle(g, tuple(edges))
 
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
     """K-classify v by 0 / 1 / >=2 closed simple paths based at it.
 
-    Closed simple paths cannot be enumerated directly (detours around
-    remote loops make them infinite in number), so the count is decided
-    through cycles: no cycle through v means no closed path at all; two
-    cycles are two closed simple paths; a single cycle is unique exactly
-    when no edge leaves the cycle and can come back to v.
+    Decided by v's strongly connected component: no internal edge means no
+    closed path at v (K0); exactly as many internal edges as vertices means
+    the component is one cycle and every closed path at v is a power of it
+    (K1); any further internal edge gives a second closed simple path (K2).
+    A K1 vertex carries its cycle rotated to start at v.
     """
     g.check_vertex(v)
-    cycles = simple_cycles_through(g, v)
-    if not cycles:
-        return VertexClass.k0()
-    if len(cycles) >= 2:
-        return VertexClass.k2()
-    (c,) = cycles
-    on_cycle = set(c.edges)
-    cycle_vertices = c.vertex_set
-    for f in g.edges:
-        if f in on_cycle or g.src(f) not in cycle_vertices:
-            continue
-        if v in g.reach_from(g.rng(f)):
-            return VertexClass.k2()
-    return VertexClass.k1(c)
+    kinds, inner = _k_classes(g)
+    kind = kinds[v]
+    return VertexClass.k1(_k1_cycle(g, inner, v)) if kind == "K1" else VertexClass(kind)
 
 
 def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
     """Whether every vertex is K0 or K2, plus the offending K1 vertices."""
-    offenders = tuple(v for v in g.vertices if classify_vertex(g, v).is_k1)
+    kinds, _ = _k_classes(g)
+    offenders = tuple(v for v in g.vertices if kinds[v] == "K1")
     return (not offenders, offenders)
 
 
@@ -471,45 +567,78 @@ class HeredSatSet:
         return "{" + ", ".join(self.sorted_members()) + "}" if self.members else "{}"
 
 
+def _close(succ: list[list[int]], pred: list[list[int]], mask: int) -> int:
+    """Hereditary saturated closure of a vertex bitmask, by a worklist.
+
+    ``missing[u]`` counts the out-edges of u whose range has not yet been
+    taken in; u is added by saturation when it reaches zero.  Each vertex
+    enters the worklist once, so the cost is linear in the graph.
+    """
+    missing = [len(out) for out in succ]
+    todo = [i for i in range(len(succ)) if mask >> i & 1]
+    while todo:
+        w = todo.pop()
+        for r in succ[w]:
+            if not mask >> r & 1:
+                mask |= 1 << r
+                todo.append(r)
+        for u in pred[w]:
+            missing[u] -= 1
+            if not missing[u] and not mask >> u & 1:
+                mask |= 1 << u
+                todo.append(u)
+    return mask
+
+
+def _members(g: Graph, mask: int) -> frozenset[str]:
+    return frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+
+
 def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
     """Least hereditary and saturated superset of ``xs``.
 
-    Alternates the two closure rules to a fixed point; the result does not
-    depend on the interleaving order.
+    A worklist applies both rules to each vertex once as it is taken in:
+    its out-neighbours join (hereditary), and a predecessor joins once all
+    its out-edges land in the set (saturated).  The least fixed point does
+    not depend on the order of the work.
     """
-    s = set(xs)
-    for v in s:
-        g.check_vertex(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in tuple(s):
-            for e in g.out_edges(v):
-                r = g.rng(e)
-                if r not in s:
-                    s.add(r)
-                    changed = True
-        for v in g.vertices:
-            out = g.out_edges(v)
-            if out and v not in s and all(g.rng(e) in s for e in out):
-                s.add(v)
-                changed = True
-    return HeredSatSet(g, frozenset(s))
+    mask = 0
+    for v in xs:
+        mask |= 1 << g.vertex_index(v)
+    succ, pred = _adjacency(g)
+    return HeredSatSet(g, _members(g, _close(succ, pred, mask)))
 
 
 def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
     """Every hereditary saturated subset, ordered by (size, vertex order).
 
-    Brute force over all vertex subsets; the graphs handled here are small.
+    Ganter's NextClosure over :func:`hereditary_saturated_closure`: it walks
+    the closed sets in lectic order, each found with at most one closure
+    per vertex, so the cost is polynomial in the graph and the output.
     """
-    result = []
-    n = len(g.vertices)
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(g.vertices[i] for i in combo)
-            if _is_hereditary(g, s) and _is_saturated(g, s):
-                result.append(HeredSatSet(g, s))
-    return tuple(result)
+    succ, pred = _adjacency(g)
+    n = len(succ)
+    full = (1 << n) - 1
+    a = _close(succ, pred, 0)
+    found = [a]
+    while a != full:
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if a & bit:
+                a ^= bit
+                continue
+            b = _close(succ, pred, a | bit)
+            if not (b & ~a) & (bit - 1):
+                a = b
+                break
+        found.append(a)
+
+    def order(m: int) -> tuple[int, tuple[int, ...]]:
+        idx = tuple(i for i in range(n) if m >> i & 1)
+        return len(idx), idx
+
+    found.sort(key=order)
+    return tuple(HeredSatSet(g, _members(g, m)) for m in found)
 
 
 def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
@@ -521,14 +650,21 @@ def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
 
 
 def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
-    """Distinct cycles (canonical rotations) carried by the K1 vertices."""
-    seen: dict[tuple[int, ...], Cycle] = {}
-    for v in g.vertices:
-        vc = classify_vertex(g, v)
-        if vc.is_k1:
-            canon = vc.cycle.canonical()
-            seen.setdefault(canon.rotation_key(), canon)
-    return tuple(seen[k] for k in sorted(seen))
+    """Distinct cycles (canonical rotations) carried by the K1 vertices.
+
+    One cycle per K1 component, ordered by rotation key.  Edges are scanned
+    in input order, so each cycle is met first at its least edge, which is
+    where its canonical rotation starts.
+    """
+    kinds, inner = _k_classes(g)
+    seen: set[str] = set()
+    out = []
+    for e, (s, _) in zip(g.edges, g.ends):
+        if kinds[s] == "K1" and s not in seen and inner[s] == e:
+            c = _k1_cycle(g, inner, s)
+            seen.update(c.sources)
+            out.append(c)
+    return tuple(out)
 
 
 def iter_closed_simple_paths(g: Graph, v: str, max_len: int) -> Iterator[Path]:

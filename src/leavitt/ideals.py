@@ -85,19 +85,24 @@ class Poset:
         return len(self.elements)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with i strictly below j and nothing in between."""
+        """Pairs (i, j) with i strictly below j and nothing in between.
+
+        The upper covers of i are the minimal elements of its strict
+        up-set.  Scanned by down-set size, which strictly grows along the
+        order, each element is a cover unless a cover found before lies
+        below it.  Pairs come out sorted.
+        """
         n = len(self.elements)
+        leq = self.leq
+        height = [sum(leq[k][j] for k in range(n)) for j in range(n)]
         out = []
         for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(
-                    k not in (i, j) and self.leq[i][k] and self.leq[k][j]
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
+            ups = sorted((j for j in range(n) if j != i and leq[i][j]), key=height.__getitem__)
+            found: list[int] = []
+            for j in ups:
+                if not any(leq[c][j] for c in found):
+                    found.append(j)
+            out.extend((i, j) for j in sorted(found))
         return tuple(out)
 
 
@@ -526,6 +531,12 @@ def is_graded(i: LambdaReduction) -> bool:
 # Coefficients are ascending-degree rationals as strings.
 
 
+def _names(value, key: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"'{key}' must be a list of names")
+    return value
+
+
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     if isinstance(data, str):
         try:
@@ -537,14 +548,14 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     unknown = set(data) - {"vertices", "polys"}
     if unknown:
         raise ParseError(f"unknown ideal JSON keys: {sorted(unknown)}")
-    vertices = data.get("vertices", [])
-    if not isinstance(vertices, list):
-        raise ParseError("'vertices' must be a list")
+    vertices = _names(data.get("vertices", []), "vertices")
     polys = []
     for entry in data.get("polys", []):
         if not isinstance(entry, dict) or not {"cycle", "coeffs"} <= set(entry):
             raise ParseError("each poly needs 'cycle' and 'coeffs'")
-        cycle_edges = entry["cycle"]
+        cycle_edges = _names(entry["cycle"], "cycle")
+        if not isinstance(entry["coeffs"], list):
+            raise ParseError("'coeffs' must be a list of coefficients")
         base = entry.get("base")
         if base is None:
             cyc = Cycle.of(g, cycle_edges)

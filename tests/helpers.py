@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from leavitt import Element, Graph, monomial, normalize, validate_graph
+from leavitt import (
+    Element,
+    Graph,
+    HeredSatSet,
+    VertexClass,
+    monomial,
+    normalize,
+    simple_cycles_through,
+    validate_graph,
+)
 
 # Small named graphs used throughout.  Vertex/edge order is significant.
 R1 = validate_graph(["v"], [("e", "v", "v")])
@@ -127,3 +137,87 @@ def random_homogeneous(
         if not x.is_zero:
             return x
     raise AssertionError("could not generate a nonzero homogeneous element")
+
+
+# --- retired library enumerators, kept as oracles --------------------------------
+#
+# The library once answered these questions by exhaustive enumeration; the
+# code below is that enumeration, unchanged in substance, so the polynomial
+# algorithms can be checked against it on small graphs.
+
+
+def _is_hereditary(g: Graph, s: frozenset[str]) -> bool:
+    return all(g.rng(e) in s for v in s for e in g.out_edges(v))
+
+
+def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if out and v not in s and all(g.rng(e) in s for e in out):
+            return False
+    return True
+
+
+def hs_sets_by_brute_force(g: Graph) -> tuple[HeredSatSet, ...]:
+    """Every hereditary saturated subset, by testing all vertex subsets in
+    (size, vertex order)."""
+    result = []
+    n = len(g.vertices)
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            s = frozenset(g.vertices[i] for i in combo)
+            if _is_hereditary(g, s) and _is_saturated(g, s):
+                result.append(HeredSatSet(g, s))
+    return tuple(result)
+
+
+def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:
+    """K-class from the enumerated cycles through v: none is K0, two or more
+    is K2, and a single cycle is K1 unless an edge leaving it returns to v."""
+    g.check_vertex(v)
+    cycles = simple_cycles_through(g, v)
+    if not cycles:
+        return VertexClass.k0()
+    if len(cycles) >= 2:
+        return VertexClass.k2()
+    (c,) = cycles
+    on_cycle = set(c.edges)
+    cycle_vertices = c.vertex_set
+    for f in g.edges:
+        if f in on_cycle or g.src(f) not in cycle_vertices:
+            continue
+        if v in g.reach_from(g.rng(f)):
+            return VertexClass.k2()
+    return VertexClass.k1(c)
+
+
+def rotation_key_by_rotations(c) -> tuple[int, ...]:
+    """Least edge-index sequence over all rotations of a cycle."""
+    es = c.edges
+    return min(tuple(c.graph.edge_index(e) for e in es[i:] + es[:i]) for i in range(len(es)))
+
+
+def k1_cycles_by_cycle_count(g: Graph) -> tuple:
+    """Canonical K1 cycles, found vertex by vertex with the cycle-counting
+    classifier and ordered by rotation key."""
+    seen = {}
+    for v in g.vertices:
+        vc = classify_by_cycle_count(g, v)
+        if vc.is_k1:
+            key = rotation_key_by_rotations(vc.cycle)
+            seen.setdefault(key, tuple(g.edges[i] for i in key))
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def covers_by_definition(poset) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j) with i < j and no k strictly between, checked for every k."""
+    n = len(poset.elements)
+    leq = poset.leq
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    )

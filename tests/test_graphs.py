@@ -315,3 +315,44 @@ def test_closed_simple_path_stream_is_shortest_first():
         paths.append(p.edges)
     assert paths[:2] == [("e",), ("f",)]
     assert all(len(a) <= len(b) for a, b in zip(paths, paths[1:]))
+
+
+# --- scale: answers that enumeration could not reach ------------------------------
+
+
+def _named(n, pairs):
+    vs = [f"v{i}" for i in range(n)]
+    return validate_graph(vs, [(f"e{k}", vs[s], vs[r]) for k, (s, r) in enumerate(pairs)])
+
+
+def test_long_cycle_is_classified_without_recursion():
+    g = _named(1500, [(i, (i + 1) % 1500) for i in range(1500)])
+    assert condition_k(g) == (False, g.vertices)
+    vc = classify_vertex(g, "v700")
+    assert vc.is_k1 and vc.cycle.edges == g.edges[700:] + g.edges[:700]
+    (c,) = k1_cycles(g)
+    assert c.edges == g.edges
+    (c0,) = simple_cycles_through(g, "v0")
+    assert c0.edges == g.edges
+
+
+def test_complete_digraph_k9_satisfies_condition_k():
+    g = _named(9, [(i, j) for i in range(9) for j in range(9) if i != j])
+    assert condition_k(g) == (True, ())
+    assert classify_vertex(g, "v4").is_k2
+    assert k1_cycles(g) == ()
+
+
+def test_all_hs_sets_long_path():
+    g = _named(80, [(i, i + 1) for i in range(79)])
+    sets = [s.members for s in all_hereditary_saturated_sets(g)]
+    assert sets == [frozenset(), frozenset(g.vertices)]
+
+
+def test_all_hs_sets_twelve_isolated_vertices():
+    g = _named(12, [])
+    sets = [s.members for s in all_hereditary_saturated_sets(g)]
+    assert len(sets) == 4096
+    assert sets == [
+        frozenset(c) for size in range(13) for c in itertools.combinations(g.vertices, size)
+    ]

@@ -31,6 +31,7 @@ from leavitt import (
     Element,
     LambdaGeneratorSet,
     LambdaReduction,
+    ParseError,
     QPoly,
     add,
     classify_vertex,
@@ -473,3 +474,17 @@ def test_generator_set_json_errors():
         generator_set_from_json(G6, '{"polys": [{"cycle": ["a"], "coeffs": ["1","1"]}]}')
     with pytest.raises(Exception):
         generator_set_from_json(G6, "not json")
+
+
+def test_generator_set_json_requires_lists():
+    # a string would be read character by character: "11" as 1 + x
+    for entry in (
+        {"cycle": ["e"], "coeffs": "11"},
+        {"cycle": "e", "coeffs": ["1", "1"]},
+        {"cycle": [["e"]], "coeffs": ["1", "1"]},
+    ):
+        with pytest.raises(ParseError, match="must be a list"):
+            generator_set_from_json(R1, {"polys": [entry]})
+    for vertices in ("v", [["v"]]):
+        with pytest.raises(ParseError, match="must be a list"):
+            generator_set_from_json(R1, {"vertices": vertices})
