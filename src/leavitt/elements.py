@@ -430,22 +430,30 @@ class _ElementParser:
         if self.peek() in ("plus", "minus"):
             if self.take(self.peek()) == "-":
                 sign = Fraction(-1)
-        acc = scale(sign, self.term())
+        # Like terms are collected once, over the whole sum.
+        items = list(scale(sign, self.term()).terms)
         while self.peek() in ("plus", "minus"):
             sign = Fraction(1) if self.take(self.peek()) == "+" else Fraction(-1)
-            acc = add(acc, scale(sign, self.term()))
+            items.extend(scale(sign, self.term()).terms)
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input at {self.tokens[self.pos][1]!r}")
-        return acc
+        return Element.of(self.g, items)
+
+    def integer(self) -> int:
+        digits = self.take("num")
+        try:
+            return int(digits)
+        except ValueError as exc:  # beyond the interpreter's int() digit limit
+            raise ParseError(f"numeral of {len(digits)} digits is too long") from exc
 
     def term(self) -> Element:
         coeff = Fraction(1)
         if self.peek() == "num":
-            num = int(self.take("num"))
+            num = self.integer()
             den = 1
             if self.peek() == "slash":
                 self.take("slash")
-                den = int(self.take("num"))
+                den = self.integer()
                 if den == 0:
                     raise ParseError("zero denominator")
             coeff = Fraction(num, den)

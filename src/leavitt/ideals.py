@@ -19,6 +19,7 @@ vertex-set inclusion plus polynomial divisibility (:func:`contains`).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -123,7 +124,8 @@ def graded_lattice(g: Graph) -> Poset:
     return Poset.build(nodes, lambda a, b: a.generators.members <= b.generators.members)
 
 
-def _node_label(g: Graph, members: frozenset) -> str:
+def lattice_label(g: Graph, members: frozenset) -> str:
+    """Diagram label of a vertex set: 0 when empty, L when it is every vertex."""
     if not members:
         return "0"
     if members == frozenset(g.vertices):
@@ -135,7 +137,7 @@ def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
     """Hasse diagram of a graded-ideal poset in DOT form."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for i, node in enumerate(poset.elements):
-        lines.append(f'  n{i} [label="{_node_label(g, node.generators.members)}"];')
+        lines.append(f'  n{i} [label="{lattice_label(g, node.generators.members)}"];')
     for i, j in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
@@ -528,7 +530,8 @@ def is_graded(i: LambdaReduction) -> bool:
 # {"vertices": ["u"],
 #  "polys": [{"cycle": ["e"], "base": "v", "coeffs": ["1", "0", "1"]}]}
 #
-# Coefficients are ascending-degree rationals as strings.
+# Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
+# or "0.25"; exponent notation is rejected.
 
 
 def _names(value, key: str) -> list:
@@ -537,20 +540,28 @@ def _names(value, key: str) -> list:
     return value
 
 
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+
+
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad ideal JSON: {exc}") from exc
+        except ValueError as exc:  # an integer beyond the interpreter's int() digit limit
+            raise ParseError("bad ideal JSON: a number has too many digits") from exc
     if not isinstance(data, dict):
         raise ParseError("ideal JSON must be an object")
     unknown = set(data) - {"vertices", "polys"}
     if unknown:
         raise ParseError(f"unknown ideal JSON keys: {sorted(unknown)}")
     vertices = _names(data.get("vertices", []), "vertices")
+    entries = data.get("polys", [])
+    if not isinstance(entries, list):
+        raise ParseError("'polys' must be a list of polynomials")
     polys = []
-    for entry in data.get("polys", []):
+    for entry in entries:
         if not isinstance(entry, dict) or not {"cycle", "coeffs"} <= set(entry):
             raise ParseError("each poly needs 'cycle' and 'coeffs'")
         cycle_edges = _names(entry["cycle"], "cycle")
@@ -560,8 +571,12 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         if base is None:
             cyc = Cycle.of(g, cycle_edges)
             base = cyc.sources[0]
+        texts = [str(c) for c in entry["coeffs"]]
+        if any(_EXPONENT.search(t) for t in texts):
+            # Fraction("1e999999999") would build a billion-digit integer.
+            raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
         try:
-            coeffs = [Fraction(str(c)) for c in entry["coeffs"]]
+            coeffs = [Fraction(t) for t in texts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
         polys.append(CyclePolynomial.of(g, cycle_edges, base, coeffs))

@@ -31,6 +31,7 @@ from .graphs import (
     k1_cycles,
     validate_graph,
 )
+from .ideals import Poset, lattice_label
 
 __all__ = [
     "TwoVertexShape",
@@ -245,58 +246,39 @@ class LatticeSkeleton:
 
     def to_dot(self, name: str = "skeleton") -> str:
         """DOT rendering: solid arcs for covering containments of the full
-        order, dashed arcs for partial containment between same-cycle
-        families."""
+        order on nodes and families, dashed arcs for partial containment
+        between same-cycle families."""
         g = self.graph
-        kinds = [("node", i) for i in range(len(self.nodes))] + [
-            ("family", i) for i in range(len(self.families))
-        ]
+        keys = [f.cycle.rotation_key() for f in self.families]
+        items = [("n", i) for i in range(len(self.nodes))]
+        items += [("f", i) for i in range(len(self.families))]
 
         def full_leq(x, y) -> bool:
-            kx, ix = x
-            ky, iy = y
-            if kx == "node" and ky == "node":
-                return self.leq[ix][iy]
-            if kx == "node" and ky == "family":
-                return self.leq[ix][self.families[iy].att]
-            if kx == "family" and ky == "node":
-                return iy in self.families[ix].inside
-            fx, fy = self.families[ix], self.families[iy]
-            if fx.cycle.rotation_key() == fy.cycle.rotation_key():
+            (kx, ix), (ky, iy) = x, y
+            if kx == "n":
+                return self.leq[ix][iy if ky == "n" else self.families[iy].att]
+            fx = self.families[ix]
+            if ky == "n":
+                return iy in fx.inside
+            if keys[ix] == keys[iy]:
                 return ix == iy
-            return fy.att in fx.inside
+            return self.families[iy].att in fx.inside
 
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
         for i, members in enumerate(self.nodes):
-            lines.append(
-                f'  n{i} [shape=box, label="{_set_label(g, members)}"];'
-            )
+            lines.append(f'  n{i} [shape=box, label="{lattice_label(g, members)}"];')
         for i, f in enumerate(self.families):
             att = self.nodes[f.att]
             label = f"P({f.cycle})"
             if att:
                 label += ", " + ",".join(g.sort_vertices(att))
             lines.append(f'  f{i} [shape=ellipse, label="<{label}>"];')
-
-        def dot_id(x) -> str:
-            return ("n" if x[0] == "node" else "f") + str(x[1])
-
-        for x in kinds:
-            for y in kinds:
-                if x == y or not full_leq(x, y):
-                    continue
-                if any(
-                    z not in (x, y) and full_leq(x, z) and full_leq(z, y)
-                    for z in kinds
-                ):
-                    continue
-                lines.append(f"  {dot_id(x)} -> {dot_id(y)};")
+        for i, j in Poset.build(items, full_leq).covers():
+            (kx, ix), (ky, iy) = items[i], items[j]
+            lines.append(f"  {kx}{ix} -> {ky}{iy};")
         for i, fx in enumerate(self.families):
             for j, fy in enumerate(self.families):
-                if i == j:
-                    continue
-                same = fx.cycle.rotation_key() == fy.cycle.rotation_key()
-                if same and self.leq[fx.att][fy.att]:
+                if i != j and keys[i] == keys[j] and self.leq[fx.att][fy.att]:
                     lines.append(f"  f{i} -> f{j} [style=dashed];")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -307,14 +289,6 @@ def _inverse(perm: tuple[int, ...], n: int) -> list[int]:
     for old, new in enumerate(perm):
         inv[new] = old
     return inv
-
-
-def _set_label(g: Graph, members: frozenset) -> str:
-    if not members:
-        return "0"
-    if members == frozenset(g.vertices):
-        return "L"
-    return "{" + ",".join(g.sort_vertices(members)) + "}"
 
 
 def build_skeleton(g: Graph) -> LatticeSkeleton:

@@ -1,6 +1,7 @@
 """Element arithmetic, the rewriting normal form, grading, parsing."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,31 @@ def test_parse_syntax_errors():
     for bad in ("", "2*", "e +", "e..e", "1/0*e", "e *"):
         with pytest.raises(ParseError):
             parse_element(R1, bad)
+
+
+def test_parse_oversized_numeral():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "5" * (limit + 1)
+    for text in (f"{digits}*v", f"1/{digits}*e", f"e + {digits}*v"):
+        with pytest.raises(ParseError, match="too long"):
+            parse_element(R1, text)
+
+
+def test_parse_long_sum_matches_termwise_sum():
+    rng = random.Random(5)
+    words = ["v", "e", "f", "e*'", "f*'", "e.f", "e.f*'", "f.e*'", "e*'.f*'", "e.e*'"]
+    for _ in range(20):
+        terms = [f"{rng.choice(['', '2*', '1/3*', '3/2*'])}{rng.choice(words)}" for _ in range(30)]
+        signs = [rng.choice(" +-") for _ in terms]
+        text = " ".join(f"{'-' if s == '-' else '+'} {t}" for s, t in zip(signs, terms))
+        want = Element.zero(R2)
+        for s, t in zip(signs, terms):
+            want = add(want, scale(-1 if s == "-" else 1, parse_element(R2, t)))
+        got = parse_element(R2, text)
+        assert got == want
+        assert format_element(got) == format_element(want)
 
 
 def test_parse_rationals_and_signs():

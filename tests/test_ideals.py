@@ -2,6 +2,7 @@
 containment."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +52,7 @@ from leavitt import (
     path_element,
     reduction_to_json,
     scale,
+    validate_graph,
     vertex_element,
     vertex_membership,
 )
@@ -85,6 +87,25 @@ def test_lattice_dot_deterministic():
     b = lattice_dot(G6, graded_lattice(G6))
     assert a == b
     assert 'label="0"' in a and 'label="L"' in a and "->" in a
+
+
+def test_lattice_dot_exact_diamond():
+    """{v} and {w} are incomparable: both cover 0 and are covered by L."""
+    g = validate_graph(["u", "v", "w"], [("a", "u", "v"), ("b", "u", "w")])
+    assert lattice_dot(g, graded_lattice(g)) == (
+        "digraph lattice {\n"
+        "  rankdir=BT;\n"
+        "  node [shape=box];\n"
+        '  n0 [label="0"];\n'
+        '  n1 [label="{v}"];\n'
+        '  n2 [label="{w}"];\n'
+        '  n3 [label="L"];\n'
+        "  n0 -> n1;\n"
+        "  n0 -> n2;\n"
+        "  n1 -> n3;\n"
+        "  n2 -> n3;\n"
+        "}\n"
+    )
 
 
 # --- vertex extraction ----------------------------------------------------------
@@ -488,3 +509,28 @@ def test_generator_set_json_requires_lists():
     for vertices in ("v", [["v"]]):
         with pytest.raises(ParseError, match="must be a list"):
             generator_set_from_json(R1, {"vertices": vertices})
+
+
+def test_generator_set_json_requires_polys_list():
+    for polys in ("5", "null", '"e"', "{}"):
+        with pytest.raises(ParseError, match="'polys' must be a list"):
+            generator_set_from_json(R1, '{"polys": %s}' % polys)
+
+
+def test_generator_set_json_rejects_exponent_notation():
+    # Fraction("1e999999999") would build a billion-digit integer
+    for coeff in ('"1e999999999"', '"2E-3"', "1e-05", '"1.5e+2"'):
+        with pytest.raises(ParseError, match="exponent notation"):
+            generator_set_from_json(R1, '{"polys": [{"cycle": ["e"], "coeffs": [%s]}]}' % coeff)
+    text = '{"polys": [{"cycle": ["e"], "coeffs": ["-1/2", "0.25", 3]}]}'
+    gens = generator_set_from_json(R1, text)
+    assert list(gens.polys[0].poly.to_strings()) == ["-1/2", "1/4", "3"]
+
+
+def test_generator_set_json_rejects_oversized_integers():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    text = '{"polys": [{"cycle": ["e"], "coeffs": [%s]}]}' % ("7" * (limit + 1))
+    with pytest.raises(ParseError, match="too many digits"):
+        generator_set_from_json(R1, text)

@@ -1,5 +1,7 @@
 """Counting, enumeration, canonical types, and the nine lattice classes."""
 
+from collections import Counter
+
 import pytest
 from helpers import G1, G4, G5, G6, G7, G8, L2
 
@@ -239,3 +241,74 @@ def test_skeleton_dot_output():
     assert 'label="<P(p1), v>"' in dot
     dot9 = _skel(9).to_dot()
     assert dot9.count("style=dashed") == 2
+
+
+SKELETON_DOT = {
+    5: """digraph skeleton {
+  rankdir=BT;
+  n0 [shape=box, label="0"];
+  n1 [shape=box, label="{u}"];
+  n2 [shape=box, label="{v}"];
+  n3 [shape=box, label="L"];
+  f0 [shape=ellipse, label="<P(p1)>"];
+  f1 [shape=ellipse, label="<P(p1), v>"];
+  n0 -> n2;
+  n0 -> f0;
+  n1 -> n3;
+  n2 -> f1;
+  f0 -> n1;
+  f1 -> n3;
+  f0 -> f1 [style=dashed];
+}
+""",
+    9: """digraph skeleton {
+  rankdir=BT;
+  n0 [shape=box, label="0"];
+  n1 [shape=box, label="{u}"];
+  n2 [shape=box, label="{v}"];
+  n3 [shape=box, label="L"];
+  f0 [shape=ellipse, label="<P(p1)>"];
+  f1 [shape=ellipse, label="<P(p1), v>"];
+  f2 [shape=ellipse, label="<P(q1)>"];
+  f3 [shape=ellipse, label="<P(q1), u>"];
+  n0 -> f0;
+  n0 -> f2;
+  n1 -> f3;
+  n2 -> f1;
+  f0 -> n1;
+  f1 -> n3;
+  f2 -> n2;
+  f3 -> n3;
+  f0 -> f1 [style=dashed];
+  f2 -> f3 [style=dashed];
+}
+""",
+    16: """digraph skeleton {
+  rankdir=BT;
+  n0 [shape=box, label="0"];
+  n1 [shape=box, label="{v}"];
+  n2 [shape=box, label="L"];
+  n0 -> n1;
+  n1 -> n2;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SKELETON_DOT))
+def test_skeleton_dot_exact(cid):
+    """Solid arcs are the covers of the order on nodes and families."""
+    assert _skel(cid).to_dot() == SKELETON_DOT[cid]
+
+
+def test_census_class_counts():
+    """Golden census: the 924 shapes with at most 12 edges, by class."""
+    counts = Counter(
+        classify(shape.to_graph()).label
+        for k in range(13)
+        for shape in enumerate_up_to_iso(k)
+    )
+    assert counts == {
+        "I": 577, "II": 12, "III": 56, "IV": 10, "V": 175,
+        "VI": 45, "VII": 37, "VIII": 11, "IX": 1,
+    }
