@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import twovertex
 from .elements import format_element, graded_components, mul, parse_element
-from .errors import LpaError, ParseError
+from .errors import DomainError, LpaError, ParseError
 from .graphs import (
     Graph, all_hereditary_saturated_sets, classify_vertex, condition_k,
     hereditary_saturated_closure, parse_graph,
@@ -133,8 +133,12 @@ def _nongraded_witness(g, args):
 
 def _count2(g, args):
     formula = twovertex.count_closed_form(args.edges)
+    try:
+        text = str(formula)
+    except ValueError as exc:  # beyond the interpreter's int() digit limit
+        raise DomainError(f"the count has more than {sys.get_int_max_str_digits()} digits") from exc
     if not args.verify:
-        return Output({"count": formula}, [str(formula)])
+        return Output({"count": formula}, [text])
     oracle = len(twovertex.enumerate_up_to_iso(args.edges))
     if formula != oracle:
         raise LpaError(f"mismatch: {formula} (formula) != {oracle} (enumeration)")

@@ -11,12 +11,26 @@ order) is *special*; a stored monomial never has both of its paths ending
 in the special edge of their common turn vertex.  Such monomials are
 expanded through the vertex identity above, which terminates and, together
 with like-term collection, makes equality decidable by comparing term maps.
+
+Representation: inside this module a path is the integer tuple
+``(base_vertex_id, *edge_ids)``, which is :meth:`Path.key`, and a monomial
+a.b*' is the pair ``(a, b)``.  Ids are positions in the graph's vertex and
+edge lists, so the term order (ghost degree descending, degree ascending,
+then the paths' keys) is the tuple ``(1 - len(b), len(a) - len(b), a, b)``.
+Coefficients are ints while integral and Fractions otherwise.  Products,
+rewriting, sums and text read only these tuples and two per-edge tables
+(range vertex, and the vertex identity's other edges for a special edge),
+which are built the first time an element is made over a graph and cached
+on it; so their cost does not depend on unrelated vertices and edges.
+``Path`` and ``Monomial`` objects are built only at the API boundary:
+:meth:`Element.of` and the raw constructor read their keys, and
+``Element.terms`` builds them on first access.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -122,48 +136,115 @@ def monomial(
     return Monomial(ap, bp)
 
 
-@dataclass(frozen=True)
+def _coefficient(c) -> int | Fraction:
+    """Exact coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _is_scalar(c) -> bool:
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _pair(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (m.alpha.key(), m.beta.key())
+
+
+def _path(g: Graph, p: tuple[int, ...]) -> Path:
+    return Path(g, g.vertices[p[0]], tuple([g.edges[i] for i in p[1:]]))
+
+
+def _monomial(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> Monomial:
+    """Monomial of a kernel pair whose ranges were checked when it was collected."""
+    m = _new(Monomial)
+    _set(m, "alpha", _path(g, a))
+    _set(m, "beta", _path(g, b))
+    return m
+
+
 class Element:
     """Immutable term map Monomial -> nonzero rational, canonically ordered.
 
     :meth:`of` collects like terms and drops zeros but performs no
     rewriting; arithmetic helpers and :func:`normalize` produce normal
     forms.  Terms are ordered by (ghost degree desc, degree asc, paths).
+    ``Element(graph, terms)`` is the raw constructor and checks nothing.
     """
 
-    graph: Graph
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("graph", "_codes", "_terms")
+
+    def __init__(self, graph: Graph, terms: Iterable[tuple[Monomial, Fraction]]):
+        terms = tuple(terms)
+        _set(self, "graph", graph)
+        _set(self, "_codes", tuple((_pair(m), _coefficient(c)) for m, c in terms))
+        _set(self, "_terms", terms)
+
+    @staticmethod
+    def _make(graph: Graph, codes: tuple) -> "Element":
+        x = _new(Element)
+        _set(x, "graph", graph)
+        _set(x, "_codes", codes)
+        _set(x, "_terms", None)
+        return x
 
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int]]) -> "Element":
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[tuple, int | Fraction] = {}
         for m, c in items:
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc[m] = acc.get(m, Fraction(0)) + c
-        kept = [(m, c) for m, c in acc.items() if c != 0]
-        kept.sort(key=lambda mc: mc[0].sort_key())
-        return Element(graph, tuple(kept))
+            c = _coefficient(c)
+            if c:
+                k = _pair(m)
+                acc[k] = acc.get(k, 0) + c
+        return _collect(graph, acc)
 
     @staticmethod
     def zero(graph: Graph) -> "Element":
-        return Element(graph, ())
+        return Element._make(graph, ())
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        if self._terms is None:
+            g = self.graph
+            _set(self, "_terms", tuple(
+                (_monomial(g, a, b), Fraction(c)) for (a, b), c in self._codes
+            ))
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._codes
 
     def coeff(self, m: Monomial) -> Fraction:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
+        return self.term_map().get(m, Fraction(0))
 
     def term_map(self) -> Mapping[Monomial, Fraction]:
         return dict(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self._codes == other._codes and (
+            self.graph is other.graph or self.graph == other.graph
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self._codes))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.graph, self.terms)
+
+    def __repr__(self) -> str:
+        return f"Element(graph={self.graph!r}, terms={self.terms!r})"
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -172,15 +253,15 @@ class Element:
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        return Element(self.graph, tuple((m, -c) for m, c in self.terms))
+        return Element._make(self.graph, tuple((m, -c) for m, c in self._codes))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return mul(self, other)
-        return scale(other, self)
+        return scale(other, self) if _is_scalar(other) else NotImplemented
 
     def __rmul__(self, other):
-        return scale(other, self)
+        return scale(other, self) if _is_scalar(other) else NotImplemented
 
     def __str__(self) -> str:
         return format_element(self)
@@ -219,107 +300,140 @@ def unit(g: Graph) -> Element:
     return Element.of(g, [(monomial(g, at=v), 1) for v in g.vertices])
 
 
-def _reduced_turn(g: Graph, m: Monomial) -> str | None:
-    """Turn vertex when both paths end in its special edge, else None."""
-    a, b = m.alpha.edges, m.beta.edges
-    if a and b and a[-1] == b[-1]:
-        w = g.src(a[-1])
-        if g.special_edge(w) == a[-1]:
-            return w
-    return None
+# --- the integer kernel ---------------------------------------------------------
 
 
-def _rewrite(g: Graph, items: Iterable[tuple[Monomial, Fraction]]) -> list[tuple[Monomial, Fraction]]:
-    """Expand every special-special turn through the vertex identity.
+def _tables(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]:
+    """Per-edge tables of ``g``, built on the first call and cached on it.
 
-    Each expansion swaps one monomial for a strictly shorter one plus
-    same-length monomials whose turn edge is no longer special, so the
-    rewriting terminates.
+    ``rng[e]`` is the range vertex of edge e.  ``expand[e]`` is None unless e
+    is special; then it lists the other edges leaving the source of e, in
+    input order, which are the terms that replace e.e*' in the vertex
+    identity.
     """
-    out: dict[Monomial, Fraction] = {}
-    stack = [(m, Fraction(c)) for m, c in items]
+    if g._kernel is None:
+        rng = tuple(g.vertex_index(r) for _, r in g.ends)
+        expand: list[tuple[int, ...] | None] = [None] * len(g.edges)
+        for v in g.vertices:
+            out = [g.edge_index(e) for e in g.out_edges(v)]
+            if out:
+                expand[out[0]] = tuple(out[1:])
+        _set(g, "_kernel", (rng, tuple(expand)))
+    return g._kernel
+
+
+def _order(term: tuple) -> tuple:
+    (a, b), _ = term
+    return (1 - len(b), len(a) - len(b), a, b)
+
+
+def _collect(g: Graph, acc: dict) -> Element:
+    """Element of the nonzero terms of ``acc``, checked and in term order."""
+    rng = _tables(g)[0]
+    kept = []
+    for m, c in acc.items():
+        if c:
+            a, b = m
+            if (rng[a[-1]] if len(a) > 1 else a[0]) != (rng[b[-1]] if len(b) > 1 else b[0]):
+                raise DomainError("monomial paths end at different vertices")
+            kept.append((m, c))
+    kept.sort(key=_order)
+    return Element._make(g, tuple(kept))
+
+
+def _sum(g: Graph, codes: Iterable[tuple]) -> Element:
+    acc: dict[tuple, int | Fraction] = {}
+    for m, c in codes:
+        acc[m] = acc.get(m, 0) + c
+    return _collect(g, acc)
+
+
+def _rewrite(g: Graph, stack: list[tuple]) -> Element:
+    """Normal form of the sum of the (a, b, c) triples on ``stack``.
+
+    A monomial whose paths both end in the special edge e of their turn
+    vertex is expanded through the vertex identity: a.e.e*'.b*' becomes
+    a.b*' minus a.f.f*'.b*' over the other edges f leaving the turn
+    vertex.  Each expansion swaps one monomial for a strictly shorter one
+    plus same-length monomials whose turn edge is no longer special, so
+    the rewriting terminates.  ``stack`` is consumed.
+    """
+    expand = _tables(g)[1]
+    acc: dict[tuple, int | Fraction] = {}
     while stack:
-        m, c = stack.pop()
-        if c == 0:
-            continue
-        w = _reduced_turn(g, m)
-        if w is None:
-            out[m] = out.get(m, Fraction(0)) + c
-            continue
-        gam = m.alpha.edges[-1]
-        ap = m.alpha.drop_last()
-        bp = m.beta.drop_last()
-        stack.append((Monomial(ap, bp), c))
-        for f in g.out_edges(w):
-            if f != gam:
-                stack.append((Monomial(ap.extend((f,)), bp.extend((f,))), -c))
-    return [(m, c) for m, c in out.items() if c != 0]
+        a, b, c = stack.pop()
+        if len(a) > 1 and len(b) > 1 and a[-1] == b[-1]:
+            others = expand[a[-1]]
+            if others is not None:
+                a, b = a[:-1], b[:-1]
+                stack.append((a, b, c))
+                for f in others:
+                    stack.append((a + (f,), b + (f,), -c))
+                continue
+        m = (a, b)
+        acc[m] = acc.get(m, 0) + c
+    return _collect(g, acc)
 
 
 def normalize(x: Element) -> Element:
     """Normal form of x; idempotent and degree-preserving per term."""
-    return Element.of(x.graph, _rewrite(x.graph, x.terms))
+    return _rewrite(x.graph, [(a, b, c) for (a, b), c in x._codes])
 
 
-def _mul_raw(m1: Monomial, m2: Monomial) -> Monomial | None:
-    """Product of two monomials before rewriting; None when it vanishes.
+def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
+    """Normal form of the product of two term tuples.
 
-    The ghost half of m1 eats into the real half of m2 edge by edge; the
-    product survives exactly when one of the two is a prefix of the other.
+    The ghost half b1 of a left term eats into the real half a2 of a right
+    term edge by edge; the product survives exactly when one of the two is
+    a prefix of the other, base vertex id included.
     """
-    beta, gamma = m1.beta, m2.alpha
-    if beta.src != gamma.src:
-        return None
-    nb, ng = beta.deg, gamma.deg
-    if nb <= ng:
-        if gamma.edges[:nb] != beta.edges:
-            return None
-        return Monomial(m1.alpha.extend(gamma.edges[nb:]), m2.beta)
-    if beta.edges[:ng] != gamma.edges:
-        return None
-    return Monomial(m1.alpha, m2.beta.extend(beta.edges[ng:]))
+    stack = []
+    for (a1, b1), c1 in xs:
+        nb = len(b1)
+        for (a2, b2), c2 in ys:
+            na = len(a2)
+            if nb <= na:
+                if a2[:nb] == b1:
+                    stack.append((a1 + a2[nb:], b2, c1 * c2))
+            elif b1[:na] == a2:
+                stack.append((a1, b2 + b1[na:], c1 * c2))
+    return _rewrite(g, stack)
 
 
 def mul_monomials(m1: Monomial, m2: Monomial) -> Element:
     """Normalized product of two monomials."""
     if m1.graph != m2.graph:
         raise DomainError("cannot multiply monomials over different graphs")
-    m = _mul_raw(m1, m2)
-    if m is None:
-        return Element.zero(m1.graph)
-    return Element.of(m1.graph, _rewrite(m1.graph, [(m, Fraction(1))]))
+    return _product(m1.graph, ((_pair(m1), 1),), ((_pair(m2), 1),))
 
 
 def _same_graph(x: Element, y: Element) -> None:
-    if x.graph != y.graph:
+    if x.graph is not y.graph and x.graph != y.graph:
         raise DomainError("elements live over different graphs")
 
 
 def mul(x: Element, y: Element) -> Element:
     """Bilinear product, returned in normal form."""
     _same_graph(x, y)
-    raw = []
-    for m1, c1 in x.terms:
-        for m2, c2 in y.terms:
-            m = _mul_raw(m1, m2)
-            if m is not None:
-                raw.append((m, c1 * c2))
-    return Element.of(x.graph, _rewrite(x.graph, raw))
+    return _product(x.graph, x._codes, y._codes)
 
 
 def add(x: Element, y: Element) -> Element:
     _same_graph(x, y)
-    return Element.of(x.graph, x.terms + y.terms)
+    return _sum(x.graph, x._codes + y._codes)
 
 
 def sub(x: Element, y: Element) -> Element:
     _same_graph(x, y)
-    return Element.of(x.graph, x.terms + tuple((m, -c) for m, c in y.terms))
+    return _sum(x.graph, x._codes + tuple((m, -c) for m, c in y._codes))
 
 
 def scale(c: Fraction | int, x: Element) -> Element:
-    c = Fraction(c)
-    return Element.of(x.graph, tuple((m, c * cc) for m, cc in x.terms))
+    """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
+    if not _is_scalar(c):
+        raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
+    c = _coefficient(c)
+    return _sum(x.graph, ((m, c * cc) for m, cc in x._codes))
 
 
 @dataclass(frozen=True)
@@ -346,12 +460,11 @@ class GradedDecomposition:
 
 
 def graded_components(x: Element) -> GradedDecomposition:
-    by_deg: dict[int, list[tuple[Monomial, Fraction]]] = {}
-    for m, c in x.terms:
-        by_deg.setdefault(m.degree, []).append((m, c))
-    comps = tuple(
-        (d, Element.of(x.graph, by_deg[d])) for d in sorted(by_deg)
-    )
+    by_deg: dict[int, list[tuple]] = {}
+    for t in x._codes:
+        (a, b), _ = t
+        by_deg.setdefault(len(a) - len(b), []).append(t)
+    comps = tuple((d, _sum(x.graph, by_deg[d])) for d in sorted(by_deg))
     return GradedDecomposition(x.graph, comps)
 
 
@@ -363,11 +476,11 @@ def gdeg(x: Element) -> int:
     """Ghost degree of a normal form: the largest ghost-path length among terms."""
     if x.is_zero:
         raise DomainError("the zero element has no ghost degree")
-    return max(m.ghost_degree for m, _ in x.terms)
+    return max(len(b) for (_, b), _ in x._codes) - 1
 
 
 def is_homogeneous(x: Element) -> bool:
-    return len({m.degree for m, _ in x.terms}) <= 1
+    return len({len(a) - len(b) for (a, b), _ in x._codes}) <= 1
 
 
 # --- textual form -----------------------------------------------------------
@@ -431,13 +544,13 @@ class _ElementParser:
             if self.take(self.peek()) == "-":
                 sign = Fraction(-1)
         # Like terms are collected once, over the whole sum.
-        items = list(scale(sign, self.term()).terms)
+        items = list(scale(sign, self.term())._codes)
         while self.peek() in ("plus", "minus"):
             sign = Fraction(1) if self.take(self.peek()) == "+" else Fraction(-1)
-            items.extend(scale(sign, self.term()).terms)
+            items.extend(scale(sign, self.term())._codes)
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input at {self.tokens[self.pos][1]!r}")
-        return Element.of(self.g, items)
+        return _sum(self.g, items)
 
     def integer(self) -> int:
         digits = self.take("num")
@@ -507,20 +620,21 @@ def parse_element(g: Graph, text: str) -> Element:
     return normalize(_ElementParser(g, tokens).element())
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_element(x: Element) -> str:
     """Deterministic textual form of an element (normal or not)."""
     if x.is_zero:
         return "0"
+    vs, es = x.graph.vertices, x.graph.edges
     parts = []
-    for i, (m, c) in enumerate(x.terms):
-        mag = abs(c)
-        body = str(m) if mag == 1 else f"{_format_coeff(mag)}*{m}"
-        if i == 0:
-            parts.append(body if c > 0 else "-" + body)
+    for (a, b), c in x._codes:
+        if len(a) > 1 or len(b) > 1:
+            word = ".".join([es[i] for i in a[1:]] + [es[i] + "*'" for i in b[:0:-1]])
         else:
+            word = vs[a[0]]
+        mag = abs(c)
+        body = word if mag == 1 else f"{mag}*{word}"
+        if parts:
             parts.append(("+ " if c > 0 else "- ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
     return " ".join(parts)

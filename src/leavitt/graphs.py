@@ -77,6 +77,8 @@ class Graph:
     _eindex: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
     _kclass: tuple | None = field(init=False, repr=False, compare=False)
+    _kernel: tuple | None = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
@@ -86,6 +88,19 @@ class Graph:
             out[s].append(e)
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
         object.__setattr__(self, "_kclass", None)  # filled by _k_classes
+        object.__setattr__(self, "_kernel", None)  # filled by elements._tables
+        object.__setattr__(self, "_hash", None)  # filled by __hash__
+
+    def __hash__(self) -> int:
+        # Monomials and elements hash their graph each time they are hashed,
+        # so the hash of the three tuples is computed once.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.ends)))
+        return self._hash
+
+    def __reduce__(self):
+        # A copy rebuilds its caches: string hashes differ between processes.
+        return Graph, (self.vertices, self.edges, self.ends)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex

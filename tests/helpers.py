@@ -10,6 +10,7 @@ from leavitt import (
     Element,
     Graph,
     HeredSatSet,
+    Monomial,
     VertexClass,
     monomial,
     normalize,
@@ -220,4 +221,100 @@ def covers_by_definition(poset) -> tuple[tuple[int, int], ...]:
         if i != j
         and leq[i][j]
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    )
+
+
+# --- retired element kernel, kept as an oracle ----------------------------------
+#
+# Products and rewriting as the library once computed them, on Path and
+# Monomial objects with checked name lookups, collected and ordered by
+# ``Monomial.sort_key``, and written out from the terms.  The integer kernel
+# in ``leavitt.elements`` must agree with it byte for byte.  The oracle
+# works on term lists, so no part of the kernel takes part in its answers.
+
+
+def _reduced_turn(g: Graph, m: Monomial) -> str | None:
+    """Turn vertex when both paths end in its special edge, else None."""
+    a, b = m.alpha.edges, m.beta.edges
+    if a and b and a[-1] == b[-1]:
+        w = g.src(a[-1])
+        if g.special_edge(w) == a[-1]:
+            return w
+    return None
+
+
+def collect_by_paths(items) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Like terms summed, zeros dropped, in term order."""
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in items:
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+    return tuple(sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda t: t[0].sort_key()))
+
+
+def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Normal form: every special-special turn expanded through the vertex identity."""
+    out = []
+    stack = [(m, Fraction(c)) for m, c in terms]
+    while stack:
+        m, c = stack.pop()
+        if c == 0:
+            continue
+        w = _reduced_turn(g, m)
+        if w is None:
+            out.append((m, c))
+            continue
+        gam = m.alpha.edges[-1]
+        ap = m.alpha.drop_last()
+        bp = m.beta.drop_last()
+        stack.append((Monomial(ap, bp), c))
+        for f in g.out_edges(w):
+            if f != gam:
+                stack.append((Monomial(ap.extend((f,)), bp.extend((f,))), -c))
+    return collect_by_paths(out)
+
+
+def mul_raw_by_paths(m1: Monomial, m2: Monomial) -> Monomial | None:
+    """Product of two monomials before rewriting; None when it vanishes."""
+    beta, gamma = m1.beta, m2.alpha
+    if beta.src != gamma.src:
+        return None
+    nb, ng = beta.deg, gamma.deg
+    if nb <= ng:
+        if gamma.edges[:nb] != beta.edges:
+            return None
+        return Monomial(m1.alpha.extend(gamma.edges[nb:]), m2.beta)
+    if beta.edges[:ng] != gamma.edges:
+        return None
+    return Monomial(m1.alpha, m2.beta.extend(beta.edges[ng:]))
+
+
+def mul_by_paths(g: Graph, xs, ys) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Normal form of the product of two term lists."""
+    raw = []
+    for m1, c1 in xs:
+        for m2, c2 in ys:
+            m = mul_raw_by_paths(m1, m2)
+            if m is not None:
+                raw.append((m, c1 * c2))
+    return normalize_by_paths(g, raw)
+
+
+def format_by_terms(terms) -> str:
+    if not terms:
+        return "0"
+    parts = []
+    for i, (m, c) in enumerate(terms):
+        mag = abs(c)
+        body = str(m) if mag == 1 else f"{mag}*{m}"
+        if i == 0:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def on_graph(h: Graph, x: Element) -> Element:
+    """The element with x's terms, rebuilt by edge and vertex names over h."""
+    return Element.of(
+        h, [(monomial(h, m.alpha.edges, m.beta.edges, at=m.alpha.base), c) for m, c in x.terms]
     )

@@ -593,3 +593,15 @@ def test_malformed_ideals_and_numbers_exit_1(r1, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_count_beyond_the_digit_limit_exits_1(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    edges = "1" + "0" * (limit // 2)  # the count has about 3/2 * limit digits
+    for fmt in ("text", "json"):
+        assert main(["count2", "--edges", edges, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert len(err) < 200

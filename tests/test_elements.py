@@ -1,7 +1,10 @@
 """Element arithmetic, the rewriting normal form, grading, parsing."""
 
+import copy
+import pickle
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +43,7 @@ from leavitt import (
     scale,
     sub,
     unit,
+    validate_graph,
     vertex_element,
 )
 
@@ -379,3 +383,61 @@ def test_mixed_graph_rejected():
 def test_monomial_range_mismatch():
     with pytest.raises(DomainError, match="different vertices|range"):
         monomial(E38, alpha=("a",), beta=("b",))
+
+
+# --- scalars ----------------------------------------------------------------------
+
+
+def test_scalars_are_ints_and_fractions():
+    x = path_element(R1, ("e",))
+    assert format_element(3 * x) == format_element(x * 3) == format_element(scale(3, x)) == "3*e"
+    assert format_element(Fraction(-1, 2) * x) == format_element(x * Fraction(-1, 2)) == "-1/2*e"
+    assert (0 * x).is_zero and scale(Fraction(0), x).is_zero
+    assert all(type(c) is Fraction for _, c in (3 * x).terms)
+
+
+@pytest.mark.parametrize("bad", ["3", 0.1, 1.0, True, False, None, 2j])
+def test_other_scalars_raise_type_error(bad):
+    x = path_element(R1, ("e",))
+    assert x.__mul__(bad) is NotImplemented and x.__rmul__(bad) is NotImplemented
+    with pytest.raises(TypeError):
+        x * bad
+    with pytest.raises(TypeError):
+        bad * x
+    with pytest.raises(TypeError):
+        scale(bad, x)
+
+
+def test_elements_are_immutable_values():
+    x = parse_element(R2, "2*e.f*' - 1/3*f + v")
+    with pytest.raises(AttributeError):
+        x.graph = R1
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    assert hash(pickle.loads(pickle.dumps(x))) == hash(x)
+    assert Element(R2, x.terms) == x and Element(R2, x.terms).terms == x.terms
+    assert -x == scale(-1, x) and -(-x) == x
+    assert x.coeff(monomial(R2, ("f",))) == Fraction(-1, 3)
+    assert x.coeff(monomial(R2, ("e",))) == 0
+
+
+# --- scale: cost that does not grow with unrelated vertices ------------------------
+
+
+def test_rose_power_ignores_two_thousand_isolated_vertices():
+    rose = [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")]
+    text = "2*e1 + 3/2*e2*' - 5*e3.e1"
+
+    def fifth_power(g):
+        x = parse_element(g, text)
+        y = x
+        for _ in range(4):
+            y = mul(y, x)
+        return format_element(y)
+
+    expected = fifth_power(validate_graph(["v"], rose))
+    padded = validate_graph([f"p{i}" for i in range(2000)] + ["v"], rose)
+    t0 = time.perf_counter()
+    got = fifth_power(padded)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == expected
+    assert len(expected.split(" ")) > 100

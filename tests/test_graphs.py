@@ -1,10 +1,17 @@
 """Graph model, cycle machinery, K-classification, hereditary saturated sets."""
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import ALL_FIXTURES, C2, E38, G1, G4, G5, G6, G7, L2, R1, R2
+
+import leavitt
 
 from leavitt import (
     Cycle,
@@ -356,3 +363,27 @@ def test_all_hs_sets_twelve_isolated_vertices():
     assert sets == [
         frozenset(c) for size in range(13) for c in itertools.combinations(g.vertices, size)
     ]
+
+
+# --- hashing -----------------------------------------------------------------------
+
+
+def test_graph_hash_is_cached_and_survives_pickling_across_processes():
+    twin = validate_graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
+    assert twin is not R2 and hash(twin) == hash(R2) and {R2: 1}[twin] == 1
+    assert pickle.loads(pickle.dumps(R2)) == R2
+    # A graph pickled after hashing in a process with another string-hash
+    # seed must hash like a graph built here.
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    code = (
+        "import pickle, sys\n"
+        "from leavitt import validate_graph\n"
+        "g = validate_graph(['v'], [('e', 'v', 'v'), ('f', 'v', 'v')])\n"
+        "hash(g)\n"
+        "sys.stdout.buffer.write(pickle.dumps(g))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    g = pickle.loads(done.stdout)
+    assert g == R2 and hash(g) == hash(R2) and {R2: 1}[g] == 1

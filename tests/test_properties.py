@@ -1,24 +1,37 @@
-"""Property tests: the polynomial-time graph and poset algorithms against
-independent oracles on random multigraphs with loops and parallel edges."""
+"""Property tests: the polynomial-time graph and poset algorithms and the
+integer element kernel against independent oracles on random multigraphs
+with loops, parallel edges and sinks, and a closed-form dimension count."""
 
 import networkx as nx
 from helpers import (
+    COEFFS,
     classify_by_cycle_count,
     covers_by_definition,
+    format_by_terms,
     hs_sets_by_brute_force,
     k1_cycles_by_cycle_count,
+    mul_by_paths,
+    normalize_by_paths,
+    on_graph,
+    paths_by_range,
     rotation_key_by_rotations,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
 from leavitt import (
+    Element,
     Poset,
     all_hereditary_saturated_sets,
     classify_vertex,
     condition_k,
+    format_element,
     graded_lattice,
     k1_cycles,
+    monomial,
+    monomial_element,
+    mul,
+    normalize,
     validate_graph,
 )
 
@@ -111,3 +124,82 @@ def posets(draw, max_size=9):
 @given(posets())
 def test_covers_match_definition(poset):
     assert poset.covers() == covers_by_definition(poset)
+
+
+@st.composite
+def elements_with_padded_twin(draw):
+    """A multigraph, three raw (unnormalized) elements on it with paths of
+    up to three edges, and a twin of the graph with isolated vertices put
+    between its vertices, which shifts every vertex id."""
+    g = draw(multigraphs(max_vertices=5, max_edges=8))
+    table = paths_by_range(g, 3)
+
+    def element():
+        terms = []
+        for _ in range(draw(st.integers(0, 4))):
+            w = draw(st.sampled_from(g.vertices))
+            (_, a), (_, b) = draw(st.sampled_from(table[w])), draw(st.sampled_from(table[w]))
+            terms.append((monomial(g, a, b, at=w), draw(st.sampled_from(COEFFS))))
+        return Element.of(g, terms)
+
+    slots = draw(st.lists(st.integers(0, len(g.vertices)), min_size=1, max_size=5))
+    vs = []
+    for i, v in enumerate(g.vertices + ("",)):
+        vs += [f"pad{k}" for k, s in enumerate(slots) if s == i] + [v]
+    twin = validate_graph(vs[:-1], [(e, s, r) for e, (s, r) in zip(g.edges, g.ends)])
+    return g, (element(), element(), element()), twin
+
+
+@given(elements_with_padded_twin())
+def test_element_kernel_matches_path_oracle(case):
+    g, raws, twin = case
+    xs = []
+    for raw in raws:
+        x = normalize(raw)
+        expected = normalize_by_paths(g, raw.terms)
+        assert x.terms == expected
+        assert format_element(x) == format_by_terms(expected)
+        xs.append(x)
+    x, y, z = xs
+    xy = mul(x, y)
+    expected = mul_by_paths(g, x.terms, y.terms)
+    assert xy.terms == expected
+    assert format_element(xy) == format_by_terms(expected)
+    xyz = mul(xy, z)
+    assert xyz.terms == mul_by_paths(g, expected, z.terms)
+    tx, ty, tz = (on_graph(twin, e) for e in (x, y, z))
+    assert format_element(mul(mul(tx, ty), tz)) == format_element(xyz)
+    assert format_element(normalize(on_graph(twin, raws[0]))) == format_element(x)
+
+
+@st.composite
+def acyclic_multigraphs(draw, max_vertices=5, max_edges=7):
+    """Edges run forward in a random topological order; parallel edges allowed."""
+    n = draw(st.integers(1, max_vertices))
+    rank = draw(st.permutations(range(n)))
+    vnames = [f"v{i}" for i in range(n)]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=max_edges,
+        )
+    )
+    forward = [(s, r) if rank[s] < rank[r] else (r, s) for s, r in pairs]
+    enames = [f"e{i}" for i in draw(st.permutations(range(len(forward))))]
+    return validate_graph(vnames, [(e, vnames[s], vnames[r]) for e, (s, r) in zip(enames, forward)])
+
+
+@given(acyclic_multigraphs())
+def test_acyclic_normal_forms_span_sum_of_matrix_algebras(g):
+    """L(E) of a finite acyclic graph is the direct sum over sinks v of
+    n(v) x n(v) matrices, n(v) the number of paths ending at v (Abrams,
+    Aranda Pino, Siles Molina, J. Pure Appl. Algebra 209 (2007)).  The
+    normal forms of all monomials a.b*' with r(a) = r(b) use exactly the
+    normal-form basis, so they use that many distinct monomials."""
+    paths = paths_by_range(g, len(g.vertices))
+    seen = set()
+    for w, ending in paths.items():
+        for _, a in ending:
+            for _, b in ending:
+                seen.update(m for m, _ in normalize(monomial_element(g, a, b, at=w)).terms)
+    assert len(seen) == sum(len(paths[v]) ** 2 for v in g.vertices if g.is_sink(v))
