@@ -19,7 +19,6 @@ from .graphs import (
     k1_cycles,
     parse_graph,
     serialize_graph,
-    simple_cycles_through,
     validate_graph,
 )
 from .elements import (

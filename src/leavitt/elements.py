@@ -17,12 +17,13 @@ Representation: inside this module a path is the integer tuple
 a.b*' is the pair ``(a, b)``.  Ids are positions in the graph's vertex and
 edge lists, so the term order (ghost degree descending, degree ascending,
 then the paths' keys) is the tuple ``(1 - len(b), len(a) - len(b), a, b)``.
-Coefficients are ints while integral and Fractions otherwise.  Products,
-rewriting, sums and text read only these tuples and two per-edge tables
-(range vertex, and the vertex identity's other edges for a special edge),
-which are built the first time an element is made over a graph and cached
-on it; so their cost does not depend on unrelated vertices and edges.
-``Path`` and ``Monomial`` objects are built only at the API boundary:
+Coefficients are ints while integral and Fractions otherwise; sums and
+products work on integer numerators over a common denominator.  They,
+rewriting and text read only these tuples and two per-edge tables (range
+vertex, and the vertex identity's other edges for a special edge), which
+are built the first time an element is made over a graph and cached on it;
+so their cost does not depend on unrelated vertices and edges.  ``Path``
+and ``Monomial`` objects are built only at the API boundary:
 :meth:`Element.of` and the raw constructor read their keys, and
 ``Element.terms`` builds them on first access.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError
@@ -194,15 +196,12 @@ class Element:
 
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int]]) -> "Element":
-        acc: dict[tuple, int | Fraction] = {}
+        codes = []
         for m, c in items:
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
-            c = _coefficient(c)
-            if c:
-                k = _pair(m)
-                acc[k] = acc.get(k, 0) + c
-        return _collect(graph, acc)
+            codes.append((_pair(m), _coefficient(c)))
+        return _sum(graph, codes)
 
     @staticmethod
     def zero(graph: Graph) -> "Element":
@@ -212,9 +211,7 @@ class Element:
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         if self._terms is None:
             g = self.graph
-            _set(self, "_terms", tuple(
-                (_monomial(g, a, b), Fraction(c)) for (a, b), c in self._codes
-            ))
+            _set(self, "_terms", tuple((_monomial(g, *m), Fraction(c)) for m, c in self._codes))
         return self._terms
 
     @property
@@ -327,8 +324,17 @@ def _order(term: tuple) -> tuple:
     return (1 - len(b), len(a) - len(b), a, b)
 
 
-def _collect(g: Graph, acc: dict) -> Element:
-    """Element of the nonzero terms of ``acc``, checked and in term order."""
+def _scaled(terms) -> tuple[list[tuple], int]:
+    """``terms`` with their last entries (coefficients) as numerators over their LCD d; and d."""
+    dens = [c.denominator for *_, c in terms if type(c) is not int]
+    if not dens:
+        return terms, 1
+    d = lcm(*dens)
+    return [(*t, c.numerator * (d // c.denominator)) for *t, c in terms], d
+
+
+def _collect(g: Graph, acc: dict, den: int = 1) -> Element:
+    """Element of the nonzero terms of ``acc`` (over ``den``), checked and in term order."""
     rng = _tables(g)[0]
     kept = []
     for m, c in acc.items():
@@ -336,19 +342,22 @@ def _collect(g: Graph, acc: dict) -> Element:
             a, b = m
             if (rng[a[-1]] if len(a) > 1 else a[0]) != (rng[b[-1]] if len(b) > 1 else b[0]):
                 raise DomainError("monomial paths end at different vertices")
+            if den != 1:
+                c = c // den if c % den == 0 else Fraction(c, den)
             kept.append((m, c))
     kept.sort(key=_order)
     return Element._make(g, tuple(kept))
 
 
 def _sum(g: Graph, codes: Iterable[tuple]) -> Element:
-    acc: dict[tuple, int | Fraction] = {}
+    codes, d = _scaled(list(codes))
+    acc: dict[tuple, int] = {}
     for m, c in codes:
         acc[m] = acc.get(m, 0) + c
-    return _collect(g, acc)
+    return _collect(g, acc, d)
 
 
-def _rewrite(g: Graph, stack: list[tuple]) -> Element:
+def _rewrite(g: Graph, stack: list[tuple], den: int = 1) -> Element:
     """Normal form of the sum of the (a, b, c) triples on ``stack``.
 
     A monomial whose paths both end in the special edge e of their turn
@@ -356,10 +365,10 @@ def _rewrite(g: Graph, stack: list[tuple]) -> Element:
     a.b*' minus a.f.f*'.b*' over the other edges f leaving the turn
     vertex.  Each expansion swaps one monomial for a strictly shorter one
     plus same-length monomials whose turn edge is no longer special, so
-    the rewriting terminates.  ``stack`` is consumed.
+    the rewriting terminates.  ``stack`` holds numerators over ``den``; it is consumed.
     """
     expand = _tables(g)[1]
-    acc: dict[tuple, int | Fraction] = {}
+    acc: dict[tuple, int] = {}
     while stack:
         a, b, c = stack.pop()
         if len(a) > 1 and len(b) > 1 and a[-1] == b[-1]:
@@ -372,12 +381,12 @@ def _rewrite(g: Graph, stack: list[tuple]) -> Element:
                 continue
         m = (a, b)
         acc[m] = acc.get(m, 0) + c
-    return _collect(g, acc)
+    return _collect(g, acc, den)
 
 
 def normalize(x: Element) -> Element:
     """Normal form of x; idempotent and degree-preserving per term."""
-    return _rewrite(x.graph, [(a, b, c) for (a, b), c in x._codes])
+    return _rewrite(x.graph, *_scaled([(a, b, c) for (a, b), c in x._codes]))
 
 
 def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
@@ -387,6 +396,7 @@ def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
     term edge by edge; the product survives exactly when one of the two is
     a prefix of the other, base vertex id included.
     """
+    (xs, dx), (ys, dy) = _scaled(xs), _scaled(ys)
     stack = []
     for (a1, b1), c1 in xs:
         nb = len(b1)
@@ -397,7 +407,7 @@ def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
                     stack.append((a1 + a2[nb:], b2, c1 * c2))
             elif b1[:na] == a2:
                 stack.append((a1, b2 + b1[na:], c1 * c2))
-    return _rewrite(g, stack)
+    return _rewrite(g, stack, dx * dy)
 
 
 def mul_monomials(m1: Monomial, m2: Monomial) -> Element:
@@ -432,7 +442,6 @@ def scale(c: Fraction | int, x: Element) -> Element:
     """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
     if not _is_scalar(c):
         raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
-    c = _coefficient(c)
     return _sum(x.graph, ((m, c * cc) for m, cc in x._codes))
 
 
@@ -447,16 +456,10 @@ class GradedDecomposition:
         return tuple(d for d, _ in self.components)
 
     def component(self, d: int) -> Element:
-        for dd, e in self.components:
-            if dd == d:
-                return e
-        return Element.zero(self.graph)
+        return dict(self.components).get(d, Element.zero(self.graph))
 
     def total(self) -> Element:
-        acc = Element.zero(self.graph)
-        for _, e in self.components:
-            acc = add(acc, e)
-        return acc
+        return _sum(self.graph, [t for _, e in self.components for t in e._codes])
 
 
 def graded_components(x: Element) -> GradedDecomposition:
@@ -489,14 +492,17 @@ def is_homogeneous(x: Element) -> bool:
 # term     := [rational '*'] monomial
 # monomial := factor ('.' factor)*
 # factor   := NAME | NAME "*'"          (NAME*' is a ghost edge)
-# rational := INT | INT '/' INT
+# rational := INT | INT '/' INT         (INT is [0-9]+)
 #
-# The serializer emits normal forms deterministically; "0" is the zero
-# element.
+# The parser emits kernel codes: a vertex v is ((v,), (v,)), an edge e from
+# s to r is ((s, e), (r,)) and its ghost ((r,), (s, e)).  A word's factors
+# multiply by the kernel's prefix rule into one pair, or into nothing when a
+# ghost edge meets a different real edge; the sum is rewritten once.  The
+# serializer emits normal forms deterministically; "0" is the zero element.
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<num>\d+)"
+    r"|(?P<num>[0-9]+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<ghost>\*')"
     r"|(?P<star>\*)"
@@ -504,110 +510,110 @@ _TOKEN_RE = re.compile(
     r"|(?P<slash>/)"
     r"|(?P<plus>\+)"
     r"|(?P<minus>-)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(s: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m:
-            raise ParseError(f"unexpected character {s[pos]!r} at position {pos}")
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(s):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} at position {m.start()}")
         if kind != "ws":
             tokens.append((kind, m.group()))
     return tokens
 
 
-class _ElementParser:
-    def __init__(self, g: Graph, tokens: list[tuple[str, str]]):
-        self.g = g
-        self.tokens = tokens
-        self.pos = 0
+def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
+    """The (a, b, c) triple of every word of the sum that does not vanish.
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    All factors of a word are looked up before their composability is
+    checked, so an unknown name is reported before a mismatch.
+    """
+    vi, ei, rng = g._vindex, g._eindex, _tables(g)[0]
+    tokens = tokens + [(None, "end of input")]
+    pos = 0
 
-    def take(self, kind: str) -> str:
-        if self.peek() != kind:
-            got = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
-            raise ParseError(f"expected {kind}, got {got!r}")
-        tok = self.tokens[self.pos][1]
-        self.pos += 1
+    def take(kind: str) -> str:
+        nonlocal pos
+        got, tok = tokens[pos]
+        if got != kind:
+            raise ParseError(f"expected {kind}, got {tok!r}")
+        pos += 1
         return tok
 
-    def element(self) -> Element:
-        sign = Fraction(1)
-        if self.peek() in ("plus", "minus"):
-            if self.take(self.peek()) == "-":
-                sign = Fraction(-1)
-        # Like terms are collected once, over the whole sum.
-        items = list(scale(sign, self.term())._codes)
-        while self.peek() in ("plus", "minus"):
-            sign = Fraction(1) if self.take(self.peek()) == "+" else Fraction(-1)
-            items.extend(scale(sign, self.term())._codes)
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input at {self.tokens[self.pos][1]!r}")
-        return _sum(self.g, items)
-
-    def integer(self) -> int:
-        digits = self.take("num")
+    def integer() -> int:
+        digits = take("num")
         try:
             return int(digits)
         except ValueError as exc:  # beyond the interpreter's int() digit limit
             raise ParseError(f"numeral of {len(digits)} digits is too long") from exc
 
-    def term(self) -> Element:
-        coeff = Fraction(1)
-        if self.peek() == "num":
-            num = self.integer()
-            den = 1
-            if self.peek() == "slash":
-                self.take("slash")
-                den = self.integer()
+    def factor() -> tuple[str, str, str, tuple]:
+        nonlocal pos
+        name = take("name")
+        ghost = tokens[pos][0] == "ghost"
+        if ghost:
+            pos += 1
+        if name in vi:
+            if ghost:
+                raise ParseError(f"ghost marker on vertex {name!r}")
+            return (name, name, name, ((vi[name],), (vi[name],)))
+        if name in ei:
+            e = ei[name]
+            s, r = g.ends[e]
+            code = ((vi[s], e), (rng[e],))
+            return (name + "*'", r, s, code[::-1]) if ghost else (name, s, r, code)
+        raise ParseError(f"unknown vertex or edge {name!r}")
+
+    words = []
+    sign = -1 if tokens[0][0] == "minus" else 1
+    if tokens[0][0] in ("plus", "minus"):
+        pos = 1
+    while True:
+        c = sign
+        if tokens[pos][0] == "num":
+            num, den = integer(), 1
+            if tokens[pos][0] == "slash":
+                pos += 1
+                den = integer()
                 if den == 0:
                     raise ParseError("zero denominator")
-            coeff = Fraction(num, den)
-            self.take("star")
-        return scale(coeff, self.monomial())
-
-    def monomial(self) -> Element:
-        factors = [self.factor()]
-        while self.peek() == "dot":
-            self.take("dot")
-            factors.append(self.factor())
-        # structural composability: each factor must start where the last ended
-        here = None
-        for text, src, rng, elem in factors:
-            if here is not None and src != here:
+            c *= num if den == 1 else _coefficient(Fraction(num, den))
+            take("star")
+        factors = [factor()]
+        while tokens[pos][0] == "dot":
+            pos += 1
+            factors.append(factor())
+        here = factors[0][2]
+        for text, src, end, _ in factors[1:]:
+            if src != here:
                 raise ParseError(
                     f"non-composable path: {text!r} starts at {src!r}, "
                     f"previous factor ends at {here!r}"
                 )
-            here = rng
-        acc = factors[0][3]
-        for _, _, _, elem in factors[1:]:
-            acc = mul(acc, elem)
-        return acc
-
-    def factor(self) -> tuple[str, str, str, Element]:
-        name = self.take("name")
-        ghost = self.peek() == "ghost"
-        if ghost:
-            self.take("ghost")
-        g = self.g
-        if g.has_vertex(name):
-            if ghost:
-                raise ParseError(f"ghost marker on vertex {name!r}")
-            return (name, name, name, vertex_element(g, name))
-        if g.has_edge(name):
-            s, r = g.src(name), g.rng(name)
-            if ghost:
-                return (name + "*'", r, s, ghost_path_element(g, (name,)))
-            return (name, s, r, path_element(g, (name,)))
-        raise ParseError(f"unknown vertex or edge {name!r}")
+            here = end
+        a, b = factors[0][3]
+        for _, _, _, (a2, b2) in factors[1:]:
+            if len(b) <= len(a2):
+                if a2[: len(b)] != b:
+                    break
+                a, b = a + a2[len(b):], b2
+            elif b[: len(a2)] == a2:
+                b = b2 + b[len(a2):]
+            else:
+                break
+        else:
+            words.append((a, b, c))
+        if tokens[pos][0] not in ("plus", "minus"):
+            break
+        sign = 1 if tokens[pos][0] == "plus" else -1
+        pos += 1
+    if pos != len(tokens) - 1:
+        raise ParseError(f"trailing input at {tokens[pos][1]!r}")
+    return words
 
 
 def parse_element(g: Graph, text: str) -> Element:
@@ -617,7 +623,7 @@ def parse_element(g: Graph, text: str) -> Element:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty element expression")
-    return normalize(_ElementParser(g, tokens).element())
+    return _rewrite(g, *_scaled(_parse_words(g, tokens)))
 
 
 def format_element(x: Element) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError, GraphError
 
@@ -43,14 +43,12 @@ __all__ = [
     "validate_graph",
     "parse_graph",
     "serialize_graph",
-    "simple_cycles_through",
     "classify_vertex",
     "condition_k",
     "hereditary_saturated_closure",
     "all_hereditary_saturated_sets",
     "exit_range",
     "k1_cycles",
-    "iter_closed_simple_paths",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -393,38 +391,6 @@ class VertexClass:
         return self.kind == "K2"
 
 
-def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
-    """All cycles whose vertex set contains v, rotated to start at v.
-
-    Finite because cycle sources are pairwise distinct.  Ordered by
-    (length, edge sequence) under the graph's edge order.  Exponential in
-    general; the K-classification does not use it.
-    """
-    g.check_vertex(v)
-    found: list[Cycle] = []
-    trail: list[str] = []
-    visited = {v}
-    stack = [(v, iter(g.out_edges(v)))]
-    while stack:
-        here, pending = stack[-1]
-        for e in pending:
-            w = g.rng(e)
-            if w == v:
-                found.append(Cycle(g, tuple(trail) + (e,)))
-            elif w not in visited:
-                trail.append(e)
-                visited.add(w)
-                stack.append((w, iter(g.out_edges(w))))
-                break
-        else:
-            stack.pop()
-            if trail:
-                trail.pop()
-                visited.remove(here)
-    found.sort(key=lambda c: (len(c.edges), tuple(g.edge_index(e) for e in c.edges)))
-    return tuple(found)
-
-
 def _adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Successor and predecessor lists over vertex indices, one entry per edge."""
     vi = g._vindex
@@ -681,20 +647,3 @@ def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
             out.append(c)
     return tuple(out)
 
-
-def iter_closed_simple_paths(g: Graph, v: str, max_len: int) -> Iterator[Path]:
-    """Closed simple paths based at v, shortest first, up to ``max_len`` edges.
-
-    Breadth-first, so within one length the edge order of the graph decides
-    the order.  The stream can be infinite without the bound.
-    """
-    g.check_vertex(v)
-    queue: deque[tuple[str, tuple[str, ...]]] = deque([(v, ())])
-    while queue:
-        here, trail = queue.popleft()
-        for e in g.out_edges(here):
-            w = g.rng(e)
-            if w == v:
-                yield Path.of(g, trail + (e,))
-            elif len(trail) + 1 < max_len:
-                queue.append((w, trail + (e,)))

@@ -27,8 +27,9 @@ from typing import Iterable, Mapping
 from .elements import (
     Element,
     Monomial,
+    _monomial,
+    _tables,
     add,
-    monomial,
     mul,
     path_element,
     vertex_element,
@@ -42,7 +43,6 @@ from .graphs import (
     exit_range,
     hereditary_saturated_closure,
     all_hereditary_saturated_sets,
-    iter_closed_simple_paths,
 )
 from .polynomials import QPoly
 
@@ -175,16 +175,52 @@ class ExtractionWitness:
 
 
 def _two_closed_simple_paths(g: Graph, w: str) -> tuple:
+    """Codes of the first two closed simple paths at w, ordered by length,
+    then by out-edge position, within ``|E|*(|V|+1)`` edges.
+
+    ``inner[l][x]`` is min(2, the number of walks of length l from x to w
+    that do not pass through w before their end), with w's own entry set to
+    0 for l >= 1 so a walk cannot go on from w; ``closed[l]`` is the capped
+    number of closed simple paths of length l.  Paths are read off greedily
+    in out-edge order, stepping only into counted walks, so the cost is
+    O(L*|E|) for paths of length at most L.
+    """
+    rng = _tables(g)[0]
+    vi = g._vindex
+    t = vi[w]
+    out = [[g._eindex[e] for e in g._out[v]] for v in g.vertices]
+    arcs = [(vi[s], r) for (s, _), r in zip(g.ends, rng)]
     bound = len(g.edges) * (len(g.vertices) + 1)
+    inner = [[int(x == t) for x in range(len(g.vertices))]]
+    closed = [0]
+    while sum(closed) < 2:
+        if len(inner) > bound:
+            raise DomainError(
+                f"vertex {w!r} does not have two closed simple paths within the search bound"
+            )
+        cur = [0] * len(g.vertices)
+        for s, r in arcs:
+            cur[s] += inner[-1][r]
+        closed.append(min(2, cur[t]))
+        cur[t] = 0
+        inner.append([min(2, c) for c in cur])
     found = []
-    for p in iter_closed_simple_paths(g, w, bound):
-        if p not in found:
-            found.append(p)
-        if len(found) == 2:
-            return tuple(found)
-    raise DomainError(
-        f"vertex {w!r} does not have two closed simple paths within the search bound"
-    )
+    for length, count in enumerate(closed):
+        for rank in range(min(count, 2 - len(found))):
+            path, x = [t], t
+            for k in range(length - 1, -1, -1):
+                for e in out[x]:
+                    if rank < inner[k][rng[e]]:
+                        break
+                    rank -= inner[k][rng[e]]
+                path.append(e)
+                x = rng[e]
+            found.append(tuple(path))
+    return tuple(found)
+
+
+def _single(g: Graph, m: tuple) -> Element:
+    return Element._make(g, ((m, 1),))
 
 
 def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
@@ -195,8 +231,11 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     step would annihilate everything, which the vertex identity makes
     impossible for all edges at once); strip the shortest remaining real
     path from the left, leaving a vertex plus closed paths based at it;
-    then cancel the closed-path sum with two distinct closed simple paths.
-    The returned witness identity is re-verified exactly.
+    then cancel the closed-path sum with two distinct closed simple paths:
+    the first two at that vertex in order of length, then of out-edge
+    position, found from capped walk counts.  The stages work on the
+    element's integer codes; the returned witness identity is re-verified
+    exactly.
 
     Raises DomainError on zero input or when a vertex with exactly one
     closed simple path blocks the last stage (impossible under
@@ -207,41 +246,40 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     if a.is_zero:
         raise DomainError("cannot extract a vertex from 0")
 
-    left: list[Monomial] = []
-    right: list[Monomial] = []
+    rng = _tables(g)[0]
+    left: list[tuple] = []  # kernel pairs (alpha, beta)
+    right: list[tuple] = []
     x = a
 
-    def rmul(m: Monomial) -> None:
+    def rmul(m: tuple) -> None:
         nonlocal x
-        y = mul(x, Element.of(g, [(m, 1)]))
+        y = mul(x, _single(g, m))
         if y != x:
             right.append(m)
         x = y
 
-    def lmul(m: Monomial) -> None:
+    def lmul(m: tuple) -> None:
         nonlocal x
-        y = mul(Element.of(g, [(m, 1)]), x)
+        y = mul(_single(g, m), x)
         if y != x:
             left.append(m)
         x = y
 
     # Stage 1: eliminate ghost halves.  Terms are kept sorted with the
-    # deepest ghost path first, so x.terms[0] drives the loop.
-    guard = max(m.ghost_degree for m, _ in x.terms) * (len(g.edges) + 2) + 4
-    while x.terms[0][0].ghost_degree > 0:
+    # deepest ghost path first, so the first term drives the loop.
+    guard = (max(len(b) for (_, b), _ in x._codes) - 1) * (len(g.edges) + 2) + 4
+    while len(x._codes[0][0][1]) > 1:
         guard -= 1
         if guard < 0:
             raise AssertionError("ghost elimination failed to make progress")
-        lead = x.terms[0][0]
-        w = lead.col
-        rmul(monomial(g, at=w))
-        lead = x.terms[0][0]
-        first = lead.beta.edges[0]
-        candidates = [first] + [e for e in g.out_edges(w) if e != first]
-        for e in candidates:
-            y = mul(x, path_element(g, (e,)))
+        w = x._codes[0][0][1][0]
+        rmul(((w,), (w,)))
+        first = x._codes[0][0][1][1]
+        out = [g._eindex[e] for e in g.out_edges(g.vertices[w])]
+        for e in [first] + [f for f in out if f != first]:
+            y = mul(x, _single(g, ((w, e), (rng[e],))))
             if not y.is_zero:
-                right.append(monomial(g, alpha=(e,)))
+                right.append(((w, e), (rng[e],)))
                 x = y
                 break
         else:
@@ -249,38 +287,41 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
 
     # Stage 2: all terms are real paths.  Project to a common end vertex,
     # then strip the shortest path from the left.
-    w = x.terms[0][0].col
-    if any(m.col != w for m, _ in x.terms):
-        rmul(monomial(g, at=w))
-    nu1 = x.terms[0][0].alpha  # minimal degree under the term order
-    lmul(monomial(g, beta=nu1.edges, at=w))
+    w = x._codes[0][0][1][0]
+    if any(b[0] != w for (_, b), _ in x._codes):
+        rmul(((w,), (w,)))
+    lmul(((w,), x._codes[0][0][0]))  # the first term's path has minimal degree
 
     # x is now c1*w plus closed paths based at w.
-    closed = [(m, c) for m, c in x.terms if m.degree > 0]
+    def closed_paths() -> list:
+        return [a for (a, b), _ in x._codes if len(a) > len(b)]
+
+    closed = closed_paths()
+    name = g.vertices[w]
     if closed:
-        vc = classify_vertex(g, w)
-        if vc.is_k1:
+        if classify_vertex(g, name).is_k1:
             raise DomainError(
-                f"vertex {w!r} has exactly one closed simple path; "
+                f"vertex {name!r} has exactly one closed simple path; "
                 "extraction needs zero or at least two"
             )
-        eta1, eta2 = _two_closed_simple_paths(g, w)
+        eta1, eta2 = _two_closed_simple_paths(g, name)
         while closed:
-            if all(m.alpha.startswith(eta1) for m, _ in closed):
-                lmul(monomial(g, beta=eta2.edges, at=w))
-                rmul(monomial(g, alpha=eta2.edges))
-            else:
-                lmul(monomial(g, beta=eta1.edges, at=w))
-                rmul(monomial(g, alpha=eta1.edges))
-            new_closed = [(m, c) for m, c in x.terms if m.degree > 0]
+            eta = eta2 if all(a[: len(eta1)] == eta1 for a in closed) else eta1
+            lmul(((w,), eta))
+            rmul((eta, (w,)))
+            new_closed = closed_paths()
             if len(new_closed) >= len(closed):
                 raise AssertionError("closed-path elimination failed to make progress")
             closed = new_closed
 
-    if len(x.terms) != 1 or x.terms[0][0] != monomial(g, at=w):
+    if len(x._codes) != 1 or x._codes[0][0] != ((w,), (w,)):
         raise AssertionError(f"extraction ended on a non-vertex element {x}")
-    scalar = x.terms[0][1]
-    witness = ExtractionWitness(tuple(left), tuple(right), w, scalar)
+    witness = ExtractionWitness(
+        tuple(_monomial(g, *m) for m in left),
+        tuple(_monomial(g, *m) for m in right),
+        name,
+        Fraction(x._codes[0][1]),
+    )
     if not witness.verify(a):
         raise AssertionError("extraction witness failed verification")
     return witness
@@ -531,7 +572,8 @@ def is_graded(i: LambdaReduction) -> bool:
 #  "polys": [{"cycle": ["e"], "base": "v", "coeffs": ["1", "0", "1"]}]}
 #
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
-# or "0.25"; exponent notation is rejected.
+# or "0.25", written with ASCII digits; exponent notation and "_" are
+# rejected.
 
 
 def _names(value, key: str) -> list:
@@ -541,6 +583,7 @@ def _names(value, key: str) -> list:
 
 
 _EXPONENT = re.compile(r"[eE][-+]?\d")
+_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
 
 
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
@@ -575,6 +618,9 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         if any(_EXPONENT.search(t) for t in texts):
             # Fraction("1e999999999") would build a billion-digit integer.
             raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
+        if any(_NOT_ASCII_DIGIT.search(t) for t in texts):
+            # Fraction reads "\u0663" as 3 and "1_0" as 10.
+            raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
         try:
             coeffs = [Fraction(t) for t in texts]
         except (ValueError, ZeroDivisionError) as exc:

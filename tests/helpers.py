@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from leavitt import (
+    Cycle,
     Element,
     Graph,
     HeredSatSet,
     Monomial,
+    Path,
     VertexClass,
     monomial,
     normalize,
-    simple_cycles_through,
     validate_graph,
 )
 
@@ -170,6 +173,57 @@ def hs_sets_by_brute_force(g: Graph) -> tuple[HeredSatSet, ...]:
             if _is_hereditary(g, s) and _is_saturated(g, s):
                 result.append(HeredSatSet(g, s))
     return tuple(result)
+
+
+def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
+    """All cycles whose vertex set contains v, rotated to start at v.
+
+    Finite because cycle sources are pairwise distinct.  Ordered by
+    (length, edge sequence) under the graph's edge order.  Exponential in
+    general.
+    """
+    g.check_vertex(v)
+    found: list[Cycle] = []
+    trail: list[str] = []
+    visited = {v}
+    stack = [(v, iter(g.out_edges(v)))]
+    while stack:
+        here, pending = stack[-1]
+        for e in pending:
+            w = g.rng(e)
+            if w == v:
+                found.append(Cycle(g, tuple(trail) + (e,)))
+            elif w not in visited:
+                trail.append(e)
+                visited.add(w)
+                stack.append((w, iter(g.out_edges(w))))
+                break
+        else:
+            stack.pop()
+            if trail:
+                trail.pop()
+                visited.remove(here)
+    found.sort(key=lambda c: (len(c.edges), tuple(g.edge_index(e) for e in c.edges)))
+    return tuple(found)
+
+
+def iter_closed_simple_paths(g: Graph, v: str, max_len: int) -> Iterator[Path]:
+    """Closed simple paths based at v, shortest first, up to ``max_len`` edges.
+
+    Breadth-first, so within one length the edge order of the graph decides
+    the order.  The stream can be infinite without the bound, and the
+    number of trails it walks grows exponentially with their length.
+    """
+    g.check_vertex(v)
+    queue: deque[tuple[str, tuple[str, ...]]] = deque([(v, ())])
+    while queue:
+        here, trail = queue.popleft()
+        for e in g.out_edges(here):
+            w = g.rng(e)
+            if w == v:
+                yield Path.of(g, trail + (e,))
+            elif len(trail) + 1 < max_len:
+                queue.append((w, trail + (e,)))
 
 
 def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:

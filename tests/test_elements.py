@@ -343,6 +343,31 @@ def test_parse_long_sum_matches_termwise_sum():
         assert format_element(got) == format_element(want)
 
 
+def test_parse_long_r3_sum_in_bounded_time():
+    rose = validate_graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")])
+    rng = random.Random(7)
+    factors = ["e1", "e2", "e3", "e1*'", "e2*'", "e3*'"]
+    terms = [
+        f"{rng.choice(['', '2*', '1/3*'])}{'.'.join(rng.choice(factors) for _ in range(3))}"
+        for _ in range(160)
+    ]
+    text = " + ".join(terms)
+    t0 = time.perf_counter()
+    got = parse_element(rose, text)
+    assert time.perf_counter() - t0 < 1.0
+    want = Element.zero(rose)
+    for t in terms:
+        want = add(want, parse_element(rose, t))
+    assert got == want
+
+
+def test_parse_accepts_only_ascii_numerals():
+    # \d would also match "\u0663" (ARABIC-INDIC DIGIT THREE) and read it as 3
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_element(R1, "\u0663*e")
+    assert format_element(parse_element(R1, "3*e")) == "3*e"
+
+
 def test_parse_rationals_and_signs():
     x = parse_element(R1, "-1/2*v + 3*e - e")
     want = add(scale(Fraction(-1, 2), vertex_element(R1, "v")), scale(2, path_element(R1, ("e",))))
@@ -394,6 +419,19 @@ def test_scalars_are_ints_and_fractions():
     assert format_element(Fraction(-1, 2) * x) == format_element(x * Fraction(-1, 2)) == "-1/2*e"
     assert (0 * x).is_zero and scale(Fraction(0), x).is_zero
     assert all(type(c) is Fraction for _, c in (3 * x).terms)
+
+
+def test_fractional_products_keep_integral_coefficients_as_ints():
+    x = parse_element(R2, "1/2*e + 2/3*f*' - 3/4*e.f*'")
+    y = parse_element(R2, "2*e*' + 3/2*f - 4*v")
+    xy = mul(x, y)
+    assert xy == scale(Fraction(1, 24), mul(scale(24, x), y))
+    assert mul(scale(Fraction(1, 2), x), scale(2, y)) == xy
+    half = parse_element(R2, "1/2*e + 1/2*f")
+    for z in (mul(scale(2, half), vertex_element(R2, "v")), add(half, half), scale(2, half),
+              parse_element(R2, "1/2*e + 1/2*e"), Fraction(1, 2) * parse_element(R2, "2*e - 4*f")):
+        assert all(type(c) is int for _, c in z._codes)
+    assert all(type(c) is int or c.denominator > 1 for _, c in xy._codes)
 
 
 @pytest.mark.parametrize("bad", ["3", 0.1, 1.0, True, False, None, 2j])

@@ -9,7 +9,21 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import ALL_FIXTURES, C2, E38, G1, G4, G5, G6, G7, L2, R1, R2
+from helpers import (
+    ALL_FIXTURES,
+    C2,
+    E38,
+    G1,
+    G4,
+    G5,
+    G6,
+    G7,
+    L2,
+    R1,
+    R2,
+    iter_closed_simple_paths,
+    simple_cycles_through,
+)
 
 import leavitt
 
@@ -25,10 +39,8 @@ from leavitt import (
     k1_cycles,
     parse_graph,
     serialize_graph,
-    simple_cycles_through,
     validate_graph,
 )
-from leavitt.graphs import iter_closed_simple_paths
 
 
 # --- validation and text format ----------------------------------------------

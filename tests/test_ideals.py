@@ -3,6 +3,7 @@ containment."""
 
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -167,6 +168,25 @@ def test_extract_random_elements_on_condition_k_fixtures():
             w = extract_vertex(g, a)
             assert w.scalar != 0
             assert w.verify(a), (name, str(a))
+
+
+def test_extract_on_a_long_branching_return_chain():
+    """w -> c1 -> ... -> c63 -> w with two parallel edges per step has 2^64
+    closed simple paths at w, all of length 64; a search that walks them
+    would not finish."""
+    m = 64
+    seq = ["w"] + [f"c{i}" for i in range(1, m)] + ["w"]
+    edges = [(f"{x}{i}", seq[i], seq[i + 1]) for i in range(m) for x in "ab"]
+    g = validate_graph(seq[:-1], edges)
+    word = lambda bits: ".".join(f"{x}{i}" for i, x in enumerate(bits))
+    a = parse_element(g, f"2*w - {word('ab' * 32)} + 3*{word('b' * 64)}.{word('a' * 64)}")
+    t0 = time.perf_counter()
+    w = extract_vertex(g, a)
+    assert time.perf_counter() - t0 < 1.0
+    assert (w.vertex, w.scalar) == ("w", 2)
+    assert w.verify(a)
+    # the two closed paths used: a0...a63 and a0...a62.b63
+    assert {str(m) for m in w.right} <= {word("a" * 64), word("a" * 63 + "b")}
 
 
 # --- non-graded witness ----------------------------------------------------------
@@ -525,6 +545,13 @@ def test_generator_set_json_rejects_exponent_notation():
     text = '{"polys": [{"cycle": ["e"], "coeffs": ["-1/2", "0.25", 3]}]}'
     gens = generator_set_from_json(R1, text)
     assert list(gens.polys[0].poly.to_strings()) == ["-1/2", "1/4", "3"]
+
+
+def test_generator_set_json_rejects_non_ascii_digits_and_underscores():
+    # Fraction reads "\u0663" (ARABIC-INDIC DIGIT THREE) as 3 and "1_0" as 10
+    for coeff in ("\u0663", "1_0"):
+        with pytest.raises(ParseError, match="non-ASCII digit or '_'"):
+            generator_set_from_json(R1, {"polys": [{"cycle": ["e"], "coeffs": [coeff, "1"]}]})
 
 
 def test_generator_set_json_rejects_oversized_integers():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leavitt import QPoly
 from leavitt.errors import DomainError
@@ -86,3 +88,35 @@ def test_str():
     assert str(QPoly.of([-1, 0, 1])) == "x^2 - 1"
     assert str(QPoly.of([Fraction(1, 2)])) == "1/2"
     assert str(QPoly.zero()) == "0"
+
+
+# --- sympy as an oracle --------------------------------------------------------
+
+_polys = st.lists(st.fractions(-4, 4, max_denominator=3), max_size=4).map(QPoly.of)
+
+
+def _to_sympy(sympy, p):
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(cs or [0], sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(poly):
+    return QPoly.of(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+@given(_polys, _polys, _polys)
+def test_divmod_gcd_divides_match_sympy(a, b, common):
+    """p = a*common and q = b*common share a factor, so gcds are often
+    nontrivial; the polynomials may be zero or constant."""
+    sympy = pytest.importorskip("sympy")
+    p, q = a * common, b * common
+    sp, sq = _to_sympy(sympy, p), _to_sympy(sympy, q)
+    if not q.is_zero:
+        quo, rem = divmod(p, q)
+        squo, srem = sp.div(sq)
+        assert (quo, rem) == (_from_sympy(squo), _from_sympy(srem))
+        assert q.divides(p) == srem.is_zero
+    else:
+        assert q.divides(p) == p.is_zero
+    g = sp.gcd(sq)
+    assert QPoly.gcd(p, q) == (_from_sympy(g.monic()) if not g.is_zero else QPoly.zero())

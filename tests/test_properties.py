@@ -1,14 +1,21 @@
-"""Property tests: the polynomial-time graph and poset algorithms and the
-integer element kernel against independent oracles on random multigraphs
-with loops, parallel edges and sinks, and a closed-form dimension count."""
+"""Property tests: the polynomial-time graph and poset algorithms, the
+integer element kernel, its parser and the extraction search against
+independent oracles on random multigraphs with loops, parallel edges and
+sinks, plus a closed-form dimension count and the paper's characterization
+of graded ideals."""
+
+from fractions import Fraction
+from itertools import islice
 
 import networkx as nx
+import pytest
 from helpers import (
     COEFFS,
     classify_by_cycle_count,
     covers_by_definition,
     format_by_terms,
     hs_sets_by_brute_force,
+    iter_closed_simple_paths,
     k1_cycles_by_cycle_count,
     mul_by_paths,
     normalize_by_paths,
@@ -20,20 +27,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leavitt import (
+    CyclePolynomial,
+    DomainError,
     Element,
+    LambdaGeneratorSet,
     Poset,
+    add,
     all_hereditary_saturated_sets,
     classify_vertex,
     condition_k,
     format_element,
     graded_lattice,
+    is_graded,
     k1_cycles,
+    lambda_reduce,
     monomial,
     monomial_element,
     mul,
+    nongraded_witness,
     normalize,
+    parse_element,
+    path_element,
+    vertex_element,
     validate_graph,
 )
+from leavitt.ideals import _two_closed_simple_paths
 
 
 @st.composite
@@ -203,3 +221,83 @@ def test_acyclic_normal_forms_span_sum_of_matrix_algebras(g):
             for _, b in ending:
                 seen.update(m for m, _ in normalize(monomial_element(g, a, b, at=w)).terms)
     assert len(seen) == sum(len(paths[v]) ** 2 for v in g.vertices if g.is_sink(v))
+
+
+@given(multigraphs(max_vertices=6, max_edges=10))
+def test_walk_counts_give_the_first_two_closed_paths_of_the_search(g):
+    """The extraction's two closed simple paths are the first two that the
+    breadth-first search yields.  Vertices with fewer than two closed simple
+    paths (K0 and K1, whose search may never end) raise instead."""
+    bound = len(g.edges) * (len(g.vertices) + 1)
+    for v in g.vertices:
+        if classify_by_cycle_count(g, v).is_k2:
+            want = tuple(p.key() for p in islice(iter_closed_simple_paths(g, v, bound), 2))
+            assert _two_closed_simple_paths(g, v) == want
+        else:
+            with pytest.raises(DomainError, match="two closed simple paths within the search bound"):
+                _two_closed_simple_paths(g, v)
+
+
+@st.composite
+def elements_on_multigraphs(draw):
+    g = draw(multigraphs(max_vertices=5, max_edges=8))
+    table = paths_by_range(g, 3)
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        w = draw(st.sampled_from(g.vertices))
+        (_, a), (_, b) = draw(st.sampled_from(table[w])), draw(st.sampled_from(table[w]))
+        terms.append((monomial(g, a, b, at=w), draw(st.sampled_from(COEFFS))))
+    return g, normalize(Element.of(g, terms))
+
+
+@given(elements_on_multigraphs())
+def test_parse_reads_back_the_formatted_normal_form(case):
+    g, x = case
+    assert parse_element(g, format_element(x)) == x
+
+
+@st.composite
+def words(draw):
+    """A graph and a composable word of vertices, edges and ghost edges with
+    a coefficient; ghost edges need not match the real edges they meet."""
+    g = draw(multigraphs(max_vertices=4, max_edges=8))
+    here = draw(st.sampled_from(g.vertices))
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        steps = [(here, here, monomial(g, at=here))]
+        steps += [(e, g.rng(e), monomial(g, (e,))) for e in g.out_edges(here)]
+        steps += [
+            (e + "*'", s, monomial(g, (), (e,)))
+            for e, (s, r) in zip(g.edges, g.ends)
+            if r == here
+        ]
+        text, here, m = draw(st.sampled_from(steps))
+        factors.append((text, m))
+    return g, draw(st.sampled_from(COEFFS)), factors
+
+
+@given(words())
+def test_parsed_word_is_the_product_of_its_factors(case):
+    g, c, factors = case
+    text = ".".join(t for t, _ in factors)
+    want = normalize_by_paths(g, [(factors[0][1], c)])
+    for _, m in factors[1:]:
+        want = mul_by_paths(g, want, [(m, Fraction(1))])
+    sign = "-" if c < 0 else ""
+    assert parse_element(g, f"{sign}{abs(c)}*{text}").terms == want
+
+
+@given(multigraphs())
+def test_graded_ideals_exactly_under_condition_k(g):
+    """Every ideal is graded iff the graph satisfies Condition (K), the
+    paper's characterization by closed paths at each vertex: nongraded_witness
+    finds a generator exactly when a K1 vertex exists, and its ideal keeps a
+    cycle polynomial, so it is not graded."""
+    holds, _ = condition_k(g)
+    found = nongraded_witness(g)
+    assert holds == (found is None)
+    if found is not None:
+        v, cycle, gen = found
+        assert gen == add(vertex_element(g, v), path_element(g, cycle.edges))
+        cp = CyclePolynomial.of(g, cycle.edges, v, [1, 1])
+        assert not is_graded(lambda_reduce(g, LambdaGeneratorSet.of(g, polys=[cp])))
