@@ -11,6 +11,10 @@ returns an :class:`Output`: the JSON payload, the text lines, and for the
 commands that offer ``--format dot`` a DOT renderer.  Every command offers
 ``text`` and ``json``.  :func:`main` loads the graph, runs the command,
 prints the chosen format, and maps library and file errors to exit 1.
+
+The graph layer, which every other layer builds on, is imported here; each
+command function imports the other layers it uses itself, so an ``lpa``
+process loads only its own command's layers.
 """
 
 from __future__ import annotations
@@ -21,16 +25,10 @@ import sys
 from pathlib import Path as FsPath
 from typing import Callable, NamedTuple
 
-from . import twovertex
-from .elements import format_element, graded_components, mul, parse_element
 from .errors import DomainError, LpaError, ParseError
 from .graphs import (
     Graph, all_hereditary_saturated_sets, classify_vertex, condition_k,
     hereditary_saturated_closure, parse_graph,
-)
-from .ideals import (
-    contains, extract_vertex, generator_set_from_json, graded_lattice, lambda_reduce,
-    lattice_dot, nongraded_witness, reduction_to_json,
 )
 
 
@@ -51,6 +49,7 @@ def _read_text(path: str) -> str:
 
 def _ideal(g: Graph, spec: str):
     """Reduced ideal of an argument given as inline JSON (starts with '{') or a file path."""
+    from .ideals import generator_set_from_json, lambda_reduce
     text = spec if spec.lstrip().startswith("{") else _read_text(spec)
     return lambda_reduce(g, generator_set_from_json(g, text))
 
@@ -80,6 +79,7 @@ def _hs_sets(g, args):
 
 
 def _graded_lattice(g, args):
+    from .ideals import graded_lattice, lattice_dot
     poset = graded_lattice(g)
     nodes, covers = poset.elements, poset.covers()
     payload = {"nodes": [list(node.generators.sorted_members()) for node in nodes],
@@ -89,32 +89,39 @@ def _graded_lattice(g, args):
 
 
 def _normalize(g, args):
+    from .elements import format_element, parse_element
     text = format_element(parse_element(g, args.element))
     return Output({"normal_form": text}, [text])
 
 
 def _mul(g, args):
+    from .elements import format_element, mul, parse_element
     text = format_element(mul(parse_element(g, args.left), parse_element(g, args.right)))
     return Output({"product": text}, [text])
 
 
 def _grade(g, args):
+    from .elements import format_element, graded_components, parse_element
     dec = graded_components(parse_element(g, args.element))
     parts = [(str(d), format_element(e)) for d, e in dec.components]
     return Output({"components": dict(parts)}, [f"{d}: {e}" for d, e in parts] or ["0"])
 
 
 def _lambda_reduce(g, args):
+    from .ideals import reduction_to_json
     red = _ideal(g, args.ideal)
     return Output(reduction_to_json(red), [str(red)])
 
 
 def _contains(g, args):
+    from .ideals import contains
     result = contains(g, _ideal(g, args.ideal_a), _ideal(g, args.ideal_b))
     return Output({"contains": result}, ["true" if result else "false"])
 
 
 def _extract_vertex(g, args):
+    from .elements import parse_element
+    from .ideals import extract_vertex
     w = extract_vertex(g, parse_element(g, args.element))
     left, right = [str(m) for m in w.left], [str(m) for m in w.right]
     payload = {"vertex": w.vertex, "scalar": str(w.scalar), "left": left, "right": right}
@@ -123,6 +130,8 @@ def _extract_vertex(g, args):
 
 
 def _nongraded_witness(g, args):
+    from .elements import format_element
+    from .ideals import nongraded_witness
     w = nongraded_witness(g)
     if w is None:
         return Output({"witness": None}, ["none"])
@@ -132,6 +141,7 @@ def _nongraded_witness(g, args):
 
 
 def _count2(g, args):
+    from . import twovertex
     formula = twovertex.count_closed_form(args.edges)
     try:
         text = str(formula)
@@ -147,11 +157,13 @@ def _count2(g, args):
 
 
 def _enum2(g, args):
+    from . import twovertex
     shapes = [s.astuple() for s in twovertex.enumerate_up_to_iso(args.edges)]
     return Output({"shapes": [list(s) for s in shapes]}, ["(%d,%d,%d,%d)" % s for s in shapes])
 
 
 def _classify2(g, args):
+    from . import twovertex
     result = twovertex.classify(g)
     label, canonical = result.label, result.canonical
     payload = {"class": label, "type": canonical.id, "shape": list(canonical.shape.astuple())}

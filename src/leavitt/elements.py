@@ -31,58 +31,49 @@ and ``Monomial`` objects are built only at the API boundary:
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path
+from .records import Record, _set
 
 __all__ = [
-    "Monomial",
-    "Element",
-    "GradedDecomposition",
-    "vertex_element",
-    "path_element",
-    "ghost_path_element",
-    "monomial",
-    "monomial_element",
-    "unit",
-    "mul_monomials",
-    "normalize",
-    "mul",
-    "add",
-    "sub",
-    "scale",
-    "graded_components",
-    "degree",
-    "gdeg",
-    "is_homogeneous",
-    "parse_element",
-    "format_element",
+    "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
+    "ghost_path_element", "monomial", "monomial_element", "unit", "mul_monomials", "normalize",
+    "mul", "add", "sub", "scale", "graded_components", "degree", "gdeg", "is_homogeneous",
+    "parse_element", "format_element",
 ]
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A product a.b*' of a real path and a reversed ghost path.
 
     Both paths live in one graph and share their range vertex.  The degree
     is deg(a) - deg(b); the ghost degree is deg(b).
     """
 
-    alpha: Path
-    beta: Path
+    __slots__ = __match_args__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.alpha.graph != self.beta.graph:
+    def __init__(self, alpha: Path, beta: Path) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        if alpha.graph != beta.graph:
             raise DomainError("monomial mixes two graphs")
-        if self.alpha.rng != self.beta.rng:
+        if alpha.rng != beta.rng:
             raise DomainError(
                 f"monomial paths end at different vertices: "
-                f"{self.alpha.rng!r} vs {self.beta.rng!r}"
+                f"{alpha.rng!r} vs {beta.rng!r}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta) == (other.alpha, other.beta)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
 
     @property
     def graph(self) -> Graph:
@@ -150,7 +141,7 @@ def _is_scalar(c) -> bool:
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _pair(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -169,7 +160,7 @@ def _monomial(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> Monomial:
     return m
 
 
-class Element:
+class Element(Record):
     """Immutable term map Monomial -> nonzero rational, canonically ordered.
 
     :meth:`of` collects like terms and drops zeros but performs no
@@ -179,6 +170,7 @@ class Element:
     """
 
     __slots__ = ("graph", "_codes", "_terms")
+    __match_args__ = ("graph", "terms")  # the repr and the pickled form
 
     def __init__(self, graph: Graph, terms: Iterable[tuple[Monomial, Fraction]]):
         terms = tuple(terms)
@@ -234,15 +226,6 @@ class Element:
     def __hash__(self) -> int:
         return hash((self.graph, self._codes))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return Element, (self.graph, self.terms)
-
-    def __repr__(self) -> str:
-        return f"Element(graph={self.graph!r}, terms={self.terms!r})"
-
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
 
@@ -276,10 +259,7 @@ def path_element(g: Graph, edges: Iterable[str]) -> Element:
 
 def ghost_path_element(g: Graph, edges: Iterable[str]) -> Element:
     """The reversed ghost path b*' for the real path b given by ``edges``."""
-    es = tuple(edges)
-    bp = Path.of(g, es)
-    ap = Path.of(g, (), at=bp.rng)
-    return Element.of(g, [(Monomial(ap, bp), 1)])
+    return Element.of(g, [(monomial(g, beta=tuple(edges)), 1)])
 
 
 def monomial_element(
@@ -445,12 +425,22 @@ def scale(c: Fraction | int, x: Element) -> Element:
     return _sum(x.graph, ((m, c * cc) for m, cc in x._codes))
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
+class GradedDecomposition(Record):
     """Partition of an element's terms by degree; components sum to it."""
 
-    graph: Graph
-    components: tuple[tuple[int, Element], ...]  # ascending degree
+    __slots__ = __match_args__ = ("graph", "components")
+
+    def __init__(self, graph: Graph, components: tuple[tuple[int, Element], ...]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "components", components)  # ascending degree
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.components) == (other.graph, other.components)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.components))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.components)

@@ -22,33 +22,23 @@ first query and cached, answers every K-class question in linear time.
 Hereditary saturated sets are the closed sets of a closure operator, which
 is computed with a worklist; :func:`all_hereditary_saturated_sets` lists
 them with Ganter's NextClosure ("Two basic algorithms in concept analysis",
-1984), with polynomial delay instead of a scan of all vertex subsets.
+1984), with polynomial delay instead of a scan of all vertex subsets.  Their
+inclusion order, like every finite order the package draws, is a Poset.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DomainError, GraphError
+from .records import Record, _set
 
 __all__ = [
-    "Graph",
-    "Path",
-    "Cycle",
-    "VertexClass",
-    "HeredSatSet",
-    "validate_graph",
-    "parse_graph",
-    "serialize_graph",
-    "classify_vertex",
-    "condition_k",
-    "hereditary_saturated_closure",
-    "all_hereditary_saturated_sets",
-    "exit_range",
-    "k1_cycles",
+    "Graph", "Path", "Cycle", "VertexClass", "HeredSatSet", "Poset", "validate_graph",
+    "parse_graph", "serialize_graph", "classify_vertex", "condition_k",
+    "hereditary_saturated_closure", "all_hereditary_saturated_sets", "exit_range", "k1_cycles",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -59,46 +49,45 @@ def _check_name(name: str) -> None:
         raise GraphError(f"bad identifier {name!r}: use letters, digits, _")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable directed multigraph with ordered vertex and edge lists.
 
     Construct through :func:`validate_graph` or :func:`parse_graph`; the
-    raw constructor performs no checking.
+    raw constructor performs no checking.  The slots after the three fields
+    are caches, outside equality, hash and repr; a copy or an unpickled
+    graph rebuilds them, since string hashes differ between processes.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    ends: tuple[tuple[str, str], ...]  # (source, range) per edge, same order
+    __match_args__ = ("vertices", "edges", "ends")
+    __slots__ = __match_args__ + ("_vindex", "_eindex", "_out", "_kclass", "_kernel", "_hash")
 
-    _vindex: dict = field(init=False, repr=False, compare=False)
-    _eindex: dict = field(init=False, repr=False, compare=False)
-    _out: dict = field(init=False, repr=False, compare=False)
-    _kclass: tuple | None = field(init=False, repr=False, compare=False)
-    _kernel: tuple | None = field(init=False, repr=False, compare=False)
-    _hash: int | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edges)})
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e, (s, _) in zip(self.edges, self.ends):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[str, ...], ends: tuple) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "ends", ends)  # (source, range) per edge, same order
+        _set(self, "_vindex", {v: i for i, v in enumerate(vertices)})
+        _set(self, "_eindex", {e: i for i, e in enumerate(edges)})
+        out: dict[str, list[str]] = {v: [] for v in vertices}
+        for e, (s, _) in zip(edges, ends):
             out[s].append(e)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_kclass", None)  # filled by _k_classes
-        object.__setattr__(self, "_kernel", None)  # filled by elements._tables
-        object.__setattr__(self, "_hash", None)  # filled by __hash__
+        _set(self, "_out", {v: tuple(es) for v, es in out.items()})
+        _set(self, "_kclass", None)  # filled by _k_classes
+        _set(self, "_kernel", None)  # filled by elements._tables
+        _set(self, "_hash", None)  # filled by __hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges, self.ends) == (
+                other.vertices, other.edges, other.ends
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
         # Monomials and elements hash their graph each time they are hashed,
         # so the hash of the three tuples is computed once.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.ends)))
+            _set(self, "_hash", hash((self.vertices, self.edges, self.ends)))
         return self._hash
-
-    def __reduce__(self):
-        # A copy rebuilds its caches: string hashes differ between processes.
-        return Graph, (self.vertices, self.edges, self.ends)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vindex
@@ -233,13 +222,23 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Composable edge sequence; with no edges it denotes a single vertex."""
 
-    graph: Graph
-    base: str  # source vertex; for the empty path also the range
-    edges: tuple[str, ...]
+    __slots__ = __match_args__ = ("graph", "base", "edges")
+
+    def __init__(self, graph: Graph, base: str, edges: tuple[str, ...]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "base", base)  # source vertex; for the empty path also the range
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.base, self.edges) == (other.graph, other.base, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.base, self.edges))
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str] = (), at: str | None = None) -> "Path":
@@ -252,12 +251,7 @@ class Path:
         base = graph.src(es[0])
         if at is not None and at != base:
             raise DomainError(f"path starts at {base!r}, not {at!r}")
-        here = base
-        for e in es:
-            if graph.src(e) != here:
-                raise DomainError(f"edges do not compose at {e!r}")
-            here = graph.rng(e)
-        return Path(graph, base, es)
+        return Path(graph, base, ()).extend(es)
 
     @property
     def deg(self) -> int:
@@ -299,8 +293,7 @@ class Path:
         return ".".join(self.edges) if self.edges else self.base
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Closed path with pairwise-distinct edge sources.
 
     Two rotations of the same cycle compare unequal but share
@@ -309,8 +302,19 @@ class Cycle:
     distinct, so that rotation is the one starting at its least edge.
     """
 
-    graph: Graph
-    edges: tuple[str, ...]
+    __slots__ = __match_args__ = ("graph", "edges")
+
+    def __init__(self, graph: Graph, edges: tuple[str, ...]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.edges) == (other.graph, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.edges))
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str]) -> "Cycle":
@@ -359,12 +363,22 @@ class Cycle:
         return ".".join(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(Record):
     """K-classification of a vertex; K1 carries its unique cycle."""
 
-    kind: str  # "K0" | "K1" | "K2"
-    cycle: Cycle | None = None
+    __slots__ = __match_args__ = ("kind", "cycle")
+
+    def __init__(self, kind: str, cycle: Cycle | None = None) -> None:
+        _set(self, "kind", kind)  # "K0" | "K1" | "K2"
+        _set(self, "cycle", cycle)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.cycle) == (other.kind, other.cycle)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.cycle))
 
     @staticmethod
     def k0() -> "VertexClass":
@@ -464,7 +478,7 @@ def _k_classes(g: Graph) -> tuple[dict[str, str], dict[str, str]]:
         for v, c in zip(g.vertices, comp):
             m = internal[c]
             kinds[v] = "K0" if m == 0 else "K1" if m == sizes[c] else "K2"
-        object.__setattr__(g, "_kclass", (kinds, inner))
+        _set(g, "_kclass", (kinds, inner))
     return g._kclass
 
 
@@ -512,8 +526,7 @@ def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HeredSatSet:
+class HeredSatSet(Record):
     """A hereditary and saturated set of vertices.
 
     Hereditary: closed under following edges out of members.  Saturated:
@@ -521,8 +534,19 @@ class HeredSatSet:
     never forced in).  Use :meth:`of` to validate.
     """
 
-    graph: Graph
-    members: frozenset[str]
+    __slots__ = __match_args__ = ("graph", "members")
+
+    def __init__(self, graph: Graph, members: frozenset[str]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.members) == (other.graph, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.members))
 
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
@@ -620,6 +644,65 @@ def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
 
     found.sort(key=order)
     return tuple(HeredSatSet(g, _members(g, m)) for m in found)
+
+
+class Poset(Record):
+    """Finite poset as an element tuple plus a reflexive order matrix."""
+
+    __slots__ = __match_args__ = ("elements", "leq")
+
+    def __init__(self, elements: tuple, leq: tuple[tuple[bool, ...], ...]) -> None:
+        _set(self, "elements", elements)
+        _set(self, "leq", leq)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.elements, self.leq) == (other.elements, other.leq)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.leq))
+
+    @staticmethod
+    def build(elements: Iterable, leq_fn) -> "Poset":
+        els = tuple(elements)
+        matrix = tuple(
+            tuple(bool(leq_fn(a, b)) for b in els) for a in els
+        )
+        return Poset(els, matrix)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, j) with i strictly below j and nothing in between.
+
+        The upper covers of i are the minimal elements of its strict
+        up-set.  Scanned by down-set size, which strictly grows along the
+        order, each element is a cover unless a cover found before lies
+        below it.  Pairs come out sorted.
+        """
+        n = len(self.elements)
+        leq = self.leq
+        height = [sum(leq[k][j] for k in range(n)) for j in range(n)]
+        out = []
+        for i in range(n):
+            ups = sorted((j for j in range(n) if j != i and leq[i][j]), key=height.__getitem__)
+            found: list[int] = []
+            for j in ups:
+                if not any(leq[c][j] for c in found):
+                    found.append(j)
+            out.extend((i, j) for j in sorted(found))
+        return tuple(out)
+
+
+def lattice_label(g: Graph, members: frozenset) -> str:
+    """Diagram label of a vertex set: 0 when empty, L when it is every vertex."""
+    if not members:
+        return "0"
+    if members == frozenset(g.vertices):
+        return "L"
+    return "{" + ",".join(g.sort_vertices(members)) + "}"
 
 
 def exit_range(g: Graph, c: Cycle) -> frozenset[str]:

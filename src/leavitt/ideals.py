@@ -20,98 +20,43 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .elements import (
-    Element,
-    Monomial,
-    _monomial,
-    _tables,
-    add,
-    mul,
-    path_element,
-    vertex_element,
-)
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle,
-    Graph,
-    HeredSatSet,
-    classify_vertex,
-    exit_range,
-    hereditary_saturated_closure,
-    all_hereditary_saturated_sets,
+    Cycle, Graph, HeredSatSet, Poset, all_hereditary_saturated_sets, classify_vertex, exit_range,
+    hereditary_saturated_closure, lattice_label,
 )
 from .polynomials import QPoly
+from .records import Record, _set
+
+if TYPE_CHECKING:
+    from .elements import Element, Monomial
 
 __all__ = [
-    "Poset",
-    "GradedIdeal",
-    "CyclePolynomial",
-    "LambdaGeneratorSet",
-    "LambdaReduction",
-    "ExtractionWitness",
-    "graded_lattice",
-    "lattice_dot",
-    "extract_vertex",
-    "nongraded_witness",
-    "lambda_reduce",
-    "contains",
-    "vertex_membership",
-    "is_graded",
-    "generator_set_from_json",
-    "generator_set_to_json",
-    "reduction_to_json",
+    "Poset", "GradedIdeal", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
+    "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
+    "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
+    "generator_set_from_json", "generator_set_to_json", "reduction_to_json",
 ]
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Finite poset as an element tuple plus a reflexive order matrix."""
-
-    elements: tuple
-    leq: tuple[tuple[bool, ...], ...]
-
-    @staticmethod
-    def build(elements: Iterable, leq_fn) -> "Poset":
-        els = tuple(elements)
-        matrix = tuple(
-            tuple(bool(leq_fn(a, b)) for b in els) for a in els
-        )
-        return Poset(els, matrix)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with i strictly below j and nothing in between.
-
-        The upper covers of i are the minimal elements of its strict
-        up-set.  Scanned by down-set size, which strictly grows along the
-        order, each element is a cover unless a cover found before lies
-        below it.  Pairs come out sorted.
-        """
-        n = len(self.elements)
-        leq = self.leq
-        height = [sum(leq[k][j] for k in range(n)) for j in range(n)]
-        out = []
-        for i in range(n):
-            ups = sorted((j for j in range(n) if j != i and leq[i][j]), key=height.__getitem__)
-            found: list[int] = []
-            for j in ups:
-                if not any(leq[c][j] for c in found):
-                    found.append(j)
-            out.extend((i, j) for j in sorted(found))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class GradedIdeal:
+class GradedIdeal(Record):
     """A graded ideal, named by its hereditary saturated vertex set."""
 
-    generators: HeredSatSet
+    __slots__ = __match_args__ = ("generators",)
+
+    def __init__(self, generators: HeredSatSet) -> None:
+        _set(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     def __str__(self) -> str:
         ms = self.generators.sorted_members()
@@ -122,15 +67,6 @@ def graded_lattice(g: Graph) -> Poset:
     """All graded ideals ordered by inclusion; bottom <0>, top the algebra."""
     nodes = tuple(GradedIdeal(h) for h in all_hereditary_saturated_sets(g))
     return Poset.build(nodes, lambda a, b: a.generators.members <= b.generators.members)
-
-
-def lattice_label(g: Graph, members: frozenset) -> str:
-    """Diagram label of a vertex set: 0 when empty, L when it is every vertex."""
-    if not members:
-        return "0"
-    if members == frozenset(g.vertices):
-        return "L"
-    return "{" + ",".join(g.sort_vertices(members)) + "}"
 
 
 def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
@@ -145,10 +81,10 @@ def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
 
 
 # --- extraction on Condition-(K) graphs --------------------------------------
+# The only part that uses the element layer: it imports it where it runs.
 
 
-@dataclass(frozen=True)
-class ExtractionWitness:
+class ExtractionWitness(Record):
     """Factors reducing an element to a nonzero scalar multiple of a vertex.
 
     ``right`` factors multiply on the right in list order, then ``left``
@@ -156,12 +92,26 @@ class ExtractionWitness:
     left[k-1] * ... * left[0] * a * right[0] * ... * right[m-1].
     """
 
-    left: tuple[Monomial, ...]
-    right: tuple[Monomial, ...]
-    vertex: str
-    scalar: Fraction
+    __slots__ = __match_args__ = ("left", "right", "vertex", "scalar")
+
+    def __init__(self, left: tuple, right: tuple, vertex: str, scalar: Fraction) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "vertex", vertex)
+        _set(self, "scalar", scalar)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right, self.vertex, self.scalar) == (
+                other.left, other.right, other.vertex, other.scalar
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.vertex, self.scalar))
 
     def apply(self, a: Element) -> Element:
+        from .elements import Element, mul
         x = a
         for m in self.right:
             x = mul(x, Element.of(a.graph, [(m, 1)]))
@@ -170,6 +120,7 @@ class ExtractionWitness:
         return x
 
     def verify(self, a: Element) -> bool:
+        from .elements import vertex_element
         expected = self.scalar * vertex_element(a.graph, self.vertex)
         return self.apply(a) == expected
 
@@ -185,6 +136,7 @@ def _two_closed_simple_paths(g: Graph, w: str) -> tuple:
     in out-edge order, stepping only into counted walks, so the cost is
     O(L*|E|) for paths of length at most L.
     """
+    from .elements import _tables
     rng = _tables(g)[0]
     vi = g._vindex
     t = vi[w]
@@ -219,10 +171,6 @@ def _two_closed_simple_paths(g: Graph, w: str) -> tuple:
     return tuple(found)
 
 
-def _single(g: Graph, m: tuple) -> Element:
-    return Element._make(g, ((m, 1),))
-
-
 def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     """Reduce a nonzero element to c * vertex by one-sided multiplications.
 
@@ -241,6 +189,11 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     closed simple path blocks the last stage (impossible under
     Condition (K)).
     """
+    from .elements import Element, _monomial, _tables, mul
+
+    def single(m: tuple) -> Element:
+        return Element._make(g, ((m, 1),))
+
     if a.graph != g:
         raise DomainError("element is not over this graph")
     if a.is_zero:
@@ -253,14 +206,14 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
 
     def rmul(m: tuple) -> None:
         nonlocal x
-        y = mul(x, _single(g, m))
+        y = mul(x, single(m))
         if y != x:
             right.append(m)
         x = y
 
     def lmul(m: tuple) -> None:
         nonlocal x
-        y = mul(_single(g, m), x)
+        y = mul(single(m), x)
         if y != x:
             left.append(m)
         x = y
@@ -277,7 +230,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
         first = x._codes[0][0][1][1]
         out = [g._eindex[e] for e in g.out_edges(g.vertices[w])]
         for e in [first] + [f for f in out if f != first]:
-            y = mul(x, _single(g, ((w, e), (rng[e],))))
+            y = mul(x, single(((w, e), (rng[e],))))
             if not y.is_zero:
                 right.append(((w, e), (rng[e],)))
                 x = y
@@ -334,6 +287,7 @@ def nongraded_witness(g: Graph):
     components cannot both be brought back inside the ideal because every
     closed path at v is a power of the unique cycle.
     """
+    from .elements import add, path_element, vertex_element
     for v in g.vertices:
         vc = classify_vertex(g, v)
         if vc.is_k1:
@@ -346,8 +300,7 @@ def nongraded_witness(g: Graph):
 # --- cycle-polynomial ideals --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclePolynomial:
+class CyclePolynomial(Record):
     """A polynomial in a K1 cycle, with the basepoint as its constant term.
 
     ``poly`` has a nonzero constant coefficient and degree at least one; a
@@ -356,9 +309,20 @@ class CyclePolynomial:
     monic.
     """
 
-    cycle: Cycle  # canonical rotation
-    base: str
-    poly: QPoly
+    __slots__ = __match_args__ = ("cycle", "base", "poly")
+
+    def __init__(self, cycle: Cycle, base: str, poly: QPoly) -> None:
+        _set(self, "cycle", cycle)  # canonical rotation
+        _set(self, "base", base)
+        _set(self, "poly", poly)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cycle, self.base, self.poly) == (other.cycle, other.base, other.poly)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cycle, self.base, self.poly))
 
     @staticmethod
     def of(
@@ -391,13 +355,25 @@ class CyclePolynomial:
         return self.cycle.graph
 
 
-@dataclass(frozen=True)
-class LambdaGeneratorSet:
+class LambdaGeneratorSet(Record):
     """Raw generators: cycle polynomials (repetition allowed) plus vertices."""
 
-    graph: Graph
-    polys: tuple[CyclePolynomial, ...]
-    vertex_gens: frozenset[str]
+    __slots__ = __match_args__ = ("graph", "polys", "vertex_gens")
+
+    def __init__(self, graph: Graph, polys: tuple, vertex_gens: frozenset[str]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "polys", polys)  # of CyclePolynomial
+        _set(self, "vertex_gens", vertex_gens)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.polys, self.vertex_gens) == (
+                other.graph, other.polys, other.vertex_gens
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.polys, self.vertex_gens))
 
     @staticmethod
     def of(
@@ -415,8 +391,7 @@ class LambdaGeneratorSet:
         return LambdaGeneratorSet(g, ps, vs)
 
 
-@dataclass(frozen=True)
-class LambdaReduction:
+class LambdaReduction(Record):
     """Generating data: a hereditary saturated vertex set plus at most one
     monic polynomial per K1 cycle not based inside it.
 
@@ -425,9 +400,22 @@ class LambdaReduction:
     queries re-canonicalize to compensate.
     """
 
-    graph: Graph
-    vertex_part: HeredSatSet
-    polys: tuple[tuple[Cycle, QPoly], ...]  # canonical cycles, rotation-key order
+    __slots__ = __match_args__ = ("graph", "vertex_part", "polys")
+
+    def __init__(self, graph: Graph, vertex_part: HeredSatSet, polys: tuple) -> None:
+        _set(self, "graph", graph)
+        _set(self, "vertex_part", vertex_part)
+        _set(self, "polys", polys)  # (Cycle, QPoly) pairs: canonical cycles, rotation-key order
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.vertex_part, self.polys) == (
+                other.graph, other.vertex_part, other.polys
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.vertex_part, self.polys))
 
     @staticmethod
     def of(
@@ -531,13 +519,13 @@ def _canonical(g: Graph, i: LambdaReduction) -> LambdaReduction:
 def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     """Whether the ideal generated by ``a`` lies inside the one from ``b``.
 
-    Both sides are re-canonicalized first.  With equal vertex parts this is
-    exactly per-cycle divisibility of b's polynomial into a's (a missing
-    polynomial acts as the zero polynomial).  Across different vertex parts
-    the rule extends minimally: a's vertex part must be contained in b's,
-    and each polynomial of a must either sit on a cycle meeting b's vertex
-    part or be divisible by b's polynomial on the same cycle.  The
-    cross-vertex-set extension is implementation-defined.
+    The rule: I(a) lies in I(b) exactly when lambda-reducing the generators
+    of a and b together gives b again, as ideals are determined by their
+    hereditary saturated vertex part and cycle polynomials (Rangaswamy,
+    J. Algebra 375 (2013)).  After re-canonicalizing both sides, a's vertex
+    part must lie in b's, and each polynomial of a must sit on a cycle that
+    meets b's vertex part or be divisible by b's polynomial on that cycle
+    (a missing polynomial acts as the zero polynomial).
     """
     if a.graph != g or b.graph != g:
         raise DomainError("reductions over a different graph")

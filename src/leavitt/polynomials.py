@@ -8,18 +8,28 @@ degree with no trailing zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
+from .records import Record, _set
 
 __all__ = ["QPoly"]
 
 
-@dataclass(frozen=True)
-class QPoly:
-    coeffs: tuple[Fraction, ...]  # ascending degree, last entry nonzero
+class QPoly(Record):
+    __slots__ = __match_args__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        _set(self, "coeffs", coeffs)  # ascending degree, last entry nonzero
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":

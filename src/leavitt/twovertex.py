@@ -17,47 +17,52 @@ isomorphism via canonical labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import permutations
 
 from .errors import DomainError
 from .graphs import (
-    Cycle,
-    Graph,
-    all_hereditary_saturated_sets,
-    exit_range,
-    hereditary_saturated_closure,
-    k1_cycles,
-    validate_graph,
+    Cycle, Graph, Poset, all_hereditary_saturated_sets, exit_range, hereditary_saturated_closure,
+    k1_cycles, lattice_label, validate_graph,
 )
-from .ideals import Poset, lattice_label
+from .records import Record, _set
 
 __all__ = [
-    "TwoVertexShape",
-    "CanonicalForm16",
-    "LatticeSkeleton",
-    "SkeletonFamily",
-    "Classification",
-    "count_closed_form",
-    "enumerate_up_to_iso",
-    "canonicalize16",
-    "canonical_form_of_shape",
-    "build_skeleton",
-    "classify",
+    "TwoVertexShape", "CanonicalForm16", "LatticeSkeleton", "SkeletonFamily", "Classification",
+    "count_closed_form", "enumerate_up_to_iso", "canonicalize16", "canonical_form_of_shape",
+    "build_skeleton", "classify",
 ]
 
 ENUMERATION_GUARD = 12
 
 
-@dataclass(frozen=True, order=True)
-class TwoVertexShape:
-    """Edge multiplicities of a two-vertex graph, canonical under swap."""
+@total_ordering
+class TwoVertexShape(Record):
+    """Edge multiplicities of a two-vertex graph, canonical under swap.
 
-    loops_u: int
-    loops_v: int
-    uv: int
-    vu: int
+    Shapes compare and order as their field tuples.
+    """
+
+    __slots__ = __match_args__ = ("loops_u", "loops_v", "uv", "vu")
+
+    def __init__(self, loops_u: int, loops_v: int, uv: int, vu: int) -> None:
+        _set(self, "loops_u", loops_u)
+        _set(self, "loops_v", loops_v)
+        _set(self, "uv", uv)
+        _set(self, "vu", vu)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.astuple() == other.astuple()
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.astuple() < other.astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.loops_u, self.loops_v, self.uv, self.vu))
 
     def astuple(self) -> tuple[int, int, int, int]:
         return (self.loops_u, self.loops_v, self.uv, self.vu)
@@ -77,15 +82,8 @@ class TwoVertexShape:
         return self.loops_u + self.loops_v + self.uv + self.vu
 
     def to_graph(self, u: str = "u", v: str = "v") -> Graph:
-        edges = []
-        for i in range(self.loops_u):
-            edges.append((f"p{i + 1}", u, u))
-        for i in range(self.loops_v):
-            edges.append((f"q{i + 1}", v, v))
-        for i in range(self.uv):
-            edges.append((f"a{i + 1}", u, v))
-        for i in range(self.vu):
-            edges.append((f"b{i + 1}", v, u))
+        kinds = zip("pqab", (u, v, u, v), (u, v, v, u), self.astuple())
+        edges = [(f"{p}{i + 1}", s, r) for p, s, r, n in kinds for i in range(n)]
         return validate_graph((u, v), edges)
 
 
@@ -119,12 +117,22 @@ def enumerate_up_to_iso(k: int) -> tuple[TwoVertexShape, ...]:
     return tuple(sorted(shapes, reverse=True))
 
 
-@dataclass(frozen=True)
-class CanonicalForm16:
+class CanonicalForm16(Record):
     """One of the sixteen canonical two-vertex types."""
 
-    id: int
-    shape: TwoVertexShape
+    __slots__ = __match_args__ = ("id", "shape")
+
+    def __init__(self, id: int, shape: TwoVertexShape) -> None:
+        _set(self, "id", id)
+        _set(self, "shape", shape)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.shape) == (other.id, other.shape)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.shape))
 
 
 _SHAPES_16 = {
@@ -194,27 +202,49 @@ def canonicalize16(g: Graph) -> CanonicalForm16:
 # --- lattice skeletons --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkeletonFamily:
+class SkeletonFamily(Record):
     """Family of polynomial-generated ideals on one cycle and vertex part.
 
     ``att`` indexes the attached graded node; ``inside`` indexes the graded
     nodes whose ideal contains every member of the family.
     """
 
-    cycle: Cycle
-    att: int
-    inside: frozenset[int]
+    __slots__ = __match_args__ = ("cycle", "att", "inside")
+
+    def __init__(self, cycle: Cycle, att: int, inside: frozenset[int]) -> None:
+        _set(self, "cycle", cycle)
+        _set(self, "att", att)
+        _set(self, "inside", inside)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cycle, self.att, self.inside) == (other.cycle, other.att, other.inside)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cycle, self.att, self.inside))
 
 
-@dataclass(frozen=True)
-class LatticeSkeleton:
+class LatticeSkeleton(Record):
     """Finite summary of a graph's cycle-polynomial ideal lattice."""
 
-    graph: Graph
-    nodes: tuple[frozenset[str], ...]
-    leq: tuple[tuple[bool, ...], ...]
-    families: tuple[SkeletonFamily, ...]
+    __slots__ = __match_args__ = ("graph", "nodes", "leq", "families")
+
+    def __init__(self, graph: Graph, nodes: tuple, leq: tuple, families: tuple) -> None:
+        _set(self, "graph", graph)
+        _set(self, "nodes", nodes)  # frozensets of vertices: the graded nodes
+        _set(self, "leq", leq)  # inclusion matrix of the nodes
+        _set(self, "families", families)  # of SkeletonFamily
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.nodes, self.leq, self.families) == (
+                other.graph, other.nodes, other.leq, other.families
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.nodes, self.leq, self.families))
 
     def canonical_key(self) -> tuple:
         """Isomorphism invariant: minimal encoding over node relabelings."""
@@ -357,12 +387,25 @@ def _reference_classes() -> tuple[dict, dict]:
     return label_of_key, members
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: str
-    canonical: CanonicalForm16
-    skeleton: LatticeSkeleton
-    note: str | None = None
+class Classification(Record):
+    __slots__ = __match_args__ = ("label", "canonical", "skeleton", "note")
+
+    def __init__(self, label: str, canonical: CanonicalForm16, skeleton: LatticeSkeleton,
+                 note: str | None = None) -> None:
+        _set(self, "label", label)
+        _set(self, "canonical", canonical)
+        _set(self, "skeleton", skeleton)
+        _set(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.canonical, self.skeleton, self.note) == (
+                other.label, other.canonical, other.skeleton, other.note
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.canonical, self.skeleton, self.note))
 
 
 def classify(g: Graph) -> Classification:

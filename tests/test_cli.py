@@ -548,6 +548,77 @@ def test_module_entry_point(r1, tmp_path):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+# The library modules each command loads beyond the package, ``errors`` and
+# ``records``; an lpa process pays to compile every module it imports.
+LAYERS_BY_COMMAND = [
+    (("graphs",), [
+        ["check-k", "--graph", "r1"],
+        ["classify-vertex", "--graph", "r1", "--vertex", "v"],
+        ["closure", "--graph", "r1", "--vertices", "v"],
+        ["hs-sets", "--graph", "r1"],
+    ]),
+    (("graphs", "twovertex"), [
+        ["count2", "--edges", "3", "--verify"],
+        ["enum2", "--edges", "2"],
+        ["classify2", "--graph", "two", "--format", "dot"],
+    ]),
+    (("elements", "graphs"), [
+        ["normalize", "--graph", "r1", "e + v"],
+        ["mul", "--graph", "r1", "e", "e*'"],
+        ["grade", "--graph", "r1", "e + v"],
+    ]),
+    (("graphs", "ideals", "polynomials"), [
+        ["graded-lattice", "--graph", "chain", "--format", "dot"],
+        ["lambda-reduce", "--graph", "chain", "--ideal", "@chain_a"],
+        ["contains", "--graph", "chain", "@chain_a", "@chain_b"],
+    ]),
+    (("elements", "graphs", "ideals", "polynomials"), [
+        ["extract-vertex", "--graph", "p3", "x + y"],
+        ["nongraded-witness", "--graph", "r1"],
+    ]),
+]
+
+# Runs lpa as ``python -m`` does, then reports the modules it loaded.
+_REPORT_MODULES = """
+import runpy, sys
+code = 0
+try:
+    runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_every_command_has_a_module_budget():
+    from leavitt.cli import COMMANDS
+
+    budgeted = [argv[0] for _, runs in LAYERS_BY_COMMAND for argv in runs]
+    assert sorted(budgeted) == sorted(cmd.name for cmd in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "layers, argv",
+    [(layers, argv) for layers, runs in LAYERS_BY_COMMAND for argv in runs],
+    ids=[argv[0] for _, runs in LAYERS_BY_COMMAND for argv in runs],
+)
+def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
+    """No command imports a layer it does not use, nor ``dataclasses`` or
+    ``inspect``; ``-S`` keeps site hooks from adding modules of their own."""
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REPORT_MODULES, *_resolve(argv, graph_dir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0 and done.stdout, done.stderr
+    loaded = set(done.stderr.split())
+    expected = {"leavitt", "leavitt.errors", "leavitt.records", *(f"leavitt.{m}" for m in layers)}
+    assert {m for m in loaded if m.startswith("leavitt")} == expected
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):
     for poly in ('{"cycle": ["e"], "coeffs": "11"}', '{"cycle": "e", "coeffs": ["1", "1"]}'):
         assert main(["lambda-reduce", "--graph", r1, "--ideal", '{"polys": [%s]}' % poly]) == 1

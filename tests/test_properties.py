@@ -30,6 +30,7 @@ from leavitt import (
     CyclePolynomial,
     DomainError,
     Element,
+    contains,
     LambdaGeneratorSet,
     Poset,
     add,
@@ -223,6 +224,36 @@ def test_acyclic_normal_forms_span_sum_of_matrix_algebras(g):
     assert len(seen) == sum(len(paths[v]) ** 2 for v in g.vertices if g.is_sink(v))
 
 
+@st.composite
+def matrix_units(draw):
+    """An acyclic multigraph and two pairs (p, q), (r, s) of paths, each
+    pair ending at one sink, as (sink, p, q) with paths as (base, edges)."""
+    g = draw(acyclic_multigraphs())
+    paths = paths_by_range(g, len(g.vertices))
+    sinks = [v for v in g.vertices if g.is_sink(v)]
+
+    def unit():
+        v = draw(st.sampled_from(sinks))
+        return v, draw(st.sampled_from(paths[v])), draw(st.sampled_from(paths[v]))
+
+    return g, unit(), unit()
+
+
+@given(matrix_units())
+def test_acyclic_products_multiply_as_matrix_units(case):
+    """In L(E) = sum over sinks v of M_{n(v)}(K) the monomial p.q*' is the
+    matrix unit e_{p,q} (Abrams, Aranda Pino, Siles Molina, J. Pure Appl.
+    Algebra 209 (2007)), so e_{p,q} e_{r,s} is e_{p,s} when q = r and 0
+    otherwise; units at different sinks always multiply to 0."""
+    g, (v, p, q), (w, r, s) = case
+    product = mul(monomial_element(g, p[1], q[1], at=v), monomial_element(g, r[1], s[1], at=w))
+    if q != r:
+        assert product == Element.zero(g)
+    else:
+        unit = normalize(monomial_element(g, p[1], s[1], at=v))
+        assert product == unit and not unit.is_zero
+
+
 @given(multigraphs(max_vertices=6, max_edges=10))
 def test_walk_counts_give_the_first_two_closed_paths_of_the_search(g):
     """The extraction's two closed simple paths are the first two that the
@@ -301,3 +332,39 @@ def test_graded_ideals_exactly_under_condition_k(g):
         assert gen == add(vertex_element(g, v), path_element(g, cycle.edges))
         cp = CyclePolynomial.of(g, cycle.edges, v, [1, 1])
         assert not is_graded(lambda_reduce(g, LambdaGeneratorSet.of(g, polys=[cp])))
+
+
+# Monic and non-monic cycle polynomials with nonzero constant term, chosen so
+# that divisibility between them is common: x - 1, x + 1, x^2 - 1, (x - 1)^2,
+# x^2 + 1, 2x + 1.
+POLYS = [(-1, 1), (1, 1), (-1, 0, 1), (1, -2, 1), (1, 0, 1), (1, 2)]
+
+
+@st.composite
+def reduced_ideal_pairs(draw):
+    """Two lambda-reduced ideals over a multigraph with at most 6 vertices and 9
+    edges, each from vertex generators and polynomials on its K1 cycles."""
+    g = draw(multigraphs(max_vertices=6, max_edges=3))  # planted ring <= 6 edges
+    cycles = k1_cycles(g)
+
+    def reduced():
+        polys = [
+            CyclePolynomial.of(g, c.edges, draw(st.sampled_from(c.sources)), coeffs)
+            for c in cycles
+            for coeffs in draw(st.lists(st.sampled_from(POLYS), min_size=1, max_size=2))
+        ]
+        vertices = draw(st.sets(st.sampled_from(g.vertices), max_size=1))
+        return lambda_reduce(g, LambdaGeneratorSet.of(g, polys, vertices))
+
+    return g, reduced(), reduced()
+
+
+@given(reduced_ideal_pairs())
+def test_containment_is_absorption_under_lambda_reduction(case):
+    """I(a) lies in I(b) exactly when adding a's generators to b's leaves
+    b's canonical generating set unchanged (Rangaswamy, J. Algebra 375
+    (2013), on the ideals of Leavitt path algebras of arbitrary graphs)."""
+    g, a, b = case
+    ga, gb = a.generator_set(), b.generator_set()
+    joint = LambdaGeneratorSet.of(g, ga.polys + gb.polys, ga.vertex_gens | gb.vertex_gens)
+    assert contains(g, a, b) == (lambda_reduce(g, joint) == b)

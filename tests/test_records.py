@@ -1,0 +1,258 @@
+"""The value classes behave as frozen dataclasses did: field-tuple equality
+and hash, ``Name(field=value, ...)`` repr, no assignment or deletion, copy
+and pickle, and field-tuple ordering for ``TwoVertexShape``.
+
+The repr literals are the strings the dataclass versions printed, so a
+change in any field's name, order or repr shows here.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from leavitt import (
+    Classification,
+    Cycle,
+    CyclePolynomial,
+    LambdaGeneratorSet,
+    Path,
+    Poset,
+    QPoly,
+    TwoVertexShape,
+    build_skeleton,
+    canonicalize16,
+    classify_vertex,
+    extract_vertex,
+    graded_components,
+    graded_lattice,
+    hereditary_saturated_closure,
+    lambda_reduce,
+    monomial,
+    parse_element,
+    validate_graph,
+)
+from leavitt.twovertex import SkeletonFamily
+
+R1 = validate_graph(["v"], [("e", "v", "v")])
+P2 = validate_graph(["a", "b"], [("x", "a", "b")])
+TWO = validate_graph(["u", "v"], [("e", "u", "u"), ("a", "u", "v")])
+SINK = validate_graph(["w"], [])
+
+
+def _samples():
+    """Two unequal objects of each class, by class name."""
+    cp = CyclePolynomial.of(R1, ["e"], "v", [-1, 0, 1])
+    gens = LambdaGeneratorSet.of(R1, [cp])
+    skel = build_skeleton(R1)
+    lattice = graded_lattice(R1)
+    return {
+        "Graph": (R1, P2),
+        "Path": (Path.of(P2, ["x"]), Path.of(P2, [], at="a")),
+        "Cycle": (Cycle.of(R1, ["e"]), Cycle.of(TWO, ["e"])),
+        "VertexClass": (classify_vertex(R1, "v"), classify_vertex(P2, "a")),
+        "HeredSatSet": (
+            hereditary_saturated_closure(R1, ["v"]),
+            hereditary_saturated_closure(P2, []),
+        ),
+        "Monomial": (monomial(P2, ["x"]), monomial(P2, [], ["x"])),
+        "GradedDecomposition": (
+            graded_components(parse_element(R1, "v + 2*e")),
+            graded_components(parse_element(R1, "e")),
+        ),
+        "QPoly": (QPoly.of(["-1", "0", "1/2"]), QPoly.of([1])),
+        "Poset": (lattice, Poset.build([1, 2, 3], lambda a, b: a <= b)),
+        "GradedIdeal": (lattice.elements[1], lattice.elements[0]),
+        "ExtractionWitness": (
+            extract_vertex(P2, parse_element(P2, "2*x")),
+            extract_vertex(P2, parse_element(P2, "b")),
+        ),
+        "CyclePolynomial": (cp, CyclePolynomial.of(R1, ["e"], "v", [2, 1])),
+        "LambdaGeneratorSet": (gens, LambdaGeneratorSet.of(R1, [], ["v"])),
+        "LambdaReduction": (lambda_reduce(R1, gens), lambda_reduce(R1, LambdaGeneratorSet.of(R1))),
+        "TwoVertexShape": (TwoVertexShape(2, 1, 1, 0), TwoVertexShape(0, 0, 1, 1)),
+        "CanonicalForm16": (canonicalize16(TWO), canonicalize16(validate_graph(["u", "v"], []))),
+        "SkeletonFamily": (skel.families[0], SkeletonFamily(Cycle.of(R1, ["e"]), 0, frozenset())),
+        "LatticeSkeleton": (skel, build_skeleton(SINK)),
+        "Classification": (
+            Classification("VIII", canonicalize16(TWO), skel),
+            Classification("VIII", canonicalize16(TWO), skel, "a note"),
+        ),
+    }
+
+
+SAMPLES = _samples()
+
+FIELDS = {
+    "Graph": ("vertices", "edges", "ends"),
+    "Path": ("graph", "base", "edges"),
+    "Cycle": ("graph", "edges"),
+    "VertexClass": ("kind", "cycle"),
+    "HeredSatSet": ("graph", "members"),
+    "Monomial": ("alpha", "beta"),
+    "GradedDecomposition": ("graph", "components"),
+    "QPoly": ("coeffs",),
+    "Poset": ("elements", "leq"),
+    "GradedIdeal": ("generators",),
+    "ExtractionWitness": ("left", "right", "vertex", "scalar"),
+    "CyclePolynomial": ("cycle", "base", "poly"),
+    "LambdaGeneratorSet": ("graph", "polys", "vertex_gens"),
+    "LambdaReduction": ("graph", "vertex_part", "polys"),
+    "TwoVertexShape": ("loops_u", "loops_v", "uv", "vu"),
+    "CanonicalForm16": ("id", "shape"),
+    "SkeletonFamily": ("cycle", "att", "inside"),
+    "LatticeSkeleton": ("graph", "nodes", "leq", "families"),
+    "Classification": ("label", "canonical", "skeleton", "note"),
+}
+
+G_R1 = "Graph(vertices=('v',), edges=('e',), ends=(('v', 'v'),))"
+G_P2 = "Graph(vertices=('a', 'b'), edges=('x',), ends=(('a', 'b'),))"
+CYCLE_E = f"Cycle(graph={G_R1}, edges=('e',))"
+X_MONOMIAL = (
+    f"Monomial(alpha=Path(graph={G_P2}, base='a', edges=('x',)), "
+    f"beta=Path(graph={G_P2}, base='b', edges=()))"
+)
+R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
+R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
+R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
+R1_SKELETON = (
+    f"LatticeSkeleton(graph={G_R1}, nodes=(frozenset(), frozenset({{'v'}})), "
+    f"leq=((True, True), (False, True)), families=({R1_FAMILY},))"
+)
+SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
+
+
+def _r1_monomial(edges):
+    return (
+        f"Monomial(alpha=Path(graph={G_R1}, base='v', edges={edges}), "
+        f"beta=Path(graph={G_R1}, base='v', edges=()))"
+    )
+
+
+REPRS = {
+    "Graph": G_R1,
+    "Path": f"Path(graph={G_P2}, base='a', edges=('x',))",
+    "Cycle": CYCLE_E,
+    "VertexClass": f"VertexClass(kind='K1', cycle={CYCLE_E})",
+    "HeredSatSet": f"HeredSatSet(graph={G_R1}, members=frozenset({{'v'}}))",
+    "Monomial": X_MONOMIAL,
+    "GradedDecomposition": (
+        f"GradedDecomposition(graph={G_R1}, components=("
+        f"(0, Element(graph={G_R1}, terms=(({_r1_monomial('()')}, Fraction(1, 1)),))), "
+        f"(1, Element(graph={G_R1}, terms=(({_r1_monomial(repr(('e',)))}, Fraction(2, 1)),)))))"
+    ),
+    "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
+    "Poset": (
+        f"Poset(elements=(GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset())), "
+        f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))), "
+        "leq=((True, True), (False, True)))"
+    ),
+    "GradedIdeal": f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))",
+    "ExtractionWitness": (
+        f"ExtractionWitness(left=(Monomial(alpha=Path(graph={G_P2}, base='b', edges=()), "
+        f"beta=Path(graph={G_P2}, base='a', edges=('x',))),), "
+        "right=(), vertex='b', scalar=Fraction(2, 1))"
+    ),
+    "CyclePolynomial": R1_CYCLE_POLY,
+    "LambdaGeneratorSet": (
+        f"LambdaGeneratorSet(graph={G_R1}, polys=({R1_CYCLE_POLY},), vertex_gens=frozenset())"
+    ),
+    "LambdaReduction": (
+        f"LambdaReduction(graph={G_R1}, "
+        f"vertex_part=HeredSatSet(graph={G_R1}, members=frozenset()), "
+        f"polys=(({CYCLE_E}, {R1_POLY}),))"
+    ),
+    "TwoVertexShape": "TwoVertexShape(loops_u=2, loops_v=1, uv=1, vu=0)",
+    "CanonicalForm16": f"CanonicalForm16(id=6, shape={SHAPE_6})",
+    "SkeletonFamily": R1_FAMILY,
+    "LatticeSkeleton": R1_SKELETON,
+    "Classification": (
+        f"Classification(label='VIII', canonical=CanonicalForm16(id=6, shape={SHAPE_6}), "
+        f"skeleton={R1_SKELETON}, note=None)"
+    ),
+}
+
+NAMES = sorted(SAMPLES)
+
+
+def _fields(obj):
+    return tuple(getattr(obj, f) for f in FIELDS[type(obj).__name__])
+
+
+def test_every_class_is_sampled():
+    assert set(SAMPLES) == set(FIELDS) == set(REPRS)
+    for name, pair in SAMPLES.items():
+        assert [type(x).__name__ for x in pair] == [name, name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_is_the_dataclass_form(name):
+    assert repr(SAMPLES[name][0]) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_and_hash_follow_the_field_tuple(name):
+    a, b = SAMPLES[name]
+    twin = type(a)(*_fields(a))
+    assert twin == a and not twin != a
+    assert hash(a) == hash(twin) == hash(_fields(a))
+    assert a != b and (a == b) == (_fields(a) == _fields(b))
+    assert a.__match_args__ == FIELDS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_field_takes_part_in_equality(name):
+    a = SAMPLES[name][0]
+    for field in FIELDS[name]:
+        variant = copy.copy(a)
+        object.__setattr__(variant, field, object())
+        assert variant != a and a != variant
+        assert hash(variant) == hash(_fields(variant))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_is_only_against_the_same_class(name):
+    a = SAMPLES[name][0]
+    assert a.__eq__(_fields(a)) is NotImplemented
+    assert a != _fields(a)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    a = SAMPLES[name][0]
+    field = FIELDS[name][0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        a.extra = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(a, field)
+    assert _fields(a) == _fields(SAMPLES[name][0])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_pickle_give_an_equal_object(name):
+    a = SAMPLES[name][0]
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+def test_graph_caches_stay_out_of_equality_hash_and_repr():
+    warm = validate_graph(["v"], [("e", "v", "v")])
+    classify_vertex(warm, "v")
+    parse_element(warm, "e")
+    assert warm._kclass is not None and warm._kernel is not None
+    assert warm == R1 and hash(warm) == hash(R1) and repr(warm) == G_R1
+    clone = pickle.loads(pickle.dumps(warm))
+    assert clone._kclass is None and clone._kernel is None and clone == warm
+
+
+def test_two_vertex_shapes_order_by_their_field_tuples():
+    tuples = [(2, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (1, 0, 0, 1)]
+    shapes = [TwoVertexShape(*t) for t in tuples]
+    assert [s.astuple() for s in sorted(shapes)] == sorted(tuples)
+    a, b = TwoVertexShape(0, 1, 1, 0), TwoVertexShape(1, 0, 0, 0)
+    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
+    assert not (b < a or b <= a or a > b or a >= b)
+    with pytest.raises(TypeError):
+        a < (1, 0, 0, 0)
