@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path as FsPath
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, LpaError, ParseError
@@ -42,7 +41,8 @@ class Output(NamedTuple):
 
 def _read_text(path: str) -> str:
     try:
-        return FsPath(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 

@@ -67,14 +67,6 @@ class Monomial(Record):
                 f"{alpha.rng!r} vs {beta.rng!r}"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.beta) == (other.alpha, other.beta)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta))
-
     @property
     def graph(self) -> Graph:
         return self.alpha.graph
@@ -433,14 +425,6 @@ class GradedDecomposition(Record):
     def __init__(self, graph: Graph, components: tuple[tuple[int, Element], ...]) -> None:
         _set(self, "graph", graph)
         _set(self, "components", components)  # ascending degree
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.components) == (other.graph, other.components)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.components))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.components)

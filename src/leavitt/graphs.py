@@ -75,18 +75,11 @@ class Graph(Record):
         _set(self, "_kernel", None)  # filled by elements._tables
         _set(self, "_hash", None)  # filled by __hash__
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertices, self.edges, self.ends) == (
-                other.vertices, other.edges, other.ends
-            )
-        return NotImplemented
-
     def __hash__(self) -> int:
         # Monomials and elements hash their graph each time they are hashed,
         # so the hash of the three tuples is computed once.
         if self._hash is None:
-            _set(self, "_hash", hash((self.vertices, self.edges, self.ends)))
+            _set(self, "_hash", hash(self._field_tuple(self)))
         return self._hash
 
     def has_vertex(self, v: str) -> bool:
@@ -232,14 +225,6 @@ class Path(Record):
         _set(self, "base", base)  # source vertex; for the empty path also the range
         _set(self, "edges", edges)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.base, self.edges) == (other.graph, other.base, other.edges)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.base, self.edges))
-
     @staticmethod
     def of(graph: Graph, edges: Iterable[str] = (), at: str | None = None) -> "Path":
         es = tuple(edges)
@@ -308,14 +293,6 @@ class Cycle(Record):
         _set(self, "graph", graph)
         _set(self, "edges", edges)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.edges) == (other.graph, other.edges)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.edges))
-
     @staticmethod
     def of(graph: Graph, edges: Iterable[str]) -> "Cycle":
         es = tuple(edges)
@@ -371,14 +348,6 @@ class VertexClass(Record):
     def __init__(self, kind: str, cycle: Cycle | None = None) -> None:
         _set(self, "kind", kind)  # "K0" | "K1" | "K2"
         _set(self, "cycle", cycle)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.cycle) == (other.kind, other.cycle)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.cycle))
 
     @staticmethod
     def k0() -> "VertexClass":
@@ -540,14 +509,6 @@ class HeredSatSet(Record):
         _set(self, "graph", graph)
         _set(self, "members", members)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.members) == (other.graph, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.members))
-
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
         ms = frozenset(members)
@@ -654,14 +615,6 @@ class Poset(Record):
     def __init__(self, elements: tuple, leq: tuple[tuple[bool, ...], ...]) -> None:
         _set(self, "elements", elements)
         _set(self, "leq", leq)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.elements, self.leq) == (other.elements, other.leq)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.leq))
 
     @staticmethod
     def build(elements: Iterable, leq_fn) -> "Poset":

@@ -50,14 +50,6 @@ class GradedIdeal(Record):
     def __init__(self, generators: HeredSatSet) -> None:
         _set(self, "generators", generators)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.generators == other.generators
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators,))
-
     def __str__(self) -> str:
         ms = self.generators.sorted_members()
         return "<" + (", ".join(ms) if ms else "0") + ">"
@@ -99,16 +91,6 @@ class ExtractionWitness(Record):
         _set(self, "right", right)
         _set(self, "vertex", vertex)
         _set(self, "scalar", scalar)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right, self.vertex, self.scalar) == (
-                other.left, other.right, other.vertex, other.scalar
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.vertex, self.scalar))
 
     def apply(self, a: Element) -> Element:
         from .elements import Element, mul
@@ -316,14 +298,6 @@ class CyclePolynomial(Record):
         _set(self, "base", base)
         _set(self, "poly", poly)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cycle, self.base, self.poly) == (other.cycle, other.base, other.poly)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cycle, self.base, self.poly))
-
     @staticmethod
     def of(
         g: Graph,
@@ -365,16 +339,6 @@ class LambdaGeneratorSet(Record):
         _set(self, "polys", polys)  # of CyclePolynomial
         _set(self, "vertex_gens", vertex_gens)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.polys, self.vertex_gens) == (
-                other.graph, other.polys, other.vertex_gens
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.polys, self.vertex_gens))
-
     @staticmethod
     def of(
         g: Graph,
@@ -406,16 +370,6 @@ class LambdaReduction(Record):
         _set(self, "graph", graph)
         _set(self, "vertex_part", vertex_part)
         _set(self, "polys", polys)  # (Cycle, QPoly) pairs: canonical cycles, rotation-key order
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.vertex_part, self.polys) == (
-                other.graph, other.vertex_part, other.polys
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.vertex_part, self.polys))
 
     @staticmethod
     def of(

@@ -23,14 +23,6 @@ class QPoly(Record):
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         _set(self, "coeffs", coeffs)  # ascending degree, last entry nonzero
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
         cs = [Fraction(c) for c in coeffs]

@@ -51,21 +51,14 @@ class TwoVertexShape(Record):
         _set(self, "uv", uv)
         _set(self, "vu", vu)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.astuple() == other.astuple()
-        return NotImplemented
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return self.astuple() < other.astuple()
+            get = self._field_tuple
+            return get(self) < get(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.loops_u, self.loops_v, self.uv, self.vu))
-
     def astuple(self) -> tuple[int, int, int, int]:
-        return (self.loops_u, self.loops_v, self.uv, self.vu)
+        return self._field_tuple(self)
 
     def swapped(self) -> "TwoVertexShape":
         return TwoVertexShape(self.loops_v, self.loops_u, self.vu, self.uv)
@@ -125,14 +118,6 @@ class CanonicalForm16(Record):
     def __init__(self, id: int, shape: TwoVertexShape) -> None:
         _set(self, "id", id)
         _set(self, "shape", shape)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.shape) == (other.id, other.shape)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.shape))
 
 
 _SHAPES_16 = {
@@ -216,14 +201,6 @@ class SkeletonFamily(Record):
         _set(self, "att", att)
         _set(self, "inside", inside)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cycle, self.att, self.inside) == (other.cycle, other.att, other.inside)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cycle, self.att, self.inside))
-
 
 class LatticeSkeleton(Record):
     """Finite summary of a graph's cycle-polynomial ideal lattice."""
@@ -235,16 +212,6 @@ class LatticeSkeleton(Record):
         _set(self, "nodes", nodes)  # frozensets of vertices: the graded nodes
         _set(self, "leq", leq)  # inclusion matrix of the nodes
         _set(self, "families", families)  # of SkeletonFamily
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.nodes, self.leq, self.families) == (
-                other.graph, other.nodes, other.leq, other.families
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.nodes, self.leq, self.families))
 
     def canonical_key(self) -> tuple:
         """Isomorphism invariant: minimal encoding over node relabelings."""
@@ -396,16 +363,6 @@ class Classification(Record):
         _set(self, "canonical", canonical)
         _set(self, "skeleton", skeleton)
         _set(self, "note", note)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.label, self.canonical, self.skeleton, self.note) == (
-                other.label, other.canonical, other.skeleton, other.note
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.canonical, self.skeleton, self.note))
 
 
 def classify(g: Graph) -> Classification:

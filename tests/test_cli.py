@@ -604,8 +604,9 @@ def test_every_command_has_a_module_budget():
     ids=[argv[0] for _, runs in LAYERS_BY_COMMAND for argv in runs],
 )
 def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
-    """No command imports a layer it does not use, nor ``dataclasses`` or
-    ``inspect``; ``-S`` keeps site hooks from adding modules of their own."""
+    """No command imports a layer it does not use, nor ``dataclasses``,
+    ``inspect`` or ``pathlib``; ``-S`` keeps site hooks from adding modules of
+    their own."""
     src = str(Path(leavitt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -616,7 +617,7 @@ def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
     loaded = set(done.stderr.split())
     expected = {"leavitt", "leavitt.errors", "leavitt.records", *(f"leavitt.{m}" for m in layers)}
     assert {m for m in loaded if m.startswith("leavitt")} == expected
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "pathlib"}
 
 
 def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):
