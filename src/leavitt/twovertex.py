@@ -11,14 +11,14 @@ types and map onto them.
 
 The lattice skeleton of a graph records its graded nodes (hereditary
 saturated sets under inclusion) plus one family of polynomial-generated
-ideals per K1 cycle and compatible vertex part; skeletons compare by
-isomorphism via canonical labeling.
+ideals per K1 cycle and compatible vertex part.  Skeletons compare by a
+canonical key that permutes only the nodes an isomorphism invariant ties.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from itertools import permutations
+from itertools import groupby, permutations, product
 
 from .errors import DomainError
 from .graphs import (
@@ -75,6 +75,8 @@ class TwoVertexShape(Record):
         return self.loops_u + self.loops_v + self.uv + self.vu
 
     def to_graph(self, u: str = "u", v: str = "v") -> Graph:
+        if min(self.astuple()) < 0:
+            raise DomainError(f"negative edge multiplicity in {self!r}")
         kinds = zip("pqab", (u, v, u, v), (u, v, v, u), self.astuple())
         edges = [(f"{p}{i + 1}", s, r) for p, s, r, n in kinds for i in range(n)]
         return validate_graph((u, v), edges)
@@ -157,6 +159,8 @@ def canonical_form_of_shape(shape: TwoVertexShape) -> CanonicalForm16:
     keep it simple, so it collapses to that base type.  Otherwise a
     direction with no opposite keeps a single edge.
     """
+    if min(shape.astuple()) < 0:
+        raise DomainError(f"negative edge multiplicity in {shape!r}")
     s = TwoVertexShape(
         min(shape.loops_u, 2), min(shape.loops_v, 2), shape.uv, shape.vu
     ).canon()
@@ -205,38 +209,39 @@ class SkeletonFamily(Record):
 class LatticeSkeleton(Record):
     """Finite summary of a graph's cycle-polynomial ideal lattice."""
 
-    __slots__ = __match_args__ = ("graph", "nodes", "leq", "families")
+    __slots__ = __match_args__ = ("graph", "graded", "families")
 
-    def __init__(self, graph: Graph, nodes: tuple, leq: tuple, families: tuple) -> None:
+    def __init__(self, graph: Graph, graded: Poset, families: tuple) -> None:
         _set(self, "graph", graph)
-        _set(self, "nodes", nodes)  # frozensets of vertices: the graded nodes
-        _set(self, "leq", leq)  # inclusion matrix of the nodes
+        _set(self, "graded", graded)  # vertex frozensets under inclusion
         _set(self, "families", families)  # of SkeletonFamily
 
     def canonical_key(self) -> tuple:
-        """Isomorphism invariant: minimal encoding over node relabelings."""
-        n = len(self.nodes)
+        """Isomorphism invariant: least encoding over the node orders that
+        sort nodes by (down-set size, up-set size, families attached,
+        families containing the node) and permute only the ties."""
+        leq = self.graded.leq
+        n = len(leq)
         fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in self.families]
-        best = None
-        for perm in permutations(range(n)):
-            matrix = tuple(
-                tuple(self.leq[i][j] for j in _inverse(perm, n))
-                for i in _inverse(perm, n)
-            )
+        attached = [att for _, att, _ in fams]
+        contained = [i for _, _, inside in fams for i in inside]
+        invariant = list(zip(map(sum, zip(*leq)), map(sum, leq),
+                             map(attached.count, range(n)), map(contained.count, range(n))))
+        ranked = sorted(range(n), key=invariant.__getitem__)
+        cells = [tuple(cell) for _, cell in groupby(ranked, key=invariant.__getitem__)]
+
+        def encoding(parts) -> tuple:
+            order = [i for part in parts for i in part]
+            new = {old: k for k, old in enumerate(order)}
             groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
             for cyc_key, att, inside in fams:
-                entry = (perm[att], tuple(sorted(perm[i] for i in inside)))
+                entry = (new[att], tuple(sorted(new[i] for i in inside)))
                 groups.setdefault(cyc_key, []).append(entry)
             profiles = sorted(tuple(sorted(v)) for v in groups.values())
-            fam_key = tuple(
-                (gi, entry)
-                for gi, profile in enumerate(profiles)
-                for entry in profile
-            )
-            cand = (n, matrix, fam_key)
-            if best is None or cand < best:
-                best = cand
-        return best
+            fam_key = tuple((gi, entry) for gi, profile in enumerate(profiles) for entry in profile)
+            return n, tuple(tuple(leq[i][j] for j in order) for i in order), fam_key
+
+        return min(map(encoding, product(*map(permutations, cells))))
 
     def isomorphic(self, other: "LatticeSkeleton") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -246,14 +251,15 @@ class LatticeSkeleton(Record):
         order on nodes and families, dashed arcs for partial containment
         between same-cycle families."""
         g = self.graph
+        nodes, leq = self.graded.elements, self.graded.leq
         keys = [f.cycle.rotation_key() for f in self.families]
-        items = [("n", i) for i in range(len(self.nodes))]
+        items = [("n", i) for i in range(len(nodes))]
         items += [("f", i) for i in range(len(self.families))]
 
         def full_leq(x, y) -> bool:
             (kx, ix), (ky, iy) = x, y
             if kx == "n":
-                return self.leq[ix][iy if ky == "n" else self.families[iy].att]
+                return leq[ix][iy if ky == "n" else self.families[iy].att]
             fx = self.families[ix]
             if ky == "n":
                 return iy in fx.inside
@@ -262,10 +268,10 @@ class LatticeSkeleton(Record):
             return self.families[iy].att in fx.inside
 
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, members in enumerate(self.nodes):
+        for i, members in enumerate(nodes):
             lines.append(f'  n{i} [shape=box, label="{lattice_label(g, members)}"];')
         for i, f in enumerate(self.families):
-            att = self.nodes[f.att]
+            att = nodes[f.att]
             label = f"P({f.cycle})"
             if att:
                 label += ", " + ",".join(g.sort_vertices(att))
@@ -275,17 +281,10 @@ class LatticeSkeleton(Record):
             lines.append(f"  {kx}{ix} -> {ky}{iy};")
         for i, fx in enumerate(self.families):
             for j, fy in enumerate(self.families):
-                if i != j and keys[i] == keys[j] and self.leq[fx.att][fy.att]:
+                if i != j and keys[i] == keys[j] and leq[fx.att][fy.att]:
                     lines.append(f"  f{i} -> f{j} [style=dashed];")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _inverse(perm: tuple[int, ...], n: int) -> list[int]:
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return inv
 
 
 def build_skeleton(g: Graph) -> LatticeSkeleton:
@@ -295,9 +294,8 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
     sources and already contains the closure of the cycle's exit range (the
     exit range sits inside any ideal with a polynomial on the cycle).
     """
-    hs = all_hereditary_saturated_sets(g)
-    nodes = tuple(h.members for h in hs)
-    leq = tuple(tuple(a <= b for b in nodes) for a in nodes)
+    nodes = tuple(h.members for h in all_hereditary_saturated_sets(g))
+    graded = Poset(nodes, tuple(tuple(a <= b for b in nodes) for a in nodes))
     families = []
     for c in k1_cycles(g):
         required = hereditary_saturated_closure(g, exit_range(g, c)).members
@@ -309,7 +307,7 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
                 )
                 families.append(SkeletonFamily(c, i, inside))
     families.sort(key=lambda f: (f.cycle.rotation_key(), f.att))
-    return LatticeSkeleton(g, nodes, leq, tuple(families))
+    return LatticeSkeleton(g, graded, tuple(families))
 
 
 # --- the nine classes ---------------------------------------------------------

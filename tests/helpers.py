@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from leavitt import (
@@ -276,6 +276,27 @@ def covers_by_definition(poset) -> tuple[tuple[int, int], ...]:
         and leq[i][j]
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
     )
+
+
+def canonical_key_by_permutations(skeleton) -> tuple:
+    """Least (n, matrix, family key) encoding of a lattice skeleton over all
+    n! node orders, the way the library once computed its canonical key."""
+    leq = skeleton.graded.leq
+    n = len(leq)
+    fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in skeleton.families]
+    best = None
+    for order in permutations(range(n)):
+        new = {old: k for k, old in enumerate(order)}
+        matrix = tuple(tuple(leq[i][j] for j in order) for i in order)
+        groups: dict[tuple, list] = {}
+        for cyc_key, att, inside in fams:
+            groups.setdefault(cyc_key, []).append((new[att], tuple(sorted(new[i] for i in inside))))
+        profiles = sorted(tuple(sorted(v)) for v in groups.values())
+        fam_key = tuple((gi, entry) for gi, profile in enumerate(profiles) for entry in profile)
+        cand = (n, matrix, fam_key)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 # --- retired element kernel, kept as an oracle ----------------------------------

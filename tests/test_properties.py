@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 from helpers import (
     COEFFS,
+    canonical_key_by_permutations,
     classify_by_cycle_count,
     covers_by_definition,
     format_by_terms,
@@ -27,11 +28,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leavitt import (
+    Cycle,
     CyclePolynomial,
     DomainError,
     Element,
     contains,
     LambdaGeneratorSet,
+    LatticeSkeleton,
     Poset,
     add,
     all_hereditary_saturated_sets,
@@ -53,6 +56,7 @@ from leavitt import (
     validate_graph,
 )
 from leavitt.ideals import _two_closed_simple_paths
+from leavitt.twovertex import SkeletonFamily
 
 
 @st.composite
@@ -143,6 +147,80 @@ def posets(draw, max_size=9):
 @given(posets())
 def test_covers_match_definition(poset):
     assert poset.covers() == covers_by_definition(poset)
+
+
+TWO_LOOPS = validate_graph(["u", "v"], [("p", "u", "u"), ("q", "v", "v")])
+LOOP_CYCLES = (Cycle.of(TWO_LOOPS, ["p"]), Cycle.of(TWO_LOOPS, ["q"]))
+
+
+def families_on(n):
+    """A family on either loop, attached to any of n nodes and contained in
+    any set of them."""
+    node = st.integers(0, n - 1)
+    return st.builds(SkeletonFamily, st.sampled_from(LOOP_CYCLES), node, st.frozensets(node))
+
+
+@st.composite
+def skeletons(draw):
+    """Random posets of at most 6 nodes, so that the all-orders oracle stays
+    cheap, carrying up to four families."""
+    graded = draw(posets(max_size=6))
+    families = draw(st.lists(families_on(len(graded)), max_size=4))
+    return LatticeSkeleton(TWO_LOOPS, graded, tuple(families))
+
+
+@st.composite
+def relabellings(draw, skel):
+    """The same skeleton with its nodes listed in a random order and its
+    families shuffled."""
+    order = draw(st.permutations(range(len(skel.graded))))
+    new = {old: k for k, old in enumerate(order)}
+    elements, leq = skel.graded.elements, skel.graded.leq
+    graded = Poset(
+        tuple(elements[i] for i in order), tuple(tuple(leq[i][j] for j in order) for i in order)
+    )
+    families = [
+        SkeletonFamily(f.cycle, new[f.att], frozenset(new[i] for i in f.inside))
+        for f in skel.families
+    ]
+    return LatticeSkeleton(skel.graph, graded, tuple(draw(st.permutations(families))))
+
+
+@st.composite
+def skeleton_pairs(draw):
+    """A skeleton beside a relabelling of itself, of an unrelated skeleton,
+    or of itself with one family's cycle or node redrawn or its containing
+    nodes moved to as many others."""
+    skel = draw(skeletons())
+    kind = draw(st.sampled_from(("same", "redrawn", "unrelated")))
+    other = skel
+    if kind == "unrelated":
+        other = draw(skeletons())
+    elif kind == "redrawn" and skel.families:
+        families = list(skel.families)
+        k = draw(st.integers(0, len(families) - 1))
+        f, fresh = families[k], draw(families_on(len(skel.graded)))
+        moved = draw(st.permutations(range(len(skel.graded))))
+        families[k] = draw(st.sampled_from((
+            SkeletonFamily(fresh.cycle, f.att, f.inside),
+            SkeletonFamily(f.cycle, fresh.att, f.inside),
+            SkeletonFamily(f.cycle, f.att, frozenset(moved[i] for i in f.inside)),
+        )))
+        other = LatticeSkeleton(skel.graph, skel.graded, tuple(families))
+    return skel, draw(relabellings(other))
+
+
+@given(st.data())
+def test_skeleton_key_ignores_node_and_family_order(data):
+    skel = data.draw(skeletons())
+    assert data.draw(relabellings(skel)).canonical_key() == skel.canonical_key()
+
+
+@given(skeleton_pairs())
+def test_skeleton_key_equality_matches_all_orders_oracle(pair):
+    a, b = pair
+    oracle_equal = canonical_key_by_permutations(a) == canonical_key_by_permutations(b)
+    assert (a.canonical_key() == b.canonical_key()) == oracle_equal
 
 
 @st.composite

@@ -105,7 +105,7 @@ FIELDS = {
     "TwoVertexShape": ("loops_u", "loops_v", "uv", "vu"),
     "CanonicalForm16": ("id", "shape"),
     "SkeletonFamily": ("cycle", "att", "inside"),
-    "LatticeSkeleton": ("graph", "nodes", "leq", "families"),
+    "LatticeSkeleton": ("graph", "graded", "families"),
     "Classification": ("label", "canonical", "skeleton", "note"),
 }
 
@@ -120,8 +120,8 @@ R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
 R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
 R1_SKELETON = (
-    f"LatticeSkeleton(graph={G_R1}, nodes=(frozenset(), frozenset({{'v'}})), "
-    f"leq=((True, True), (False, True)), families=({R1_FAMILY},))"
+    f"LatticeSkeleton(graph={G_R1}, graded=Poset(elements=(frozenset(), frozenset({{'v'}})), "
+    f"leq=((True, True), (False, True))), families=({R1_FAMILY},))"
 )
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
 

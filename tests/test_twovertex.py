@@ -136,6 +136,15 @@ def test_canonicalize_rejects_wrong_vertex_count():
         canonicalize16(validate_graph(["v"], [("e", "v", "v")]))
 
 
+@pytest.mark.parametrize("counts", [(0, 0, -1, 0), (-1, 0, 0, 0), (0, 2, 1, -3)])
+def test_negative_multiplicities_are_rejected(counts):
+    shape = TwoVertexShape(*counts)
+    with pytest.raises(DomainError):
+        canonical_form_of_shape(shape)
+    with pytest.raises(DomainError):
+        shape.to_graph()
+
+
 # --- skeletons and the nine classes ------------------------------------------------
 
 
@@ -219,19 +228,33 @@ def test_classify_agrees_with_canonical_representative():
 
 def test_skeleton_structure_type5():
     skel = _skel(5)
-    assert len(skel.nodes) == 4
+    assert len(skel.graded.elements) == 4
     assert len(skel.families) == 2
     # families of the single loop attach to the empty set and to the bare vertex
-    atts = sorted(tuple(sorted(skel.nodes[f.att])) for f in skel.families)
+    atts = sorted(tuple(sorted(skel.graded.elements[f.att])) for f in skel.families)
     assert atts == [(), ("v",)]
 
 
 def test_skeleton_structure_type9():
     skel = _skel(9)
-    assert len(skel.nodes) == 4
+    assert len(skel.graded.elements) == 4
     assert len(skel.families) == 4
     cycles = {f.cycle.edges for f in skel.families}
     assert cycles == {("p1",), ("q1",)}
+
+
+def test_three_loop_skeleton_matches_a_relisting():
+    """Eight graded nodes, beyond two vertices: the key must still see
+    through another listing order of the vertices and edges."""
+    g = validate_graph(["a", "b", "c"], [("x", "a", "a"), ("y", "b", "b"), ("z", "c", "c")])
+    h = validate_graph(["c", "a", "b"], [("y", "b", "b"), ("z", "c", "c"), ("x", "a", "a")])
+    skel = build_skeleton(g)
+    assert len(skel.graded) == 8
+    assert skel.isomorphic(build_skeleton(h))
+    joined = validate_graph(
+        ["a", "b", "c"], [("w", "a", "b"), ("x", "a", "a"), ("y", "b", "b"), ("z", "c", "c")]
+    )
+    assert not skel.isomorphic(build_skeleton(joined))
 
 
 def test_skeleton_dot_output():
