@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, LpaError, ParseError
 from .graphs import (
@@ -31,12 +31,8 @@ from .graphs import (
 )
 
 
-class Output(NamedTuple):
-    """What a command returns; ``dot`` is called only under ``--format dot``."""
-
-    payload: object
-    lines: list[str]
-    dot: Callable[[], str] | None = None
+Output = namedtuple("Output", "payload lines dot", defaults=(None,))
+Output.__doc__ = "What a command returns; ``dot`` is called only under ``--format dot``."
 
 
 def _read_text(path: str) -> str:
@@ -174,13 +170,10 @@ def _classify2(g, args):
     return Output(payload, lines, result.skeleton.to_dot)
 
 
-class Command(NamedTuple):
-    name: str
-    help: str
-    run: Callable[[Graph | None, argparse.Namespace], Output]
-    arguments: tuple = ()  # of arg(...)
-    graph: bool = True  # False: run gets None and there is no --graph
-    dot: bool = False  # True: --format dot is offered
+Command = namedtuple("Command", "name help run arguments graph dot", defaults=((), True, False))
+Command.__doc__ = """One command: ``run(graph, args)`` returns an :class:`Output`; ``arguments``
+holds ``arg(...)`` tuples; with ``graph`` False, run gets None and there is no ``--graph``;
+with ``dot`` True, ``--format dot`` is offered."""
 
 
 def arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:

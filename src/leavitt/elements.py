@@ -19,24 +19,23 @@ edge lists, so the term order (ghost degree descending, degree ascending,
 then the paths' keys) is the tuple ``(1 - len(b), len(a) - len(b), a, b)``.
 Coefficients are ints while integral and Fractions otherwise; sums and
 products work on integer numerators over a common denominator.  They,
-rewriting and text read only these tuples and two per-edge tables (range
-vertex, and the vertex identity's other edges for a special edge), which
-are built the first time an element is made over a graph and cached on it;
-so their cost does not depend on unrelated vertices and edges.  ``Path``
-and ``Monomial`` objects are built only at the API boundary:
-:meth:`Element.of` and the raw constructor read their keys, and
+rewriting and text read only these tuples and the graph's cached integer
+adjacency (the range of each edge, and the vertex identity's other edges
+for a special edge), so their cost does not depend on unrelated vertices
+and edges.  ``Path`` and ``Monomial`` objects are built only at the API
+boundary: :meth:`Element.of` and the raw constructor read their keys, and
 ``Element.terms`` builds them on first access.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, Path
+from .graphs import Graph, Path, _index
 from .records import Record, _set
 
 __all__ = [
@@ -272,25 +271,6 @@ def unit(g: Graph) -> Element:
 # --- the integer kernel ---------------------------------------------------------
 
 
-def _tables(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]:
-    """Per-edge tables of ``g``, built on the first call and cached on it.
-
-    ``rng[e]`` is the range vertex of edge e.  ``expand[e]`` is None unless e
-    is special; then it lists the other edges leaving the source of e, in
-    input order, which are the terms that replace e.e*' in the vertex
-    identity.
-    """
-    if g._kernel is None:
-        rng = tuple(g.vertex_index(r) for _, r in g.ends)
-        expand: list[tuple[int, ...] | None] = [None] * len(g.edges)
-        for v in g.vertices:
-            out = [g.edge_index(e) for e in g.out_edges(v)]
-            if out:
-                expand[out[0]] = tuple(out[1:])
-        _set(g, "_kernel", (rng, tuple(expand)))
-    return g._kernel
-
-
 def _order(term: tuple) -> tuple:
     (a, b), _ = term
     return (1 - len(b), len(a) - len(b), a, b)
@@ -307,7 +287,7 @@ def _scaled(terms) -> tuple[list[tuple], int]:
 
 def _collect(g: Graph, acc: dict, den: int = 1) -> Element:
     """Element of the nonzero terms of ``acc`` (over ``den``), checked and in term order."""
-    rng = _tables(g)[0]
+    rng = _index(g).rng
     kept = []
     for m, c in acc.items():
         if c:
@@ -339,7 +319,7 @@ def _rewrite(g: Graph, stack: list[tuple], den: int = 1) -> Element:
     plus same-length monomials whose turn edge is no longer special, so
     the rewriting terminates.  ``stack`` holds numerators over ``den``; it is consumed.
     """
-    expand = _tables(g)[1]
+    expand = _index(g).expand
     acc: dict[tuple, int] = {}
     while stack:
         a, b, c = stack.pop()
@@ -506,7 +486,7 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
     All factors of a word are looked up before their composability is
     checked, so an unknown name is reported before a mismatch.
     """
-    vi, ei, rng = g._vindex, g._eindex, _tables(g)[0]
+    vi, ei, rng = g._vindex, g._eindex, _index(g).rng
     tokens = tokens + [(None, "end of input")]
     pos = 0
 

@@ -13,6 +13,11 @@ classified K0 / K1 / K2 by having zero, exactly one, or at least two closed
 simple paths based at them; a graph satisfies Condition (K) when no vertex
 is K1.
 
+Every algorithm over a graph, here and in the element and ideal layers,
+reads one integer adjacency of it (ranges, out-edges, successors,
+predecessors and the special-edge expansions), built in one pass over its
+edges on the first query that needs it and cached on the graph.
+
 The class of a vertex is fixed by its strongly connected component (SCC):
 K0 when the SCC has no internal edge, K1 when it has exactly as many
 internal edges as vertices (the SCC is then a single cycle), K2 otherwise.
@@ -29,8 +34,7 @@ inclusion order, like every finite order the package draws, is a Poset.
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DomainError, GraphError
 from .records import Record, _set
@@ -59,7 +63,7 @@ class Graph(Record):
     """
 
     __match_args__ = ("vertices", "edges", "ends")
-    __slots__ = __match_args__ + ("_vindex", "_eindex", "_out", "_kclass", "_kernel", "_hash")
+    __slots__ = __match_args__ + ("_vindex", "_eindex", "_index", "_kclass", "_hash")
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[str, ...], ends: tuple) -> None:
         _set(self, "vertices", vertices)
@@ -67,12 +71,8 @@ class Graph(Record):
         _set(self, "ends", ends)  # (source, range) per edge, same order
         _set(self, "_vindex", {v: i for i, v in enumerate(vertices)})
         _set(self, "_eindex", {e: i for i, e in enumerate(edges)})
-        out: dict[str, list[str]] = {v: [] for v in vertices}
-        for e, (s, _) in zip(edges, ends):
-            out[s].append(e)
-        _set(self, "_out", {v: tuple(es) for v, es in out.items()})
+        _set(self, "_index", None)  # filled by _index
         _set(self, "_kclass", None)  # filled by _k_classes
-        _set(self, "_kernel", None)  # filled by elements._tables
         _set(self, "_hash", None)  # filled by __hash__
 
     def __hash__(self) -> int:
@@ -105,16 +105,15 @@ class Graph(Record):
         return self.ends[self._eindex[e]][1]
 
     def out_edges(self, v: str) -> tuple[str, ...]:
-        self.check_vertex(v)
-        return self._out[v]
+        return tuple([self.edges[e] for e in _index(self).out[self.vertex_index(v)]])
 
     def is_sink(self, v: str) -> bool:
-        return not self.out_edges(v)
+        return not _index(self).out[self.vertex_index(v)]
 
     def special_edge(self, v: str) -> str | None:
         """First outgoing edge of v in input order, or None for a sink."""
-        out = self.out_edges(v)
-        return out[0] if out else None
+        out = _index(self).out[self.vertex_index(v)]
+        return self.edges[out[0]] if out else None
 
     def vertex_index(self, v: str) -> int:
         self.check_vertex(v)
@@ -126,17 +125,15 @@ class Graph(Record):
 
     def reach_from(self, v: str) -> frozenset[str]:
         """Vertices reachable from v by a directed path (v included)."""
-        self.check_vertex(v)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for e in self._out[w]:
-                r = self.ends[self._eindex[e]][1]
+        succ = _index(self).succ
+        found = [self.vertex_index(v)]
+        seen = set(found)
+        for w in found:  # grows while it is read: a breadth-first search
+            for r in succ[w]:
                 if r not in seen:
                     seen.add(r)
-                    queue.append(r)
-        return frozenset(seen)
+                    found.append(r)
+        return frozenset([self.vertices[i] for i in found])
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(vs, key=self.vertex_index))
@@ -374,15 +371,40 @@ class VertexClass(Record):
         return self.kind == "K2"
 
 
-def _adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """Successor and predecessor lists over vertex indices, one entry per edge."""
-    vi = g._vindex
-    succ: list[list[int]] = [[] for _ in g.vertices]
-    pred: list[list[int]] = [[] for _ in g.vertices]
-    for s, r in g.ends:
-        succ[vi[s]].append(vi[r])
-        pred[vi[r]].append(vi[s])
-    return succ, pred
+class _Index:
+    """Integer adjacency of a graph, every list in edge input order: ``rng[e]``
+    is the range of edge e, ``out[v]`` the edges leaving v, and ``succ[v]``
+    and ``pred[v]`` the range and source of each edge leaving and entering v.
+    ``expand[e]`` is None unless e is its source's special edge; then it
+    lists the other edges leaving that source, which replace e.e*' in the
+    vertex identity.  Ids are vertex and edge positions; read-only once built.
+    """
+
+    __slots__ = ("rng", "out", "succ", "pred", "expand")
+
+    def __init__(self, g: Graph) -> None:
+        vi = g._vindex
+        self.rng = rng = []
+        self.out = out = [[] for _ in g.vertices]
+        self.succ = succ = [[] for _ in g.vertices]
+        self.pred = pred = [[] for _ in g.vertices]
+        for e, (s, r) in enumerate(g.ends):
+            s, r = vi[s], vi[r]
+            rng.append(r)
+            out[s].append(e)
+            succ[s].append(r)
+            pred[r].append(s)
+        self.expand = expand = [None] * len(rng)
+        for es in out:
+            if es:
+                expand[es[0]] = tuple(es[1:])
+
+
+def _index(g: Graph) -> _Index:
+    """The graph's integer adjacency, built on the first call and cached on it."""
+    if g._index is None:
+        _set(g, "_index", _Index(g))
+    return g._index
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -430,8 +452,7 @@ def _k_classes(g: Graph) -> tuple[dict[str, str], dict[str, str]]:
     """K-class of every vertex, plus an out-edge of each vertex that stays
     inside its SCC (the unique one for K1 vertices).  Cached on the graph."""
     if g._kclass is None:
-        succ, _ = _adjacency(g)
-        comp = _strong_components(succ)
+        comp = _strong_components(_index(g).succ)
         sizes = [0] * len(comp)
         for c in comp:
             sizes[c] += 1
@@ -484,13 +505,14 @@ def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
 
 
 def _is_hereditary(g: Graph, s: frozenset[str]) -> bool:
-    return all(g.rng(e) in s for v in s for e in g.out_edges(v))
+    succ, vs = _index(g).succ, g.vertices
+    return all(vs[r] in s for v in s for r in succ[g._vindex[v]])
 
 
 def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if out and v not in s and all(g.rng(e) in s for e in out):
+    vs = g.vertices
+    for v, ranges in zip(vs, _index(g).succ):
+        if ranges and v not in s and all(vs[r] in s for r in ranges):
             return False
     return True
 
@@ -571,8 +593,8 @@ def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
     mask = 0
     for v in xs:
         mask |= 1 << g.vertex_index(v)
-    succ, pred = _adjacency(g)
-    return HeredSatSet(g, _members(g, _close(succ, pred, mask)))
+    ix = _index(g)
+    return HeredSatSet(g, _members(g, _close(ix.succ, ix.pred, mask)))
 
 
 def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
@@ -582,7 +604,8 @@ def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
     the closed sets in lectic order, each found with at most one closure
     per vertex, so the cost is polynomial in the graph and the output.
     """
-    succ, pred = _adjacency(g)
+    ix = _index(g)
+    succ, pred = ix.succ, ix.pred
     n = len(succ)
     full = (1 << n) - 1
     a = _close(succ, pred, 0)

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, all_hereditary_saturated_sets, classify_vertex, exit_range,
-    hereditary_saturated_closure, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _index, all_hereditary_saturated_sets, classify_vertex,
+    exit_range, hereditary_saturated_closure, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record, _set
 
+TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
     from .elements import Element, Monomial
 
@@ -57,8 +58,10 @@ class GradedIdeal(Record):
 
 def graded_lattice(g: Graph) -> Poset:
     """All graded ideals ordered by inclusion; bottom <0>, top the algebra."""
-    nodes = tuple(GradedIdeal(h) for h in all_hereditary_saturated_sets(g))
-    return Poset.build(nodes, lambda a, b: a.generators.members <= b.generators.members)
+    sets = all_hereditary_saturated_sets(g)
+    members = [h.members for h in sets]
+    leq = tuple(tuple(a <= b for b in members) for a in members)
+    return Poset(tuple(GradedIdeal(h) for h in sets), leq)
 
 
 def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
@@ -116,14 +119,12 @@ def _two_closed_simple_paths(g: Graph, w: str) -> tuple:
     0 for l >= 1 so a walk cannot go on from w; ``closed[l]`` is the capped
     number of closed simple paths of length l.  Paths are read off greedily
     in out-edge order, stepping only into counted walks, so the cost is
-    O(L*|E|) for paths of length at most L.
+    O(L*|E|) for paths of length at most L.  Counts and paths read the
+    graph's integer adjacency: successors, out-edges and edge ranges.
     """
-    from .elements import _tables
-    rng = _tables(g)[0]
-    vi = g._vindex
-    t = vi[w]
-    out = [[g._eindex[e] for e in g._out[v]] for v in g.vertices]
-    arcs = [(vi[s], r) for (s, _), r in zip(g.ends, rng)]
+    ix = _index(g)
+    rng, out = ix.rng, ix.out
+    t = g._vindex[w]
     bound = len(g.edges) * (len(g.vertices) + 1)
     inner = [[int(x == t) for x in range(len(g.vertices))]]
     closed = [0]
@@ -132,9 +133,8 @@ def _two_closed_simple_paths(g: Graph, w: str) -> tuple:
             raise DomainError(
                 f"vertex {w!r} does not have two closed simple paths within the search bound"
             )
-        cur = [0] * len(g.vertices)
-        for s, r in arcs:
-            cur[s] += inner[-1][r]
+        last = inner[-1]
+        cur = [sum([last[r] for r in rs]) for rs in ix.succ]
         closed.append(min(2, cur[t]))
         cur[t] = 0
         inner.append([min(2, c) for c in cur])
@@ -171,7 +171,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     closed simple path blocks the last stage (impossible under
     Condition (K)).
     """
-    from .elements import Element, _monomial, _tables, mul
+    from .elements import Element, _monomial, mul
 
     def single(m: tuple) -> Element:
         return Element._make(g, ((m, 1),))
@@ -181,7 +181,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     if a.is_zero:
         raise DomainError("cannot extract a vertex from 0")
 
-    rng = _tables(g)[0]
+    ix = _index(g)
     left: list[tuple] = []  # kernel pairs (alpha, beta)
     right: list[tuple] = []
     x = a
@@ -210,11 +210,10 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
         w = x._codes[0][0][1][0]
         rmul(((w,), (w,)))
         first = x._codes[0][0][1][1]
-        out = [g._eindex[e] for e in g.out_edges(g.vertices[w])]
-        for e in [first] + [f for f in out if f != first]:
-            y = mul(x, single(((w, e), (rng[e],))))
+        for e in [first] + [f for f in ix.out[w] if f != first]:
+            y = mul(x, single(((w, e), (ix.rng[e],))))
             if not y.is_zero:
-                right.append(((w, e), (rng[e],)))
+                right.append(((w, e), (ix.rng[e],)))
                 x = y
                 break
         else:

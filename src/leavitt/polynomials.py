@@ -8,8 +8,8 @@ degree with no trailing zeros.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DomainError
 from .records import Record, _set

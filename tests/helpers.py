@@ -61,15 +61,42 @@ COEFFS = [Fraction(c) for c in (-3, -2, -1, 1, 2, 3)] + [
 ]
 
 
+def out_edge_map(g: Graph) -> dict[str, list[str]]:
+    """The edges leaving each vertex, in input order, scanned from ``g.ends``.
+
+    The oracles and generators below walk this map, not the graph's own
+    adjacency, so a fault in the library's index cannot reach both sides of
+    a check.
+    """
+    out: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e, (s, _) in zip(g.edges, g.ends):
+        out[s].append(e)
+    return out
+
+
+def reach_by_scan(g: Graph, v: str) -> frozenset[str]:
+    """Vertices reachable from v (v included), by a search over :func:`out_edge_map`."""
+    out = out_edge_map(g)
+    seen, todo = {v}, [v]
+    while todo:
+        for e in out[todo.pop()]:
+            r = g.rng(e)
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return frozenset(seen)
+
+
 def paths_up_to(g: Graph, max_len: int) -> list[tuple[str, tuple[str, ...]]]:
     """All (base, edges) paths with at most max_len edges, in a fixed order."""
+    out_edges = out_edge_map(g)
     out = [(v, ()) for v in g.vertices]
     frontier = list(out)
     for _ in range(max_len):
         nxt = []
         for base, edges in frontier:
             here = g.rng(edges[-1]) if edges else base
-            for e in g.out_edges(here):
+            for e in out_edges[here]:
                 nxt.append((base, edges + (e,)))
         out.extend(nxt)
         frontier = nxt
@@ -150,14 +177,13 @@ def random_homogeneous(
 # algorithms can be checked against it on small graphs.
 
 
-def _is_hereditary(g: Graph, s: frozenset[str]) -> bool:
-    return all(g.rng(e) in s for v in s for e in g.out_edges(v))
+def _is_hereditary(g: Graph, out: dict, s: frozenset[str]) -> bool:
+    return all(g.rng(e) in s for v in s for e in out[v])
 
 
-def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
+def _is_saturated(g: Graph, out: dict, s: frozenset[str]) -> bool:
     for v in g.vertices:
-        out = g.out_edges(v)
-        if out and v not in s and all(g.rng(e) in s for e in out):
+        if out[v] and v not in s and all(g.rng(e) in s for e in out[v]):
             return False
     return True
 
@@ -165,12 +191,13 @@ def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
 def hs_sets_by_brute_force(g: Graph) -> tuple[HeredSatSet, ...]:
     """Every hereditary saturated subset, by testing all vertex subsets in
     (size, vertex order)."""
+    out = out_edge_map(g)
     result = []
     n = len(g.vertices)
     for size in range(n + 1):
         for combo in combinations(range(n), size):
             s = frozenset(g.vertices[i] for i in combo)
-            if _is_hereditary(g, s) and _is_saturated(g, s):
+            if _is_hereditary(g, out, s) and _is_saturated(g, out, s):
                 result.append(HeredSatSet(g, s))
     return tuple(result)
 
@@ -183,10 +210,11 @@ def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
     general.
     """
     g.check_vertex(v)
+    out = out_edge_map(g)
     found: list[Cycle] = []
     trail: list[str] = []
     visited = {v}
-    stack = [(v, iter(g.out_edges(v)))]
+    stack = [(v, iter(out[v]))]
     while stack:
         here, pending = stack[-1]
         for e in pending:
@@ -196,7 +224,7 @@ def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
             elif w not in visited:
                 trail.append(e)
                 visited.add(w)
-                stack.append((w, iter(g.out_edges(w))))
+                stack.append((w, iter(out[w])))
                 break
         else:
             stack.pop()
@@ -215,10 +243,11 @@ def iter_closed_simple_paths(g: Graph, v: str, max_len: int) -> Iterator[Path]:
     number of trails it walks grows exponentially with their length.
     """
     g.check_vertex(v)
+    out = out_edge_map(g)
     queue: deque[tuple[str, tuple[str, ...]]] = deque([(v, ())])
     while queue:
         here, trail = queue.popleft()
-        for e in g.out_edges(here):
+        for e in out[here]:
             w = g.rng(e)
             if w == v:
                 yield Path.of(g, trail + (e,))
@@ -241,7 +270,7 @@ def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:
     for f in g.edges:
         if f in on_cycle or g.src(f) not in cycle_vertices:
             continue
-        if v in g.reach_from(g.rng(f)):
+        if v in reach_by_scan(g, g.rng(f)):
             return VertexClass.k2()
     return VertexClass.k1(c)
 
@@ -308,12 +337,12 @@ def canonical_key_by_permutations(skeleton) -> tuple:
 # works on term lists, so no part of the kernel takes part in its answers.
 
 
-def _reduced_turn(g: Graph, m: Monomial) -> str | None:
-    """Turn vertex when both paths end in its special edge, else None."""
+def _reduced_turn(g: Graph, out: dict, m: Monomial) -> str | None:
+    """Turn vertex when both paths end in its special (first) edge, else None."""
     a, b = m.alpha.edges, m.beta.edges
     if a and b and a[-1] == b[-1]:
         w = g.src(a[-1])
-        if g.special_edge(w) == a[-1]:
+        if out[w][0] == a[-1]:
             return w
     return None
 
@@ -328,13 +357,14 @@ def collect_by_paths(items) -> tuple[tuple[Monomial, Fraction], ...]:
 
 def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]:
     """Normal form: every special-special turn expanded through the vertex identity."""
+    out_edges = out_edge_map(g)
     out = []
     stack = [(m, Fraction(c)) for m, c in terms]
     while stack:
         m, c = stack.pop()
         if c == 0:
             continue
-        w = _reduced_turn(g, m)
+        w = _reduced_turn(g, out_edges, m)
         if w is None:
             out.append((m, c))
             continue
@@ -342,7 +372,7 @@ def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]
         ap = m.alpha.drop_last()
         bp = m.beta.drop_last()
         stack.append((Monomial(ap, bp), c))
-        for f in g.out_edges(w):
+        for f in out_edges[w]:
             if f != gam:
                 stack.append((Monomial(ap.extend((f,)), bp.extend((f,))), -c))
     return collect_by_paths(out)

@@ -605,8 +605,8 @@ def test_every_command_has_a_module_budget():
 )
 def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
     """No command imports a layer it does not use, nor ``dataclasses``,
-    ``inspect`` or ``pathlib``; ``-S`` keeps site hooks from adding modules of
-    their own."""
+    ``inspect``, ``pathlib`` or ``typing``; ``-S`` keeps site hooks from adding
+    modules of their own."""
     src = str(Path(leavitt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -617,7 +617,7 @@ def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
     loaded = set(done.stderr.split())
     expected = {"leavitt", "leavitt.errors", "leavitt.records", *(f"leavitt.{m}" for m in layers)}
     assert {m for m in loaded if m.startswith("leavitt")} == expected
-    assert not loaded & {"dataclasses", "inspect", "pathlib"}
+    assert not loaded & {"dataclasses", "inspect", "pathlib", "typing"}
 
 
 def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):

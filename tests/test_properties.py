@@ -79,10 +79,27 @@ def multigraphs(draw, max_vertices=7, max_edges=12):
     )
 
 
-def _kinds_by_networkx(g):
+def _networkx(g):
     h = nx.MultiDiGraph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.ends)
+    return h
+
+
+@given(multigraphs())
+def test_adjacency_queries_match_a_scan_of_the_edge_list(g):
+    """The queries that read the graph's cached index, against its edge list."""
+    h = _networkx(g)
+    for v in g.vertices:
+        scan = tuple(e for e, (s, _) in zip(g.edges, g.ends) if s == v)
+        assert g.out_edges(v) == scan
+        assert g.special_edge(v) == (scan[0] if scan else None)
+        assert g.is_sink(v) == (not scan)
+        assert g.reach_from(v) == nx.descendants(h, v) | {v}
+
+
+def _kinds_by_networkx(g):
+    h = _networkx(g)
     kinds = {}
     for comp in nx.strongly_connected_components(h):
         internal = sum(1 for s, r in g.ends if s in comp and r in comp)

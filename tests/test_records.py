@@ -35,6 +35,7 @@ from leavitt import (
     parse_element,
     validate_graph,
 )
+from leavitt import graphs
 from leavitt.records import Record
 from leavitt.twovertex import SkeletonFamily
 
@@ -254,14 +255,26 @@ def test_copy_and_pickle_give_an_equal_object(name):
         assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
 
 
-def test_graph_caches_stay_out_of_equality_hash_and_repr():
+def test_graph_caches_stay_out_of_equality_hash_and_repr(monkeypatch):
     warm = validate_graph(["v"], [("e", "v", "v")])
     classify_vertex(warm, "v")
     parse_element(warm, "e")
-    assert warm._kclass is not None and warm._kernel is not None
+    assert warm._kclass is not None and warm._index is not None
     assert warm == R1 and hash(warm) == hash(R1) and repr(warm) == G_R1
     clone = pickle.loads(pickle.dumps(warm))
-    assert clone._kclass is None and clone._kernel is None and clone == warm
+    assert clone._kclass is None and clone._index is None and clone == warm
+    # The closure, the hereditary saturated sets and the K-classes behind a
+    # skeleton all read one index, built once.
+    built = []
+
+    def counted(g, build=graphs._Index):
+        built.append(build(g))
+        return built[-1]
+
+    monkeypatch.setattr(graphs, "_Index", counted)
+    g = validate_graph(["u", "v"], [("e", "u", "u"), ("a", "u", "v")])
+    build_skeleton(g)
+    assert len(built) == 1 and built[0] is g._index
 
 
 def test_two_vertex_shapes_order_by_their_field_tuples():
