@@ -681,12 +681,18 @@ def lattice_label(g: Graph, members: frozenset) -> str:
     return "{" + ",".join(g.sort_vertices(members)) + "}"
 
 
+def _exit_ids(ix: _Index, cycle: tuple[int, ...]) -> set[int]:
+    """Range ids of the edges that leave a cycle's vertices but are not on
+    it; the cycle is given by its edge ids, so its sources are their ranges."""
+    rng, out, on = ix.rng, ix.out, set(cycle)
+    return {rng[f] for e in cycle for f in out[rng[e]] if f not in on}
+
+
 def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
     """Ranges of the edges that leave the cycle's vertices but are not on it."""
     c = Cycle.of(g, c.edges)  # revalidates against this graph
-    on_cycle = set(c.edges)
-    srcs = c.vertex_set
-    return frozenset(g.rng(f) for f in g.edges if f not in on_cycle and g.src(f) in srcs)
+    ids = tuple(g._eindex[e] for e in c.edges)
+    return frozenset(g.vertices[v] for v in _exit_ids(_index(g), ids))
 
 
 def k1_cycles(g: Graph) -> tuple[Cycle, ...]:

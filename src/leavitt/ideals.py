@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _index, all_hereditary_saturated_sets, classify_vertex,
-    exit_range, hereditary_saturated_closure, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _members,
+    all_hereditary_saturated_sets, classify_vertex, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record, _set
@@ -358,9 +358,10 @@ class LambdaReduction(Record):
     """Generating data: a hereditary saturated vertex set plus at most one
     monic polynomial per K1 cycle not based inside it.
 
-    Values produced by :func:`lambda_reduce` are canonical; hand-built ones
-    may lack the exit-range closure of the vertex part, and containment
-    queries re-canonicalize to compensate.
+    Values produced by :func:`lambda_reduce` are canonical.  Ones built by
+    :meth:`of` are validated but may lack the exit-range closure of the
+    vertex part; :func:`contains` trusts their validation and reduces
+    them without checking again.
     """
 
     __slots__ = __match_args__ = ("graph", "vertex_part", "polys")
@@ -429,44 +430,52 @@ def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
     """
     if gens.graph != g:
         raise DomainError("generator set over a different graph")
-    by_cycle: dict[tuple, tuple[Cycle, QPoly]] = {}
-    for cp in gens.polys:
-        c = cp.cycle.canonical()
+    return _reduce(g, [(cp.cycle, cp.poly) for cp in gens.polys], gens.vertex_gens)
+
+
+def _reduce(
+    g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], vertex_gens: Iterable[str]
+) -> LambdaReduction:
+    """The reduction behind :func:`lambda_reduce` and :func:`contains`.
+
+    ``pairs`` hold K1 cycles of g with nonzero polynomials of nonzero
+    constant term, and ``vertex_gens`` vertices of g, as the ``of``
+    constructors validate them; nothing is checked again here.  Cycles are
+    keyed by edge ids and the vertex side is a bitmask until the end.
+    """
+    by_cycle: dict[tuple[int, ...], QPoly] = {}
+    for c, p in pairs:
         key = c.rotation_key()
         prev = by_cycle.get(key)
-        acc = QPoly.gcd(prev[1], cp.poly) if prev else cp.poly
-        by_cycle[key] = (c, acc)
+        by_cycle[key] = p if prev is None else QPoly.gcd(prev, p)
 
-    vertices = set(gens.vertex_gens)
-    surviving: dict[tuple, tuple[Cycle, QPoly]] = {}
-    for key, (c, p) in by_cycle.items():
-        p = p.monic()
+    ix = _index(g)
+    mask = 0
+    for v in vertex_gens:
+        mask |= 1 << g._vindex[v]
+    surviving: dict[tuple[int, ...], QPoly] = {}
+    for key, p in by_cycle.items():
         if p.degree == 0:
-            vertices.add(c.sources[0])
+            mask |= 1 << ix.rng[key[-1]]  # the basepoint, source of the first edge
         else:
-            surviving[key] = (c, p)
+            surviving[key] = p.monic()
 
     while True:
-        exits: set[str] = set()
-        for c, _ in surviving.values():
-            exits |= exit_range(g, c)
-        part = hereditary_saturated_closure(g, vertices | exits).members
-        vertices |= part
-        dropped = [
-            key
-            for key, (c, _) in surviving.items()
-            if any(s in part for s in c.sources)
-        ]
+        for key in surviving:
+            for v in _exit_ids(ix, key):
+                mask |= 1 << v
+        mask = _close(ix.succ, ix.pred, mask)
+        dropped = [key for key in surviving if any(mask >> ix.rng[e] & 1 for e in key)]
         if not dropped:
             break
         for key in dropped:
             del surviving[key]
 
-    return LambdaReduction.of(g, part, [cp for cp in surviving.values()])
-
-
-def _canonical(g: Graph, i: LambdaReduction) -> LambdaReduction:
-    return lambda_reduce(g, i.generator_set())
+    edges = g.edges
+    polys = tuple(
+        (Cycle(g, tuple(edges[e] for e in key)), surviving[key]) for key in sorted(surviving)
+    )
+    return LambdaReduction(g, HeredSatSet(g, _members(g, mask)), polys)
 
 
 def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
@@ -475,15 +484,17 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     The rule: I(a) lies in I(b) exactly when lambda-reducing the generators
     of a and b together gives b again, as ideals are determined by their
     hereditary saturated vertex part and cycle polynomials (Rangaswamy,
-    J. Algebra 375 (2013)).  After re-canonicalizing both sides, a's vertex
-    part must lie in b's, and each polynomial of a must sit on a cycle that
-    meets b's vertex part or be divisible by b's polynomial on that cycle
-    (a missing polynomial acts as the zero polynomial).
+    J. Algebra 375 (2013)).  Both sides are brought to canonical form by
+    the reduction core, which trusts the data :meth:`LambdaReduction.of`
+    validated; then a's vertex part must lie in b's, and each polynomial of
+    a must sit on a cycle that meets b's vertex part or be divisible by b's
+    polynomial on that cycle (a missing polynomial acts as the zero
+    polynomial).
     """
     if a.graph != g or b.graph != g:
         raise DomainError("reductions over a different graph")
-    a = _canonical(g, a)
-    b = _canonical(g, b)
+    a = _reduce(g, a.polys, a.vertex_part.members)
+    b = _reduce(g, b.polys, b.vertex_part.members)
     if not a.vertex_part.members <= b.vertex_part.members:
         return False
     bmap = {c.rotation_key(): q for c, q in b.polys}

@@ -4,12 +4,21 @@ Just enough arithmetic for canonicalizing cycle-polynomial generators:
 exact division with remainder, monic normalization, divisibility, and the
 monic greatest common divisor.  Coefficients are stored in ascending
 degree with no trailing zeros.
+
+Divisibility and the gcd run in Z[x]: each operand is scaled to its
+primitive integer part (denominators cleared, content divided out), which
+by Gauss's lemma leaves divisibility over Q unchanged and determines the
+monic gcd.  The gcd is a primitive pseudo-remainder sequence (Collins,
+JACM 14 (1967); Knuth, TAOCP vol. 2, 4.6.1), made monic only at the end,
+so its coefficients stay bounded where Euclid's algorithm over Q lets them
+grow with every step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError
 from .records import Record, _set
@@ -25,7 +34,7 @@ class QPoly(Record):
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return QPoly(tuple(cs))
@@ -71,10 +80,10 @@ class QPoly(Record):
         raise AssertionError("unreachable")
 
     def shift_down(self, k: int) -> "QPoly":
-        return QPoly.of(self.coeffs[k:])
+        return QPoly(self.coeffs[k:]) if k else self
 
     def monic(self) -> "QPoly":
-        if self.is_zero:
+        if self.is_zero or self.coeffs[-1] == 1:
             return self
         lead = self.leading
         return QPoly(tuple(c / lead for c in self.coeffs))
@@ -125,17 +134,43 @@ class QPoly(Record):
         return divmod(self, other)[1]
 
     def divides(self, other: "QPoly") -> bool:
-        """Whether self divides other; zero divides only zero."""
+        """Whether self divides other; zero divides only zero.
+
+        Exact trial division of primitive parts in Z[x]: over Q a quotient
+        of primitive polynomials is itself primitive, so a leading
+        coefficient that does not divide exactly settles the answer.
+        """
         if self.is_zero:
             return other.is_zero
-        return (other % self).is_zero
+        if other.is_zero:
+            return True
+        d, rem = _primitive(self.coeffs), _primitive(other.coeffs)
+        lead, top = d[-1], len(d) - 1
+        while len(rem) > top:
+            q, r = divmod(rem[-1], lead)
+            if r:
+                return False
+            k = len(rem) - 1 - top
+            for i, c in enumerate(d):
+                rem[k + i] -= q * c
+            while rem and not rem[-1]:
+                rem.pop()
+        return not rem
 
     @staticmethod
     def gcd(p: "QPoly", q: "QPoly") -> "QPoly":
         """Monic greatest common divisor (zero when both inputs are zero)."""
-        while not q.is_zero:
-            p, q = q, p % q
-        return p.monic()
+        if p.is_zero or q.is_zero:
+            return (q if p.is_zero else p).monic()
+        a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _primitive_prem(a, b)
+            if not b:
+                lead = a[-1]
+                return QPoly(tuple(Fraction(c, lead) for c in a))
+        return QPoly.one()
 
     def to_strings(self) -> tuple[str, ...]:
         return tuple(str(c) for c in self.coeffs)
@@ -158,3 +193,38 @@ class QPoly(Record):
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
+
+
+def _primitive(coeffs: tuple[Fraction, ...]) -> list[int]:
+    """The primitive integer multiple of a nonzero polynomial."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _primitive_part(ns: list[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content, leading coefficient positive."""
+    content = gcd(*ns)
+    if ns[-1] < 0:
+        content = -content
+    return [n // content for n in ns]
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b (len(a) >= len(b) >= 2),
+    or [] when b divides a.  Each step scales by lead(b)/g and subtracts
+    (lead(rem)/g)*x^k*b, g their gcd, so before its content is divided out
+    the result is a nonzero integer multiple of the remainder over Q."""
+    rem = a[:]
+    lb, top = b[-1], len(b) - 1
+    while len(rem) > top:
+        lr = rem[-1]
+        g = gcd(lr, lb)
+        s, t = lb // g, lr // g
+        k = len(rem) - 1 - top
+        if s != 1:
+            rem = [s * c for c in rem]
+        for i, c in enumerate(b):
+            rem[k + i] -= t * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return _primitive_part(rem) if rem else rem

@@ -61,6 +61,22 @@ COEFFS = [Fraction(c) for c in (-3, -2, -1, 1, 2, 3)] + [
 ]
 
 
+def coprime_pair(degree: int, seed: int = 0) -> tuple[list[int], list[int]]:
+    """Ascending integer coefficients of two coprime polynomials of ``degree``.
+
+    The first is Eisenstein at 3 (monic, lower coefficients divisible by 3,
+    constant not by 9), hence irreducible over Q.  The second has the same
+    degree and constant term 1, so it is no multiple of the first, and the
+    two are coprime.  Their coefficients are otherwise random, so a gcd
+    computation sees a generic remainder sequence.
+    """
+    rng = random.Random(seed)
+    p = [3 * rng.choice((-2, -1, 1, 2))]
+    p += [3 * rng.randint(-3, 3) for _ in range(degree - 1)] + [1]
+    q = [1] + [rng.randint(-9, 9) for _ in range(degree - 1)] + [rng.choice((-2, -1, 1, 2))]
+    return p, q
+
+
 def out_edge_map(g: Graph) -> dict[str, list[str]]:
     """The edges leaving each vertex, in input order, scanned from ``g.ends``.
 

@@ -9,11 +9,14 @@ and the output must be its ``json.dumps(indent=2, sort_keys=True)`` text.
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import coprime_pair
 
 import leavitt
 from leavitt.cli import main
@@ -628,6 +631,43 @@ def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):
     assert main(["lambda-reduce", "--graph", r1, "--ideal",
                  '{"polys": [{"cycle": ["e"], "coeffs": ["1", "1"]}]}']) == 0
     assert capsys.readouterr().out == "vertices {} with x + 1 on (e)\n"
+
+
+def _loop_ideal(*polys):
+    entries = [{"cycle": ["e"], "coeffs": [str(c) for c in cs]} for cs in polys]
+    return json.dumps({"polys": entries})
+
+
+def test_lambda_reduce_coprime_degree_200_pair(r1, capsys):
+    """Their gcd is 1, so the loop's vertex joins the vertex part."""
+    ideal = _loop_ideal(*coprime_pair(200))
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", ideal, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"polys": [], "vertices": ["v"]}
+
+
+def test_lambda_reduce_planted_factor_matches_sympy(r1, capsys):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    factor = sympy.Poly(
+        [sympy.Rational(rng.choice((1, 2, 3)), rng.randint(1, 4))]
+        + [sympy.Rational(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        + [sympy.Rational(rng.choice((-2, -1, 1, 2)), 3)],
+        x, domain="QQ",
+    )
+    a, b = (sympy.Poly(cs[::-1], x, domain="QQ") for cs in coprime_pair(60, seed=1))
+    p, q = a * factor, b * factor
+    gcd = p.gcd(q).monic()
+    assert gcd.degree() == 5
+
+    def ascending(poly):
+        return [str(Fraction(int(c.p), int(c.q))) for c in reversed(poly.all_coeffs())]
+
+    ideal = _loop_ideal(ascending(p), ascending(q))
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", ideal, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "polys": [{"base": "v", "coeffs": ascending(gcd), "cycle": ["e"]}], "vertices": [],
+    }
 
 
 def test_unreadable_files_exit_1(tmp_path, r1, capsys):

@@ -57,6 +57,7 @@ from leavitt import (
     vertex_element,
     vertex_membership,
 )
+from leavitt.ideals import _reduce
 
 # --- graded lattice -----------------------------------------------------------
 
@@ -470,6 +471,26 @@ def test_contains_exhaustive_partial_order():
                 for k in range(n):
                     if table[j][k]:
                         assert table[i][k]  # transitive
+
+
+def test_reduction_core_matches_the_generator_set_round_trip():
+    """The core trusts validated data; revalidating every cycle through
+    ``generator_set()`` and reducing again must give the same result."""
+    noncanonical = LambdaReduction.of(G6, (), [(k1_cycles(G6)[0], QPoly.of([1, 1]))])
+    for g, extra in ((R1, []), (G6, [noncanonical])):
+        for r in _canonical_reductions(g) + extra:
+            old_path = lambda_reduce(g, r.generator_set())
+            assert _reduce(g, r.polys, r.vertex_part.members) == old_path
+
+
+def test_lambda_reduce_results_are_fixed_points_of_of():
+    """``of`` validates and normalizes; the core skips it, so its results
+    must already pass it unchanged."""
+    rng = random.Random(25)
+    for name, g in ALL_FIXTURES.items():
+        for _ in range(25):
+            red = lambda_reduce(g, _random_generator_set(g, rng))
+            assert LambdaReduction.of(g, red.vertex_part.members, red.polys) == red, name
 
 
 def test_vertex_membership_examples():

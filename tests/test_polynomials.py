@@ -1,9 +1,11 @@
 """Exact rational polynomial arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from helpers import coprime_pair
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt import QPoly
@@ -120,3 +122,41 @@ def test_divmod_gcd_divides_match_sympy(a, b, common):
         assert q.divides(p) == p.is_zero
     g = sp.gcd(sq)
     assert QPoly.gcd(p, q) == (_from_sympy(g.monic()) if not g.is_zero else QPoly.zero())
+
+
+def _random_poly(degree, seed):
+    """A polynomial of exactly ``degree`` with coefficients p/q, |p| <= 9, q <= 5."""
+    rng = random.Random(seed)
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+    return QPoly.of(cs + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))])
+
+
+# Hypothesis draws degrees and seeds; drawing 60 fractions one by one would
+# cost more than the gcds under test.
+_seeds = st.integers(0, 2**32)
+_cofactors = st.builds(_random_poly, st.integers(0, 53), _seeds)
+_factors = st.builds(_random_poly, st.integers(1, 7), _seeds)
+
+
+@settings(max_examples=50)
+@given(_cofactors, _cofactors, _factors)
+def test_high_degree_gcd_and_divides_match_sympy(a, b, common):
+    """Degrees up to 60 with fractional coefficients and a planted common
+    factor of degree at most 7, so gcds have degree at least that factor's."""
+    sympy = pytest.importorskip("sympy")
+    p, q = a * common, b * common
+    sp, sq = _to_sympy(sympy, p), _to_sympy(sympy, q)
+    g = sp.gcd(sq)
+    expected = _from_sympy(g.monic()) if not g.is_zero else QPoly.zero()
+    assert QPoly.gcd(p, q) == expected
+    assert QPoly.gcd(q, p) == expected
+    assert common.divides(p) and common.divides(q)
+    assert expected.degree >= common.degree
+    assert q.divides(p) == sp.rem(sq).is_zero
+    assert p.divides(q) == sq.rem(sp).is_zero
+
+
+def test_gcd_of_coprime_degree_200_pair_is_one():
+    p, q = (QPoly.of(cs) for cs in coprime_pair(200))
+    assert QPoly.gcd(p * QPoly.of([Fraction(1, 3)]), q) == QPoly.one()
+    assert not p.divides(q) and not q.divides(p)
