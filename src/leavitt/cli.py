@@ -80,7 +80,8 @@ def _graded_lattice(g, args):
     nodes, covers = poset.elements, poset.covers()
     payload = {"nodes": [list(node.generators.sorted_members()) for node in nodes],
                "covers": [list(c) for c in covers]}
-    lines = [str(node) for node in nodes] + [f"{nodes[i]} < {nodes[j]}" for i, j in covers]
+    names = [str(node) for node in nodes]
+    lines = names + [f"{names[i]} < {names[j]}" for i, j in covers]
     return Output(payload, lines, lambda: lattice_dot(g, poset))
 
 

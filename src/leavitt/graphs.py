@@ -27,8 +27,10 @@ first query and cached, answers every K-class question in linear time.
 Hereditary saturated sets are the closed sets of a closure operator, which
 is computed with a worklist; :func:`all_hereditary_saturated_sets` lists
 them with Ganter's NextClosure ("Two basic algorithms in concept analysis",
-1984), with polynomial delay instead of a scan of all vertex subsets.  Their
-inclusion order, like every finite order the package draws, is a Poset.
+1984), with polynomial delay instead of a scan of all vertex subsets; the
+covers of their inclusion come from n closures per set (Lindig, "Fast concept
+analysis", 2000).  Every finite order the package draws is a Poset, which
+stores its covers and derives the order from them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+HS_SET_BUDGET = 1 << 16  # most hereditary saturated sets listed for one graph
 
 
 def _check_name(name: str) -> None:
@@ -81,12 +84,6 @@ class Graph(Record):
         if self._hash is None:
             _set(self, "_hash", hash(self._field_tuple(self)))
         return self._hash
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vindex
-
-    def has_edge(self, e: str) -> bool:
-        return e in self._eindex
 
     def check_vertex(self, v: str) -> None:
         if v not in self._vindex:
@@ -330,9 +327,6 @@ class Cycle(Record):
         i = srcs.index(v)
         return Cycle(self.graph, self.edges[i:] + self.edges[:i])
 
-    def to_path(self) -> Path:
-        return Path.of(self.graph, self.edges)
-
     def __str__(self) -> str:
         return ".".join(self.edges)
 
@@ -359,10 +353,6 @@ class VertexClass(Record):
         return VertexClass("K2")
 
     @property
-    def is_k0(self) -> bool:
-        return self.kind == "K0"
-
-    @property
     def is_k1(self) -> bool:
         return self.kind == "K1"
 
@@ -373,14 +363,15 @@ class VertexClass(Record):
 
 class _Index:
     """Integer adjacency of a graph, every list in edge input order: ``rng[e]``
-    is the range of edge e, ``out[v]`` the edges leaving v, and ``succ[v]``
-    and ``pred[v]`` the range and source of each edge leaving and entering v.
+    is the range of edge e, ``out[v]`` the edges leaving v, ``succ[v]`` and
+    ``pred[v]`` the range and source of each edge leaving and entering v, and
+    ``outdeg[v]`` the number of edges leaving v.
     ``expand[e]`` is None unless e is its source's special edge; then it
     lists the other edges leaving that source, which replace e.e*' in the
     vertex identity.  Ids are vertex and edge positions; read-only once built.
     """
 
-    __slots__ = ("rng", "out", "succ", "pred", "expand")
+    __slots__ = ("rng", "out", "succ", "pred", "outdeg", "expand")
 
     def __init__(self, g: Graph) -> None:
         vi = g._vindex
@@ -394,6 +385,7 @@ class _Index:
             out[s].append(e)
             succ[s].append(r)
             pred[r].append(s)
+        self.outdeg = [len(rs) for rs in succ]
         self.expand = expand = [None] * len(rng)
         for es in out:
             if es:
@@ -504,19 +496,6 @@ def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
     return (not offenders, offenders)
 
 
-def _is_hereditary(g: Graph, s: frozenset[str]) -> bool:
-    succ, vs = _index(g).succ, g.vertices
-    return all(vs[r] in s for v in s for r in succ[g._vindex[v]])
-
-
-def _is_saturated(g: Graph, s: frozenset[str]) -> bool:
-    vs = g.vertices
-    for v, ranges in zip(vs, _index(g).succ):
-        if ranges and v not in s and all(vs[r] in s for r in ranges):
-            return False
-    return True
-
-
 class HeredSatSet(Record):
     """A hereditary and saturated set of vertices.
 
@@ -534,11 +513,11 @@ class HeredSatSet(Record):
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
         ms = frozenset(members)
-        for v in ms:
-            graph.check_vertex(v)
-        if not _is_hereditary(graph, ms):
+        ix, ids = _index(graph), [graph.vertex_index(v) for v in ms]
+        mask = sum(1 << i for i in ids)
+        if any(not mask >> r & 1 for i in ids for r in ix.succ[i]):
             raise DomainError(f"{sorted(ms)} is not hereditary")
-        if not _is_saturated(graph, ms):
+        if _close(ix, ids) != mask:  # a hereditary set gains only what saturation forces
             raise DomainError(f"{sorted(ms)} is not saturated")
         return HeredSatSet(graph, ms)
 
@@ -555,17 +534,17 @@ class HeredSatSet(Record):
         return "{" + ", ".join(self.sorted_members()) + "}" if self.members else "{}"
 
 
-def _close(succ: list[list[int]], pred: list[list[int]], mask: int) -> int:
-    """Hereditary saturated closure of a vertex bitmask, by a worklist.
-
-    ``missing[u]`` counts the out-edges of u whose range has not yet been
-    taken in; u is added by saturation when it reaches zero.  Each vertex
-    enters the worklist once, so the cost is linear in the graph.
-    """
-    missing = [len(out) for out in succ]
-    todo = [i for i in range(len(succ)) if mask >> i & 1]
-    while todo:
-        w = todo.pop()
+def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None) -> int:
+    """Hereditary saturated closure of a closed bitmask and the distinct
+    vertices ``todo`` outside it; ``todo`` is the worklist, and ends listing
+    what was added.  ``missing[u]``, consumed, counts the out-edges of u whose
+    range is not in (by default, for the empty mask); u joins when it hits 0."""
+    succ, pred = ix.succ, ix.pred
+    if missing is None:
+        missing = ix.outdeg.copy()
+    for v in todo:
+        mask |= 1 << v
+    for w in todo:  # grows while it is read
         for r in succ[w]:
             if not mask >> r & 1:
                 mask |= 1 << r
@@ -583,100 +562,121 @@ def _members(g: Graph, mask: int) -> frozenset[str]:
 
 
 def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
-    """Least hereditary and saturated superset of ``xs``.
+    """Least hereditary and saturated superset of ``xs``: out-neighbours of
+    members join, and so does a vertex once all its out-edges land inside."""
+    ids = {g.vertex_index(v) for v in xs}
+    return HeredSatSet(g, _members(g, _close(_index(g), list(ids))))
 
-    A worklist applies both rules to each vertex once as it is taken in:
-    its out-neighbours join (hereditary), and a predecessor joins once all
-    its out-edges land in the set (saturated).  The least fixed point does
-    not depend on the order of the work.
-    """
-    mask = 0
-    for v in xs:
-        mask |= 1 << g.vertex_index(v)
+
+def _closed_sets(g: Graph) -> list[int]:
+    """Bitmasks of the hereditary saturated sets, by (size, vertex order).
+    Ganter's NextClosure lists them in lectic order, a set after those that
+    lack the first vertex where they differ, at most one closure per vertex
+    each; reversed, then sorted stably by size, that is the order wanted.
+    Past :data:`HS_SET_BUDGET` sets it raises DomainError, not running for hours."""
     ix = _index(g)
-    return HeredSatSet(g, _members(g, _close(ix.succ, ix.pred, mask)))
-
-
-def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
-    """Every hereditary saturated subset, ordered by (size, vertex order).
-
-    Ganter's NextClosure over :func:`hereditary_saturated_closure`: it walks
-    the closed sets in lectic order, each found with at most one closure
-    per vertex, so the cost is polynomial in the graph and the output.
-    """
-    ix = _index(g)
-    succ, pred = ix.succ, ix.pred
-    n = len(succ)
+    n = len(ix.succ)
     full = (1 << n) - 1
-    a = _close(succ, pred, 0)
-    found = [a]
+    a, bits, found = 0, [], [0]  # bits lists the members of a
     while a != full:
         for i in reversed(range(n)):
             bit = 1 << i
             if a & bit:
                 a ^= bit
+                bits.pop()
                 continue
-            b = _close(succ, pred, a | bit)
+            todo = bits + [i]
+            b = _close(ix, todo)
             if not (b & ~a) & (bit - 1):
-                a = b
+                a, bits = b, sorted(todo)
                 break
         found.append(a)
+        if len(found) > HS_SET_BUDGET:
+            raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
+    found.reverse()
+    found.sort(key=int.bit_count)
+    return found
 
-    def order(m: int) -> tuple[int, tuple[int, ...]]:
-        idx = tuple(i for i in range(n) if m >> i & 1)
-        return len(idx), idx
 
-    found.sort(key=order)
-    return tuple(HeredSatSet(g, _members(g, m)) for m in found)
+def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
+    """Every hereditary saturated subset, ordered by (size, vertex order), in
+    time polynomial in the graph and the output (at most HS_SET_BUDGET)."""
+    return tuple(HeredSatSet(g, _members(g, m)) for m in _closed_sets(g))
+
+
+def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """Bitmasks of :func:`_closed_sets` and the sorted covers of inclusion
+    between their positions (Lindig, "Fast concept analysis", 2000).  The
+    covers of A are the minimal closures of A + v, v outside A, each closed
+    from A with the missing counts left by the closure that found A, unless
+    v lies in one found already; v stops generating when its closure holds a
+    vertex still generating."""
+    ix, masks, pairs = _index(g), _closed_sets(g), []
+    pos = {m: k for k, m in enumerate(masks)}
+    counts = {0: ix.outdeg}  # missing counts of each set found, until its turn
+    for k, a in enumerate(masks[:-1]):  # the last is every vertex, with no cover
+        base, minimal, covered, ups = counts.pop(k), masks[-1] ^ a, a, []
+        for v in range(len(ix.succ)):
+            bit = 1 << v
+            if covered & bit:  # in A, or in a cover found, which it generates
+                continue
+            missing = base.copy()  # unused when A + v is every vertex, already closed
+            b = masks[-1] if a | bit == masks[-1] else _close(ix, [v], a, missing)
+            if (b ^ a ^ bit) & minimal:
+                minimal ^= bit
+            else:
+                covered |= b
+                ups.append(pos[b])
+                counts.setdefault(pos[b], missing)
+        pairs += [(k, j) for j in sorted(ups)]
+    return masks, tuple(pairs)
 
 
 class Poset(Record):
-    """Finite poset as an element tuple plus a reflexive order matrix."""
+    """Finite poset as an element tuple plus its sorted cover pairs (i, j):
+    element i lies strictly below element j, with nothing in between.  The
+    order is derived from them on demand, as bitmask rows."""
 
-    __slots__ = __match_args__ = ("elements", "leq")
+    __slots__ = __match_args__ = ("elements", "cover_pairs")
 
-    def __init__(self, elements: tuple, leq: tuple[tuple[bool, ...], ...]) -> None:
+    def __init__(self, elements: tuple, cover_pairs: tuple[tuple[int, int], ...]) -> None:
         _set(self, "elements", elements)
-        _set(self, "leq", leq)
+        _set(self, "cover_pairs", cover_pairs)
 
     @staticmethod
     def build(elements: Iterable, leq_fn) -> "Poset":
+        """``elements`` under the partial order ``leq_fn``, asked of every
+        pair: j covers i when it is above i and nothing above i is below it."""
         els = tuple(elements)
-        matrix = tuple(
-            tuple(bool(leq_fn(a, b)) for b in els) for a in els
-        )
-        return Poset(els, matrix)
+        ids = range(len(els))
+        ups = [sum(1 << j for j in ids if j != i and leq_fn(els[i], els[j])) for i in ids]
+        downs = [sum(1 << i for i in ids if ups[i] >> j & 1) for j in ids]
+        pairs = [(i, j) for i in ids for j in ids if ups[i] >> j & 1 and not ups[i] & downs[j]]
+        return Poset(els, tuple(pairs))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with i strictly below j and nothing in between.
+        """Pairs (i, j) with i strictly below j and nothing in between, sorted."""
+        return self.cover_pairs
 
-        The upper covers of i are the minimal elements of its strict
-        up-set.  Scanned by down-set size, which strictly grows along the
-        order, each element is a cover unless a cover found before lies
-        below it.  Pairs come out sorted.
-        """
-        n = len(self.elements)
-        leq = self.leq
-        height = [sum(leq[k][j] for k in range(n)) for j in range(n)]
-        out = []
-        for i in range(n):
-            ups = sorted((j for j in range(n) if j != i and leq[i][j]), key=height.__getitem__)
-            found: list[int] = []
-            for j in ups:
-                if not any(leq[c][j] for c in found):
-                    found.append(j)
-            out.extend((i, j) for j in sorted(found))
-        return tuple(out)
+    def up_sets(self) -> list[int]:
+        """Bit j of row i is set when element i lies below element j: upper rows
+        are ORed into lower ones until a pass (in a linear extension, the second) adds nothing."""
+        rows, before = [1 << i for i in range(len(self.elements))], None
+        while rows != before:
+            before = rows.copy()
+            for i, j in reversed(self.cover_pairs):
+                rows[i] |= rows[j]
+        return rows
 
 
 def lattice_label(g: Graph, members: frozenset) -> str:
     """Diagram label of a vertex set: 0 when empty, L when it is every vertex."""
     if not members:
         return "0"
-    if members == frozenset(g.vertices):
+    if len(members) == len(g.vertices):
         return "L"
     return "{" + ",".join(g.sort_vertices(members)) + "}"
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _members,
-    all_hereditary_saturated_sets, classify_vertex, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, _members,
+    classify_vertex, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record, _set
@@ -57,11 +57,15 @@ class GradedIdeal(Record):
 
 
 def graded_lattice(g: Graph) -> Poset:
-    """All graded ideals ordered by inclusion; bottom <0>, top the algebra."""
-    sets = all_hereditary_saturated_sets(g)
-    members = [h.members for h in sets]
-    leq = tuple(tuple(a <= b for b in members) for a in members)
-    return Poset(tuple(GradedIdeal(h) for h in sets), leq)
+    """All graded ideals ordered by inclusion; bottom <0>, top the algebra.
+
+    The ideals come in the order of their vertex sets in
+    :func:`~leavitt.graphs.all_hereditary_saturated_sets`, and the poset
+    stores the covers of inclusion, computed from closures; the full order
+    is derived from them only on demand.
+    """
+    masks, covers = _lattice(g)
+    return Poset(tuple(GradedIdeal(HeredSatSet(g, _members(g, m))) for m in masks), covers)
 
 
 def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
@@ -450,21 +454,18 @@ def _reduce(
         by_cycle[key] = p if prev is None else QPoly.gcd(prev, p)
 
     ix = _index(g)
-    mask = 0
-    for v in vertex_gens:
-        mask |= 1 << g._vindex[v]
+    ids = {g._vindex[v] for v in vertex_gens}  # the closure of ids is the vertex side
     surviving: dict[tuple[int, ...], QPoly] = {}
     for key, p in by_cycle.items():
         if p.degree == 0:
-            mask |= 1 << ix.rng[key[-1]]  # the basepoint, source of the first edge
+            ids.add(ix.rng[key[-1]])  # the basepoint, source of the first edge
         else:
             surviving[key] = p.monic()
 
     while True:
         for key in surviving:
-            for v in _exit_ids(ix, key):
-                mask |= 1 << v
-        mask = _close(ix.succ, ix.pred, mask)
+            ids |= _exit_ids(ix, key)
+        mask = _close(ix, list(ids))
         dropped = [key for key in surviving if any(mask >> ix.rng[e] & 1 for e in key)]
         if not dropped:
             break

@@ -22,8 +22,8 @@ from itertools import groupby, permutations, product
 
 from .errors import DomainError
 from .graphs import (
-    Cycle, Graph, Poset, all_hereditary_saturated_sets, exit_range, hereditary_saturated_closure,
-    k1_cycles, lattice_label, validate_graph,
+    Cycle, Graph, Poset, _close, _exit_ids, _index, _lattice, _members, k1_cycles, lattice_label,
+    validate_graph,
 )
 from .records import Record, _set
 
@@ -217,15 +217,18 @@ class LatticeSkeleton(Record):
         _set(self, "families", families)  # of SkeletonFamily
 
     def canonical_key(self) -> tuple:
-        """Isomorphism invariant: least encoding over the node orders that
-        sort nodes by (down-set size, up-set size, families attached,
-        families containing the node) and permute only the ties."""
-        leq = self.graded.leq
-        n = len(leq)
+        """Isomorphism invariant: least encoding, by the renumbered covers
+        and families, over the node orders that sort nodes by (down-set
+        size, up-set size, families attached, families containing the node)
+        and permute only the ties.  The covers fix the order, so two
+        skeletons share a key exactly when they are isomorphic."""
+        rows, covers = self.graded.up_sets(), self.graded.covers()
+        n = len(rows)
         fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in self.families]
         attached = [att for _, att, _ in fams]
         contained = [i for _, _, inside in fams for i in inside]
-        invariant = list(zip(map(sum, zip(*leq)), map(sum, leq),
+        below = [sum(row >> j & 1 for row in rows) for j in range(n)]
+        invariant = list(zip(below, map(int.bit_count, rows),
                              map(attached.count, range(n)), map(contained.count, range(n))))
         ranked = sorted(range(n), key=invariant.__getitem__)
         cells = [tuple(cell) for _, cell in groupby(ranked, key=invariant.__getitem__)]
@@ -239,7 +242,7 @@ class LatticeSkeleton(Record):
                 groups.setdefault(cyc_key, []).append(entry)
             profiles = sorted(tuple(sorted(v)) for v in groups.values())
             fam_key = tuple((gi, entry) for gi, profile in enumerate(profiles) for entry in profile)
-            return n, tuple(tuple(leq[i][j] for j in order) for i in order), fam_key
+            return n, tuple(sorted([(new[i], new[j]) for i, j in covers])), fam_key
 
         return min(map(encoding, product(*map(permutations, cells))))
 
@@ -251,7 +254,7 @@ class LatticeSkeleton(Record):
         order on nodes and families, dashed arcs for partial containment
         between same-cycle families."""
         g = self.graph
-        nodes, leq = self.graded.elements, self.graded.leq
+        nodes, rows = self.graded.elements, self.graded.up_sets()
         keys = [f.cycle.rotation_key() for f in self.families]
         items = [("n", i) for i in range(len(nodes))]
         items += [("f", i) for i in range(len(self.families))]
@@ -259,7 +262,7 @@ class LatticeSkeleton(Record):
         def full_leq(x, y) -> bool:
             (kx, ix), (ky, iy) = x, y
             if kx == "n":
-                return leq[ix][iy if ky == "n" else self.families[iy].att]
+                return rows[ix] >> (iy if ky == "n" else self.families[iy].att) & 1
             fx = self.families[ix]
             if ky == "n":
                 return iy in fx.inside
@@ -281,7 +284,7 @@ class LatticeSkeleton(Record):
             lines.append(f"  {kx}{ix} -> {ky}{iy};")
         for i, fx in enumerate(self.families):
             for j, fy in enumerate(self.families):
-                if i != j and keys[i] == keys[j] and leq[fx.att][fy.att]:
+                if i != j and keys[i] == keys[j] and rows[fx.att] >> fy.att & 1:
                     lines.append(f"  f{i} -> f{j} [style=dashed];")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -294,19 +297,18 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
     sources and already contains the closure of the cycle's exit range (the
     exit range sits inside any ideal with a polynomial on the cycle).
     """
-    nodes = tuple(h.members for h in all_hereditary_saturated_sets(g))
-    graded = Poset(nodes, tuple(tuple(a <= b for b in nodes) for a in nodes))
+    masks, covers = _lattice(g)
+    ix = _index(g)
     families = []
-    for c in k1_cycles(g):
-        required = hereditary_saturated_closure(g, exit_range(g, c)).members
-        srcs = set(c.sources)
-        for i, nd in enumerate(nodes):
-            if srcs.isdisjoint(nd) and required <= nd:
-                inside = frozenset(
-                    j for j, m in enumerate(nodes) if nd <= m and srcs <= m
-                )
+    for c in k1_cycles(g):  # ordered by rotation key, so the families are too
+        ids = tuple(g._eindex[e] for e in c.edges)
+        required = _close(ix, list(_exit_ids(ix, ids)))
+        srcs = sum(1 << ix.rng[e] for e in ids)  # edge ranges: the distinct sources
+        for i, m in enumerate(masks):
+            if not m & srcs and not required & ~m:
+                inside = frozenset(j for j, b in enumerate(masks) if not (m | srcs) & ~b)
                 families.append(SkeletonFamily(c, i, inside))
-    families.sort(key=lambda f: (f.cycle.rotation_key(), f.att))
+    graded = Poset(tuple(_members(g, m) for m in masks), covers)
     return LatticeSkeleton(g, graded, tuple(families))
 
 

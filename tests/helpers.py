@@ -309,30 +309,31 @@ def k1_cycles_by_cycle_count(g: Graph) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def covers_by_definition(poset) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j) with i < j and no k strictly between, checked for every k."""
-    n = len(poset.elements)
-    leq = poset.leq
+def covers_by_definition(elements, leq) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j) with elements[i] < elements[j] under the partial order
+    ``leq`` and no k strictly between, checked for every k."""
+    n = len(elements)
+    le = [[leq(a, b) for b in elements] for a in elements]
     return tuple(
         (i, j)
         for i in range(n)
         for j in range(n)
         if i != j
-        and leq[i][j]
-        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+        and le[i][j]
+        and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
     )
 
 
 def canonical_key_by_permutations(skeleton) -> tuple:
     """Least (n, matrix, family key) encoding of a lattice skeleton over all
     n! node orders, the way the library once computed its canonical key."""
-    leq = skeleton.graded.leq
-    n = len(leq)
+    rows = skeleton.graded.up_sets()
+    n = len(rows)
     fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in skeleton.families]
     best = None
     for order in permutations(range(n)):
         new = {old: k for k, old in enumerate(order)}
-        matrix = tuple(tuple(leq[i][j] for j in order) for i in order)
+        matrix = tuple(tuple(rows[i] >> j & 1 for j in order) for i in order)
         groups: dict[tuple, list] = {}
         for cyc_key, att, inside in fams:
             groups.setdefault(cyc_key, []).append((new[att], tuple(sorted(new[i] for i in inside))))

@@ -717,3 +717,15 @@ def test_count_beyond_the_digit_limit_exits_1(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         assert len(err) < 200
+
+
+def test_hs_set_budget_exits_1(tmp_path, capsys):
+    """40 isolated vertices have 2^40 hereditary saturated sets; listing
+    stops at the budget instead of running for hours."""
+    path = tmp_path / "isolated40.graph"
+    path.write_text("vertices: " + " ".join(f"v{i}" for i in range(40)) + "\n")
+    for command in ("hs-sets", "graded-lattice"):
+        assert main([command, "--graph", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: more than {leavitt.graphs.HS_SET_BUDGET} hereditary saturated sets\n"

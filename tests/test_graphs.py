@@ -377,6 +377,15 @@ def test_all_hs_sets_twelve_isolated_vertices():
     ]
 
 
+def test_hs_set_budget_is_checked_as_the_sets_are_listed(monkeypatch):
+    """n isolated vertices have 2^n hereditary saturated sets: 64 fit a
+    budget of 100, and 128 raise once the 101st set is found."""
+    monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", 100)
+    assert len(all_hereditary_saturated_sets(_named(6, []))) == 64
+    with pytest.raises(DomainError, match="more than 100 hereditary saturated sets"):
+        all_hereditary_saturated_sets(_named(7, []))
+
+
 # --- hashing -----------------------------------------------------------------------
 
 

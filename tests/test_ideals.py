@@ -79,6 +79,17 @@ def test_lattice_two_line_is_a_two_chain():
     assert poset.covers() == ((0, 1),)
 
 
+def test_lattice_of_twelve_isolated_vertices_is_boolean():
+    """The subsets of 12 vertices: 2^12 nodes, and each set is covered by
+    adding one of the vertices it lacks, so 12 * 2^11 covers."""
+    g = validate_graph([f"v{i}" for i in range(12)], [])
+    poset = graded_lattice(g)
+    assert len(poset) == 4096
+    assert len(poset.covers()) == 12 * 2048
+    sets = [node.generators.members for node in poset.elements]
+    assert all(len(sets[j] - sets[i]) == 1 and sets[i] < sets[j] for i, j in poset.covers())
+
+
 def test_lattice_rose():
     poset = graded_lattice(R1)
     assert [n.generators.members for n in poset.elements] == [frozenset(), {"v"}]

@@ -5,12 +5,14 @@ sinks, plus a closed-form dimension count and the paper's characterization
 of graded ideals."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
 from helpers import (
     COEFFS,
+    _is_hereditary,
+    _is_saturated,
     canonical_key_by_permutations,
     classify_by_cycle_count,
     covers_by_definition,
@@ -21,6 +23,7 @@ from helpers import (
     mul_by_paths,
     normalize_by_paths,
     on_graph,
+    out_edge_map,
     paths_by_range,
     rotation_key_by_rotations,
 )
@@ -32,6 +35,7 @@ from leavitt import (
     CyclePolynomial,
     DomainError,
     Element,
+    HeredSatSet,
     contains,
     LambdaGeneratorSet,
     LatticeSkeleton,
@@ -139,13 +143,30 @@ def test_next_closure_matches_brute_force(g):
 @given(multigraphs(max_vertices=6))
 def test_lattice_covers_match_definition(g):
     poset = graded_lattice(g)
-    assert poset.covers() == covers_by_definition(poset)
+    sets = [node.generators.members for node in poset.elements]
+    assert poset.covers() == covers_by_definition(sets, lambda a, b: a <= b)
+
+
+@given(multigraphs(max_vertices=5))
+def test_hered_sat_set_validation_matches_brute_force(g):
+    out = out_edge_map(g)
+    for size in range(len(g.vertices) + 1):
+        for s in map(frozenset, combinations(g.vertices, size)):
+            if not _is_hereditary(g, out, s):
+                with pytest.raises(DomainError, match="is not hereditary"):
+                    HeredSatSet.of(g, s)
+            elif not _is_saturated(g, out, s):
+                with pytest.raises(DomainError, match="is not saturated"):
+                    HeredSatSet.of(g, s)
+            else:
+                assert HeredSatSet.of(g, s).members == s
 
 
 @st.composite
-def posets(draw, max_size=9):
-    """Transitive closures of random relations oriented along a random
-    linear order, so the elements are not listed in a linear extension."""
+def orders(draw, max_size=9):
+    """Reflexive order matrices: transitive closures of random relations
+    oriented along a random linear order, so the elements are not listed in
+    a linear extension."""
     n = draw(st.integers(1, max_size))
     rank = draw(st.permutations(range(n)))
     below = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
@@ -158,12 +179,20 @@ def posets(draw, max_size=9):
             if leq[i][k]:
                 for j in range(n):
                     leq[i][j] = leq[i][j] or leq[k][j]
-    return Poset(tuple(range(n)), tuple(tuple(row) for row in leq))
+    return leq
 
 
-@given(posets())
-def test_covers_match_definition(poset):
-    assert poset.covers() == covers_by_definition(poset)
+def posets(max_size=9):
+    """Posets on the numbers 0..n-1, built from random order matrices."""
+    return orders(max_size).map(lambda leq: Poset.build(range(len(leq)), lambda a, b: leq[a][b]))
+
+
+@given(orders())
+def test_covers_match_definition(leq):
+    n = len(leq)
+    poset = Poset.build(range(n), lambda a, b: leq[a][b])
+    assert poset.covers() == covers_by_definition(range(n), lambda a, b: leq[a][b])
+    assert poset.up_sets() == [sum(1 << j for j in range(n) if row[j]) for row in leq]
 
 
 TWO_LOOPS = validate_graph(["u", "v"], [("p", "u", "u"), ("q", "v", "v")])
@@ -192,10 +221,8 @@ def relabellings(draw, skel):
     families shuffled."""
     order = draw(st.permutations(range(len(skel.graded))))
     new = {old: k for k, old in enumerate(order)}
-    elements, leq = skel.graded.elements, skel.graded.leq
-    graded = Poset(
-        tuple(elements[i] for i in order), tuple(tuple(leq[i][j] for j in order) for i in order)
-    )
+    rows = skel.graded.up_sets()
+    graded = Poset.build(order, lambda i, j: rows[i] >> j & 1)  # the nodes are their numbers
     families = [
         SkeletonFamily(f.cycle, new[f.att], frozenset(new[i] for i in f.inside))
         for f in skel.families

@@ -97,7 +97,7 @@ FIELDS = {
     "Monomial": ("alpha", "beta"),
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("coeffs",),
-    "Poset": ("elements", "leq"),
+    "Poset": ("elements", "cover_pairs"),
     "GradedIdeal": ("generators",),
     "ExtractionWitness": ("left", "right", "vertex", "scalar"),
     "CyclePolynomial": ("cycle", "base", "poly"),
@@ -122,7 +122,7 @@ R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
 R1_SKELETON = (
     f"LatticeSkeleton(graph={G_R1}, graded=Poset(elements=(frozenset(), frozenset({{'v'}})), "
-    f"leq=((True, True), (False, True))), families=({R1_FAMILY},))"
+    f"cover_pairs=((0, 1),)), families=({R1_FAMILY},))"
 )
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
 
@@ -150,7 +150,7 @@ REPRS = {
     "Poset": (
         f"Poset(elements=(GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset())), "
         f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))), "
-        "leq=((True, True), (False, True)))"
+        "cover_pairs=((0, 1),))"
     ),
     "GradedIdeal": f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))",
     "ExtractionWitness": (
