@@ -24,7 +24,8 @@ input order.
 Every algorithm over a graph, here and in the element and ideal layers,
 reads one integer adjacency of it (ranges, out-edges, successors,
 predecessors and the special-edge expansions), built in one pass over its
-edges on the first query that needs it and cached on the graph.
+edges on the first query that needs it and cached on the graph.  Vertex
+sets are bitmasks over vertex ids; their names are built on request.
 
 The class of a vertex is fixed by its strongly connected component (SCC):
 K0 when the SCC has no internal edge, K1 when it has exactly as many
@@ -580,18 +581,19 @@ def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
 
 
 class HeredSatSet(Record):
-    """A hereditary and saturated set of vertices.
+    """A hereditary and saturated set of vertices, as a bitmask: bit i is set
+    when vertex i is a member.
 
     Hereditary: closed under following edges out of members.  Saturated:
     contains every non-sink vertex all of whose edges land in it (sinks are
-    never forced in).  Use :meth:`of` to validate.
+    never forced in).  Use :meth:`of` to validate a set of names.
     """
 
-    __slots__ = __match_args__ = ("graph", "members")
+    __slots__ = __match_args__ = ("graph", "mask")
 
-    def __init__(self, graph: Graph, members: frozenset[str]) -> None:
+    def __init__(self, graph: Graph, mask: int) -> None:
         _set(self, "graph", graph)
-        _set(self, "members", members)
+        _set(self, "mask", mask)
 
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
@@ -602,19 +604,25 @@ class HeredSatSet(Record):
             raise DomainError(f"{sorted(ms)} is not hereditary")
         if _close(ix, ids) != mask:  # a hereditary set gains only what saturation forces
             raise DomainError(f"{sorted(ms)} is not saturated")
-        return HeredSatSet(graph, ms)
+        return HeredSatSet(graph, mask)
+
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> tuple[str, ...]:
-        return self.graph.sort_vertices(self.members)
+        bits = reversed(bin(self.mask))  # bit i at position i, then "b0"
+        return tuple([v for v, bit in zip(self.graph.vertices, bits) if bit == "1"])
 
     def __contains__(self, v: str) -> bool:
-        return v in self.members
+        vi = self.graph._vindex
+        return v in vi and self.mask >> vi[v] & 1 == 1
 
     def __le__(self, other: "HeredSatSet") -> bool:
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     def __str__(self) -> str:
-        return "{" + ", ".join(self.sorted_members()) + "}" if self.members else "{}"
+        return "{" + ", ".join(self.sorted_members()) + "}"
 
 
 def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None) -> int:
@@ -640,15 +648,11 @@ def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None
     return mask
 
 
-def _members(g: Graph, mask: int) -> frozenset[str]:
-    return frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
-
-
 def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
     """Least hereditary and saturated superset of ``xs``: out-neighbours of
     members join, and so does a vertex once all its out-edges land inside."""
     ids = {g.vertex_index(v) for v in xs}
-    return HeredSatSet(g, _members(g, _close(_index(g), list(ids))))
+    return HeredSatSet(g, _close(_index(g), list(ids)))
 
 
 def _closed_sets(g: Graph) -> list[int]:
@@ -684,7 +688,7 @@ def _closed_sets(g: Graph) -> list[int]:
 def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
     """Every hereditary saturated subset, ordered by (size, vertex order), in
     time polynomial in the graph and the output (at most HS_SET_BUDGET)."""
-    return tuple(HeredSatSet(g, _members(g, m)) for m in _closed_sets(g))
+    return tuple([HeredSatSet(g, m) for m in _closed_sets(g)])
 
 
 def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
@@ -755,13 +759,13 @@ class Poset(Record):
         return rows
 
 
-def lattice_label(g: Graph, members: frozenset) -> str:
+def lattice_label(s: HeredSatSet) -> str:
     """Diagram label of a vertex set: 0 when empty, L when it is every vertex."""
-    if not members:
+    if not s.mask:
         return "0"
-    if len(members) == len(g.vertices):
+    if s.mask.bit_count() == len(s.graph.vertices):
         return "L"
-    return "{" + ",".join(g.sort_vertices(members)) + "}"
+    return "{" + ",".join(s.sorted_members()) + "}"
 
 
 def _exit_ids(ix: _Index, cycle: tuple[int, ...]) -> set[int]:

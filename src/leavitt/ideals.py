@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_key, _k_classes, _lattice,
-    _members, classify_vertex, lattice_label,
+    classify_vertex, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record, _set
@@ -65,14 +65,14 @@ def graded_lattice(g: Graph) -> Poset:
     is derived from them only on demand.
     """
     masks, covers = _lattice(g)
-    return Poset(tuple(GradedIdeal(HeredSatSet(g, _members(g, m))) for m in masks), covers)
+    return Poset(tuple([GradedIdeal(HeredSatSet(g, m)) for m in masks]), covers)
 
 
 def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
     """Hasse diagram of a graded-ideal poset in DOT form."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for i, node in enumerate(poset.elements):
-        lines.append(f'  n{i} [label="{lattice_label(g, node.generators.members)}"];')
+        lines.append(f'  n{i} [label="{lattice_label(node.generators)}"];')
     for i, j in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
@@ -398,7 +398,7 @@ class LambdaReduction(Record):
                     f"polynomial {p} on cycle {c} is not monic with nonzero "
                     "constant term and positive degree"
                 )
-            if any(s in part.members for s in c.sources):
+            if any(s in part for s in c.sources):
                 raise DomainError(f"cycle {c} is based inside the vertex part")
             out.append((c, p))
         out.sort(key=lambda cp: cp[0].rotation_key())
@@ -412,7 +412,7 @@ class LambdaReduction(Record):
             CyclePolynomial.of(self.graph, c.edges, c.sources[0], p.coeffs)
             for c, p in self.polys
         )
-        return LambdaGeneratorSet.of(self.graph, ps, self.vertex_part.members)
+        return LambdaGeneratorSet.of(self.graph, ps, self.vertex_part.sorted_members())
 
     def __str__(self) -> str:
         vs = ", ".join(self.vertex_part.sorted_members())
@@ -432,18 +432,18 @@ def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
     """
     if gens.graph != g:
         raise DomainError("generator set over a different graph")
-    return _reduce(g, [(cp.cycle, cp.poly) for cp in gens.polys], gens.vertex_gens)
+    mask = sum(1 << g._vindex[v] for v in gens.vertex_gens)
+    return _reduce(g, [(cp.cycle, cp.poly) for cp in gens.polys], mask)
 
 
-def _reduce(
-    g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], vertex_gens: Iterable[str]
-) -> LambdaReduction:
+def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> LambdaReduction:
     """The reduction behind :func:`lambda_reduce` and :func:`contains`.
 
     ``pairs`` hold K1 cycles of g with nonzero polynomials of nonzero
-    constant term, and ``vertex_gens`` vertices of g, as the ``of``
-    constructors validate them; nothing is checked again here.  Cycles are
-    keyed by edge ids and the vertex side is a bitmask until the end.
+    constant term, and ``mask`` the vertex generators as a bitmask over
+    vertex ids, as the ``of`` constructors validate them; nothing is checked
+    again here.  Cycles are keyed by edge ids, and the vertex side stays a
+    bitmask: the closure's mask is the returned vertex part.
     """
     by_cycle: dict[tuple[int, ...], QPoly] = {}
     for c, p in pairs:
@@ -452,7 +452,7 @@ def _reduce(
         by_cycle[key] = p if prev is None else QPoly.gcd(prev, p)
 
     ix = _index(g)
-    ids = {g._vindex[v] for v in vertex_gens}  # the closure of ids is the vertex side
+    ids = {i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}  # worklist from mask 0
     surviving: dict[tuple[int, ...], QPoly] = {}
     for key, p in by_cycle.items():
         if p.degree == 0:
@@ -474,7 +474,7 @@ def _reduce(
     polys = tuple(
         (Cycle(g, tuple(edges[e] for e in key)), surviving[key]) for key in sorted(surviving)
     )
-    return LambdaReduction(g, HeredSatSet(g, _members(g, mask)), polys)
+    return LambdaReduction(g, HeredSatSet(g, mask), polys)
 
 
 def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
@@ -492,13 +492,13 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     """
     if a.graph != g or b.graph != g:
         raise DomainError("reductions over a different graph")
-    a = _reduce(g, a.polys, a.vertex_part.members)
-    b = _reduce(g, b.polys, b.vertex_part.members)
-    if not a.vertex_part.members <= b.vertex_part.members:
+    a = _reduce(g, a.polys, a.vertex_part.mask)
+    b = _reduce(g, b.polys, b.vertex_part.mask)
+    if not a.vertex_part <= b.vertex_part:
         return False
     bmap = {c.rotation_key(): q for c, q in b.polys}
     for c, p in a.polys:
-        if any(s in b.vertex_part.members for s in c.sources):
+        if any(s in b.vertex_part for s in c.sources):
             continue
         q = bmap.get(c.rotation_key())
         if q is None or not q.divides(p):
@@ -509,7 +509,7 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
 def vertex_membership(g: Graph, v: str, i: LambdaReduction) -> bool:
     """Whether vertex v lies in the ideal; expects a canonical reduction."""
     g.check_vertex(v)
-    return v in i.vertex_part.members
+    return v in i.vertex_part
 
 
 def is_graded(i: LambdaReduction) -> bool:
@@ -589,31 +589,19 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     return LambdaGeneratorSet.of(g, polys, vertices)
 
 
+def _poly_to_json(cycle: Cycle, base: str, poly: QPoly) -> dict:
+    return {"cycle": list(cycle.edges), "base": base, "coeffs": list(poly.to_strings())}
+
+
 def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:
-    g = gens.graph
     return {
-        "vertices": list(g.sort_vertices(gens.vertex_gens)),
-        "polys": [
-            {
-                "cycle": list(p.cycle.edges),
-                "base": p.base,
-                "coeffs": list(p.poly.to_strings()),
-            }
-            for p in gens.polys
-        ],
+        "vertices": list(gens.graph.sort_vertices(gens.vertex_gens)),
+        "polys": [_poly_to_json(p.cycle, p.base, p.poly) for p in gens.polys],
     }
 
 
 def reduction_to_json(red: LambdaReduction) -> dict:
-    g = red.graph
     return {
-        "vertices": list(g.sort_vertices(red.vertex_part.members)),
-        "polys": [
-            {
-                "cycle": list(c.edges),
-                "base": c.sources[0],
-                "coeffs": list(p.to_strings()),
-            }
-            for c, p in red.polys
-        ],
+        "vertices": list(red.vertex_part.sorted_members()),
+        "polys": [_poly_to_json(c, c.sources[0], p) for c, p in red.polys],
     }

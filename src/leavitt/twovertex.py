@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from itertools import groupby, permutations, product
+from math import factorial, prod
 
 from .errors import DomainError
 from .graphs import (
-    Cycle, Graph, Poset, _close, _exit_ids, _index, _lattice, _members, k1_cycles, lattice_label,
-    validate_graph,
+    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, k1_cycles,
+    lattice_label, validate_graph,
 )
 from .records import Record, _set
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 12
+ORDER_BUDGET = factorial(8)  # most node orders one canonical key compares
 
 
 @total_ordering
@@ -207,13 +209,14 @@ class SkeletonFamily(Record):
 
 
 class LatticeSkeleton(Record):
-    """Finite summary of a graph's cycle-polynomial ideal lattice."""
+    """Finite summary of a graph's cycle-polynomial ideal lattice; its graded
+    nodes are the HeredSatSets that :func:`~leavitt.ideals.graded_lattice` wraps."""
 
     __slots__ = __match_args__ = ("graph", "graded", "families")
 
     def __init__(self, graph: Graph, graded: Poset, families: tuple) -> None:
         _set(self, "graph", graph)
-        _set(self, "graded", graded)  # vertex frozensets under inclusion
+        _set(self, "graded", graded)  # HeredSatSets under inclusion
         _set(self, "families", families)  # of SkeletonFamily
 
     def canonical_key(self) -> tuple:
@@ -221,7 +224,8 @@ class LatticeSkeleton(Record):
         and families, over the node orders that sort nodes by (down-set
         size, up-set size, families attached, families containing the node)
         and permute only the ties.  The covers fix the order, so two
-        skeletons share a key exactly when they are isomorphic."""
+        skeletons share a key exactly when they are isomorphic.  Past
+        :data:`ORDER_BUDGET` orders, counted first, it raises DomainError."""
         rows, covers = self.graded.up_sets(), self.graded.covers()
         n = len(rows)
         fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in self.families]
@@ -232,6 +236,9 @@ class LatticeSkeleton(Record):
                              map(attached.count, range(n)), map(contained.count, range(n))))
         ranked = sorted(range(n), key=invariant.__getitem__)
         cells = [tuple(cell) for _, cell in groupby(ranked, key=invariant.__getitem__)]
+        orders = prod(factorial(len(cell)) for cell in cells)
+        if orders > ORDER_BUDGET:
+            raise DomainError(f"{orders} node orders to compare, more than {ORDER_BUDGET}")
 
         def encoding(parts) -> tuple:
             order = [i for part in parts for i in part]
@@ -253,7 +260,6 @@ class LatticeSkeleton(Record):
         """DOT rendering: solid arcs for covering containments of the full
         order on nodes and families, dashed arcs for partial containment
         between same-cycle families."""
-        g = self.graph
         nodes, rows = self.graded.elements, self.graded.up_sets()
         keys = [f.cycle.rotation_key() for f in self.families]
         items = [("n", i) for i in range(len(nodes))]
@@ -271,13 +277,13 @@ class LatticeSkeleton(Record):
             return self.families[iy].att in fx.inside
 
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, members in enumerate(nodes):
-            lines.append(f'  n{i} [shape=box, label="{lattice_label(g, members)}"];')
+        for i, node in enumerate(nodes):
+            lines.append(f'  n{i} [shape=box, label="{lattice_label(node)}"];')
         for i, f in enumerate(self.families):
             att = nodes[f.att]
             label = f"P({f.cycle})"
-            if att:
-                label += ", " + ",".join(g.sort_vertices(att))
+            if att.mask:
+                label += ", " + ",".join(att.sorted_members())
             lines.append(f'  f{i} [shape=ellipse, label="<{label}>"];')
         for i, j in Poset.build(items, full_leq).covers():
             (kx, ix), (ky, iy) = items[i], items[j]
@@ -308,7 +314,7 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
             if not m & srcs and not required & ~m:
                 inside = frozenset(j for j, b in enumerate(masks) if not (m | srcs) & ~b)
                 families.append(SkeletonFamily(c, i, inside))
-    graded = Poset(tuple(_members(g, m) for m in masks), covers)
+    graded = Poset(tuple([HeredSatSet(g, m) for m in masks]), covers)
     return LatticeSkeleton(g, graded, tuple(families))
 
 

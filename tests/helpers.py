@@ -214,18 +214,27 @@ def _is_saturated(g: Graph, out: dict, s: frozenset[str]) -> bool:
     return True
 
 
-def hs_sets_by_brute_force(g: Graph) -> tuple[HeredSatSet, ...]:
-    """Every hereditary saturated subset, by testing all vertex subsets in
-    (size, vertex order)."""
+def _hs_subsets(g: Graph):
+    """(vertex ids, names) of every hereditary saturated subset, by testing
+    all vertex subsets in (size, vertex order)."""
     out = out_edge_map(g)
-    result = []
     n = len(g.vertices)
     for size in range(n + 1):
         for combo in combinations(range(n), size):
             s = frozenset(g.vertices[i] for i in combo)
             if _is_hereditary(g, out, s) and _is_saturated(g, out, s):
-                result.append(HeredSatSet(g, s))
-    return tuple(result)
+                yield combo, s
+
+
+def hs_sets_by_brute_force(g: Graph) -> tuple[HeredSatSet, ...]:
+    """Every hereditary saturated subset in (size, vertex order), its mask
+    set bit by bit from the subset's vertex ids."""
+    return tuple(HeredSatSet(g, sum(1 << i for i in combo)) for combo, _ in _hs_subsets(g))
+
+
+def hs_subsets_by_brute_force(g: Graph) -> tuple[frozenset[str], ...]:
+    """The same subsets as :func:`hs_sets_by_brute_force`, as sets of names."""
+    return tuple(s for _, s in _hs_subsets(g))
 
 
 def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:

@@ -494,7 +494,7 @@ def test_reduction_core_matches_the_generator_set_round_trip():
     for g, extra in ((R1, []), (G6, [noncanonical])):
         for r in _canonical_reductions(g) + extra:
             old_path = lambda_reduce(g, r.generator_set())
-            assert _reduce(g, r.polys, r.vertex_part.members) == old_path
+            assert _reduce(g, r.polys, r.vertex_part.mask) == old_path
 
 
 def test_lambda_reduce_results_are_fixed_points_of_of():

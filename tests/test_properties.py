@@ -21,6 +21,7 @@ from helpers import (
     format_by_terms,
     generator_set_by_fractions,
     hs_sets_by_brute_force,
+    hs_subsets_by_brute_force,
     iter_closed_simple_paths,
     k1_cycles_by_cycle_count,
     mul_by_paths,
@@ -67,7 +68,7 @@ from leavitt import (
     vertex_element,
     validate_graph,
 )
-from leavitt.graphs import _index, _strong_components
+from leavitt.graphs import _index, _strong_components, lattice_label
 from leavitt.ideals import _two_closed_simple_paths
 from leavitt.twovertex import SkeletonFamily
 
@@ -160,6 +161,26 @@ def test_strong_components_match_networkx(g):
 @given(multigraphs())
 def test_next_closure_matches_brute_force(g):
     assert all_hereditary_saturated_sets(g) == hs_sets_by_brute_force(g)
+
+
+@given(multigraphs(max_vertices=6))
+def test_hered_sat_set_masks_match_their_names(g):
+    """A set's bitmask, read through every query that turns it into names
+    or compares it, against the brute-force oracle's set of names."""
+    sets, names = hs_sets_by_brute_force(g), hs_subsets_by_brute_force(g)
+    for h, s in zip(sets, names):
+        ordered = tuple(v for v in g.vertices if v in s)
+        assert h.members == s
+        assert h.sorted_members() == ordered
+        assert str(h) == "{" + ", ".join(ordered) + "}"
+        assert [v in h for v in g.vertices] == [v in s for v in g.vertices]
+        assert "nowhere" not in h
+        label = "0" if not s else "L" if len(s) == len(g.vertices) else "{" + ",".join(ordered) + "}"
+        assert lattice_label(h) == label
+        named = HeredSatSet.of(g, s)
+        assert named == h and hash(named) == hash(h)
+    for h1, s1 in zip(sets, names):
+        assert [h1 <= h2 for h2 in sets] == [s1 <= s2 for s2 in names]
 
 
 @given(multigraphs(max_vertices=6))

@@ -10,7 +10,10 @@ they inherit.
 
 import copy
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +38,7 @@ from leavitt import (
     parse_element,
     validate_graph,
 )
+import leavitt
 from leavitt import graphs
 from leavitt.records import Record
 from leavitt.twovertex import SkeletonFamily
@@ -93,7 +97,7 @@ FIELDS = {
     "Path": ("graph", "base", "edges"),
     "Cycle": ("graph", "edges"),
     "VertexClass": ("kind", "cycle"),
-    "HeredSatSet": ("graph", "members"),
+    "HeredSatSet": ("graph", "mask"),
     "Monomial": ("alpha", "beta"),
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("coeffs",),
@@ -113,6 +117,8 @@ FIELDS = {
 G_R1 = "Graph(vertices=('v',), edges=('e',), ends=(('v', 'v'),))"
 G_P2 = "Graph(vertices=('a', 'b'), edges=('x',), ends=(('a', 'b'),))"
 CYCLE_E = f"Cycle(graph={G_R1}, edges=('e',))"
+R1_EMPTY = f"HeredSatSet(graph={G_R1}, mask=0)"
+R1_V = f"HeredSatSet(graph={G_R1}, mask=1)"
 X_MONOMIAL = (
     f"Monomial(alpha=Path(graph={G_P2}, base='a', edges=('x',)), "
     f"beta=Path(graph={G_P2}, base='b', edges=()))"
@@ -121,7 +127,7 @@ R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
 R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
 R1_SKELETON = (
-    f"LatticeSkeleton(graph={G_R1}, graded=Poset(elements=(frozenset(), frozenset({{'v'}})), "
+    f"LatticeSkeleton(graph={G_R1}, graded=Poset(elements=({R1_EMPTY}, {R1_V}), "
     f"cover_pairs=((0, 1),)), families=({R1_FAMILY},))"
 )
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
@@ -139,7 +145,7 @@ REPRS = {
     "Path": f"Path(graph={G_P2}, base='a', edges=('x',))",
     "Cycle": CYCLE_E,
     "VertexClass": f"VertexClass(kind='K1', cycle={CYCLE_E})",
-    "HeredSatSet": f"HeredSatSet(graph={G_R1}, members=frozenset({{'v'}}))",
+    "HeredSatSet": R1_V,
     "Monomial": X_MONOMIAL,
     "GradedDecomposition": (
         f"GradedDecomposition(graph={G_R1}, components=("
@@ -148,11 +154,10 @@ REPRS = {
     ),
     "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
     "Poset": (
-        f"Poset(elements=(GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset())), "
-        f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))), "
+        f"Poset(elements=(GradedIdeal(generators={R1_EMPTY}), GradedIdeal(generators={R1_V})), "
         "cover_pairs=((0, 1),))"
     ),
-    "GradedIdeal": f"GradedIdeal(generators=HeredSatSet(graph={G_R1}, members=frozenset({{'v'}})))",
+    "GradedIdeal": f"GradedIdeal(generators={R1_V})",
     "ExtractionWitness": (
         f"ExtractionWitness(left=(Monomial(alpha=Path(graph={G_P2}, base='b', edges=()), "
         f"beta=Path(graph={G_P2}, base='a', edges=('x',))),), "
@@ -164,7 +169,7 @@ REPRS = {
     ),
     "LambdaReduction": (
         f"LambdaReduction(graph={G_R1}, "
-        f"vertex_part=HeredSatSet(graph={G_R1}, members=frozenset()), "
+        f"vertex_part={R1_EMPTY}, "
         f"polys=(({CYCLE_E}, {R1_POLY}),))"
     ),
     "TwoVertexShape": "TwoVertexShape(loops_u=2, loops_v=1, uv=1, vu=0)",
@@ -286,3 +291,45 @@ def test_two_vertex_shapes_order_by_their_field_tuples():
     assert not (b < a or b <= a or a > b or a >= b)
     with pytest.raises(TypeError):
         a < (1, 0, 0, 0)
+
+
+# Builds ideals, skeletons and a classification on fixed graphs, prints their
+# repr and their pickle; given another process's pickle on stdin, it checks
+# that the objects load equal to its own and prints their repr.
+_REPR_SCRIPT = """
+import pickle, sys
+from leavitt import (
+    CyclePolynomial, LambdaGeneratorSet, build_skeleton, classify, graded_lattice,
+    lambda_reduce, validate_graph,
+)
+g3 = validate_graph(["w", "u", "v"], [("e", "u", "u"), ("a", "u", "v"), ("b", "w", "v")])
+g2 = validate_graph(["u", "v"], [("p", "u", "u"), ("a", "u", "v")])
+gens = LambdaGeneratorSet.of(g3, [CyclePolynomial.of(g3, ["e"], "u", [-1, 1])], ["v", "w"])
+values = [graded_lattice(g3), lambda_reduce(g3, gens), build_skeleton(g3), classify(g2)]
+print(repr(values))
+print(pickle.dumps(values).hex())
+other = sys.stdin.read().strip()
+if other:
+    loaded = pickle.loads(bytes.fromhex(other))
+    assert loaded == values
+    print(repr(loaded))
+"""
+
+
+def test_reprs_do_not_depend_on_the_string_hash_seed():
+    """Vertex sets print from their bitmasks in vertex order, so three
+    processes with different string-hash seeds print the same reprs, and
+    each loads the previous one's pickle as equal objects with that repr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leavitt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs, previous = [], ""
+    for seed in ("1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-c", _REPR_SCRIPT], input=previous, capture_output=True,
+            text=True, env=dict(env, PYTHONHASHSEED=seed), check=True,
+        )
+        runs.append(done.stdout.splitlines())
+        previous = runs[-1][1]
+    first = runs[0][0]
+    assert [lines[0] for lines in runs] == [first] * 3
+    assert [lines[2] for lines in runs[1:]] == [first] * 2

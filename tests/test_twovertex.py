@@ -1,20 +1,27 @@
 """Counting, enumeration, canonical types, and the nine lattice classes."""
 
+import time
 from collections import Counter
 
+import networkx as nx
 import pytest
-from helpers import G1, G4, G5, G6, G7, G8, L2
+from helpers import G1, G4, G5, G6, G7, G8, L2, covers_by_definition
 
 from leavitt import (
+    CyclePolynomial,
     DomainError,
+    LambdaGeneratorSet,
     TwoVertexShape,
+    all_hereditary_saturated_sets,
     build_skeleton,
     canonicalize16,
     classify,
+    contains,
     count_closed_form,
     enumerate_up_to_iso,
     k1_cycles,
     graded_lattice,
+    lambda_reduce,
     validate_graph,
 )
 from leavitt.twovertex import _SHAPES_16, canonical_form_of_shape, class_members
@@ -231,7 +238,7 @@ def test_skeleton_structure_type5():
     assert len(skel.graded.elements) == 4
     assert len(skel.families) == 2
     # families of the single loop attach to the empty set and to the bare vertex
-    atts = sorted(tuple(sorted(skel.graded.elements[f.att])) for f in skel.families)
+    atts = sorted(skel.graded.elements[f.att].sorted_members() for f in skel.families)
     assert atts == [(), ("v",)]
 
 
@@ -255,6 +262,16 @@ def test_three_loop_skeleton_matches_a_relisting():
         ["a", "b", "c"], [("w", "a", "b"), ("x", "a", "a"), ("y", "b", "b"), ("z", "c", "c")]
     )
     assert not skel.isomorphic(build_skeleton(joined))
+
+
+def test_canonical_key_refuses_an_exponential_tie_search():
+    """Four isolated sinks give a 16-node boolean lattice whose middle ranks
+    the invariant cannot split: 4!*6!*4! orders, counted before any is tried."""
+    skel = build_skeleton(validate_graph(["a", "b", "c", "d"], []))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="414720 node orders to compare, more than 40320"):
+        skel.canonical_key()
+    assert time.perf_counter() - start < 1
 
 
 def test_skeleton_dot_output():
@@ -335,3 +352,86 @@ def test_census_class_counts():
         "I": 577, "II": 12, "III": 56, "IV": 10, "V": 175,
         "VI": 45, "VII": 37, "VIII": 11, "IX": 1,
     }
+
+
+# --- the nine classes from the ideal layer alone -------------------------------
+#
+# An oracle for the skeletons that takes nothing from build_skeleton: the
+# ideals are lambda-reduced generator sets, compared by the ideal layer's
+# containment rule (Rangaswamy, J. Algebra 375 (2013)).
+
+_POOL = ((-1, 1), (1, 1), (-1, 0, 1))  # x - 1, x + 1, x^2 - 1
+_DIVIDES = {(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}  # (i, j): pool[i] divides pool[j]
+
+
+def _hasse(elements, leq) -> nx.DiGraph:
+    h = nx.DiGraph()
+    h.add_nodes_from(range(len(elements)))
+    h.add_edges_from(covers_by_definition(elements, leq))
+    return h
+
+
+def _ideal_lattice(g) -> nx.DiGraph:
+    """Hasse diagram, under ``contains``, of the graded ideals and of the
+    ideals one pool polynomial on a K1 cycle generates together with a
+    hereditary saturated set that misses the cycle's sources."""
+    sets = all_hereditary_saturated_sets(g)
+    gens = [LambdaGeneratorSet.of(g, (), h.sorted_members()) for h in sets]
+    for c in k1_cycles(g):
+        for h in sets:
+            if not any(s in h for s in c.sources):
+                for coeffs in _POOL:
+                    cp = CyclePolynomial.of(g, c.edges, c.sources[0], coeffs)
+                    gens.append(LambdaGeneratorSet.of(g, [cp], h.sorted_members()))
+    ideals = list(dict.fromkeys(lambda_reduce(g, x) for x in gens))
+    return _hasse(ideals, lambda a, b: contains(g, a, b))
+
+
+def _skeleton_lattice(skel) -> nx.DiGraph:
+    """The same diagram read off a skeleton: its graded nodes, and each
+    family once per pool polynomial.  A family member lies below the nodes
+    in its ``inside``, below a member of another cycle's family when that
+    family's node is inside it, and below a member of a family on its own
+    cycle when its node lies below that family's and its polynomial is a
+    multiple of that member's."""
+    rows, fams = skel.graded.up_sets(), skel.families
+    items = [(i, None) for i in range(len(rows))]
+    items += [(f, p) for f in fams for p in range(len(_POOL))]
+
+    def leq(x, y) -> bool:
+        (fx, px), (fy, py) = x, y
+        if px is None:
+            return bool(rows[fx] >> (fy if py is None else fy.att) & 1)
+        if py is None:
+            return fy in fx.inside
+        if fx.cycle != fy.cycle:
+            return fy.att in fx.inside
+        return bool(rows[fx.att] >> fy.att & 1) and (py, px) in _DIVIDES
+
+    return _hasse(items, leq)
+
+
+def test_nine_classes_from_the_ideal_layer():
+    """The sixteen types fall into the nine classes of ``class_members``;
+    every census shape's ideal lattice is isomorphic to the one of its
+    label's representative and to no other, and to the lattice its
+    skeleton describes."""
+    groups: list[tuple[nx.DiGraph, list[int]]] = []
+    for i, shape in _SHAPES_16.items():
+        h = _ideal_lattice(TwoVertexShape(*shape).to_graph())
+        for rep, ids in groups:
+            if nx.is_isomorphic(h, rep):
+                ids.append(i)
+                break
+        else:
+            groups.append((h, [i]))
+    members = class_members()
+    assert sorted(tuple(ids) for _, ids in groups) == sorted(members.values())
+    reps = {label: rep for rep, ids in groups for label in members if members[label] == tuple(ids)}
+    for k in range(13):
+        for shape in enumerate_up_to_iso(k):
+            g = shape.to_graph()
+            h, result = _ideal_lattice(g), classify(g)
+            labels = [lab for lab, rep in reps.items() if nx.is_isomorphic(h, rep)]
+            assert labels == [result.label], shape
+            assert nx.is_isomorphic(h, _skeleton_lattice(result.skeleton)), shape
