@@ -398,13 +398,10 @@ def scale(c: Fraction | int, x: Element) -> Element:
 
 
 class GradedDecomposition(Record):
-    """Partition of an element's terms by degree; components sum to it."""
+    """Partition of an element's terms into ``(degree, Element)`` components,
+    in ascending degree; the components sum to it."""
 
     __slots__ = __match_args__ = ("graph", "components")
-
-    def __init__(self, graph: Graph, components: tuple[tuple[int, Element], ...]) -> None:
-        _set(self, "graph", graph)
-        _set(self, "components", components)  # ascending degree
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.components)

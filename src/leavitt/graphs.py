@@ -144,9 +144,6 @@ class Graph(Record):
                     found.append(r)
         return frozenset([self.vertices[i] for i in found])
 
-    def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(vs, key=self.vertex_index))
-
 
 def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
     """Build a :class:`Graph` from listings, rejecting malformed input.
@@ -276,14 +273,10 @@ def serialize_graph(g: Graph) -> str:
 
 
 class Path(Record):
-    """Composable edge sequence; with no edges it denotes a single vertex."""
+    """Composable edge sequence from the vertex ``base``; with no edges it
+    denotes that single vertex, which is then also its range."""
 
     __slots__ = __match_args__ = ("graph", "base", "edges")
-
-    def __init__(self, graph: Graph, base: str, edges: tuple[str, ...]) -> None:
-        _set(self, "graph", graph)
-        _set(self, "base", base)  # source vertex; for the empty path also the range
-        _set(self, "edges", edges)
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str] = (), at: str | None = None) -> "Path":
@@ -354,10 +347,6 @@ class Cycle(Record):
     """
 
     __slots__ = __match_args__ = ("graph", "edges")
-
-    def __init__(self, graph: Graph, edges: tuple[str, ...]) -> None:
-        _set(self, "graph", graph)
-        _set(self, "edges", edges)
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str]) -> "Cycle":
@@ -591,10 +580,6 @@ class HeredSatSet(Record):
 
     __slots__ = __match_args__ = ("graph", "mask")
 
-    def __init__(self, graph: Graph, mask: int) -> None:
-        _set(self, "graph", graph)
-        _set(self, "mask", mask)
-
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
         ms = frozenset(members)
@@ -611,8 +596,7 @@ class HeredSatSet(Record):
         return frozenset(self.sorted_members())
 
     def sorted_members(self) -> tuple[str, ...]:
-        bits = reversed(bin(self.mask))  # bit i at position i, then "b0"
-        return tuple([v for v, bit in zip(self.graph.vertices, bits) if bit == "1"])
+        return _mask_names(self.graph, self.mask)
 
     def __contains__(self, v: str) -> bool:
         vi = self.graph._vindex
@@ -623,6 +607,12 @@ class HeredSatSet(Record):
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.sorted_members()) + "}"
+
+
+def _mask_names(g: Graph, mask: int) -> tuple[str, ...]:
+    """The names of the vertices whose bits are set in ``mask``, in vertex order."""
+    bits = reversed(bin(mask))  # bit i at position i, then "b0"
+    return tuple([v for v, bit in zip(g.vertices, bits) if bit == "1"])
 
 
 def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None) -> int:
@@ -725,10 +715,6 @@ class Poset(Record):
     order is derived from them on demand, as bitmask rows."""
 
     __slots__ = __match_args__ = ("elements", "cover_pairs")
-
-    def __init__(self, elements: tuple, cover_pairs: tuple[tuple[int, int], ...]) -> None:
-        _set(self, "elements", elements)
-        _set(self, "cover_pairs", cover_pairs)
 
     @staticmethod
     def build(elements: Iterable, leq_fn) -> "Poset":

@@ -26,10 +26,10 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_key, _k_classes, _lattice,
-    classify_vertex, lattice_label,
+    _mask_names, classify_vertex, lattice_label,
 )
 from .polynomials import QPoly
-from .records import Record, _set
+from .records import Record
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
@@ -47,9 +47,6 @@ class GradedIdeal(Record):
     """A graded ideal, named by its hereditary saturated vertex set."""
 
     __slots__ = __match_args__ = ("generators",)
-
-    def __init__(self, generators: HeredSatSet) -> None:
-        _set(self, "generators", generators)
 
     def __str__(self) -> str:
         ms = self.generators.sorted_members()
@@ -88,16 +85,11 @@ class ExtractionWitness(Record):
 
     ``right`` factors multiply on the right in list order, then ``left``
     factors on the left in list order:
-    left[k-1] * ... * left[0] * a * right[0] * ... * right[m-1].
+    left[k-1] * ... * left[0] * a * right[0] * ... * right[m-1].  Both are
+    tuples of Monomials; ``vertex`` is a vertex name and ``scalar`` a Fraction.
     """
 
     __slots__ = __match_args__ = ("left", "right", "vertex", "scalar")
-
-    def __init__(self, left: tuple, right: tuple, vertex: str, scalar: Fraction) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "vertex", vertex)
-        _set(self, "scalar", scalar)
 
     def apply(self, a: Element) -> Element:
         from .elements import Element, mul
@@ -287,18 +279,14 @@ def nongraded_witness(g: Graph):
 class CyclePolynomial(Record):
     """A polynomial in a K1 cycle, with the basepoint as its constant term.
 
-    ``poly`` has a nonzero constant coefficient and degree at least one; a
-    plain power multiple is shifted down so the lowest term is the vertex.
-    Canonical generating sets use monic polynomials, but inputs need not be
-    monic.
+    ``cycle`` is the canonical rotation of the cycle and ``base`` a vertex
+    name on it.  ``poly`` has a nonzero constant coefficient and degree at
+    least one; a plain power multiple is shifted down so the lowest term is
+    the vertex.  Canonical generating sets use monic polynomials, but inputs
+    need not be monic.
     """
 
     __slots__ = __match_args__ = ("cycle", "base", "poly")
-
-    def __init__(self, cycle: Cycle, base: str, poly: QPoly) -> None:
-        _set(self, "cycle", cycle)  # canonical rotation
-        _set(self, "base", base)
-        _set(self, "poly", poly)
 
     @staticmethod
     def of(
@@ -333,14 +321,10 @@ class CyclePolynomial(Record):
 
 
 class LambdaGeneratorSet(Record):
-    """Raw generators: cycle polynomials (repetition allowed) plus vertices."""
+    """Raw generators: a tuple of cycle polynomials (repetition allowed) plus
+    vertices, held as a bitmask ``mask``, bit i for vertex i."""
 
-    __slots__ = __match_args__ = ("graph", "polys", "vertex_gens")
-
-    def __init__(self, graph: Graph, polys: tuple, vertex_gens: frozenset[str]) -> None:
-        _set(self, "graph", graph)
-        _set(self, "polys", polys)  # of CyclePolynomial
-        _set(self, "vertex_gens", vertex_gens)
+    __slots__ = __match_args__ = ("graph", "polys", "mask")
 
     @staticmethod
     def of(
@@ -352,15 +336,20 @@ class LambdaGeneratorSet(Record):
         for p in ps:
             if p.graph != g:
                 raise DomainError("cycle polynomial over a different graph")
-        vs = frozenset(vertices)
-        for v in vs:
-            g.check_vertex(v)
-        return LambdaGeneratorSet(g, ps, vs)
+        mask = 0
+        for v in vertices:
+            mask |= 1 << g.vertex_index(v)
+        return LambdaGeneratorSet(g, ps, mask)
+
+    @property
+    def vertex_gens(self) -> frozenset[str]:
+        return frozenset(_mask_names(self.graph, self.mask))
 
 
 class LambdaReduction(Record):
-    """Generating data: a hereditary saturated vertex set plus at most one
-    monic polynomial per K1 cycle not based inside it.
+    """Generating data: a hereditary saturated vertex set ``vertex_part``
+    plus at most one monic polynomial per K1 cycle not based inside it, as
+    (Cycle, QPoly) pairs in ``polys``: canonical cycles, rotation-key order.
 
     Values produced by :func:`lambda_reduce` are canonical.  Ones built by
     :meth:`of` are validated but may lack the exit-range closure of the
@@ -369,11 +358,6 @@ class LambdaReduction(Record):
     """
 
     __slots__ = __match_args__ = ("graph", "vertex_part", "polys")
-
-    def __init__(self, graph: Graph, vertex_part: HeredSatSet, polys: tuple) -> None:
-        _set(self, "graph", graph)
-        _set(self, "vertex_part", vertex_part)
-        _set(self, "polys", polys)  # (Cycle, QPoly) pairs: canonical cycles, rotation-key order
 
     @staticmethod
     def of(
@@ -432,8 +416,7 @@ def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
     """
     if gens.graph != g:
         raise DomainError("generator set over a different graph")
-    mask = sum(1 << g._vindex[v] for v in gens.vertex_gens)
-    return _reduce(g, [(cp.cycle, cp.poly) for cp in gens.polys], mask)
+    return _reduce(g, [(cp.cycle, cp.poly) for cp in gens.polys], gens.mask)
 
 
 def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> LambdaReduction:
@@ -595,7 +578,7 @@ def _poly_to_json(cycle: Cycle, base: str, poly: QPoly) -> dict:
 
 def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:
     return {
-        "vertices": list(gens.graph.sort_vertices(gens.vertex_gens)),
+        "vertices": list(_mask_names(gens.graph, gens.mask)),
         "polys": [_poly_to_json(p.cycle, p.base, p.poly) for p in gens.polys],
     }
 

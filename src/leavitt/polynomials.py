@@ -21,16 +21,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
-from .records import Record, _set
+from .records import Record
 
 __all__ = ["QPoly"]
 
 
 class QPoly(Record):
-    __slots__ = __match_args__ = ("coeffs",)
+    """A polynomial over Q: ``coeffs`` is a tuple of Fractions in ascending
+    degree, last entry nonzero."""
 
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        _set(self, "coeffs", coeffs)  # ascending degree, last entry nonzero
+    __slots__ = __match_args__ = ("coeffs",)
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":

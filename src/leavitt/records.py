@@ -1,22 +1,24 @@
 """The immutable base class of the package's value classes.
 
-A record names its fields in ``__match_args__`` and sets them once in its
-own ``__init__`` through :data:`_set`.  From ``__match_args__`` the base
+A record names its fields once, in ``__match_args__``.  From them the base
 class derives, once per subclass, a getter of the field tuple, and from it
 ``__eq__`` (same class only) and ``__hash__`` (the hash of the field tuple,
 a 1-tuple for a single field), as a frozen dataclass would, along with the
-``Name(field=value, ...)`` repr and copying and pickling through the
-constructor.  Assignment and deletion raise.  All of it comes without the
-start-up cost of importing :mod:`dataclasses`.
+``Name(field=value, ...)`` repr, copying and pickling through the
+constructor, and the constructor itself, which sets the fields in order
+through :data:`_set`.  A class writes its own ``__init__`` only when it
+checks, caches or defaults something.  Assignment and deletion raise.  All
+of it comes without the start-up cost of importing :mod:`dataclasses`.
 
 Two records override the pair: :class:`~leavitt.graphs.Graph` keeps
 equality but caches its hash, which every monomial and element hash
 repeats, and :class:`~leavitt.elements.Element` compares its integer codes
 rather than its materialised terms.  Equality and hashing are cold paths
 (a few thousand calls in a census round of 1,861 operations), but
-construction is hot: a prototype that built every method, ``__init__``
-included, from closures cut the two-vertex census throughput by 23%.  So
-each ``__init__`` stays written out in its class.
+construction is hot.  So the constructor is written as source, one
+``_set(self, "f", f)`` line per field, and compiled once per class, as
+:mod:`dataclasses` does: it runs the same bytecode a hand-written body
+would, with no loop over the field names in any call.
 """
 
 from operator import attrgetter
@@ -45,6 +47,13 @@ class Record:
         else:
             get = attrgetter(*names)
         cls._field_tuple = staticmethod(get)  # called as self._field_tuple(self)
+        if names and "__init__" not in cls.__dict__:
+            src = f"def __init__(self, {', '.join(names)}):" + "".join(
+                f"\n    _set(self, {f!r}, {f})" for f in names)
+            scope = {"_set": _set, "__name__": cls.__module__}
+            exec(compile(src, f"<{cls.__module__}.{cls.__qualname__}.__init__>", "exec"), scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -23,7 +23,7 @@ from math import factorial, prod
 
 from .errors import DomainError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, k1_cycles,
+    Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, k1_cycles,
     lattice_label, validate_graph,
 )
 from .records import Record, _set
@@ -46,12 +46,6 @@ class TwoVertexShape(Record):
     """
 
     __slots__ = __match_args__ = ("loops_u", "loops_v", "uv", "vu")
-
-    def __init__(self, loops_u: int, loops_v: int, uv: int, vu: int) -> None:
-        _set(self, "loops_u", loops_u)
-        _set(self, "loops_v", loops_v)
-        _set(self, "uv", uv)
-        _set(self, "vu", vu)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -115,13 +109,10 @@ def enumerate_up_to_iso(k: int) -> tuple[TwoVertexShape, ...]:
 
 
 class CanonicalForm16(Record):
-    """One of the sixteen canonical two-vertex types."""
+    """One of the sixteen canonical two-vertex types: its number ``id`` and
+    its ``shape``."""
 
     __slots__ = __match_args__ = ("id", "shape")
-
-    def __init__(self, id: int, shape: TwoVertexShape) -> None:
-        _set(self, "id", id)
-        _set(self, "shape", shape)
 
 
 _SHAPES_16 = {
@@ -196,28 +187,21 @@ def canonicalize16(g: Graph) -> CanonicalForm16:
 class SkeletonFamily(Record):
     """Family of polynomial-generated ideals on one cycle and vertex part.
 
-    ``att`` indexes the attached graded node; ``inside`` indexes the graded
-    nodes whose ideal contains every member of the family.
+    ``att`` indexes the attached graded node; ``inside``, a frozenset of
+    node indices, lists the graded nodes whose ideal contains every member
+    of the family.
     """
 
     __slots__ = __match_args__ = ("cycle", "att", "inside")
 
-    def __init__(self, cycle: Cycle, att: int, inside: frozenset[int]) -> None:
-        _set(self, "cycle", cycle)
-        _set(self, "att", att)
-        _set(self, "inside", inside)
-
 
 class LatticeSkeleton(Record):
-    """Finite summary of a graph's cycle-polynomial ideal lattice; its graded
-    nodes are the HeredSatSets that :func:`~leavitt.ideals.graded_lattice` wraps."""
+    """Finite summary of a graph's cycle-polynomial ideal lattice: ``graded``
+    is a Poset of the HeredSatSets under inclusion, the nodes that
+    :func:`~leavitt.ideals.graded_lattice` wraps, and ``families`` a tuple
+    of :class:`SkeletonFamily`."""
 
     __slots__ = __match_args__ = ("graph", "graded", "families")
-
-    def __init__(self, graph: Graph, graded: Poset, families: tuple) -> None:
-        _set(self, "graph", graph)
-        _set(self, "graded", graded)  # HeredSatSets under inclusion
-        _set(self, "families", families)  # of SkeletonFamily
 
     def canonical_key(self) -> tuple:
         """Isomorphism invariant: least encoding, by the renumbered covers

@@ -26,6 +26,8 @@ from helpers import (
 from leavitt import (
     DomainError,
     Element,
+    Monomial,
+    Path,
     ParseError,
     add,
     format_element,
@@ -403,6 +405,30 @@ def test_mixed_graph_rejected():
         mul(vertex_element(R1, "v"), vertex_element(R2, "v"))
     with pytest.raises(DomainError):
         add(vertex_element(R1, "v"), vertex_element(R2, "v"))
+
+
+def test_graph_mismatches_rejected():
+    with pytest.raises(DomainError, match="monomial mixes two graphs"):
+        Monomial(Path.of(R1, [], at="v"), Path.of(R2, [], at="v"))
+    with pytest.raises(DomainError, match="monomial from a different graph"):
+        Element.of(R1, [(monomial(R2, at="v"), 1)])
+    with pytest.raises(DomainError, match="cannot multiply monomials over different graphs"):
+        mul_monomials(monomial(R1, at="v"), monomial(R2, at="v"))
+
+
+def test_monomial_row_and_col():
+    m = monomial(E38, alpha=("a", "c"), beta=("f",))  # u -> v -> w, ghost of w -> w
+    assert (m.row, m.col) == ("u", "w")
+    assert (monomial(E38, at="v").row, monomial(E38, at="v").col) == ("v", "v")
+
+
+def test_operators_match_the_functions():
+    x = parse_element(R2, "e + 2*f*'")
+    y = parse_element(R2, "v - 1/2*f")
+    assert x + y == add(x, y) and x - y == sub(x, y) and x * y == mul(x, y)
+    assert y * x == mul(y, x) != x * y
+    assert str(x) == format_element(x) and str(x - x) == format_element(sub(x, x))
+    assert (x == 1) is False and x != 1 and (x == "e + 2*f*'") is False
 
 
 def test_monomial_range_mismatch():

@@ -187,6 +187,29 @@ def test_cycle_rotations():
         c.based_at("nope")
 
 
+def test_path_construction_errors():
+    path = leavitt.Path.of  # Path alone names pathlib's here
+    with pytest.raises(DomainError, match="an empty path needs a base vertex"):
+        path(L2, [])
+    with pytest.raises(DomainError, match="path starts at 'u', not 'v'"):
+        path(L2, ["a"], at="v")
+    with pytest.raises(DomainError, match="edges do not compose at 'a'"):
+        path(L2, ["a"]).extend(["a"])
+    with pytest.raises(DomainError, match="empty path has no last edge"):
+        path(L2, [], at="u").drop_last()
+    assert path(L2, ["a"]).drop_last() == path(L2, [], at="u")
+
+
+def test_path_prefixes_and_text():
+    path = leavitt.Path.of
+    p = path(E38, ["a", "c"])
+    assert p.startswith(path(E38, ["a"])) and p.startswith(path(E38, [], at="u"))
+    assert p.startswith(p) and not p.startswith(path(E38, ["b"]))
+    assert not path(E38, ["a"]).startswith(p)
+    assert not path(E38, [], at="v").startswith(path(E38, [], at="u"))
+    assert str(p) == "a.c" and str(path(E38, [], at="w")) == "w"
+
+
 # --- classification -----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Graded lattice, vertex extraction, non-graded witnesses, reductions,
 containment."""
 
+import json
 import random
 import sys
 import time
@@ -30,6 +31,7 @@ from helpers import (
 )
 
 from leavitt import (
+    Cycle,
     CyclePolynomial,
     DomainError,
     Element,
@@ -42,6 +44,7 @@ from leavitt import (
     contains,
     extract_vertex,
     generator_set_from_json,
+    generator_set_to_json,
     graded_lattice,
     hereditary_saturated_closure,
     exit_range,
@@ -530,6 +533,41 @@ def test_reduction_rejects_duplicate_cycle_polys():
     (c,) = k1_cycles(R1)
     with pytest.raises(DomainError, match="two polynomials"):
         LambdaReduction.of(R1, (), [(c, QPoly.of([1, 1])), (c, QPoly.of([2, 1]))])
+
+
+def test_reduction_of_rejects_a_cycle_that_is_not_k1():
+    c = Cycle.of(R2, ["e"])
+    with pytest.raises(DomainError, match="cycle e is not a K1 cycle"):
+        LambdaReduction.of(R2, (), [(c, QPoly.of([1, 1]))])
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1, 2], [0, 1], [3], []], ids=["not-monic", "zero-constant", "degree-0", "zero"]
+)
+def test_reduction_of_rejects_a_polynomial_that_is_not_monic_of_positive_degree(coeffs):
+    (c,) = k1_cycles(R1)
+    with pytest.raises(DomainError, match="is not monic with nonzero constant term"):
+        LambdaReduction.of(R1, (), [(c, QPoly.of(coeffs))])
+
+
+def test_reduction_of_rejects_a_cycle_based_inside_the_vertex_part():
+    f = Cycle.of(E38, ["f"])
+    with pytest.raises(DomainError, match="cycle f is based inside the vertex part"):
+        LambdaReduction.of(E38, ["w"], [(f, QPoly.of([1, 1]))])
+    assert LambdaReduction.of(E38, ["w"], [(Cycle.of(E38, ["e"]), QPoly.of([1, 1]))]).polys
+
+
+def test_generator_set_json_round_trip_lists_vertices_in_vertex_order():
+    cp = CyclePolynomial.of(E38, ["e"], "v", [Fraction(1, 2), 0, Fraction(-3, 4)])
+    gens = LambdaGeneratorSet.of(E38, [cp, cp], ["w", "u", "w"])
+    assert gens.vertex_gens == frozenset({"u", "w"}) and gens.mask == 0b101
+    data = generator_set_to_json(gens)
+    assert data == {
+        "vertices": ["u", "w"],
+        "polys": [{"cycle": ["e"], "base": "v", "coeffs": ["1/2", "0", "-3/4"]}] * 2,
+    }
+    assert generator_set_from_json(E38, data) == gens
+    assert generator_set_from_json(E38, json.dumps(data)) == gens
 
 
 def test_reduction_json_round_trip():

@@ -51,6 +51,13 @@ def test_divmod_with_remainder():
     assert rem.degree < q.degree
 
 
+def test_mod_is_the_divmod_remainder():
+    p = QPoly.of([1, 0, 1])  # 1 + x^2
+    q = QPoly.of([1, 1])  # 1 + x
+    assert p % q == divmod(p, q)[1] == QPoly.of([2])
+    assert (q % p) == q
+
+
 def test_division_by_zero():
     with pytest.raises(DomainError):
         divmod(QPoly.one(), QPoly.zero())

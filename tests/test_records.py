@@ -1,6 +1,8 @@
 """The value classes behave as frozen dataclasses did: field-tuple equality
 and hash, ``Name(field=value, ...)`` repr, no assignment or deletion, copy
-and pickle, and field-tuple ordering for ``TwoVertexShape``.
+and pickle, field-tuple ordering for ``TwoVertexShape``, and a constructor
+that takes the fields in order, written by ``Record`` unless the class
+checks, caches or defaults something.
 
 The repr literals are the strings the dataclass versions printed, so a
 change in any field's name, order or repr shows here.  Every ``Record``
@@ -8,10 +10,13 @@ subclass must have samples, so none escapes these checks of the methods
 they inherit.
 """
 
+import ast
 import copy
 import importlib
+import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -105,7 +110,7 @@ FIELDS = {
     "GradedIdeal": ("generators",),
     "ExtractionWitness": ("left", "right", "vertex", "scalar"),
     "CyclePolynomial": ("cycle", "base", "poly"),
-    "LambdaGeneratorSet": ("graph", "polys", "vertex_gens"),
+    "LambdaGeneratorSet": ("graph", "polys", "mask"),
     "LambdaReduction": ("graph", "vertex_part", "polys"),
     "TwoVertexShape": ("loops_u", "loops_v", "uv", "vu"),
     "CanonicalForm16": ("id", "shape"),
@@ -165,7 +170,7 @@ REPRS = {
     ),
     "CyclePolynomial": R1_CYCLE_POLY,
     "LambdaGeneratorSet": (
-        f"LambdaGeneratorSet(graph={G_R1}, polys=({R1_CYCLE_POLY},), vertex_gens=frozenset())"
+        f"LambdaGeneratorSet(graph={G_R1}, polys=({R1_CYCLE_POLY},), mask=0)"
     ),
     "LambdaReduction": (
         f"LambdaReduction(graph={G_R1}, "
@@ -190,20 +195,28 @@ def _fields(obj):
 
 
 def _record_classes():
+    """Every Record subclass, by name."""
     for module in ("graphs", "elements", "polynomials", "ideals", "twovertex", "cli"):
         importlib.import_module(f"leavitt.{module}")
-    found, todo = set(), [Record]
+    found, todo = {}, [Record]
     while todo:
         for cls in todo.pop().__subclasses__():
-            found.add(cls.__name__)
+            found[cls.__name__] = cls
             todo.append(cls)
     return found
+
+
+RECORDS = _record_classes()
+# The records that check (Monomial), cache (Graph, Element) or default
+# (VertexClass, Classification) something in their constructor.
+OWN_INIT = {"Graph", "Monomial", "Element", "VertexClass", "Classification"}
+GENERATED = sorted(set(RECORDS) - OWN_INIT)
 
 
 def test_every_class_is_sampled():
     # Element compares and hashes its integer codes, not its field tuple;
     # test_elements.py checks its equality, hash, copy and pickle.
-    assert set(SAMPLES) == set(FIELDS) == set(REPRS) == _record_classes() - {"Element"}
+    assert set(SAMPLES) == set(FIELDS) == set(REPRS) == set(RECORDS) - {"Element"}
     for name, pair in SAMPLES.items():
         assert [type(x).__name__ for x in pair] == [name, name]
 
@@ -260,6 +273,59 @@ def test_copy_and_pickle_give_an_equal_object(name):
         assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
 
 
+def test_only_records_that_check_cache_or_default_write_a_constructor():
+    written = {
+        name for name, cls in RECORDS.items()
+        if not cls.__init__.__code__.co_filename.startswith("<")
+    }
+    assert written == OWN_INIT
+    for name in OWN_INIT:
+        assert "__init__" in RECORDS[name].__dict__, name
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_a_generated_constructor_takes_the_fields_in_order(name):
+    cls, fields = RECORDS[name], FIELDS[name]
+    init = cls.__dict__["__init__"]
+    assert (init.__qualname__, init.__module__) == (f"{name}.__init__", cls.__module__)
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+    a = SAMPLES[name][0]
+    values = _fields(a)
+    assert cls(*values) == cls(**dict(zip(fields, values))) == a
+    missing = f"{name}.__init__() missing 1 required positional argument: '{fields[-1]}'"
+    with pytest.raises(TypeError, match=re.escape(missing)):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values, None)
+
+
+def _only_sets_its_fields(init: ast.FunctionDef) -> bool:
+    """Whether a constructor takes no defaults and does nothing but
+    ``_set(self, "f", f)`` for each of its parameters in order."""
+    names = [a.arg for a in init.args.args[1:]]
+    body = [ast.unparse(stmt) for stmt in init.body]
+    return not init.args.defaults and body == [f"_set(self, {f!r}, {f})" for f in names]
+
+
+def test_no_constructor_only_sets_its_fields():
+    """Record writes such a constructor itself, so none is written by hand."""
+    package = os.path.dirname(leavitt.__file__)
+    inits, boilerplate = set(), []
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+                for init in [n for n in cls.body if getattr(n, "name", None) == "__init__"]:
+                    inits.add(cls.name)
+                    if _only_sets_its_fields(init):
+                        boilerplate.append(f"{filename}: {cls.name}")
+    assert OWN_INIT <= inits
+    assert boilerplate == []
+
+
 def test_graph_caches_stay_out_of_equality_hash_and_repr(monkeypatch):
     warm = validate_graph(["v"], [("e", "v", "v")])
     classify_vertex(warm, "v")
@@ -293,9 +359,10 @@ def test_two_vertex_shapes_order_by_their_field_tuples():
         a < (1, 0, 0, 0)
 
 
-# Builds ideals, skeletons and a classification on fixed graphs, prints their
-# repr and their pickle; given another process's pickle on stdin, it checks
-# that the objects load equal to its own and prints their repr.
+# Builds a generator set, ideals, skeletons and a classification on fixed
+# graphs, prints their repr and their pickle; given another process's pickle
+# on stdin, it checks that the objects load equal to its own and prints their
+# repr.
 _REPR_SCRIPT = """
 import pickle, sys
 from leavitt import (
@@ -305,7 +372,7 @@ from leavitt import (
 g3 = validate_graph(["w", "u", "v"], [("e", "u", "u"), ("a", "u", "v"), ("b", "w", "v")])
 g2 = validate_graph(["u", "v"], [("p", "u", "u"), ("a", "u", "v")])
 gens = LambdaGeneratorSet.of(g3, [CyclePolynomial.of(g3, ["e"], "u", [-1, 1])], ["v", "w"])
-values = [graded_lattice(g3), lambda_reduce(g3, gens), build_skeleton(g3), classify(g2)]
+values = [graded_lattice(g3), gens, lambda_reduce(g3, gens), build_skeleton(g3), classify(g2)]
 print(repr(values))
 print(pickle.dumps(values).hex())
 other = sys.stdin.read().strip()
