@@ -183,6 +183,9 @@ def arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
 
 
 _IDEAL_HELP = "ideal JSON (file or inline)"
+_DASHED = "; one that begins with '-' goes after --"  # else argparse reads it as an option
+_ELEMENT_HELP, _IDEAL_ARG_HELP = "element expression" + _DASHED, _IDEAL_HELP + _DASHED
+_ELEMENT = arg("element", help=_ELEMENT_HELP)
 _EDGES = arg("--edges", type=int, required=True)
 _VERIFY = arg("--verify", action="store_true", help="check formula against enumeration")
 
@@ -194,14 +197,15 @@ COMMANDS = (
             (arg("--vertices", default="", help="comma-separated vertex names"),)),
     Command("hs-sets", "all hereditary saturated sets", _hs_sets),
     Command("graded-lattice", "lattice of graded ideals", _graded_lattice, dot=True),
-    Command("normalize", "normal form of an element", _normalize, (arg("element"),)),
-    Command("mul", "product of two elements", _mul, (arg("left"), arg("right"))),
-    Command("grade", "homogeneous components of an element", _grade, (arg("element"),)),
+    Command("normalize", "normal form of an element", _normalize, (_ELEMENT,)),
+    Command("mul", "product of two elements", _mul,
+            (arg("left", help=_ELEMENT_HELP), arg("right", help=_ELEMENT_HELP))),
+    Command("grade", "homogeneous components of an element", _grade, (_ELEMENT,)),
     Command("lambda-reduce", "canonical generating set of an ideal", _lambda_reduce,
             (arg("--ideal", required=True, help=_IDEAL_HELP),)),
     Command("contains", "ideal containment (first inside second)", _contains,
-            (arg("ideal_a", help=_IDEAL_HELP), arg("ideal_b", help=_IDEAL_HELP))),
-    Command("extract-vertex", "reduce an element to a vertex", _extract_vertex, (arg("element"),)),
+            (arg("ideal_a", help=_IDEAL_ARG_HELP), arg("ideal_b", help=_IDEAL_ARG_HELP))),
+    Command("extract-vertex", "reduce an element to a vertex", _extract_vertex, (_ELEMENT,)),
     Command("nongraded-witness", "non-graded ideal generator, if any", _nongraded_witness),
     Command("count2", "count two-vertex graphs with k edges", _count2,
             (_EDGES, _VERIFY), graph=False),

@@ -12,19 +12,19 @@ in the special edge of their common turn vertex.  Such monomials are
 expanded through the vertex identity above, which terminates and, together
 with like-term collection, makes equality decidable by comparing term maps.
 
-Representation: inside this module a path is the integer tuple
-``(base_vertex_id, *edge_ids)``, which is :meth:`Path.key`, and a monomial
-a.b*' is the pair ``(a, b)``.  Ids are positions in the graph's vertex and
-edge lists, so the term order (ghost degree descending, degree ascending,
-then the paths' keys) is the tuple ``(1 - len(b), len(a) - len(b), a, b)``.
-Coefficients are ints while integral and Fractions otherwise; sums and
-products work on integer numerators over a common denominator.  They,
-rewriting and text read only these tuples and the graph's cached integer
-adjacency (the range of each edge, and the vertex identity's other edges
-for a special edge), so their cost does not depend on unrelated vertices
-and edges.  ``Path`` and ``Monomial`` objects are built only at the API
-boundary: :meth:`Element.of` and the raw constructor read their keys, and
-``Element.terms`` builds them on first access.
+Representation: a path is the integer tuple ``(base_vertex_id, *edge_ids)``,
+the ``code`` a :class:`~leavitt.graphs.Path` holds, and a monomial a.b*' is
+the pair ``(a, b)`` of codes, :attr:`Monomial.code`.  Ids are positions in
+the graph's vertex and edge lists, so the term order (ghost degree
+descending, degree ascending, then the paths' codes) is the tuple
+``(1 - len(b), len(a) - len(b), a, b)``.  Coefficients are ints while
+integral and Fractions otherwise; sums and products work on integer
+numerators over a common denominator.  They, rewriting and text read only
+these tuples and the graph's cached integer adjacency (the range of each
+edge, and the vertex identity's other edges for a special edge), so their
+cost does not depend on unrelated vertices and edges.  An element keeps
+its terms as codes; ``Element.terms`` wraps them in ``Monomial`` records on
+first access, and names are built only for text.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, Path, _index
+from .graphs import Graph, Path, _index, _listing
 from .records import Record, _set
 
 __all__ = [
@@ -58,9 +58,9 @@ class Monomial(Record):
     def __init__(self, alpha: Path, beta: Path) -> None:
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
-        if alpha.graph != beta.graph:
+        if alpha.graph is not beta.graph and alpha.graph != beta.graph:
             raise DomainError("monomial mixes two graphs")
-        if alpha.rng != beta.rng:
+        if alpha._rng_id() != beta._rng_id():
             raise DomainError(
                 f"monomial paths end at different vertices: "
                 f"{alpha.rng!r} vs {beta.rng!r}"
@@ -69,6 +69,11 @@ class Monomial(Record):
     @property
     def graph(self) -> Graph:
         return self.alpha.graph
+
+    @property
+    def code(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The kernel's pair of path codes."""
+        return (self.alpha.code, self.beta.code)
 
     @property
     def degree(self) -> int:
@@ -89,7 +94,7 @@ class Monomial(Record):
         return self.beta.src
 
     def sort_key(self) -> tuple:
-        return (-self.ghost_degree, self.degree, self.alpha.key(), self.beta.key())
+        return (-self.ghost_degree, self.degree, self.alpha.code, self.beta.code)
 
     def __str__(self) -> str:
         parts = list(self.alpha.edges)
@@ -109,7 +114,7 @@ def monomial(
     lists are empty and is ignored otherwise (empty sides anchor at the
     other side's range).
     """
-    a, b = tuple(alpha), tuple(beta)
+    a, b = _listing(alpha, "alpha"), _listing(beta, "beta")
     if a:
         ap = Path.of(g, a)
     elif b:
@@ -135,22 +140,6 @@ def _is_scalar(c) -> bool:
 _new = object.__new__
 
 
-def _pair(m: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (m.alpha.key(), m.beta.key())
-
-
-def _path(g: Graph, p: tuple[int, ...]) -> Path:
-    return Path(g, g.vertices[p[0]], tuple([g.edges[i] for i in p[1:]]))
-
-
-def _monomial(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> Monomial:
-    """Monomial of a kernel pair whose ranges were checked when it was collected."""
-    m = _new(Monomial)
-    _set(m, "alpha", _path(g, a))
-    _set(m, "beta", _path(g, b))
-    return m
-
-
 class Element(Record):
     """Immutable term map Monomial -> nonzero rational, canonically ordered.
 
@@ -166,7 +155,7 @@ class Element(Record):
     def __init__(self, graph: Graph, terms: Iterable[tuple[Monomial, Fraction]]):
         terms = tuple(terms)
         _set(self, "graph", graph)
-        _set(self, "_codes", tuple((_pair(m), _coefficient(c)) for m, c in terms))
+        _set(self, "_codes", tuple((m.code, _coefficient(c)) for m, c in terms))
         _set(self, "_terms", terms)
 
     @staticmethod
@@ -183,7 +172,7 @@ class Element(Record):
         for m, c in items:
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
-            codes.append((_pair(m), _coefficient(c)))
+            codes.append((m.code, _coefficient(c)))
         return _sum(graph, codes)
 
     @staticmethod
@@ -194,7 +183,8 @@ class Element(Record):
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         if self._terms is None:
             g = self.graph
-            _set(self, "_terms", tuple((_monomial(g, *m), Fraction(c)) for m, c in self._codes))
+            _set(self, "_terms", tuple(
+                (Monomial(Path(g, a), Path(g, b)), Fraction(c)) for (a, b), c in self._codes))
         return self._terms
 
     @property
@@ -245,12 +235,12 @@ def vertex_element(g: Graph, v: str) -> Element:
 
 def path_element(g: Graph, edges: Iterable[str]) -> Element:
     """The real path given by ``edges`` as an element (a vertex if empty is not allowed)."""
-    return Element.of(g, [(monomial(g, alpha=tuple(edges)), 1)])
+    return Element.of(g, [(monomial(g, alpha=_listing(edges, "edges")), 1)])
 
 
 def ghost_path_element(g: Graph, edges: Iterable[str]) -> Element:
     """The reversed ghost path b*' for the real path b given by ``edges``."""
-    return Element.of(g, [(monomial(g, beta=tuple(edges)), 1)])
+    return Element.of(g, [(monomial(g, beta=_listing(edges, "edges")), 1)])
 
 
 def monomial_element(
@@ -366,7 +356,7 @@ def mul_monomials(m1: Monomial, m2: Monomial) -> Element:
     """Normalized product of two monomials."""
     if m1.graph != m2.graph:
         raise DomainError("cannot multiply monomials over different graphs")
-    return _product(m1.graph, ((_pair(m1), 1),), ((_pair(m2), 1),))
+    return _product(m1.graph, ((m1.code, 1),), ((m2.code, 1),))
 
 
 def _same_graph(x: Element, y: Element) -> None:

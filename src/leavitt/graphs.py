@@ -25,7 +25,9 @@ Every algorithm over a graph, here and in the element and ideal layers,
 reads one integer adjacency of it (ranges, out-edges, successors,
 predecessors and the special-edge expansions), built in one pass over its
 edges on the first query that needs it and cached on the graph.  Vertex
-sets are bitmasks over vertex ids; their names are built on request.
+sets are bitmasks over vertex ids, paths the element kernel's codes
+``(base_id, *edge_ids)`` and cycles tuples of edge ids: names are turned
+into ids only in this module, and built from ids only for output.
 
 The class of a vertex is fixed by its strongly connected component (SCC):
 K0 when the SCC has no internal edge, K1 when it has exactly as many
@@ -66,6 +68,13 @@ def _check_name(name: str) -> None:
     # An ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
     if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
         raise GraphError(f"bad identifier {name!r}: use letters, digits, _")
+
+
+def _listing(names: Iterable[str], what: str) -> tuple:
+    """``names`` as a tuple; a bare string is rejected, not read as one-letter names."""
+    if isinstance(names, str):
+        raise GraphError(f"{what} must be a list of names, not a string")
+    return tuple(names)
 
 
 class Graph(Record):
@@ -161,11 +170,9 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]
     the first offender in input order: the vertices first, then each edge's
     shape, name, source and range.
     """
-    if isinstance(vertices, str):
-        raise GraphError("vertices must be a list of names, not a string")
+    vs = _listing(vertices, "vertices")
     if isinstance(edges, str):
         raise GraphError("edges must be a list of (name, source, range) triples, not a string")
-    vs = tuple(vertices)
     if not vs:
         raise GraphError("a graph needs at least one vertex")
     es = edges if type(edges) is list else list(edges)
@@ -273,72 +280,76 @@ def serialize_graph(g: Graph) -> str:
 
 
 class Path(Record):
-    """Composable edge sequence from the vertex ``base``; with no edges it
-    denotes that single vertex, which is then also its range."""
+    """Composable edge sequence from a base vertex, held as the element
+    kernel's code ``(base_id, *edge_ids)``; with no edges it denotes that
+    single vertex, which is then also its range.  Names are built on request."""
 
-    __slots__ = __match_args__ = ("graph", "base", "edges")
+    __slots__ = __match_args__ = ("graph", "code")
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str] = (), at: str | None = None) -> "Path":
-        es = tuple(edges)
-        if not es:
-            if at is None:
-                raise DomainError("an empty path needs a base vertex")
-            graph.check_vertex(at)
-            return Path(graph, at, ())
-        base = graph.src(es[0])
+        es = _listing(edges, "edges")
+        if not es and at is None:
+            raise DomainError("an empty path needs a base vertex")
+        base = graph.src(es[0]) if es else at
         if at is not None and at != base:
             raise DomainError(f"path starts at {base!r}, not {at!r}")
-        return Path(graph, base, ()).extend(es)
+        return Path(graph, (graph.vertex_index(base),)).extend(es)
+
+    @property
+    def base(self) -> str:
+        return self.graph.vertices[self.code[0]]
+
+    @property
+    def edges(self) -> tuple[str, ...]:
+        edges = self.graph.edges
+        return tuple([edges[e] for e in self.code[1:]])
 
     @property
     def deg(self) -> int:
-        return len(self.edges)
+        return len(self.code) - 1
 
-    @property
-    def src(self) -> str:
-        return self.base
+    src = base
 
     @property
     def rng(self) -> str:
-        return self.graph.rng(self.edges[-1]) if self.edges else self.base
+        return self.graph.vertices[self._rng_id()]
+
+    def _rng_id(self) -> int:
+        code = self.code
+        return _index(self.graph).rng[code[-1]] if len(code) > 1 else code[0]
 
     def extend(self, more: Iterable[str]) -> "Path":
-        more = tuple(more)
-        here = self.rng
-        for e in more:
-            if self.graph.src(e) != here:
+        g, code, here = self.graph, list(self.code), self._rng_id()
+        rng, vi = _index(g).rng, g._vindex
+        for e in _listing(more, "edges"):
+            i = g.edge_index(e)
+            if vi[g.ends[i][0]] != here:
                 raise DomainError(f"edges do not compose at {e!r}")
-            here = self.graph.rng(e)
-        return Path(self.graph, self.base, self.edges + more)
+            code.append(i)
+            here = rng[i]
+        return Path(g, tuple(code))
 
     def drop_last(self) -> "Path":
-        if not self.edges:
+        if len(self.code) == 1:
             raise DomainError("empty path has no last edge")
-        return Path(self.graph, self.base, self.edges[:-1])
+        return Path(self.graph, self.code[:-1])
 
     def startswith(self, other: "Path") -> bool:
-        return (
-            self.base == other.base
-            and self.edges[: len(other.edges)] == other.edges
-        )
-
-    def key(self) -> tuple:
-        g = self.graph
-        return (g.vertex_index(self.base),) + tuple(g.edge_index(e) for e in self.edges)
+        return self.code[: len(other.code)] == other.code
 
     def __str__(self) -> str:
-        return ".".join(self.edges) if self.edges else self.base
+        return ".".join(self.edges) if len(self.code) > 1 else self.base
 
 
-def _least_rotation(ids: list[int]) -> tuple[int, ...]:
+def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
     """The rotation of a cycle's distinct edge ids that starts at the least."""
     i = ids.index(min(ids))
-    return tuple(ids[i:] + ids[:i])
+    return ids[i:] + ids[:i]
 
 
 class Cycle(Record):
-    """Closed path with pairwise-distinct edge sources.
+    """Closed path with pairwise-distinct edge sources, held as its edge ids.
 
     Two rotations of the same cycle compare unequal but share
     :meth:`rotation_key`; :meth:`canonical` picks the rotation whose edge
@@ -346,42 +357,47 @@ class Cycle(Record):
     distinct, so that rotation is the one starting at its least edge.
     """
 
-    __slots__ = __match_args__ = ("graph", "edges")
+    __slots__ = __match_args__ = ("graph", "ids")
 
     @staticmethod
     def of(graph: Graph, edges: Iterable[str]) -> "Cycle":
-        es = tuple(edges)
+        es = _listing(edges, "cycle edges")
         if not es:
             raise DomainError("a cycle needs at least one edge")
-        p = Path.of(graph, es)
-        if p.rng != p.src:
+        code = Path.of(graph, es).code
+        rng = _index(graph).rng
+        if rng[code[-1]] != code[0]:
             raise DomainError(f"edge sequence {'.'.join(es)} is not closed")
-        srcs = [graph.src(e) for e in es]
-        if len(set(srcs)) != len(srcs):
+        if len({rng[e] for e in code[1:]}) != len(es):  # a closed path's ranges are its sources
             raise DomainError(f"edge sequence {'.'.join(es)} repeats a source vertex")
-        return Cycle(graph, es)
+        return Cycle(graph, code[1:])
+
+    @property
+    def edges(self) -> tuple[str, ...]:
+        edges = self.graph.edges
+        return tuple([edges[e] for e in self.ids])
 
     @property
     def sources(self) -> tuple[str, ...]:
-        return tuple(self.graph.src(e) for e in self.edges)
+        ends = self.graph.ends
+        return tuple([ends[e][0] for e in self.ids])
 
     @property
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.sources)
 
     def rotation_key(self) -> tuple[int, ...]:
-        return _least_rotation([self.graph.edge_index(e) for e in self.edges])
+        return _least_rotation(self.ids)
 
     def canonical(self) -> "Cycle":
-        edges = self.graph.edges
-        return Cycle(self.graph, tuple([edges[e] for e in self.rotation_key()]))
+        return Cycle(self.graph, self.rotation_key())
 
     def based_at(self, v: str) -> "Cycle":
         srcs = self.sources
         if v not in srcs:
             raise DomainError(f"vertex {v!r} is not on the cycle")
         i = srcs.index(v)
-        return Cycle(self.graph, self.edges[i:] + self.edges[:i])
+        return Cycle(self.graph, self.ids[i:] + self.ids[:i])
 
     def __str__(self) -> str:
         return ".".join(self.edges)
@@ -528,7 +544,7 @@ def _k_classes(g: Graph) -> tuple[list[str], list[int]]:
     return g._kclass
 
 
-def _k1_cycle_ids(g: Graph, v: int) -> list[int]:
+def _k1_cycle_ids(g: Graph, v: int) -> tuple[int, ...]:
     """Edge ids of the cycle of the K1 vertex id v, starting at v."""
     rng, inner = _index(g).rng, _k_classes(g)[1]
     ids = [inner[v]]
@@ -536,7 +552,7 @@ def _k1_cycle_ids(g: Graph, v: int) -> list[int]:
     while here != v:
         ids.append(inner[here])
         here = rng[ids[-1]]
-    return ids
+    return tuple(ids)
 
 
 def _k1_key(g: Graph, v: int) -> tuple[int, ...] | None:
@@ -555,10 +571,7 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
     """
     i = g.vertex_index(v)
     kind = _k_classes(g)[0][i]
-    if kind != "K1":
-        return VertexClass(kind)
-    edges = g.edges
-    return VertexClass.k1(Cycle(g, tuple([edges[e] for e in _k1_cycle_ids(g, i)])))
+    return VertexClass.k1(Cycle(g, _k1_cycle_ids(g, i))) if kind == "K1" else VertexClass(kind)
 
 
 def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:
@@ -582,7 +595,7 @@ class HeredSatSet(Record):
 
     @staticmethod
     def of(graph: Graph, members: Iterable[str]) -> "HeredSatSet":
-        ms = frozenset(members)
+        ms = frozenset(_listing(members, "members"))
         ix, ids = _index(graph), [graph.vertex_index(v) for v in ms]
         mask = sum(1 << i for i in ids)
         if any(not mask >> r & 1 for i in ids for r in ix.succ[i]):
@@ -641,7 +654,7 @@ def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None
 def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
     """Least hereditary and saturated superset of ``xs``: out-neighbours of
     members join, and so does a vertex once all its out-edges land inside."""
-    ids = {g.vertex_index(v) for v in xs}
+    ids = {g.vertex_index(v) for v in _listing(xs, "vertices")}
     return HeredSatSet(g, _close(_index(g), list(ids)))
 
 
@@ -763,9 +776,9 @@ def _exit_ids(ix: _Index, cycle: tuple[int, ...]) -> set[int]:
 
 def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
     """Ranges of the edges that leave the cycle's vertices but are not on it."""
-    c = Cycle.of(g, c.edges)  # revalidates against this graph
-    ids = tuple(g._eindex[e] for e in c.edges)
-    return frozenset(g.vertices[v] for v in _exit_ids(_index(g), ids))
+    if c.graph != g:
+        raise DomainError("cycle over a different graph")
+    return frozenset([g.vertices[v] for v in _exit_ids(_index(g), c.ids)])
 
 
 def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
@@ -776,12 +789,12 @@ def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
     least edge, which is where its canonical rotation starts.
     """
     kinds, inner = _k_classes(g)
-    rng, edges = _index(g).rng, g.edges
+    rng = _index(g).rng
     seen: set[int] = set()
     out = []
     for _, v in sorted([(inner[v], v) for v, k in enumerate(kinds) if k == "K1"]):
         if v not in seen:
             ids = _k1_cycle_ids(g, v)
             seen.update([rng[e] for e in ids])  # the ranges of a cycle are its sources
-            out.append(Cycle(g, tuple([edges[e] for e in ids])))
+            out.append(Cycle(g, ids))
     return tuple(out)

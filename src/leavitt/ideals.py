@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_key, _k_classes, _lattice,
-    _mask_names, classify_vertex, lattice_label,
+    Cycle, Graph, HeredSatSet, Path, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
+    _k_classes, _lattice, _listing, _mask_names, lattice_label,
 )
 from .polynomials import QPoly
 from .records import Record
@@ -167,7 +167,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     closed simple path blocks the last stage (impossible under
     Condition (K)).
     """
-    from .elements import Element, _monomial, mul
+    from .elements import Element, Monomial, mul
 
     def single(m: tuple) -> Element:
         return Element._make(g, ((m, 1),))
@@ -247,8 +247,8 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     if len(x._codes) != 1 or x._codes[0][0] != ((w,), (w,)):
         raise AssertionError(f"extraction ended on a non-vertex element {x}")
     witness = ExtractionWitness(
-        tuple(_monomial(g, *m) for m in left),
-        tuple(_monomial(g, *m) for m in right),
+        tuple([Monomial(Path(g, a), Path(g, b)) for a, b in left]),
+        tuple([Monomial(Path(g, a), Path(g, b)) for a, b in right]),
         name,
         Fraction(x._codes[0][1]),
     )
@@ -264,13 +264,13 @@ def nongraded_witness(g: Graph):
     components cannot both be brought back inside the ideal because every
     closed path at v is a power of the unique cycle.
     """
-    from .elements import add, path_element, vertex_element
+    from .elements import _sum
     kinds = _k_classes(g)[0]
     if "K1" not in kinds:
         return None
-    v = g.vertices[kinds.index("K1")]
-    lam = classify_vertex(g, v).cycle
-    return (v, lam, add(vertex_element(g, v), path_element(g, lam.edges)))
+    v = kinds.index("K1")
+    lam = Cycle(g, _k1_cycle_ids(g, v))
+    return (g.vertices[v], lam, _sum(g, [(((v,), (v,)), 1), (((v, *lam.ids), (v,)), 1)]))
 
 
 # --- cycle-polynomial ideals --------------------------------------------------
@@ -309,11 +309,8 @@ class CyclePolynomial(Record):
             )
         key = cyc.rotation_key()
         if _k1_key(g, g._vindex[base]) != key:
-            raise DomainError(
-                f"cycle {cyc} is not the unique closed simple path at {base!r}"
-            )
-        edges = g.edges
-        return CyclePolynomial(Cycle(g, tuple([edges[e] for e in key])), base, p)
+            raise DomainError(f"cycle {cyc} is not the unique closed simple path at {base!r}")
+        return CyclePolynomial(Cycle(g, key), base, p)
 
     @property
     def graph(self) -> Graph:
@@ -336,9 +333,7 @@ class LambdaGeneratorSet(Record):
         for p in ps:
             if p.graph != g:
                 raise DomainError("cycle polynomial over a different graph")
-        mask = 0
-        for v in vertices:
-            mask |= 1 << g.vertex_index(v)
+        mask = sum({1 << g.vertex_index(v) for v in _listing(vertices, "vertices")})
         return LambdaGeneratorSet(g, ps, mask)
 
     @property
@@ -365,38 +360,37 @@ class LambdaReduction(Record):
         vertices: Iterable[str],
         polys: Mapping[Cycle, QPoly] | Iterable[tuple[Cycle, QPoly]] = (),
     ) -> "LambdaReduction":
-        part = HeredSatSet.of(g, vertices)
+        part = HeredSatSet.of(g, _listing(vertices, "vertices"))
         items = polys.items() if isinstance(polys, Mapping) else polys
+        rng = _index(g).rng
         out = []
         seen = set()
         for cyc, p in items:
-            c = Cycle.of(g, cyc.edges).canonical()
-            key = c.rotation_key()
-            if key in seen:
+            if cyc.graph != g:
+                raise DomainError("cycle over a different graph")
+            c = cyc.canonical()
+            if c.ids in seen:
                 raise DomainError(f"two polynomials on cycle {c}")
-            seen.add(key)
-            if _k1_key(g, g._vindex[c.sources[0]]) != key:
+            seen.add(c.ids)
+            if _k1_key(g, rng[c.ids[-1]]) != c.ids:  # the source of the first edge
                 raise DomainError(f"cycle {c} is not a K1 cycle")
             if p.is_zero or p.degree < 1 or p.constant == 0 or not p.is_monic:
                 raise DomainError(
                     f"polynomial {p} on cycle {c} is not monic with nonzero "
                     "constant term and positive degree"
                 )
-            if any(s in part for s in c.sources):
+            if any(part.mask >> rng[e] & 1 for e in c.ids):
                 raise DomainError(f"cycle {c} is based inside the vertex part")
             out.append((c, p))
-        out.sort(key=lambda cp: cp[0].rotation_key())
+        out.sort(key=lambda cp: cp[0].ids)
         return LambdaReduction(g, part, tuple(out))
 
     def poly_map(self) -> dict[Cycle, QPoly]:
         return dict(self.polys)
 
     def generator_set(self) -> LambdaGeneratorSet:
-        ps = tuple(
-            CyclePolynomial.of(self.graph, c.edges, c.sources[0], p.coeffs)
-            for c, p in self.polys
-        )
-        return LambdaGeneratorSet.of(self.graph, ps, self.vertex_part.sorted_members())
+        ps = tuple([CyclePolynomial(c, c.sources[0], p) for c, p in self.polys])
+        return LambdaGeneratorSet(self.graph, ps, self.vertex_part.mask)
 
     def __str__(self) -> str:
         vs = ", ".join(self.vertex_part.sorted_members())
@@ -422,17 +416,16 @@ def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
 def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> LambdaReduction:
     """The reduction behind :func:`lambda_reduce` and :func:`contains`.
 
-    ``pairs`` hold K1 cycles of g with nonzero polynomials of nonzero
-    constant term, and ``mask`` the vertex generators as a bitmask over
-    vertex ids, as the ``of`` constructors validate them; nothing is checked
-    again here.  Cycles are keyed by edge ids, and the vertex side stays a
-    bitmask: the closure's mask is the returned vertex part.
+    ``pairs`` hold canonical K1 cycles of g with nonzero polynomials of
+    nonzero constant term, and ``mask`` the vertex generators as a bitmask
+    over vertex ids, as the ``of`` constructors validate them; nothing is
+    checked again here.  Cycles are keyed by their edge ids, and the vertex
+    side stays a bitmask: the closure's mask is the returned vertex part.
     """
     by_cycle: dict[tuple[int, ...], QPoly] = {}
     for c, p in pairs:
-        key = c.rotation_key()
-        prev = by_cycle.get(key)
-        by_cycle[key] = p if prev is None else QPoly.gcd(prev, p)
+        prev = by_cycle.get(c.ids)
+        by_cycle[c.ids] = p if prev is None else QPoly.gcd(prev, p)
 
     ix = _index(g)
     ids = {i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}  # worklist from mask 0
@@ -453,10 +446,7 @@ def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> Lambda
         for key in dropped:
             del surviving[key]
 
-    edges = g.edges
-    polys = tuple(
-        (Cycle(g, tuple(edges[e] for e in key)), surviving[key]) for key in sorted(surviving)
-    )
+    polys = tuple([(Cycle(g, key), surviving[key]) for key in sorted(surviving)])
     return LambdaReduction(g, HeredSatSet(g, mask), polys)
 
 
@@ -479,11 +469,12 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     b = _reduce(g, b.polys, b.vertex_part.mask)
     if not a.vertex_part <= b.vertex_part:
         return False
-    bmap = {c.rotation_key(): q for c, q in b.polys}
+    rng, bmask = _index(g).rng, b.vertex_part.mask
+    bmap = {c.ids: q for c, q in b.polys}
     for c, p in a.polys:
-        if any(s in b.vertex_part for s in c.sources):
+        if any(bmask >> rng[e] & 1 for e in c.ids):
             continue
-        q = bmap.get(c.rotation_key())
+        q = bmap.get(c.ids)
         if q is None or not q.divides(p):
             return False
     return True
@@ -549,8 +540,7 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
             raise ParseError("'coeffs' must be a list of coefficients")
         base = entry.get("base")
         if base is None:
-            cyc = Cycle.of(g, cycle_edges)
-            base = cyc.sources[0]
+            base = Cycle.of(g, cycle_edges).sources[0]
         texts = [str(c) for c in entry["coeffs"]]
         joined = " ".join(texts)  # a space starts no match of either guard
         if _EXPONENT.search(joined):

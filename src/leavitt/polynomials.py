@@ -34,6 +34,8 @@ class QPoly(Record):
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
+        if isinstance(coeffs, str):  # "11" would read as 1 + x
+            raise DomainError("coefficients must be a list, not a string")
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()

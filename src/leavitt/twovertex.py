@@ -187,9 +187,9 @@ def canonicalize16(g: Graph) -> CanonicalForm16:
 class SkeletonFamily(Record):
     """Family of polynomial-generated ideals on one cycle and vertex part.
 
-    ``att`` indexes the attached graded node; ``inside``, a frozenset of
-    node indices, lists the graded nodes whose ideal contains every member
-    of the family.
+    ``cycle`` is a K1 cycle in its canonical rotation.  ``att`` indexes
+    the attached graded node; ``inside``, a frozenset of node indices, lists
+    the graded nodes whose ideal contains every member of the family.
     """
 
     __slots__ = __match_args__ = ("cycle", "att", "inside")
@@ -212,7 +212,7 @@ class LatticeSkeleton(Record):
         :data:`ORDER_BUDGET` orders, counted first, it raises DomainError."""
         rows, covers = self.graded.up_sets(), self.graded.covers()
         n = len(rows)
-        fams = [(f.cycle.rotation_key(), f.att, f.inside) for f in self.families]
+        fams = [(f.cycle.ids, f.att, f.inside) for f in self.families]
         attached = [att for _, att, _ in fams]
         contained = [i for _, _, inside in fams for i in inside]
         below = [sum(row >> j & 1 for row in rows) for j in range(n)]
@@ -245,7 +245,6 @@ class LatticeSkeleton(Record):
         order on nodes and families, dashed arcs for partial containment
         between same-cycle families."""
         nodes, rows = self.graded.elements, self.graded.up_sets()
-        keys = [f.cycle.rotation_key() for f in self.families]
         items = [("n", i) for i in range(len(nodes))]
         items += [("f", i) for i in range(len(self.families))]
 
@@ -256,7 +255,7 @@ class LatticeSkeleton(Record):
             fx = self.families[ix]
             if ky == "n":
                 return iy in fx.inside
-            if keys[ix] == keys[iy]:
+            if fx.cycle.ids == self.families[iy].cycle.ids:
                 return ix == iy
             return self.families[iy].att in fx.inside
 
@@ -274,7 +273,7 @@ class LatticeSkeleton(Record):
             lines.append(f"  {kx}{ix} -> {ky}{iy};")
         for i, fx in enumerate(self.families):
             for j, fy in enumerate(self.families):
-                if i != j and keys[i] == keys[j] and rows[fx.att] >> fy.att & 1:
+                if i != j and fx.cycle.ids == fy.cycle.ids and rows[fx.att] >> fy.att & 1:
                     lines.append(f"  f{i} -> f{j} [style=dashed];")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -291,9 +290,8 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
     ix = _index(g)
     families = []
     for c in k1_cycles(g):  # ordered by rotation key, so the families are too
-        ids = tuple(g._eindex[e] for e in c.edges)
-        required = _close(ix, list(_exit_ids(ix, ids)))
-        srcs = sum(1 << ix.rng[e] for e in ids)  # edge ranges: the distinct sources
+        required = _close(ix, list(_exit_ids(ix, c.ids)))
+        srcs = sum(1 << ix.rng[e] for e in c.ids)  # edge ranges: the distinct sources
         for i, m in enumerate(masks):
             if not m & srcs and not required & ~m:
                 inside = frozenset(j for j, b in enumerate(masks) if not (m | srcs) & ~b)

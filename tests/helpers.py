@@ -255,7 +255,7 @@ def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
         for e in pending:
             w = g.rng(e)
             if w == v:
-                found.append(Cycle(g, tuple(trail) + (e,)))
+                found.append(Cycle(g, tuple([g.edge_index(x) for x in trail + [e]])))
             elif w not in visited:
                 trail.append(e)
                 visited.add(w)
@@ -266,7 +266,7 @@ def simple_cycles_through(g: Graph, v: str) -> tuple[Cycle, ...]:
             if trail:
                 trail.pop()
                 visited.remove(here)
-    found.sort(key=lambda c: (len(c.edges), tuple(g.edge_index(e) for e in c.edges)))
+    found.sort(key=lambda c: (len(c.ids), c.ids))
     return tuple(found)
 
 

@@ -534,6 +534,40 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out == "" and err.startswith("usage: lpa")
 
 
+def test_an_argument_that_begins_with_a_minus_goes_after_dashes(r1, capsys):
+    """argparse reads a word that begins with '-' as an option, so a single
+    negative term is a usage error unless ``--`` comes before it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--graph", r1, "-1/2*e"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: element" in capsys.readouterr().err
+    for argv, out in [
+        (["normalize", "--graph", r1, "--", "-1/2*e"], "-1/2*e\n"),
+        (["grade", "--graph", r1, "--", "-e"], "1: -e\n"),
+        (["mul", "--graph", r1, "--", "-e", "e"], "-e.e\n"),
+        (["mul", "--graph", r1, "e", "--", "-e"], "-e.e\n"),
+        (["contains", "--graph", r1, "--", '{"vertices": []}', '{"vertices": ["v"]}'], "true\n"),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("command, names, what", [
+    ("normalize", ["element"], "element expression"),
+    ("mul", ["left", "right"], "element expression"),
+    ("grade", ["element"], "element expression"),
+    ("extract-vertex", ["element"], "element expression"),
+    ("contains", ["ideal_a", "ideal_b"], "ideal JSON (file or inline)"),
+])
+def test_help_of_each_positional_argument_names_dashes(capsys, command, names, what):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # the wrapping follows the terminal width
+    for name in names:
+        assert f" {name} {what}; one that begins with '-' goes after -- " in text
+
+
 def test_module_entry_point(r1, tmp_path):
     """``python -m leavitt.cli`` runs ``main`` and exits with its code."""
     src = str(Path(leavitt.__file__).resolve().parents[1])

@@ -26,6 +26,7 @@ from helpers import (
 from leavitt import (
     DomainError,
     Element,
+    GraphError,
     Monomial,
     Path,
     ParseError,
@@ -50,6 +51,25 @@ from leavitt import (
 )
 
 RELATION_FIXTURES = {k: ALL_FIXTURES[k] for k in ("R1", "R2", "L2", "G4", "G8", "G6", "E38")}
+
+
+# Edges "ab", "a" and "b": the string "ab" names one edge, not the path a.b.
+AB = validate_graph(["u", "v"], [("ab", "u", "v"), ("a", "u", "u"), ("b", "u", "u")])
+STRING_LISTINGS = {
+    "monomial(alpha)": lambda: monomial(AB, "ab"),
+    "monomial(beta)": lambda: monomial(AB, [], "ab"),
+    "path_element": lambda: path_element(AB, "ab"),
+    "ghost_path_element": lambda: ghost_path_element(AB, "ab"),
+    "monomial_element": lambda: monomial_element(AB, "ab", ["ab"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STRING_LISTINGS))
+def test_a_string_is_no_listing_of_edge_names(entry):
+    with pytest.raises(GraphError, match="must be a list of names, not a string"):
+        STRING_LISTINGS[entry]()
+    assert format_element(path_element(AB, ["ab"])) == "ab"
+    assert format_element(path_element(AB, ["a", "b"])) == "a.b"
 
 
 # --- monomial products ----------------------------------------------------------

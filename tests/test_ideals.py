@@ -35,6 +35,7 @@ from leavitt import (
     CyclePolynomial,
     DomainError,
     Element,
+    GraphError,
     LambdaGeneratorSet,
     LambdaReduction,
     ParseError,
@@ -64,6 +65,23 @@ from leavitt import (
     vertex_membership,
 )
 from leavitt.ideals import _reduce
+
+# Each entry point below would read a string as the listing of its characters:
+# "e" as the cycle e, "v" as the vertex v, "11" as the coefficients of 1 + x.
+STRING_LISTINGS = {
+    "CyclePolynomial.of(edges)": (GraphError, lambda: CyclePolynomial.of(R1, "e", "v", [1, 1])),
+    "CyclePolynomial.of(coeffs)": (DomainError, lambda: CyclePolynomial.of(R1, ["e"], "v", "11")),
+    "LambdaGeneratorSet.of": (GraphError, lambda: LambdaGeneratorSet.of(R1, [], "v")),
+    "LambdaReduction.of": (GraphError, lambda: LambdaReduction.of(R1, "v")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STRING_LISTINGS))
+def test_a_string_is_no_listing_of_names_or_coefficients(entry):
+    error, call = STRING_LISTINGS[entry]
+    with pytest.raises(error, match="must be a list.* not a string"):
+        call()
+
 
 # --- graded lattice -----------------------------------------------------------
 

@@ -26,6 +26,14 @@ def test_from_strings():
     assert p.to_strings() == ("1", "-3/4", "2")
 
 
+@pytest.mark.parametrize("text", ["11", "-1"])
+def test_a_string_is_no_coefficient_list(text):
+    # "11" would read as 1 + x, and "-1" fail on Fraction("-").
+    with pytest.raises(DomainError, match="coefficients must be a list, not a string"):
+        QPoly.of(text)
+    assert QPoly.of([text]) == QPoly.of([int(text)])
+
+
 def test_arithmetic():
     p = QPoly.of([1, 1])        # 1 + x
     q = QPoly.of([-1, 1])       # -1 + x

@@ -427,7 +427,7 @@ def test_walk_counts_give_the_first_two_closed_paths_of_the_search(g):
     bound = len(g.edges) * (len(g.vertices) + 1)
     for v in g.vertices:
         if classify_by_cycle_count(g, v).is_k2:
-            want = tuple(p.key() for p in islice(iter_closed_simple_paths(g, v, bound), 2))
+            want = tuple(p.code for p in islice(iter_closed_simple_paths(g, v, bound), 2))
             assert _two_closed_simple_paths(g, v) == want
         else:
             with pytest.raises(DomainError, match="two closed simple paths within the search bound"):

@@ -4,8 +4,9 @@ and pickle, field-tuple ordering for ``TwoVertexShape``, and a constructor
 that takes the fields in order, written by ``Record`` unless the class
 checks, caches or defaults something.
 
-The repr literals are the strings the dataclass versions printed, so a
-change in any field's name, order or repr shows here.  Every ``Record``
+The repr literals are the strings the dataclass versions printed, except
+that paths and cycles print their integer codes, so a change in any field's
+name, order or repr shows here.  Every ``Record``
 subclass must have samples, so none escapes these checks of the methods
 they inherit.
 """
@@ -99,8 +100,8 @@ SAMPLES = _samples()
 
 FIELDS = {
     "Graph": ("vertices", "edges", "ends"),
-    "Path": ("graph", "base", "edges"),
-    "Cycle": ("graph", "edges"),
+    "Path": ("graph", "code"),
+    "Cycle": ("graph", "ids"),
     "VertexClass": ("kind", "cycle"),
     "HeredSatSet": ("graph", "mask"),
     "Monomial": ("alpha", "beta"),
@@ -121,12 +122,11 @@ FIELDS = {
 
 G_R1 = "Graph(vertices=('v',), edges=('e',), ends=(('v', 'v'),))"
 G_P2 = "Graph(vertices=('a', 'b'), edges=('x',), ends=(('a', 'b'),))"
-CYCLE_E = f"Cycle(graph={G_R1}, edges=('e',))"
+CYCLE_E = f"Cycle(graph={G_R1}, ids=(0,))"
 R1_EMPTY = f"HeredSatSet(graph={G_R1}, mask=0)"
 R1_V = f"HeredSatSet(graph={G_R1}, mask=1)"
 X_MONOMIAL = (
-    f"Monomial(alpha=Path(graph={G_P2}, base='a', edges=('x',)), "
-    f"beta=Path(graph={G_P2}, base='b', edges=()))"
+    f"Monomial(alpha=Path(graph={G_P2}, code=(0, 0)), beta=Path(graph={G_P2}, code=(1,)))"
 )
 R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
 R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
@@ -138,24 +138,21 @@ R1_SKELETON = (
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
 
 
-def _r1_monomial(edges):
-    return (
-        f"Monomial(alpha=Path(graph={G_R1}, base='v', edges={edges}), "
-        f"beta=Path(graph={G_R1}, base='v', edges=()))"
-    )
+def _r1_monomial(code):
+    return f"Monomial(alpha=Path(graph={G_R1}, code={code}), beta=Path(graph={G_R1}, code=(0,)))"
 
 
 REPRS = {
     "Graph": G_R1,
-    "Path": f"Path(graph={G_P2}, base='a', edges=('x',))",
+    "Path": f"Path(graph={G_P2}, code=(0, 0))",
     "Cycle": CYCLE_E,
     "VertexClass": f"VertexClass(kind='K1', cycle={CYCLE_E})",
     "HeredSatSet": R1_V,
     "Monomial": X_MONOMIAL,
     "GradedDecomposition": (
         f"GradedDecomposition(graph={G_R1}, components=("
-        f"(0, Element(graph={G_R1}, terms=(({_r1_monomial('()')}, Fraction(1, 1)),))), "
-        f"(1, Element(graph={G_R1}, terms=(({_r1_monomial(repr(('e',)))}, Fraction(2, 1)),)))))"
+        f"(0, Element(graph={G_R1}, terms=(({_r1_monomial('(0,)')}, Fraction(1, 1)),))), "
+        f"(1, Element(graph={G_R1}, terms=(({_r1_monomial('(0, 0)')}, Fraction(2, 1)),)))))"
     ),
     "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
     "Poset": (
@@ -164,8 +161,8 @@ REPRS = {
     ),
     "GradedIdeal": f"GradedIdeal(generators={R1_V})",
     "ExtractionWitness": (
-        f"ExtractionWitness(left=(Monomial(alpha=Path(graph={G_P2}, base='b', edges=()), "
-        f"beta=Path(graph={G_P2}, base='a', edges=('x',))),), "
+        f"ExtractionWitness(left=(Monomial(alpha=Path(graph={G_P2}, code=(1,)), "
+        f"beta=Path(graph={G_P2}, code=(0, 0))),), "
         "right=(), vertex='b', scalar=Fraction(2, 1))"
     ),
     "CyclePolynomial": R1_CYCLE_POLY,
@@ -359,20 +356,28 @@ def test_two_vertex_shapes_order_by_their_field_tuples():
         a < (1, 0, 0, 0)
 
 
-# Builds a generator set, ideals, skeletons and a classification on fixed
-# graphs, prints their repr and their pickle; given another process's pickle
-# on stdin, it checks that the objects load equal to its own and prints their
-# repr.
+# Builds a path, a cycle, a monomial, an element, a K1 vertex class, an
+# extraction witness, a generator set, ideals, skeletons and a classification
+# on fixed graphs, prints their repr and their pickle; given another process's
+# pickle on stdin, it checks that the objects load equal to its own and prints
+# their repr.
 _REPR_SCRIPT = """
 import pickle, sys
 from leavitt import (
-    CyclePolynomial, LambdaGeneratorSet, build_skeleton, classify, graded_lattice,
-    lambda_reduce, validate_graph,
+    Cycle, CyclePolynomial, LambdaGeneratorSet, Path, build_skeleton, classify,
+    classify_vertex, extract_vertex, graded_lattice, lambda_reduce, monomial, parse_element,
+    validate_graph,
 )
 g3 = validate_graph(["w", "u", "v"], [("e", "u", "u"), ("a", "u", "v"), ("b", "w", "v")])
 g2 = validate_graph(["u", "v"], [("p", "u", "u"), ("a", "u", "v")])
+r2 = validate_graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
 gens = LambdaGeneratorSet.of(g3, [CyclePolynomial.of(g3, ["e"], "u", [-1, 1])], ["v", "w"])
-values = [graded_lattice(g3), gens, lambda_reduce(g3, gens), build_skeleton(g3), classify(g2)]
+values = [
+    Path.of(g3, ["e", "a"]), Cycle.of(g3, ["e"]), monomial(g3, ["e", "a"], ["b"]),
+    parse_element(r2, "2*e.f*' - 1/2*f + v"), classify_vertex(g3, "u"),
+    extract_vertex(r2, parse_element(r2, "e.f*' + 3*f.e.e*'")),
+    graded_lattice(g3), gens, lambda_reduce(g3, gens), build_skeleton(g3), classify(g2),
+]
 print(repr(values))
 print(pickle.dumps(values).hex())
 other = sys.stdin.read().strip()
@@ -384,9 +389,10 @@ if other:
 
 
 def test_reprs_do_not_depend_on_the_string_hash_seed():
-    """Vertex sets print from their bitmasks in vertex order, so three
-    processes with different string-hash seeds print the same reprs, and
-    each loads the previous one's pickle as equal objects with that repr."""
+    """Vertex sets print from their bitmasks and paths and cycles from their
+    integer codes, so three processes with different string-hash seeds print
+    the same reprs, and each loads the previous one's pickle as equal objects
+    with that repr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(leavitt.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     runs, previous = [], ""
