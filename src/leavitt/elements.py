@@ -14,7 +14,9 @@ with like-term collection, makes equality decidable by comparing term maps.
 
 Representation: a path is the integer tuple ``(base_vertex_id, *edge_ids)``,
 the ``code`` a :class:`~leavitt.graphs.Path` holds, and a monomial a.b*' is
-the pair ``(a, b)`` of codes, :attr:`Monomial.code`.  Ids are positions in
+the record ``(graph, code)`` whose code is the pair ``(a, b)`` of path
+codes.  An element is the record ``(graph, codes)`` of its terms
+``((a, b), c)``.  Ids are positions in
 the graph's vertex and edge lists, so the term order (ghost degree
 descending, degree ascending, then the paths' codes) is the tuple
 ``(1 - len(b), len(a) - len(b), a, b)``.  Coefficients are ints while
@@ -22,9 +24,9 @@ integral and Fractions otherwise; sums and products work on integer
 numerators over a common denominator.  They, rewriting and text read only
 these tuples and the graph's cached integer adjacency (the range of each
 edge, and the vertex identity's other edges for a special edge), so their
-cost does not depend on unrelated vertices and edges.  An element keeps
-its terms as codes; ``Element.terms`` wraps them in ``Monomial`` records on
-first access, and names are built only for text.
+cost does not depend on unrelated vertices and edges.  ``Element.terms``
+pairs each code with a ``Monomial`` record on every access, and names are
+built only for text.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import lcm
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path, _index, _listing
-from .records import Record, _set
+from .records import Record
 
 __all__ = [
     "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
@@ -47,59 +49,49 @@ __all__ = [
 
 
 class Monomial(Record):
-    """A product a.b*' of a real path and a reversed ghost path.
+    """A product a.b*' of a real path and a reversed ghost path, held as the
+    kernel's pair of path codes ``code = (a, b)``.
 
-    Both paths live in one graph and share their range vertex.  The degree
-    is deg(a) - deg(b); the ghost degree is deg(b).
+    Both paths share their range vertex.  :func:`monomial` checks that, and
+    so does every element built from monomials; ``Monomial(graph, code)``
+    is the raw constructor and checks nothing, like ``Path(graph, code)``.
+    The degree is deg(a) - deg(b); the ghost degree is deg(b).
     """
 
-    __slots__ = __match_args__ = ("alpha", "beta")
-
-    def __init__(self, alpha: Path, beta: Path) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        if alpha.graph is not beta.graph and alpha.graph != beta.graph:
-            raise DomainError("monomial mixes two graphs")
-        if alpha._rng_id() != beta._rng_id():
-            raise DomainError(
-                f"monomial paths end at different vertices: "
-                f"{alpha.rng!r} vs {beta.rng!r}"
-            )
+    __slots__ = __match_args__ = ("graph", "code")
 
     @property
-    def graph(self) -> Graph:
-        return self.alpha.graph
+    def alpha(self) -> Path:
+        return Path(self.graph, self.code[0])
 
     @property
-    def code(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The kernel's pair of path codes."""
-        return (self.alpha.code, self.beta.code)
+    def beta(self) -> Path:
+        return Path(self.graph, self.code[1])
 
     @property
     def degree(self) -> int:
-        return self.alpha.deg - self.beta.deg
+        a, b = self.code
+        return len(a) - len(b)
 
     @property
     def ghost_degree(self) -> int:
-        return self.beta.deg
+        return len(self.code[1]) - 1
 
     @property
     def row(self) -> str:
         """Source vertex: the monomial is killed by other vertices on the left."""
-        return self.alpha.src
+        return self.graph.vertices[self.code[0][0]]
 
     @property
     def col(self) -> str:
         """Sink-side vertex: the monomial is killed by other vertices on the right."""
-        return self.beta.src
+        return self.graph.vertices[self.code[1][0]]
 
     def sort_key(self) -> tuple:
-        return (-self.ghost_degree, self.degree, self.alpha.code, self.beta.code)
+        return _order((self.code, None))
 
     def __str__(self) -> str:
-        parts = list(self.alpha.edges)
-        parts.extend(e + "*'" for e in reversed(self.beta.edges))
-        return ".".join(parts) if parts else self.alpha.base
+        return _word(self.graph, *self.code)
 
 
 def monomial(
@@ -108,7 +100,7 @@ def monomial(
     beta: Iterable[str] = (),
     at: str | None = None,
 ) -> Monomial:
-    """Monomial from edge lists.
+    """Monomial from edge lists, whose paths must end at one vertex.
 
     ``at`` anchors empty paths: it is the monomial's vertex when both edge
     lists are empty and is ignored otherwise (empty sides anchor at the
@@ -122,7 +114,19 @@ def monomial(
     else:
         ap = Path.of(g, (), at=at)
     bp = Path.of(g, b) if b else Path.of(g, (), at=ap.rng)
-    return Monomial(ap, bp)
+    if ap._rng_id() != bp._rng_id():
+        raise DomainError(
+            f"monomial paths end at different vertices: {ap.rng!r} vs {bp.rng!r}"
+        )
+    return Monomial(g, (ap.code, bp.code))
+
+
+def _word(g: Graph, a: tuple, b: tuple) -> str:
+    """Text of the monomial a.b*': its edges, then its ghost edges in reverse; or its vertex."""
+    if len(a) > 1 or len(b) > 1:
+        es = g.edges
+        return ".".join([es[i] for i in a[1:]] + [es[i] + "*'" for i in b[:0:-1]])
+    return g.vertices[a[0]]
 
 
 def _coefficient(c) -> int | Fraction:
@@ -137,34 +141,17 @@ def _is_scalar(c) -> bool:
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
-_new = object.__new__
-
-
 class Element(Record):
-    """Immutable term map Monomial -> nonzero rational, canonically ordered.
+    """Immutable sum of monomials with nonzero rational coefficients, held as
+    the kernel's terms ``((a, b), c)`` in term order.
 
     :meth:`of` collects like terms and drops zeros but performs no
     rewriting; arithmetic helpers and :func:`normalize` produce normal
     forms.  Terms are ordered by (ghost degree desc, degree asc, paths).
-    ``Element(graph, terms)`` is the raw constructor and checks nothing.
+    ``Element(graph, codes)`` is the raw constructor and checks nothing.
     """
 
-    __slots__ = ("graph", "_codes", "_terms")
-    __match_args__ = ("graph", "terms")  # the repr and the pickled form
-
-    def __init__(self, graph: Graph, terms: Iterable[tuple[Monomial, Fraction]]):
-        terms = tuple(terms)
-        _set(self, "graph", graph)
-        _set(self, "_codes", tuple((m.code, _coefficient(c)) for m, c in terms))
-        _set(self, "_terms", terms)
-
-    @staticmethod
-    def _make(graph: Graph, codes: tuple) -> "Element":
-        x = _new(Element)
-        _set(x, "graph", graph)
-        _set(x, "_codes", codes)
-        _set(x, "_terms", None)
-        return x
+    __slots__ = __match_args__ = ("graph", "codes")
 
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int]]) -> "Element":
@@ -177,35 +164,23 @@ class Element(Record):
 
     @staticmethod
     def zero(graph: Graph) -> "Element":
-        return Element._make(graph, ())
+        return Element(graph, ())
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
-        if self._terms is None:
-            g = self.graph
-            _set(self, "_terms", tuple(
-                (Monomial(Path(g, a), Path(g, b)), Fraction(c)) for (a, b), c in self._codes))
-        return self._terms
+        """The ``(Monomial, Fraction)`` pairs of the codes, built on each access."""
+        g = self.graph
+        return tuple([(Monomial(g, m), Fraction(c)) for m, c in self.codes])
 
     @property
     def is_zero(self) -> bool:
-        return not self._codes
+        return not self.codes
 
     def coeff(self, m: Monomial) -> Fraction:
         return self.term_map().get(m, Fraction(0))
 
     def term_map(self) -> Mapping[Monomial, Fraction]:
         return dict(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._codes == other._codes and (
-            self.graph is other.graph or self.graph == other.graph
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self._codes))
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -214,7 +189,7 @@ class Element(Record):
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        return Element._make(self.graph, tuple((m, -c) for m, c in self._codes))
+        return Element(self.graph, tuple((m, -c) for m, c in self.codes))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -288,7 +263,7 @@ def _collect(g: Graph, acc: dict, den: int = 1) -> Element:
                 c = c // den if c % den == 0 else Fraction(c, den)
             kept.append((m, c))
     kept.sort(key=_order)
-    return Element._make(g, tuple(kept))
+    return Element(g, tuple(kept))
 
 
 def _sum(g: Graph, codes: Iterable[tuple]) -> Element:
@@ -328,7 +303,7 @@ def _rewrite(g: Graph, stack: list[tuple], den: int = 1) -> Element:
 
 def normalize(x: Element) -> Element:
     """Normal form of x; idempotent and degree-preserving per term."""
-    return _rewrite(x.graph, *_scaled([(a, b, c) for (a, b), c in x._codes]))
+    return _rewrite(x.graph, *_scaled([(a, b, c) for (a, b), c in x.codes]))
 
 
 def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
@@ -367,24 +342,24 @@ def _same_graph(x: Element, y: Element) -> None:
 def mul(x: Element, y: Element) -> Element:
     """Bilinear product, returned in normal form."""
     _same_graph(x, y)
-    return _product(x.graph, x._codes, y._codes)
+    return _product(x.graph, x.codes, y.codes)
 
 
 def add(x: Element, y: Element) -> Element:
     _same_graph(x, y)
-    return _sum(x.graph, x._codes + y._codes)
+    return _sum(x.graph, x.codes + y.codes)
 
 
 def sub(x: Element, y: Element) -> Element:
     _same_graph(x, y)
-    return _sum(x.graph, x._codes + tuple((m, -c) for m, c in y._codes))
+    return _sum(x.graph, x.codes + tuple((m, -c) for m, c in y.codes))
 
 
 def scale(c: Fraction | int, x: Element) -> Element:
     """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
     if not _is_scalar(c):
         raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
-    return _sum(x.graph, ((m, c * cc) for m, cc in x._codes))
+    return _sum(x.graph, ((m, c * cc) for m, cc in x.codes))
 
 
 class GradedDecomposition(Record):
@@ -400,12 +375,12 @@ class GradedDecomposition(Record):
         return dict(self.components).get(d, Element.zero(self.graph))
 
     def total(self) -> Element:
-        return _sum(self.graph, [t for _, e in self.components for t in e._codes])
+        return _sum(self.graph, [t for _, e in self.components for t in e.codes])
 
 
 def graded_components(x: Element) -> GradedDecomposition:
     by_deg: dict[int, list[tuple]] = {}
-    for t in x._codes:
+    for t in x.codes:
         (a, b), _ = t
         by_deg.setdefault(len(a) - len(b), []).append(t)
     comps = tuple((d, _sum(x.graph, by_deg[d])) for d in sorted(by_deg))
@@ -420,11 +395,11 @@ def gdeg(x: Element) -> int:
     """Ghost degree of a normal form: the largest ghost-path length among terms."""
     if x.is_zero:
         raise DomainError("the zero element has no ghost degree")
-    return max(len(b) for (_, b), _ in x._codes) - 1
+    return max(len(b) for (_, b), _ in x.codes) - 1
 
 
 def is_homogeneous(x: Element) -> bool:
-    return len({len(a) - len(b) for (a, b), _ in x._codes}) <= 1
+    return len({len(a) - len(b) for (a, b), _ in x.codes}) <= 1
 
 
 # --- textual form -----------------------------------------------------------
@@ -571,13 +546,10 @@ def format_element(x: Element) -> str:
     """Deterministic textual form of an element (normal or not)."""
     if x.is_zero:
         return "0"
-    vs, es = x.graph.vertices, x.graph.edges
+    g = x.graph
     parts = []
-    for (a, b), c in x._codes:
-        if len(a) > 1 or len(b) > 1:
-            word = ".".join([es[i] for i in a[1:]] + [es[i] + "*'" for i in b[:0:-1]])
-        else:
-            word = vs[a[0]]
+    for (a, b), c in x.codes:
+        word = _word(g, a, b)
         mag = abs(c)
         body = word if mag == 1 else f"{mag}*{word}"
         if parts:

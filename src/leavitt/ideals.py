@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Path, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
+    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, _mask_names, lattice_label,
 )
 from .polynomials import QPoly
@@ -95,9 +95,9 @@ class ExtractionWitness(Record):
         from .elements import Element, mul
         x = a
         for m in self.right:
-            x = mul(x, Element.of(a.graph, [(m, 1)]))
+            x = mul(x, Element(m.graph, ((m.code, 1),)))
         for m in self.left:
-            x = mul(Element.of(a.graph, [(m, 1)]), x)
+            x = mul(Element(m.graph, ((m.code, 1),)), x)
         return x
 
     def verify(self, a: Element) -> bool:
@@ -170,7 +170,7 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
     from .elements import Element, Monomial, mul
 
     def single(m: tuple) -> Element:
-        return Element._make(g, ((m, 1),))
+        return Element(g, ((m, 1),))
 
     if a.graph != g:
         raise DomainError("element is not over this graph")
@@ -198,14 +198,14 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
 
     # Stage 1: eliminate ghost halves.  Terms are kept sorted with the
     # deepest ghost path first, so the first term drives the loop.
-    guard = (max(len(b) for (_, b), _ in x._codes) - 1) * (len(g.edges) + 2) + 4
-    while len(x._codes[0][0][1]) > 1:
+    guard = (max(len(b) for (_, b), _ in x.codes) - 1) * (len(g.edges) + 2) + 4
+    while len(x.codes[0][0][1]) > 1:
         guard -= 1
         if guard < 0:
             raise AssertionError("ghost elimination failed to make progress")
-        w = x._codes[0][0][1][0]
+        w = x.codes[0][0][1][0]
         rmul(((w,), (w,)))
-        first = x._codes[0][0][1][1]
+        first = x.codes[0][0][1][1]
         for e in [first] + [f for f in ix.out[w] if f != first]:
             y = mul(x, single(((w, e), (ix.rng[e],))))
             if not y.is_zero:
@@ -217,14 +217,14 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
 
     # Stage 2: all terms are real paths.  Project to a common end vertex,
     # then strip the shortest path from the left.
-    w = x._codes[0][0][1][0]
-    if any(b[0] != w for (_, b), _ in x._codes):
+    w = x.codes[0][0][1][0]
+    if any(b[0] != w for (_, b), _ in x.codes):
         rmul(((w,), (w,)))
-    lmul(((w,), x._codes[0][0][0]))  # the first term's path has minimal degree
+    lmul(((w,), x.codes[0][0][0]))  # the first term's path has minimal degree
 
     # x is now c1*w plus closed paths based at w.
     def closed_paths() -> list:
-        return [a for (a, b), _ in x._codes if len(a) > len(b)]
+        return [a for (a, b), _ in x.codes if len(a) > len(b)]
 
     closed = closed_paths()
     name = g.vertices[w]
@@ -244,13 +244,13 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
                 raise AssertionError("closed-path elimination failed to make progress")
             closed = new_closed
 
-    if len(x._codes) != 1 or x._codes[0][0] != ((w,), (w,)):
+    if len(x.codes) != 1 or x.codes[0][0] != ((w,), (w,)):
         raise AssertionError(f"extraction ended on a non-vertex element {x}")
     witness = ExtractionWitness(
-        tuple([Monomial(Path(g, a), Path(g, b)) for a, b in left]),
-        tuple([Monomial(Path(g, a), Path(g, b)) for a, b in right]),
+        tuple([Monomial(g, m) for m in left]),
+        tuple([Monomial(g, m) for m in right]),
         name,
-        Fraction(x._codes[0][1]),
+        Fraction(x.codes[0][1]),
     )
     if not witness.verify(a):
         raise AssertionError("extraction witness failed verification")

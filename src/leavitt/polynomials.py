@@ -36,7 +36,14 @@ class QPoly(Record):
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
         if isinstance(coeffs, str):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = []
+        for c in coeffs:
+            if type(c) is not Fraction:
+                try:
+                    c = Fraction(c)
+                except (TypeError, ValueError, ArithmeticError):
+                    raise DomainError(f"coefficient {c!r} is not a rational number") from None
+            cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
         return QPoly(tuple(cs))

@@ -10,15 +10,14 @@ through :data:`_set`.  A class writes its own ``__init__`` only when it
 checks, caches or defaults something.  Assignment and deletion raise.  All
 of it comes without the start-up cost of importing :mod:`dataclasses`.
 
-Two records override the pair: :class:`~leavitt.graphs.Graph` keeps
+Only :class:`~leavitt.graphs.Graph` overrides one of the pair: it keeps
 equality but caches its hash, which every monomial and element hash
-repeats, and :class:`~leavitt.elements.Element` compares its integer codes
-rather than its materialised terms.  Equality and hashing are cold paths
-(a few thousand calls in a census round of 1,861 operations), but
-construction is hot.  So the constructor is written as source, one
-``_set(self, "f", f)`` line per field, and compiled once per class, as
-:mod:`dataclasses` does: it runs the same bytecode a hand-written body
-would, with no loop over the field names in any call.
+repeats.  Equality and hashing are cold paths (a few thousand calls in a
+census round of 1,861 operations), but construction is hot.  So the
+constructor is written as source, one ``_set(self, "f", f)`` line per
+field, and compiled once per class, as :mod:`dataclasses` does: it runs
+the same bytecode a hand-written body would, with no loop over the field
+names in any call.
 """
 
 from operator import attrgetter

@@ -373,6 +373,12 @@ def canonical_key_by_permutations(skeleton) -> tuple:
 # works on term lists, so no part of the kernel takes part in its answers.
 
 
+def _monomial(ap: Path, bp: Path) -> Monomial:
+    """The monomial ap.bp*' of two paths that end at one vertex."""
+    assert ap.graph == bp.graph and ap.rng == bp.rng
+    return Monomial(ap.graph, (ap.code, bp.code))
+
+
 def _reduced_turn(g: Graph, out: dict, m: Monomial) -> str | None:
     """Turn vertex when both paths end in its special (first) edge, else None."""
     a, b = m.alpha.edges, m.beta.edges
@@ -407,10 +413,10 @@ def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]
         gam = m.alpha.edges[-1]
         ap = m.alpha.drop_last()
         bp = m.beta.drop_last()
-        stack.append((Monomial(ap, bp), c))
+        stack.append((_monomial(ap, bp), c))
         for f in out_edges[w]:
             if f != gam:
-                stack.append((Monomial(ap.extend((f,)), bp.extend((f,))), -c))
+                stack.append((_monomial(ap.extend((f,)), bp.extend((f,))), -c))
     return collect_by_paths(out)
 
 
@@ -423,10 +429,10 @@ def mul_raw_by_paths(m1: Monomial, m2: Monomial) -> Monomial | None:
     if nb <= ng:
         if gamma.edges[:nb] != beta.edges:
             return None
-        return Monomial(m1.alpha.extend(gamma.edges[nb:]), m2.beta)
+        return _monomial(m1.alpha.extend(gamma.edges[nb:]), m2.beta)
     if beta.edges[:ng] != gamma.edges:
         return None
-    return Monomial(m1.alpha, m2.beta.extend(beta.edges[ng:]))
+    return _monomial(m1.alpha, m2.beta.extend(beta.edges[ng:]))
 
 
 def mul_by_paths(g: Graph, xs, ys) -> tuple[tuple[Monomial, Fraction], ...]:

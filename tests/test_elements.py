@@ -428,8 +428,6 @@ def test_mixed_graph_rejected():
 
 
 def test_graph_mismatches_rejected():
-    with pytest.raises(DomainError, match="monomial mixes two graphs"):
-        Monomial(Path.of(R1, [], at="v"), Path.of(R2, [], at="v"))
     with pytest.raises(DomainError, match="monomial from a different graph"):
         Element.of(R1, [(monomial(R2, at="v"), 1)])
     with pytest.raises(DomainError, match="cannot multiply monomials over different graphs"):
@@ -454,6 +452,14 @@ def test_operators_match_the_functions():
 def test_monomial_range_mismatch():
     with pytest.raises(DomainError, match="different vertices|range"):
         monomial(E38, alpha=("a",), beta=("b",))
+    g = validate_graph(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+    with pytest.raises(DomainError, match="^monomial paths end at different vertices: 'v' vs 'w'$"):
+        monomial(g, ["e"], ["f"])
+    # The raw constructor checks nothing, but no element takes such a term.
+    raw = Monomial(g, ((0, 0), (0, 1)))
+    assert raw.alpha == Path.of(g, ["e"]) and raw.beta == Path.of(g, ["f"])
+    with pytest.raises(DomainError, match="^monomial paths end at different vertices$"):
+        Element.of(g, [(raw, 1)])
 
 
 # --- scalars ----------------------------------------------------------------------
@@ -476,8 +482,8 @@ def test_fractional_products_keep_integral_coefficients_as_ints():
     half = parse_element(R2, "1/2*e + 1/2*f")
     for z in (mul(scale(2, half), vertex_element(R2, "v")), add(half, half), scale(2, half),
               parse_element(R2, "1/2*e + 1/2*e"), Fraction(1, 2) * parse_element(R2, "2*e - 4*f")):
-        assert all(type(c) is int for _, c in z._codes)
-    assert all(type(c) is int or c.denominator > 1 for _, c in xy._codes)
+        assert all(type(c) is int for _, c in z.codes)
+    assert all(type(c) is int or c.denominator > 1 for _, c in xy.codes)
 
 
 @pytest.mark.parametrize("bad", ["3", 0.1, 1.0, True, False, None, 2j])
@@ -498,7 +504,7 @@ def test_elements_are_immutable_values():
         x.graph = R1
     assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
     assert hash(pickle.loads(pickle.dumps(x))) == hash(x)
-    assert Element(R2, x.terms) == x and Element(R2, x.terms).terms == x.terms
+    assert Element(R2, x.codes) == x and Element.of(R2, x.terms) == x
     assert -x == scale(-1, x) and -(-x) == x
     assert x.coeff(monomial(R2, ("f",))) == Fraction(-1, 3)
     assert x.coeff(monomial(R2, ("e",))) == 0

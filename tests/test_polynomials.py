@@ -1,6 +1,7 @@
 """Exact rational polynomial arithmetic."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from helpers import coprime_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import QPoly
+from leavitt import CyclePolynomial, QPoly, validate_graph
 from leavitt.errors import DomainError
 
 
@@ -32,6 +33,15 @@ def test_a_string_is_no_coefficient_list(text):
     with pytest.raises(DomainError, match="coefficients must be a list, not a string"):
         QPoly.of(text)
     assert QPoly.of([text]) == QPoly.of([int(text)])
+
+
+@pytest.mark.parametrize("bad", ["x", None, "1/0"])
+def test_an_unreadable_coefficient_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not a rational"):
+        QPoly.of([1, bad])
+    g = validate_graph(["v"], [("e", "v", "v")])
+    with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not a rational"):
+        CyclePolynomial.of(g, ["e"], "v", ["1", bad])
 
 
 def test_arithmetic():

@@ -2,11 +2,12 @@
 and hash, ``Name(field=value, ...)`` repr, no assignment or deletion, copy
 and pickle, field-tuple ordering for ``TwoVertexShape``, and a constructor
 that takes the fields in order, written by ``Record`` unless the class
-checks, caches or defaults something.
+caches or defaults something.  Only ``Graph`` writes its own equality and
+hash.
 
 The repr literals are the strings the dataclass versions printed, except
-that paths and cycles print their integer codes, so a change in any field's
-name, order or repr shows here.  Every ``Record``
+that paths, cycles, monomials and elements print their integer codes, so a
+change in any field's name, order or repr shows here.  Every ``Record``
 subclass must have samples, so none escapes these checks of the methods
 they inherit.
 """
@@ -71,6 +72,7 @@ def _samples():
             hereditary_saturated_closure(P2, []),
         ),
         "Monomial": (monomial(P2, ["x"]), monomial(P2, [], ["x"])),
+        "Element": (parse_element(R1, "v - 1/2*e"), parse_element(R1, "e")),
         "GradedDecomposition": (
             graded_components(parse_element(R1, "v + 2*e")),
             graded_components(parse_element(R1, "e")),
@@ -104,7 +106,8 @@ FIELDS = {
     "Cycle": ("graph", "ids"),
     "VertexClass": ("kind", "cycle"),
     "HeredSatSet": ("graph", "mask"),
-    "Monomial": ("alpha", "beta"),
+    "Monomial": ("graph", "code"),
+    "Element": ("graph", "codes"),
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("coeffs",),
     "Poset": ("elements", "cover_pairs"),
@@ -125,9 +128,6 @@ G_P2 = "Graph(vertices=('a', 'b'), edges=('x',), ends=(('a', 'b'),))"
 CYCLE_E = f"Cycle(graph={G_R1}, ids=(0,))"
 R1_EMPTY = f"HeredSatSet(graph={G_R1}, mask=0)"
 R1_V = f"HeredSatSet(graph={G_R1}, mask=1)"
-X_MONOMIAL = (
-    f"Monomial(alpha=Path(graph={G_P2}, code=(0, 0)), beta=Path(graph={G_P2}, code=(1,)))"
-)
 R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
 R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
@@ -138,21 +138,20 @@ R1_SKELETON = (
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
 
 
-def _r1_monomial(code):
-    return f"Monomial(alpha=Path(graph={G_R1}, code={code}), beta=Path(graph={G_R1}, code=(0,)))"
-
-
 REPRS = {
     "Graph": G_R1,
     "Path": f"Path(graph={G_P2}, code=(0, 0))",
     "Cycle": CYCLE_E,
     "VertexClass": f"VertexClass(kind='K1', cycle={CYCLE_E})",
     "HeredSatSet": R1_V,
-    "Monomial": X_MONOMIAL,
+    "Monomial": f"Monomial(graph={G_P2}, code=((0, 0), (1,)))",
+    "Element": (
+        f"Element(graph={G_R1}, codes=((((0,), (0,)), 1), (((0, 0), (0,)), Fraction(-1, 2))))"
+    ),
     "GradedDecomposition": (
         f"GradedDecomposition(graph={G_R1}, components=("
-        f"(0, Element(graph={G_R1}, terms=(({_r1_monomial('(0,)')}, Fraction(1, 1)),))), "
-        f"(1, Element(graph={G_R1}, terms=(({_r1_monomial('(0, 0)')}, Fraction(2, 1)),)))))"
+        f"(0, Element(graph={G_R1}, codes=((((0,), (0,)), 1),))), "
+        f"(1, Element(graph={G_R1}, codes=((((0, 0), (0,)), 2),)))))"
     ),
     "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
     "Poset": (
@@ -161,8 +160,7 @@ REPRS = {
     ),
     "GradedIdeal": f"GradedIdeal(generators={R1_V})",
     "ExtractionWitness": (
-        f"ExtractionWitness(left=(Monomial(alpha=Path(graph={G_P2}, code=(1,)), "
-        f"beta=Path(graph={G_P2}, code=(0, 0))),), "
+        f"ExtractionWitness(left=(Monomial(graph={G_P2}, code=((1,), (0, 0))),), "
         "right=(), vertex='b', scalar=Fraction(2, 1))"
     ),
     "CyclePolynomial": R1_CYCLE_POLY,
@@ -204,16 +202,14 @@ def _record_classes():
 
 
 RECORDS = _record_classes()
-# The records that check (Monomial), cache (Graph, Element) or default
-# (VertexClass, Classification) something in their constructor.
-OWN_INIT = {"Graph", "Monomial", "Element", "VertexClass", "Classification"}
+# The records that cache (Graph) or default (VertexClass, Classification)
+# something in their constructor.
+OWN_INIT = {"Graph", "VertexClass", "Classification"}
 GENERATED = sorted(set(RECORDS) - OWN_INIT)
 
 
 def test_every_class_is_sampled():
-    # Element compares and hashes its integer codes, not its field tuple;
-    # test_elements.py checks its equality, hash, copy and pickle.
-    assert set(SAMPLES) == set(FIELDS) == set(REPRS) == set(RECORDS) - {"Element"}
+    assert set(SAMPLES) == set(FIELDS) == set(REPRS) == set(RECORDS)
     for name, pair in SAMPLES.items():
         assert [type(x).__name__ for x in pair] == [name, name]
 
@@ -248,6 +244,15 @@ def test_equality_is_only_against_the_same_class(name):
     a = SAMPLES[name][0]
     assert a.__eq__(_fields(a)) is NotImplemented
     assert a != _fields(a)
+
+
+def test_only_graph_writes_its_own_equality_and_hash():
+    """Graph caches its hash; every other record compares and hashes its field tuple."""
+    own = {
+        name for name, cls in RECORDS.items()
+        if "__eq__" in cls.__dict__ or "__hash__" in cls.__dict__
+    }
+    assert own == {"Graph"}
 
 
 @pytest.mark.parametrize("name", NAMES)
