@@ -28,10 +28,10 @@ _EXPORTS = {
     ),
     "polynomials": ("QPoly",),
     "ideals": (
-        "CyclePolynomial", "ExtractionWitness", "GradedIdeal", "LambdaGeneratorSet",
-        "LambdaReduction", "contains", "extract_vertex", "generator_set_from_json",
-        "generator_set_to_json", "graded_lattice", "is_graded", "lambda_reduce", "lattice_dot",
-        "nongraded_witness", "reduction_to_json", "vertex_membership",
+        "CyclePolynomial", "ExtractionWitness", "LambdaGeneratorSet", "LambdaReduction",
+        "contains", "extract_vertex", "generator_set_from_json", "generator_set_to_json",
+        "graded_lattice", "is_graded", "lambda_reduce", "lattice_dot", "nongraded_witness",
+        "reduction_to_json", "vertex_membership",
     ),
     "twovertex": (
         "CanonicalForm16", "Classification", "LatticeSkeleton", "TwoVertexShape",

@@ -78,9 +78,9 @@ def _graded_lattice(g, args):
     from .ideals import graded_lattice, lattice_dot
     poset = graded_lattice(g)
     nodes, covers = poset.elements, poset.covers()
-    payload = {"nodes": [list(node.generators.sorted_members()) for node in nodes],
-               "covers": [list(c) for c in covers]}
-    names = [str(node) for node in nodes]
+    members = [node.vertex_part.sorted_members() for node in nodes]
+    payload = {"nodes": [list(ms) for ms in members], "covers": [list(c) for c in covers]}
+    names = ["<" + (", ".join(ms) or "0") + ">" for ms in members]
     lines = names + [f"{names[i]} < {names[j]}" for i, j in covers]
     return Output(payload, lines, lambda: lattice_dot(g, poset))
 

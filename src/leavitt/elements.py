@@ -130,11 +130,19 @@ def _word(g: Graph, a: tuple, b: tuple) -> str:
 
 
 def _coefficient(c) -> int | Fraction:
-    """Exact coefficient: an int when integral, else a Fraction."""
+    """Exact coefficient, an int when integral, else a Fraction, of an int
+    (not a bool), a Fraction, or a string that Fraction reads without an
+    exponent ("1e999999999" would build a billion-digit integer); the rule
+    of ``QPoly.of``."""
     if type(c) is int:
         return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if _is_scalar(c) or isinstance(c, str) and "e" not in c.lower():
+        try:
+            c = Fraction(c)
+            return c.numerator if c.denominator == 1 else c
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"coefficient {c!r} is not a rational number")
 
 
 def _is_scalar(c) -> bool:

@@ -1,7 +1,8 @@
 """Ideal analysis: the graded-ideal lattice, vertex extraction, non-graded
 generators, and canonical generating data for cycle-polynomial ideals.
 
-Graded ideals correspond bijectively to hereditary saturated vertex sets.
+An ideal is a :class:`LambdaReduction`, a hereditary saturated vertex set
+plus polynomials in K1 cycles; graded ideals have no polynomials.
 On a graph satisfying Condition (K), any nonzero element can be pushed to a
 nonzero scalar multiple of a vertex by one-sided multiplications
 (:func:`extract_vertex` returns the factors used as a checkable witness).
@@ -12,8 +13,9 @@ An ideal given by polynomials in K1 cycles plus a vertex set reduces to a
 canonical generating set: one monic polynomial per cycle (gcd), vertex side
 closed hereditarily and saturatedly together with the exit ranges of all
 cycles that keep a polynomial, and polynomials based inside the vertex side
-dropped (:func:`lambda_reduce`).  Containment of such ideals reduces to
-vertex-set inclusion plus polynomial divisibility (:func:`contains`).
+dropped (:func:`lambda_reduce`, :meth:`LambdaReduction.of`); every ideal
+the library returns has this form.  Containment then reduces to vertex-set
+inclusion plus polynomial divisibility (:func:`contains`).
 """
 
 from __future__ import annotations
@@ -36,25 +38,15 @@ if TYPE_CHECKING:
     from .elements import Element, Monomial
 
 __all__ = [
-    "Poset", "GradedIdeal", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
+    "Poset", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
     "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
     "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
     "generator_set_from_json", "generator_set_to_json", "reduction_to_json",
 ]
 
 
-class GradedIdeal(Record):
-    """A graded ideal, named by its hereditary saturated vertex set."""
-
-    __slots__ = __match_args__ = ("generators",)
-
-    def __str__(self) -> str:
-        ms = self.generators.sorted_members()
-        return "<" + (", ".join(ms) if ms else "0") + ">"
-
-
 def graded_lattice(g: Graph) -> Poset:
-    """All graded ideals ordered by inclusion; bottom <0>, top the algebra.
+    """All graded ideals, the reductions with no polynomials, ordered by inclusion.
 
     The ideals come in the order of their vertex sets in
     :func:`~leavitt.graphs.all_hereditary_saturated_sets`, and the poset
@@ -62,14 +54,14 @@ def graded_lattice(g: Graph) -> Poset:
     is derived from them only on demand.
     """
     masks, covers = _lattice(g)
-    return Poset(tuple([GradedIdeal(HeredSatSet(g, m)) for m in masks]), covers)
+    return Poset(tuple([LambdaReduction(g, HeredSatSet(g, m), ()) for m in masks]), covers)
 
 
 def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
     """Hasse diagram of a graded-ideal poset in DOT form."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for i, node in enumerate(poset.elements):
-        lines.append(f'  n{i} [label="{lattice_label(node.generators)}"];')
+        lines.append(f'  n{i} [label="{lattice_label(node.vertex_part)}"];')
     for i, j in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
@@ -342,14 +334,13 @@ class LambdaGeneratorSet(Record):
 
 
 class LambdaReduction(Record):
-    """Generating data: a hereditary saturated vertex set ``vertex_part``
-    plus at most one monic polynomial per K1 cycle not based inside it, as
-    (Cycle, QPoly) pairs in ``polys``: canonical cycles, rotation-key order.
+    """An ideal: a hereditary saturated vertex set ``vertex_part`` plus at
+    most one monic polynomial per K1 cycle not based inside it, as (Cycle,
+    QPoly) pairs in ``polys``: canonical cycles, rotation-key order.
 
-    Values produced by :func:`lambda_reduce` are canonical.  Ones built by
-    :meth:`of` are validated but may lack the exit-range closure of the
-    vertex part; :func:`contains` trusts their validation and reduces
-    them without checking again.
+    :func:`lambda_reduce` and :meth:`of` return the canonical value, whose
+    vertex part holds the exit ranges of the cycles that keep a polynomial,
+    so one ideal has one value.  The raw constructor checks nothing.
     """
 
     __slots__ = __match_args__ = ("graph", "vertex_part", "polys")
@@ -382,11 +373,7 @@ class LambdaReduction(Record):
             if any(part.mask >> rng[e] & 1 for e in c.ids):
                 raise DomainError(f"cycle {c} is based inside the vertex part")
             out.append((c, p))
-        out.sort(key=lambda cp: cp[0].ids)
-        return LambdaReduction(g, part, tuple(out))
-
-    def poly_map(self) -> dict[Cycle, QPoly]:
-        return dict(self.polys)
+        return _reduce(g, out, part.mask)
 
     def generator_set(self) -> LambdaGeneratorSet:
         ps = tuple([CyclePolynomial(c, c.sources[0], p) for c, p in self.polys])
@@ -414,7 +401,7 @@ def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
 
 
 def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> LambdaReduction:
-    """The reduction behind :func:`lambda_reduce` and :func:`contains`.
+    """The reduction behind :func:`lambda_reduce` and :meth:`LambdaReduction.of`.
 
     ``pairs`` hold canonical K1 cycles of g with nonzero polynomials of
     nonzero constant term, and ``mask`` the vertex generators as a bitmask
@@ -456,17 +443,14 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     The rule: I(a) lies in I(b) exactly when lambda-reducing the generators
     of a and b together gives b again, as ideals are determined by their
     hereditary saturated vertex part and cycle polynomials (Rangaswamy,
-    J. Algebra 375 (2013)).  Both sides are brought to canonical form by
-    the reduction core, which trusts the data :meth:`LambdaReduction.of`
-    validated; then a's vertex part must lie in b's, and each polynomial of
-    a must sit on a cycle that meets b's vertex part or be divisible by b's
-    polynomial on that cycle (a missing polynomial acts as the zero
-    polynomial).
+    J. Algebra 375 (2013)).  Both sides are canonical, as every reduction
+    the library returns is, so nothing is reduced here: a's vertex part
+    must lie in b's, and each polynomial of a must sit on a cycle that
+    meets b's vertex part or be divisible by b's polynomial on that cycle
+    (a missing polynomial acts as the zero polynomial).
     """
     if a.graph != g or b.graph != g:
         raise DomainError("reductions over a different graph")
-    a = _reduce(g, a.polys, a.vertex_part.mask)
-    b = _reduce(g, b.polys, b.vertex_part.mask)
     if not a.vertex_part <= b.vertex_part:
         return False
     rng, bmask = _index(g).rng, b.vertex_part.mask
@@ -481,13 +465,13 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
 
 
 def vertex_membership(g: Graph, v: str, i: LambdaReduction) -> bool:
-    """Whether vertex v lies in the ideal; expects a canonical reduction."""
+    """Whether vertex v lies in the ideal."""
     g.check_vertex(v)
     return v in i.vertex_part
 
 
 def is_graded(i: LambdaReduction) -> bool:
-    """A canonical reduction generates a graded ideal iff it has no polynomials."""
+    """A reduction generates a graded ideal iff it has no polynomials."""
     return not i.polys
 
 

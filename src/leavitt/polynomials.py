@@ -36,14 +36,7 @@ class QPoly(Record):
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
         if isinstance(coeffs, str):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
-        cs = []
-        for c in coeffs:
-            if type(c) is not Fraction:
-                try:
-                    c = Fraction(c)
-                except (TypeError, ValueError, ArithmeticError):
-                    raise DomainError(f"coefficient {c!r} is not a rational number") from None
-            cs.append(c)
+        cs = [c if type(c) is Fraction else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return QPoly(tuple(cs))
@@ -202,6 +195,20 @@ class QPoly(Record):
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
+
+
+def _rational(c) -> Fraction:
+    """A coefficient as a Fraction, by the rule of ``elements._coefficient``:
+    an int (not a bool), a Fraction, or a string Fraction reads without an
+    exponent."""
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool) or (
+        isinstance(c, str) and "e" not in c.lower()
+    ):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"coefficient {c!r} is not a rational number")
 
 
 def _primitive(coeffs: tuple[Fraction, ...]) -> list[int]:

@@ -197,9 +197,9 @@ class SkeletonFamily(Record):
 
 class LatticeSkeleton(Record):
     """Finite summary of a graph's cycle-polynomial ideal lattice: ``graded``
-    is a Poset of the HeredSatSets under inclusion, the nodes that
-    :func:`~leavitt.ideals.graded_lattice` wraps, and ``families`` a tuple
-    of :class:`SkeletonFamily`."""
+    is a Poset of the HeredSatSets under inclusion, the vertex parts of the
+    nodes of :func:`~leavitt.ideals.graded_lattice`, and ``families`` a
+    tuple of :class:`SkeletonFamily`."""
 
     __slots__ = __match_args__ = ("graph", "graded", "families")
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -70,6 +71,24 @@ def test_a_string_is_no_listing_of_edge_names(entry):
         STRING_LISTINGS[entry]()
     assert format_element(path_element(AB, ["ab"])) == "ab"
     assert format_element(path_element(AB, ["a", "b"])) == "a.b"
+
+
+@pytest.mark.parametrize("bad", ["x", None, "1/0", 0.1, True, "1e10000000", "2E3"])
+def test_an_unreadable_coefficient_is_a_domain_error(bad):
+    """The rule of ``QPoly.of``: an int (not a bool), a Fraction, or a string
+    that Fraction reads without an exponent."""
+    m = monomial(R1, ["e"])
+    message = f"^coefficient {re.escape(repr(bad))} is not a rational number$"
+    with pytest.raises(DomainError, match=message):
+        Element.of(R1, [(m, bad)])
+    with pytest.raises(DomainError, match=message):
+        monomial_element(R1, ["e"], coeff=bad)
+
+
+def test_coefficients_are_ints_fractions_or_strings():
+    m = monomial(R1, ["e"])
+    for c, want in ((2, "2*e"), (Fraction(-1, 3), "-1/3*e"), ("0.25", "1/4*e"), (" 6/3 ", "2*e")):
+        assert format_element(Element.of(R1, [(m, c)])) == want
 
 
 # --- monomial products ----------------------------------------------------------

@@ -88,7 +88,7 @@ def test_a_string_is_no_listing_of_names_or_coefficients(entry):
 
 def test_lattice_disjoint_vertices_is_boolean():
     poset = graded_lattice(G1)
-    assert [n.generators.members for n in poset.elements] == [
+    assert [n.vertex_part.members for n in poset.elements] == [
         frozenset(),
         {"u"},
         {"v"},
@@ -99,7 +99,7 @@ def test_lattice_disjoint_vertices_is_boolean():
 
 def test_lattice_two_line_is_a_two_chain():
     poset = graded_lattice(L2)
-    assert [n.generators.members for n in poset.elements] == [frozenset(), {"u", "v"}]
+    assert [n.vertex_part.members for n in poset.elements] == [frozenset(), {"u", "v"}]
     assert poset.covers() == ((0, 1),)
 
 
@@ -110,13 +110,24 @@ def test_lattice_of_twelve_isolated_vertices_is_boolean():
     poset = graded_lattice(g)
     assert len(poset) == 4096
     assert len(poset.covers()) == 12 * 2048
-    sets = [node.generators.members for node in poset.elements]
+    sets = [node.vertex_part.members for node in poset.elements]
     assert all(len(sets[j] - sets[i]) == 1 and sets[i] < sets[j] for i, j in poset.covers())
 
 
 def test_lattice_rose():
     poset = graded_lattice(R1)
-    assert [n.generators.members for n in poset.elements] == [frozenset(), {"v"}]
+    assert [n.vertex_part.members for n in poset.elements] == [frozenset(), {"v"}]
+
+
+def test_graded_lattice_nodes_are_graded_ideals_ordered_by_contains():
+    for name, g in ALL_FIXTURES.items():
+        poset = graded_lattice(g)
+        nodes, rows = poset.elements, poset.up_sets()
+        assert all(type(n) is LambdaReduction and n.polys == () and is_graded(n) for n in nodes)
+        for i, a in enumerate(nodes):
+            assert [contains(g, a, b) for b in nodes] == [
+                bool(rows[i] >> j & 1) for j in range(len(nodes))
+            ], name
 
 
 def test_lattice_dot_deterministic():
@@ -415,9 +426,13 @@ def test_contains_reflexive():
     assert contains(G6, a, a)
 
 
-def test_contains_noncanonical_input_is_canonicalized():
-    # vertex part below the exit-range closure: still a valid generating set
+def test_of_closes_the_vertex_part_under_exit_ranges():
+    """x + 1 on (e) at u puts the exit range {v} into the ideal, so ``of``
+    returns the canonical value that ``lambda_reduce`` gives."""
     a = LambdaReduction.of(G6, (), [(k1_cycles(G6)[0], QPoly.of([1, 1]))])
+    assert a == _reduction(G6, polys=[(("e",), "u", [1, 1])])
+    assert str(a) == "vertices {v} with x + 1 on (e)"
+    assert vertex_membership(G6, "v", a) and not vertex_membership(G6, "u", a)
     b = _reduction(G6, vertices=["u"])
     assert b.vertex_part.members == {"u", "v"}
     assert contains(G6, a, b)
@@ -511,7 +526,9 @@ def test_contains_exhaustive_partial_order():
 def test_reduction_core_matches_the_generator_set_round_trip():
     """The core trusts validated data; revalidating every cycle through
     ``generator_set()`` and reducing again must give the same result."""
-    noncanonical = LambdaReduction.of(G6, (), [(k1_cycles(G6)[0], QPoly.of([1, 1]))])
+    # a vertex part below the exit-range closure, which only the raw constructor builds
+    empty, e = hereditary_saturated_closure(G6, []), k1_cycles(G6)[0]
+    noncanonical = LambdaReduction(G6, empty, ((e, QPoly.of([1, 1])),))
     for g, extra in ((R1, []), (G6, [noncanonical])):
         for r in _canonical_reductions(g) + extra:
             old_path = lambda_reduce(g, r.generator_set())

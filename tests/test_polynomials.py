@@ -35,7 +35,12 @@ def test_a_string_is_no_coefficient_list(text):
     assert QPoly.of([text]) == QPoly.of([int(text)])
 
 
-@pytest.mark.parametrize("bad", ["x", None, "1/0"])
+# Fraction reads 0.1 as its binary fraction, True as 1, and "1e10000000"
+# only after building a ten-million-digit integer.
+UNREADABLE = ["x", None, "1/0", 0.1, True, "1e10000000", "2E3"]
+
+
+@pytest.mark.parametrize("bad", UNREADABLE)
 def test_an_unreadable_coefficient_is_a_domain_error(bad):
     with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not a rational"):
         QPoly.of([1, bad])

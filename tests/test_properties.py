@@ -186,7 +186,7 @@ def test_hered_sat_set_masks_match_their_names(g):
 @given(multigraphs(max_vertices=6))
 def test_lattice_covers_match_definition(g):
     poset = graded_lattice(g)
-    sets = [node.generators.members for node in poset.elements]
+    sets = [node.vertex_part.members for node in poset.elements]
     assert poset.covers() == covers_by_definition(sets, lambda a, b: a <= b)
 
 

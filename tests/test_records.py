@@ -79,7 +79,6 @@ def _samples():
         ),
         "QPoly": (QPoly.of(["-1", "0", "1/2"]), QPoly.of([1])),
         "Poset": (lattice, Poset.build([1, 2, 3], lambda a, b: a <= b)),
-        "GradedIdeal": (lattice.elements[1], lattice.elements[0]),
         "ExtractionWitness": (
             extract_vertex(P2, parse_element(P2, "2*x")),
             extract_vertex(P2, parse_element(P2, "b")),
@@ -111,7 +110,6 @@ FIELDS = {
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("coeffs",),
     "Poset": ("elements", "cover_pairs"),
-    "GradedIdeal": ("generators",),
     "ExtractionWitness": ("left", "right", "vertex", "scalar"),
     "CyclePolynomial": ("cycle", "base", "poly"),
     "LambdaGeneratorSet": ("graph", "polys", "mask"),
@@ -155,10 +153,9 @@ REPRS = {
     ),
     "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
     "Poset": (
-        f"Poset(elements=(GradedIdeal(generators={R1_EMPTY}), GradedIdeal(generators={R1_V})), "
-        "cover_pairs=((0, 1),))"
+        f"Poset(elements=(LambdaReduction(graph={G_R1}, vertex_part={R1_EMPTY}, polys=()), "
+        f"LambdaReduction(graph={G_R1}, vertex_part={R1_V}, polys=())), cover_pairs=((0, 1),))"
     ),
-    "GradedIdeal": f"GradedIdeal(generators={R1_V})",
     "ExtractionWitness": (
         f"ExtractionWitness(left=(Monomial(graph={G_P2}, code=((1,), (0, 0))),), "
         "right=(), vertex='b', scalar=Fraction(2, 1))"
