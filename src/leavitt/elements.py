@@ -20,7 +20,8 @@ codes.  An element is the record ``(graph, codes)`` of its terms
 the graph's vertex and edge lists, so the term order (ghost degree
 descending, degree ascending, then the paths' codes) is the tuple
 ``(1 - len(b), len(a) - len(b), a, b)``.  Coefficients are ints while
-integral and Fractions otherwise; sums and products work on integer
+integral and Fractions otherwise, read by the package's one coefficient
+rule, ``polynomials._rational``; sums and products work on integer
 numerators over a common denominator.  They, rewriting and text read only
 these tuples and the graph's cached integer adjacency (the range of each
 edge, and the vertex identity's other edges for a special edge), so their
@@ -129,22 +130,6 @@ def _word(g: Graph, a: tuple, b: tuple) -> str:
     return g.vertices[a[0]]
 
 
-def _coefficient(c) -> int | Fraction:
-    """Exact coefficient, an int when integral, else a Fraction, of an int
-    (not a bool), a Fraction, or a string that Fraction reads without an
-    exponent ("1e999999999" would build a billion-digit integer); the rule
-    of ``QPoly.of``."""
-    if type(c) is int:
-        return c
-    if _is_scalar(c) or isinstance(c, str) and "e" not in c.lower():
-        try:
-            c = Fraction(c)
-            return c.numerator if c.denominator == 1 else c
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DomainError(f"coefficient {c!r} is not a rational number")
-
-
 def _is_scalar(c) -> bool:
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
@@ -162,12 +147,15 @@ class Element(Record):
     __slots__ = __match_args__ = ("graph", "codes")
 
     @staticmethod
-    def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int]]) -> "Element":
+    def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int | str]]) -> "Element":
+        """Sum of ``(monomial, coefficient)`` pairs, each coefficient read by
+        the rule of :func:`leavitt.polynomials._rational`."""
+        from .polynomials import _rational
         codes = []
         for m, c in items:
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
-            codes.append((m.code, _coefficient(c)))
+            codes.append((m.code, _rational(c)))
         return _sum(graph, codes)
 
     @staticmethod
@@ -231,7 +219,7 @@ def monomial_element(
     alpha: Iterable[str] = (),
     beta: Iterable[str] = (),
     at: str | None = None,
-    coeff: Fraction | int = 1,
+    coeff: Fraction | int | str = 1,
 ) -> Element:
     return Element.of(g, [(monomial(g, alpha, beta, at), coeff)])
 
@@ -505,7 +493,7 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
                 den = integer()
                 if den == 0:
                     raise ParseError("zero denominator")
-            c *= num if den == 1 else _coefficient(Fraction(num, den))
+            c *= num if den == 1 else Fraction(num, den)
             take("star")
         factors = [factor()]
         while tokens[pos][0] == "dot":

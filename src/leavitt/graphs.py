@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _TRIPLE_TYPES = {tuple, list}
+_STRINGS = (str, bytes, bytearray)  # never a listing: they iterate as characters or ints
 HS_SET_BUDGET = 1 << 16  # most hereditary saturated sets listed for one graph
 
 
@@ -71,8 +72,8 @@ def _check_name(name: str) -> None:
 
 
 def _listing(names: Iterable[str], what: str) -> tuple:
-    """``names`` as a tuple; a bare string is rejected, not read as one-letter names."""
-    if isinstance(names, str):
+    """``names`` as a tuple; a bare string or bytes is rejected, not read as one-letter names."""
+    if isinstance(names, _STRINGS):
         raise GraphError(f"{what} must be a list of names, not a string")
     return tuple(names)
 
@@ -160,8 +161,8 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]
     ``vertices`` is an iterable of names; ``edges`` an iterable of
     ``(name, source, range)`` triples (tuples or lists).  Input order is
     preserved.  Names must be unique across vertices *and* edges so that
-    element expressions stay unambiguous.  A bare string is rejected where a
-    listing is required.
+    element expressions stay unambiguous.  A bare string or bytes is rejected
+    where a listing is required.
 
     The checks run in bulk: ``isascii`` over all names joined and
     ``isidentifier`` mapped over them, the graph's own name indexes as the
@@ -171,7 +172,7 @@ def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]
     shape, name, source and range.
     """
     vs = _listing(vertices, "vertices")
-    if isinstance(edges, str):
+    if isinstance(edges, _STRINGS):
         raise GraphError("edges must be a list of (name, source, range) triples, not a string")
     if not vs:
         raise GraphError("a graph needs at least one vertex")

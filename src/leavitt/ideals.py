@@ -21,7 +21,6 @@ inclusion plus polynomial divisibility (:func:`contains`).
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, _mask_names, lattice_label,
 )
-from .polynomials import QPoly
+from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly, _rational
 from .records import Record
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
@@ -482,20 +481,15 @@ def is_graded(i: LambdaReduction) -> bool:
 #
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
-# rejected.  Once those two guards pass, each coefficient is read with int()
-# first, and with Fraction only when int() refuses it, so integral
-# coefficients skip Fraction's string parser; the two agree on every text
-# int() accepts, and Fraction's error is the one reported.
+# rejected for the whole list.  Once those two guards pass, each coefficient
+# is read by the coefficient rule, ``polynomials._rational``, and a text it
+# refuses is reported with Fraction's error.
 
 
 def _names(value, key: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"'{key}' must be a list of names")
     return value
-
-
-_EXPONENT = re.compile(r"[eE][-+]?\d")
-_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
 
 
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
@@ -528,20 +522,13 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         texts = [str(c) for c in entry["coeffs"]]
         joined = " ".join(texts)  # a space starts no match of either guard
         if _EXPONENT.search(joined):
-            # Fraction("1e999999999") would build a billion-digit integer.
             raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
         if _NOT_ASCII_DIGIT.search(joined):
-            # Fraction reads "\u0663" as 3 and "1_0" as 10.
             raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
-        coeffs = []
-        for t in texts:
-            try:
-                coeffs.append(int(t))
-            except ValueError:  # not a plain decimal integer: Fraction reads it or says why not
-                try:
-                    coeffs.append(Fraction(t))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
+        try:
+            coeffs = [_rational(t) for t in texts]
+        except DomainError as exc:
+            raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc.__cause__}") from exc
         polys.append(CyclePolynomial.of(g, cycle_edges, base, coeffs))
     return LambdaGeneratorSet.of(g, polys, vertices)
 

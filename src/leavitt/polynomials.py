@@ -12,10 +12,15 @@ monic gcd.  The gcd is a primitive pseudo-remainder sequence (Collins,
 JACM 14 (1967); Knuth, TAOCP vol. 2, 4.6.1), made monic only at the end,
 so its coefficients stay bounded where Euclid's algorithm over Q lets them
 grow with every step.
+
+The module owns the package's one coefficient rule, :func:`_rational`:
+``QPoly.of``, ``CyclePolynomial.of``, ``Element.of`` and the JSON wire
+format read every coefficient through it.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,9 +39,9 @@ class QPoly(Record):
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
-        if isinstance(coeffs, str):  # "11" would read as 1 + x
+        if isinstance(coeffs, (str, bytes, bytearray)):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
-        cs = [c if type(c) is Fraction else _rational(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(_rational(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return QPoly(tuple(cs))
@@ -197,18 +202,40 @@ class QPoly(Record):
         return " ".join(parts)
 
 
-def _rational(c) -> Fraction:
-    """A coefficient as a Fraction, by the rule of ``elements._coefficient``:
-    an int (not a bool), a Fraction, or a string Fraction reads without an
-    exponent."""
-    if isinstance(c, (int, Fraction)) and not isinstance(c, bool) or (
-        isinstance(c, str) and "e" not in c.lower()
-    ):
+# Fraction("1e999999999") would build a billion-digit integer, and Fraction
+# reads "\u0663" (Arabic-Indic three) as 3 and "1_0" as 10.
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
+
+
+def _rational(c) -> int | Fraction:
+    """The coefficient rule: an int when integral, else a Fraction, of an int
+    (not a bool), a Fraction, or a string with no exponent, no ``_`` and no
+    non-ASCII digit, read by ``int()`` and, when that refuses it, by
+    ``Fraction()``.  Anything else raises DomainError, from Fraction's own
+    error when Fraction refuses a string."""
+    if type(c) is int:
+        return c
+    if isinstance(c, str) and not (_EXPONENT.search(c) or _NOT_ASCII_DIGIT.search(c)):
         try:
-            return Fraction(c)
-        except (ValueError, ZeroDivisionError):
+            return int(c)
+        except ValueError:
             pass
-    raise DomainError(f"coefficient {c!r} is not a rational number")
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(_refusal(c)) from exc
+    elif not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        raise DomainError(_refusal(c))
+    return c.numerator if c.denominator == 1 else c
+
+
+def _refusal(c) -> str:
+    """The message for a refused coefficient; a long repr shows its head and length."""
+    text = repr(c)
+    if len(text) > 40:
+        text = f"{text[:20]}… ({len(text)} characters)"
+    return f"coefficient {text} is not a rational number"
 
 
 def _primitive(coeffs: tuple[Fraction, ...]) -> list[int]:

@@ -71,11 +71,20 @@ class TwoVertexShape(Record):
         return self.loops_u + self.loops_v + self.uv + self.vu
 
     def to_graph(self, u: str = "u", v: str = "v") -> Graph:
-        if min(self.astuple()) < 0:
-            raise DomainError(f"negative edge multiplicity in {self!r}")
+        _check_counts(self.astuple(), self)
         kinds = zip("pqab", (u, v, u, v), (u, v, v, u), self.astuple())
         edges = [(f"{p}{i + 1}", s, r) for p, s, r, n in kinds for i in range(n)]
         return validate_graph((u, v), edges)
+
+
+def _check_counts(counts: tuple, shape: TwoVertexShape | None = None) -> None:
+    """DomainError unless each count is an int, not a bool, and nonnegative:
+    the edge count k alone, or the multiplicities of ``shape``."""
+    for n in counts:
+        if type(n) is not int or n < 0:
+            what = "edge count" if shape is None else f"edge multiplicity in {shape!r}"
+            need = "nonnegative" if type(n) is int else f"an int, not {n!r}"
+            raise DomainError(f"{what} must be {need}")
 
 
 def count_closed_form(k: int) -> int:
@@ -84,8 +93,7 @@ def count_closed_form(k: int) -> int:
     Closed form n(n+1)(3k - 4n + 1)/3 + (n+1)*ceil((k+1)/2) with
     n = ceil(k/2), evaluated exactly in integer arithmetic.
     """
-    if k < 0:
-        raise DomainError("edge count must be nonnegative")
+    _check_counts((k,))
     n = (k + 1) // 2
     first = n * (n + 1) * (3 * k - 4 * n + 1)
     if first % 3:
@@ -95,8 +103,7 @@ def count_closed_form(k: int) -> int:
 
 def enumerate_up_to_iso(k: int) -> tuple[TwoVertexShape, ...]:
     """All k-edge shapes up to the vertex swap, largest tuple first."""
-    if k < 0:
-        raise DomainError("edge count must be nonnegative")
+    _check_counts((k,))
     if k > ENUMERATION_GUARD:
         raise DomainError(f"edge count {k} exceeds the enumeration guard {ENUMERATION_GUARD}")
     shapes = set()
@@ -152,8 +159,7 @@ def canonical_form_of_shape(shape: TwoVertexShape) -> CanonicalForm16:
     keep it simple, so it collapses to that base type.  Otherwise a
     direction with no opposite keeps a single edge.
     """
-    if min(shape.astuple()) < 0:
-        raise DomainError(f"negative edge multiplicity in {shape!r}")
+    _check_counts(shape.astuple(), shape)
     s = TwoVertexShape(
         min(shape.loops_u, 2), min(shape.loops_v, 2), shape.uv, shape.vu
     ).canon()
@@ -343,6 +349,10 @@ def _reference_classes() -> tuple[dict, dict]:
 
 
 class Classification(Record):
+    """The class of a two-vertex graph: its ``label`` (I..IX), its
+    ``canonical`` type (a :class:`CanonicalForm16`), its ``skeleton`` (a
+    :class:`LatticeSkeleton`) and a ``note`` string or None."""
+
     __slots__ = __match_args__ = ("label", "canonical", "skeleton", "note")
 
     def __init__(self, label: str, canonical: CanonicalForm16, skeleton: LatticeSkeleton,

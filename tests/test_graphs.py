@@ -109,6 +109,15 @@ def test_a_string_is_no_listing():
         parse_graph(b"vertices: u")
 
 
+@pytest.mark.parametrize("listing", [b"uv", bytearray(b"uv")])
+def test_bytes_are_no_listing(listing):
+    # b"uv" would be read as the names 117 and 118
+    with pytest.raises(GraphError, match="vertices must be a list of names, not a string"):
+        validate_graph(listing, [])
+    with pytest.raises(GraphError, match="edges must be a list of .* not a string"):
+        validate_graph(["u", "v"], listing)
+
+
 # Each entry point below would read a string as the names of its characters:
 # "ab" as the path a.b rather than the edge ab, "uv" as the vertices u and v.
 STRING_LISTINGS = {

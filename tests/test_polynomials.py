@@ -9,7 +9,7 @@ from helpers import coprime_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import CyclePolynomial, QPoly, validate_graph
+from leavitt import CyclePolynomial, Element, QPoly, monomial, validate_graph
 from leavitt.errors import DomainError
 
 
@@ -35,6 +35,16 @@ def test_a_string_is_no_coefficient_list(text):
     assert QPoly.of([text]) == QPoly.of([int(text)])
 
 
+@pytest.mark.parametrize("listing", [b"12", bytearray(b"12")])
+def test_bytes_are_no_coefficient_list(listing):
+    # b"12" would read as 49 + 50x
+    with pytest.raises(DomainError, match="coefficients must be a list, not a string"):
+        QPoly.of(listing)
+    g = validate_graph(["v"], [("e", "v", "v")])
+    with pytest.raises(DomainError, match="coefficients must be a list, not a string"):
+        CyclePolynomial.of(g, ["e"], "v", listing)
+
+
 # Fraction reads 0.1 as its binary fraction, True as 1, and "1e10000000"
 # only after building a ten-million-digit integer.
 UNREADABLE = ["x", None, "1/0", 0.1, True, "1e10000000", "2E3"]
@@ -47,6 +57,20 @@ def test_an_unreadable_coefficient_is_a_domain_error(bad):
     g = validate_graph(["v"], [("e", "v", "v")])
     with pytest.raises(DomainError, match=f"^coefficient {re.escape(repr(bad))} is not a rational"):
         CyclePolynomial.of(g, ["e"], "v", ["1", bad])
+
+
+@pytest.mark.parametrize("bad, shown", [
+    ("x" * 38, repr("x" * 38)),
+    ("x" * 39, "'xxxxxxxxxxxxxxxxxxx… (41 characters)"),
+    ("1" * 5000 + "x", "'1111111111111111111… (5003 characters)"),
+])
+def test_a_long_refused_coefficient_is_shown_by_its_head_and_length(bad, shown):
+    g = validate_graph(["v"], [("e", "v", "v")])
+    message = f"^coefficient {re.escape(shown)} is not a rational number$"
+    with pytest.raises(DomainError, match=message):
+        QPoly.of([bad])
+    with pytest.raises(DomainError, match=message):
+        Element.of(g, [(monomial(g, ["e"]), bad)])
 
 
 def test_arithmetic():

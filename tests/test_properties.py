@@ -34,7 +34,7 @@ from helpers import (
     rotation_key_by_rotations,
     validate_graph_item_by_item,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leavitt import (
@@ -46,7 +46,9 @@ from leavitt import (
     contains,
     LambdaGeneratorSet,
     LatticeSkeleton,
+    ParseError,
     Poset,
+    QPoly,
     add,
     all_hereditary_saturated_sets,
     classify_vertex,
@@ -638,6 +640,26 @@ def test_validate_graph_matches_the_item_by_item_checks(case, as_lists):
 
 
 COEFF_TEXTS = st.text(st.sampled_from("0123456789+-./ _eEx\u0663\u00a0\t"), max_size=6)
+
+
+@settings(max_examples=200)
+@given(COEFF_TEXTS)
+@example("1_0")
+@example("\u0663")
+def test_library_and_wire_read_a_coefficient_alike(text):
+    """Element.of, QPoly.of and the JSON wire format all accept a coefficient
+    text with one value, or all refuse it: DomainError from the library,
+    ParseError from the wire."""
+    m = monomial(E38, ["e"])
+    element = outcome(lambda: Element.of(E38, [(m, text)]).coeff(m))
+    poly = outcome(lambda: QPoly.of([text]).constant)
+    data = {"polys": [{"cycle": ["e"], "coeffs": ["1", text, "1"]}]}
+    wire = outcome(lambda: generator_set_from_json(E38, data).polys[0].poly.coeffs[1])
+    assert element == poly
+    if element[0] == "ok":
+        assert wire == element
+    else:
+        assert element[1] is DomainError and wire[:2] == ("error", ParseError)
 
 
 @settings(max_examples=60)

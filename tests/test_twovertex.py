@@ -1,5 +1,6 @@
 """Counting, enumeration, canonical types, and the nine lattice classes."""
 
+import re
 import time
 from collections import Counter
 
@@ -45,6 +46,15 @@ def test_count_matches_enumeration():
 def test_count_rejects_negative():
     with pytest.raises(DomainError):
         count_closed_form(-1)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "3", None])
+def test_a_count_that_is_no_int_is_a_domain_error(k):
+    message = f"^edge count must be an int, not {re.escape(repr(k))}$"
+    with pytest.raises(DomainError, match=message):
+        count_closed_form(k)
+    with pytest.raises(DomainError, match=message):
+        enumerate_up_to_iso(k)
 
 
 def test_enumeration_exact_lists():
@@ -149,6 +159,15 @@ def test_negative_multiplicities_are_rejected(counts):
     with pytest.raises(DomainError):
         canonical_form_of_shape(shape)
     with pytest.raises(DomainError):
+        shape.to_graph()
+
+
+@pytest.mark.parametrize("counts", [(1.5, 0, 0, 0), (0, 0, True, 0), (0, "1", 0, 0)])
+def test_multiplicities_that_are_no_ints_are_rejected(counts):
+    shape = TwoVertexShape(*counts)
+    with pytest.raises(DomainError, match="must be an int, not"):
+        canonical_form_of_shape(shape)
+    with pytest.raises(DomainError, match="must be an int, not"):
         shape.to_graph()
 
 
