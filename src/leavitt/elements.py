@@ -530,6 +530,8 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
 
 def parse_element(g: Graph, text: str) -> Element:
     """Parse the element grammar and return the normal form."""
+    if not isinstance(text, str):
+        raise ParseError(f"element text must be a string, not {type(text).__name__}")
     if text.strip() == "0":
         return Element.zero(g)
     tokens = _tokenize(text)

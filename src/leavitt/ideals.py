@@ -500,6 +500,8 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
             raise ParseError(f"bad ideal JSON: {exc}") from exc
         except ValueError as exc:  # an integer beyond the interpreter's int() digit limit
             raise ParseError("bad ideal JSON: a number has too many digits") from exc
+        except RecursionError as exc:
+            raise ParseError("bad ideal JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError("ideal JSON must be an object")
     unknown = set(data) - {"vertices", "polys"}

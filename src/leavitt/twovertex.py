@@ -1,23 +1,24 @@
 """Two-vertex graphs: counting up to isomorphism, reduction to the sixteen
 canonical types, and classification of their cycle-polynomial ideal
-lattices into nine skeleton-isomorphism classes.
+lattices into nine classes.
 
 A two-vertex graph is a shape (loops on u, loops on v, edges u->v, edges
 v->u), canonical under the vertex swap.  For lattice purposes a vertex
 keeps at most two loops, a direction with no opposite keeps one edge, and
 anything dominating one of the two minimal simple configurations collapses
 onto it.  Two leftover loop-only shapes share their lattice with smaller
-types and map onto them.
+types and map onto them.  The type fixes the class.
 
 The lattice skeleton of a graph records its graded nodes (hereditary
 saturated sets under inclusion) plus one family of polynomial-generated
-ideals per K1 cycle and compatible vertex part.  Skeletons compare by a
-canonical key that permutes only the nodes an isomorphism invariant ties.
+ideals per K1 cycle and compatible vertex part.  Two graphs share a class
+exactly when their skeletons are isomorphic, but skeletons are compared
+only by :meth:`LatticeSkeleton.isomorphic` and in the tests of the table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from itertools import groupby, permutations, product
 from math import factorial, prod
 
@@ -139,6 +140,12 @@ _SHAPES_16 = {
     14: (2, 1, 1, 0),
     15: (2, 1, 0, 1),
     16: (2, 2, 1, 0),
+}
+# The class of each type: two graphs share a class exactly when their
+# lattice skeletons are isomorphic.
+_CLASS_OF_TYPE = {
+    1: "VII", 2: "I", 3: "II", 4: "I", 5: "VIII", 6: "III", 7: "II", 8: "I",
+    9: "IX", 10: "IV", 11: "VII", 12: "V", 13: "I", 14: "VI", 15: "III", 16: "V",
 }
 
 _ID_BY_SHAPE = {shape: i for i, shape in _SHAPES_16.items()}
@@ -308,50 +315,18 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
 
 # --- the nine classes ---------------------------------------------------------
 
-# Memberships that determine the class labels; the remaining skeleton class
-# gets the last label.  Types [7] and [9] are assigned by computation.
-_ANCHORS = {
-    "I": (2, 4, 8, 13),
-    "II": (3,),
-    "III": (6, 15),
-    "IV": (10,),
-    "V": (12, 16),
-    "VI": (14,),
-    "VII": (1, 11),
-    "VIII": (5,),
-}
 _LABELS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
-
-
-@lru_cache(maxsize=1)
-def _reference_classes() -> tuple[dict, dict]:
-    keys = {
-        i: build_skeleton(TwoVertexShape(*shape).to_graph()).canonical_key()
-        for i, shape in _SHAPES_16.items()
-    }
-    groups: dict[tuple, list[int]] = {}
-    for i, key in keys.items():
-        groups.setdefault(key, []).append(i)
-    if len(groups) != 9:
-        raise AssertionError(f"expected 9 skeleton classes, found {len(groups)}")
-    label_of_key: dict[tuple, str] = {}
-    for label, ids in _ANCHORS.items():
-        anchor_keys = {keys[i] for i in ids}
-        if len(anchor_keys) != 1:
-            raise AssertionError(f"anchor types of class {label} split: {ids}")
-        label_of_key[anchor_keys.pop()] = label
-    leftovers = [k for k in groups if k not in label_of_key]
-    if len(leftovers) != 1:
-        raise AssertionError(f"expected one unanchored class, found {len(leftovers)}")
-    label_of_key[leftovers[0]] = "IX"
-    members = {label_of_key[k]: tuple(sorted(ids)) for k, ids in groups.items()}
-    return label_of_key, members
+_TYPE7_NOTE = (
+    "type [7] classifies as II (skeleton isomorphic to type [3]); "
+    "class IX is realized by type [9]"
+)
 
 
 class Classification(Record):
-    """The class of a two-vertex graph: its ``label`` (I..IX), its
+    """The class of a two-vertex graph: its ``label`` (I..IX), read from its
     ``canonical`` type (a :class:`CanonicalForm16`), its ``skeleton`` (a
-    :class:`LatticeSkeleton`) and a ``note`` string or None."""
+    :class:`LatticeSkeleton`, built for rendering) and a ``note`` string or
+    None."""
 
     __slots__ = __match_args__ = ("label", "canonical", "skeleton", "note")
 
@@ -366,30 +341,18 @@ class Classification(Record):
 def classify(g: Graph) -> Classification:
     """Class (I..IX) of a two-vertex graph's ideal lattice, with skeleton.
 
-    Two graphs share a label exactly when their skeletons are isomorphic.
-    Type [7] carries a note: its skeleton coincides with type [3]'s, so it
-    classifies there, and class IX is realized by the remaining type.
+    The label is read from the graph's canonical type, so no skeletons are
+    compared; two graphs share a label exactly when their skeletons are
+    isomorphic.  Type [7] carries a note: its skeleton coincides with type
+    [3]'s, so it classifies there, and class IX is realized by type [9].
     """
     if len(g.vertices) != 2:
         raise DomainError("classification needs exactly two vertices")
-    label_of_key, members = _reference_classes()
     cf = canonicalize16(g)
-    skel = build_skeleton(g)
-    key = skel.canonical_key()
-    label = label_of_key.get(key)
-    if label is None:
-        raise AssertionError("two-vertex skeleton matches no reference class")
-    note = None
-    if cf.id == 7:
-        ix = ", ".join(f"[{i}]" for i in members["IX"])
-        note = (
-            f"type [7] classifies as {label} (skeleton isomorphic to type [3]); "
-            f"class IX is realized by type {ix}"
-        )
-    return Classification(label, cf, skel, note)
+    note = _TYPE7_NOTE if cf.id == 7 else None
+    return Classification(_CLASS_OF_TYPE[cf.id], cf, build_skeleton(g), note)
 
 
 def class_members() -> dict[str, tuple[int, ...]]:
     """Canonical types grouped by class label."""
-    _, members = _reference_classes()
-    return {label: members[label] for label in _LABELS}
+    return {label: tuple(i for i, c in _CLASS_OF_TYPE.items() if c == label) for label in _LABELS}

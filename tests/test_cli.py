@@ -667,6 +667,16 @@ def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):
     assert capsys.readouterr().out == "vertices {} with x + 1 on (e)\n"
 
 
+def test_deeply_nested_ideal_json_is_an_error(r1, tmp_path, capsys):
+    deep = '{"vertices": %s}' % ("[" * 100_000 + "]" * 100_000)
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (["lambda-reduce", "--graph", r1, "--ideal", str(path)],
+                 ["contains", "--graph", r1, deep, '{"vertices": []}']):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: bad ideal JSON: nested too deeply\n")
+
+
 def _loop_ideal(*polys):
     entries = [{"cycle": ["e"], "coeffs": [str(c) for c in cs]} for cs in polys]
     return json.dumps({"polys": entries})

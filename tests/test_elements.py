@@ -359,6 +359,13 @@ def test_parse_syntax_errors():
             parse_element(R1, bad)
 
 
+@pytest.mark.parametrize("text", [None, b"e", 3])
+def test_parse_rejects_text_that_is_no_string(text):
+    message = f"^element text must be a string, not {type(text).__name__}$"
+    with pytest.raises(ParseError, match=message):
+        parse_element(R1, text)
+
+
 def test_parse_oversized_numeral():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

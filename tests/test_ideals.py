@@ -716,3 +716,9 @@ def test_generator_set_json_rejects_oversized_integers():
     text = '{"polys": [{"cycle": ["e"], "coeffs": [%s]}]}' % ("7" * (limit + 1))
     with pytest.raises(ParseError, match="too many digits"):
         generator_set_from_json(R1, text)
+
+
+def test_generator_set_json_rejects_deep_nesting():
+    text = '{"vertices": %s}' % ("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match="^bad ideal JSON: nested too deeply$"):
+        generator_set_from_json(R1, text)

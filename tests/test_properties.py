@@ -49,8 +49,11 @@ from leavitt import (
     ParseError,
     Poset,
     QPoly,
+    TwoVertexShape,
     add,
     all_hereditary_saturated_sets,
+    build_skeleton,
+    classify,
     classify_vertex,
     condition_k,
     format_element,
@@ -72,7 +75,7 @@ from leavitt import (
 )
 from leavitt.graphs import _index, _strong_components, lattice_label
 from leavitt.ideals import _two_closed_simple_paths
-from leavitt.twovertex import SkeletonFamily
+from leavitt.twovertex import _SHAPES_16, SkeletonFamily, class_members
 
 
 @st.composite
@@ -310,6 +313,23 @@ def test_skeleton_key_equality_matches_all_orders_oracle(pair):
     a, b = pair
     oracle_equal = canonical_key_by_permutations(a) == canonical_key_by_permutations(b)
     assert (a.canonical_key() == b.canonical_key()) == oracle_equal
+
+
+@given(st.builds(TwoVertexShape, *[st.integers(0, 30)] * 4))
+@example(TwoVertexShape(2, 1, 0, 0))
+@example(TwoVertexShape(2, 2, 0, 0))
+@example(TwoVertexShape(1, 0, 0, 1))
+@example(TwoVertexShape(3, 3, 2, 0))
+def test_type_table_class_is_the_skeleton_class(shape):
+    """The reduction itself, far past the census's 12 edges: of the nine
+    class representatives, the one whose skeleton is isomorphic to the
+    shape's is exactly the one of the class the type table reads."""
+    key = build_skeleton(shape.to_graph()).canonical_key()
+    matching = {
+        label for label, ids in class_members().items()
+        if build_skeleton(TwoVertexShape(*_SHAPES_16[ids[0]]).to_graph()).canonical_key() == key
+    }
+    assert matching == {classify(shape.to_graph()).label}
 
 
 @st.composite

@@ -12,6 +12,7 @@ from leavitt import (
     CyclePolynomial,
     DomainError,
     LambdaGeneratorSet,
+    LatticeSkeleton,
     TwoVertexShape,
     all_hereditary_saturated_sets,
     build_skeleton,
@@ -241,17 +242,6 @@ def test_classify_requires_two_vertices():
         classify(validate_graph(["v"], [("e", "v", "v")]))
 
 
-def test_classify_agrees_with_canonical_representative():
-    # classification happens on the input graph's own skeleton; it must agree
-    # with the class of its canonical type
-    for k in range(5):
-        for s in enumerate_up_to_iso(k):
-            g = s.to_graph()
-            res = classify(g)
-            rep = classify(TwoVertexShape(*_SHAPES_16[res.canonical.id]).to_graph())
-            assert res.label == rep.label, s
-
-
 def test_skeleton_structure_type5():
     skel = _skel(5)
     assert len(skel.graded.elements) == 4
@@ -360,8 +350,15 @@ def test_skeleton_dot_exact(cid):
     assert _skel(cid).to_dot() == SKELETON_DOT[cid]
 
 
-def test_census_class_counts():
-    """Golden census: the 924 shapes with at most 12 edges, by class."""
+def test_census_class_counts(monkeypatch):
+    """Golden census: the 924 shapes with at most 12 edges, by class.  The
+    type table gives each label, so classify compares no skeletons."""
+
+    def refuse(*args):
+        raise AssertionError("classify compared skeletons")
+
+    monkeypatch.setattr(LatticeSkeleton, "canonical_key", refuse)
+    monkeypatch.setattr(LatticeSkeleton, "isomorphic", refuse)
     counts = Counter(
         classify(shape.to_graph()).label
         for k in range(13)
