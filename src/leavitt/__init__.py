@@ -3,6 +3,13 @@
 Graphs, exact element arithmetic with a rewriting normal form, graded and
 cycle-polynomial ideal analysis, and the two-vertex classification.
 
+The public surface is what the system uses: a class, function, method or
+property is public when the ``lpa`` command line, another layer, the
+benchmark in ``benches/`` or one of the paper's definitions (paths and
+cycles, K-classes, hereditary saturated sets, graded and cycle-polynomial
+ideals, the two-vertex count and classes) needs it.  Helpers that only a
+test needs live with the tests.
+
 Names load on first access (PEP 562): ``import leavitt`` imports no layer,
 and ``leavitt.X`` or ``from leavitt import X`` imports only the module that
 defines X.  The layer modules themselves resolve the same way.
@@ -21,10 +28,10 @@ _EXPORTS = {
         "validate_graph",
     ),
     "elements": (
-        "Element", "GradedDecomposition", "Monomial", "add", "degree", "format_element", "gdeg",
-        "graded_components", "is_homogeneous", "monomial", "monomial_element", "mul",
-        "mul_monomials", "normalize", "parse_element", "path_element", "ghost_path_element",
-        "scale", "sub", "unit", "vertex_element",
+        "Element", "GradedDecomposition", "Monomial", "add", "format_element", "gdeg",
+        "graded_components", "monomial", "monomial_element", "mul", "normalize",
+        "parse_element", "path_element", "ghost_path_element", "scale", "sub", "unit",
+        "vertex_element",
     ),
     "polynomials": ("QPoly",),
     "ideals": (

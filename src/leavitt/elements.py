@@ -10,7 +10,7 @@ Normal form: for each non-sink vertex the first outgoing edge (in input
 order) is *special*; a stored monomial never has both of its paths ending
 in the special edge of their common turn vertex.  Such monomials are
 expanded through the vertex identity above, which terminates and, together
-with like-term collection, makes equality decidable by comparing term maps.
+with like-term collection, makes equality decidable by comparing terms.
 
 Representation: a path is the integer tuple ``(base_vertex_id, *edge_ids)``,
 the ``code`` a :class:`~leavitt.graphs.Path` holds, and a monomial a.b*' is
@@ -33,7 +33,7 @@ built only for text.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
@@ -43,8 +43,8 @@ from .records import Record
 
 __all__ = [
     "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
-    "ghost_path_element", "monomial", "monomial_element", "unit", "mul_monomials", "normalize",
-    "mul", "add", "sub", "scale", "graded_components", "degree", "gdeg", "is_homogeneous",
+    "ghost_path_element", "monomial", "monomial_element", "unit", "normalize",
+    "mul", "add", "sub", "scale", "graded_components", "gdeg",
     "parse_element", "format_element",
 ]
 
@@ -56,7 +56,7 @@ class Monomial(Record):
     Both paths share their range vertex.  :func:`monomial` checks that, and
     so does every element built from monomials; ``Monomial(graph, code)``
     is the raw constructor and checks nothing, like ``Path(graph, code)``.
-    The degree is deg(a) - deg(b); the ghost degree is deg(b).
+    The degree is deg(a) - deg(b).
     """
 
     __slots__ = __match_args__ = ("graph", "code")
@@ -73,23 +73,6 @@ class Monomial(Record):
     def degree(self) -> int:
         a, b = self.code
         return len(a) - len(b)
-
-    @property
-    def ghost_degree(self) -> int:
-        return len(self.code[1]) - 1
-
-    @property
-    def row(self) -> str:
-        """Source vertex: the monomial is killed by other vertices on the left."""
-        return self.graph.vertices[self.code[0][0]]
-
-    @property
-    def col(self) -> str:
-        """Sink-side vertex: the monomial is killed by other vertices on the right."""
-        return self.graph.vertices[self.code[1][0]]
-
-    def sort_key(self) -> tuple:
-        return _order((self.code, None))
 
     def __str__(self) -> str:
         return _word(self.graph, *self.code)
@@ -173,10 +156,8 @@ class Element(Record):
         return not self.codes
 
     def coeff(self, m: Monomial) -> Fraction:
-        return self.term_map().get(m, Fraction(0))
-
-    def term_map(self) -> Mapping[Monomial, Fraction]:
-        return dict(self.terms)
+        """The coefficient of ``m`` among the terms; 0 for a monomial of another graph."""
+        return Fraction(dict(self.codes).get(m.code, 0) if m.graph == self.graph else 0)
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -323,13 +304,6 @@ def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
     return _rewrite(g, stack, dx * dy)
 
 
-def mul_monomials(m1: Monomial, m2: Monomial) -> Element:
-    """Normalized product of two monomials."""
-    if m1.graph != m2.graph:
-        raise DomainError("cannot multiply monomials over different graphs")
-    return _product(m1.graph, ((m1.code, 1),), ((m2.code, 1),))
-
-
 def _same_graph(x: Element, y: Element) -> None:
     if x.graph is not y.graph and x.graph != y.graph:
         raise DomainError("elements live over different graphs")
@@ -364,15 +338,6 @@ class GradedDecomposition(Record):
 
     __slots__ = __match_args__ = ("graph", "components")
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.components)
-
-    def component(self, d: int) -> Element:
-        return dict(self.components).get(d, Element.zero(self.graph))
-
-    def total(self) -> Element:
-        return _sum(self.graph, [t for _, e in self.components for t in e.codes])
-
 
 def graded_components(x: Element) -> GradedDecomposition:
     by_deg: dict[int, list[tuple]] = {}
@@ -383,19 +348,11 @@ def graded_components(x: Element) -> GradedDecomposition:
     return GradedDecomposition(x.graph, comps)
 
 
-def degree(m: Monomial) -> int:
-    return m.degree
-
-
 def gdeg(x: Element) -> int:
     """Ghost degree of a normal form: the largest ghost-path length among terms."""
     if x.is_zero:
         raise DomainError("the zero element has no ghost degree")
     return max(len(b) for (_, b), _ in x.codes) - 1
-
-
-def is_homogeneous(x: Element) -> bool:
-    return len({len(a) - len(b) for (a, b), _ in x.codes}) <= 1
 
 
 # --- textual form -----------------------------------------------------------

@@ -126,14 +126,6 @@ class Graph(Record):
     def out_edges(self, v: str) -> tuple[str, ...]:
         return tuple([self.edges[e] for e in _index(self).out[self.vertex_index(v)]])
 
-    def is_sink(self, v: str) -> bool:
-        return not _index(self).out[self.vertex_index(v)]
-
-    def special_edge(self, v: str) -> str | None:
-        """First outgoing edge of v in input order, or None for a sink."""
-        out = _index(self).out[self.vertex_index(v)]
-        return self.edges[out[0]] if out else None
-
     def vertex_index(self, v: str) -> int:
         self.check_vertex(v)
         return self._vindex[v]
@@ -141,18 +133,6 @@ class Graph(Record):
     def edge_index(self, e: str) -> int:
         self.check_edge(e)
         return self._eindex[e]
-
-    def reach_from(self, v: str) -> frozenset[str]:
-        """Vertices reachable from v by a directed path (v included)."""
-        succ = _index(self).succ
-        found = [self.vertex_index(v)]
-        seen = set(found)
-        for w in found:  # grows while it is read: a breadth-first search
-            for r in succ[w]:
-                if r not in seen:
-                    seen.add(r)
-                    found.append(r)
-        return frozenset([self.vertices[i] for i in found])
 
 
 def validate_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
@@ -306,10 +286,6 @@ class Path(Record):
         edges = self.graph.edges
         return tuple([edges[e] for e in self.code[1:]])
 
-    @property
-    def deg(self) -> int:
-        return len(self.code) - 1
-
     src = base
 
     @property
@@ -330,14 +306,6 @@ class Path(Record):
             code.append(i)
             here = rng[i]
         return Path(g, tuple(code))
-
-    def drop_last(self) -> "Path":
-        if len(self.code) == 1:
-            raise DomainError("empty path has no last edge")
-        return Path(self.graph, self.code[:-1])
-
-    def startswith(self, other: "Path") -> bool:
-        return self.code[: len(other.code)] == other.code
 
     def __str__(self) -> str:
         return ".".join(self.edges) if len(self.code) > 1 else self.base
@@ -383,22 +351,11 @@ class Cycle(Record):
         ends = self.graph.ends
         return tuple([ends[e][0] for e in self.ids])
 
-    @property
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.sources)
-
     def rotation_key(self) -> tuple[int, ...]:
         return _least_rotation(self.ids)
 
     def canonical(self) -> "Cycle":
         return Cycle(self.graph, self.rotation_key())
-
-    def based_at(self, v: str) -> "Cycle":
-        srcs = self.sources
-        if v not in srcs:
-            raise DomainError(f"vertex {v!r} is not on the cycle")
-        i = srcs.index(v)
-        return Cycle(self.graph, self.ids[i:] + self.ids[:i])
 
     def __str__(self) -> str:
         return ".".join(self.edges)
@@ -412,26 +369,6 @@ class VertexClass(Record):
     def __init__(self, kind: str, cycle: Cycle | None = None) -> None:
         _set(self, "kind", kind)  # "K0" | "K1" | "K2"
         _set(self, "cycle", cycle)
-
-    @staticmethod
-    def k0() -> "VertexClass":
-        return VertexClass("K0")
-
-    @staticmethod
-    def k1(cycle: Cycle) -> "VertexClass":
-        return VertexClass("K1", cycle)
-
-    @staticmethod
-    def k2() -> "VertexClass":
-        return VertexClass("K2")
-
-    @property
-    def is_k1(self) -> bool:
-        return self.kind == "K1"
-
-    @property
-    def is_k2(self) -> bool:
-        return self.kind == "K2"
 
 
 class _Index:
@@ -572,7 +509,7 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
     """
     i = g.vertex_index(v)
     kind = _k_classes(g)[0][i]
-    return VertexClass.k1(Cycle(g, _k1_cycle_ids(g, i))) if kind == "K1" else VertexClass(kind)
+    return VertexClass(kind, Cycle(g, _k1_cycle_ids(g, i)) if kind == "K1" else None)
 
 
 def condition_k(g: Graph) -> tuple[bool, tuple[str, ...]]:

@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import isinf
 
 from .errors import DomainError, ParseError
 from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, _mask_names, lattice_label,
 )
-from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly, _rational
+from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly
 from .records import Record
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
@@ -327,10 +328,6 @@ class LambdaGeneratorSet(Record):
         mask = sum({1 << g.vertex_index(v) for v in _listing(vertices, "vertices")})
         return LambdaGeneratorSet(g, ps, mask)
 
-    @property
-    def vertex_gens(self) -> frozenset[str]:
-        return frozenset(_mask_names(self.graph, self.mask))
-
 
 class LambdaReduction(Record):
     """An ideal: a hereditary saturated vertex set ``vertex_part`` plus at
@@ -373,10 +370,6 @@ class LambdaReduction(Record):
                 raise DomainError(f"cycle {c} is based inside the vertex part")
             out.append((c, p))
         return _reduce(g, out, part.mask)
-
-    def generator_set(self) -> LambdaGeneratorSet:
-        ps = tuple([CyclePolynomial(c, c.sources[0], p) for c, p in self.polys])
-        return LambdaGeneratorSet(self.graph, ps, self.vertex_part.mask)
 
     def __str__(self) -> str:
         vs = ", ".join(self.vertex_part.sorted_members())
@@ -481,9 +474,31 @@ def is_graded(i: LambdaReduction) -> bool:
 #
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
-# rejected for the whole list.  Once those two guards pass, each coefficient
-# is read by the coefficient rule, ``polynomials._rational``, and a text it
-# refuses is reported with Fraction's error.
+# rejected for the whole list.  Once those two guards pass, the list is read
+# once, by ``QPoly.of`` and so by the coefficient rule,
+# ``polynomials._rational``, and a text it refuses is reported with
+# Fraction's error.  A JSON number reads as its digits in a string would:
+# 1.0000000000000001 is not rounded to 1, and 1e5 is refused as "1e5" is.
+
+
+class _JsonDecimal(float):
+    """A JSON number with a fraction or an exponent: the float ``json`` reads,
+    whose ``str`` is its literal text.  ``repr`` stays the float's, as error
+    messages show it."""
+
+    __slots__ = ("text",)
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _json_decimal(text: str) -> float:
+    """The ``parse_float`` hook: a number keeps its literal text unless it
+    overflows; then its text is the float's, "inf" or "-inf", which the
+    coefficient rule refuses."""
+    x = _JsonDecimal(text)
+    x.text = str(float(x)) if isinf(x) else text
+    return x
 
 
 def _names(value, key: str) -> list:
@@ -495,7 +510,7 @@ def _names(value, key: str) -> list:
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = json.loads(data, parse_float=_json_decimal)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad ideal JSON: {exc}") from exc
         except ValueError as exc:  # an integer beyond the interpreter's int() digit limit
@@ -528,10 +543,10 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         if _NOT_ASCII_DIGIT.search(joined):
             raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
         try:
-            coeffs = [_rational(t) for t in texts]
+            poly = QPoly.of(texts)
         except DomainError as exc:
             raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc.__cause__}") from exc
-        polys.append(CyclePolynomial.of(g, cycle_edges, base, coeffs))
+        polys.append(CyclePolynomial.of(g, cycle_edges, base, poly.coeffs))
     return LambdaGeneratorSet.of(g, polys, vertices)
 
 

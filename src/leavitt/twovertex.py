@@ -315,7 +315,6 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
 
 # --- the nine classes ---------------------------------------------------------
 
-_LABELS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 _TYPE7_NOTE = (
     "type [7] classifies as II (skeleton isomorphic to type [3]); "
     "class IX is realized by type [9]"
@@ -351,8 +350,3 @@ def classify(g: Graph) -> Classification:
     cf = canonicalize16(g)
     note = _TYPE7_NOTE if cf.id == 7 else None
     return Classification(_CLASS_OF_TYPE[cf.id], cf, build_skeleton(g), note)
-
-
-def class_members() -> dict[str, tuple[int, ...]]:
-    """Canonical types grouped by class label."""
-    return {label: tuple(i for i, c in _CLASS_OF_TYPE.items() if c == label) for label in _LABELS}

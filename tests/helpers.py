@@ -18,8 +18,9 @@ from leavitt import (
     Graph,
     GraphError,
     HeredSatSet,
-    Monomial,
     LambdaGeneratorSet,
+    LambdaReduction,
+    Monomial,
     LpaError,
     ParseError,
     Path,
@@ -30,6 +31,7 @@ from leavitt import (
     normalize,
     validate_graph,
 )
+from leavitt.twovertex import _CLASS_OF_TYPE
 
 # Small named graphs used throughout.  Vertex/edge order is significant.
 R1 = validate_graph(["v"], [("e", "v", "v")])
@@ -296,18 +298,18 @@ def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:
     g.check_vertex(v)
     cycles = simple_cycles_through(g, v)
     if not cycles:
-        return VertexClass.k0()
+        return VertexClass("K0")
     if len(cycles) >= 2:
-        return VertexClass.k2()
+        return VertexClass("K2")
     (c,) = cycles
     on_cycle = set(c.edges)
-    cycle_vertices = c.vertex_set
+    cycle_vertices = set(c.sources)
     for f in g.edges:
         if f in on_cycle or g.src(f) not in cycle_vertices:
             continue
         if v in reach_by_scan(g, g.rng(f)):
-            return VertexClass.k2()
-    return VertexClass.k1(c)
+            return VertexClass("K2")
+    return VertexClass("K1", c)
 
 
 def rotation_key_by_rotations(c) -> tuple[int, ...]:
@@ -322,7 +324,7 @@ def k1_cycles_by_cycle_count(g: Graph) -> tuple:
     seen = {}
     for v in g.vertices:
         vc = classify_by_cycle_count(g, v)
-        if vc.is_k1:
+        if vc.kind == "K1":
             key = rotation_key_by_rotations(vc.cycle)
             seen.setdefault(key, tuple(g.edges[i] for i in key))
     return tuple(seen[k] for k in sorted(seen))
@@ -368,7 +370,7 @@ def canonical_key_by_permutations(skeleton) -> tuple:
 #
 # Products and rewriting as the library once computed them, on Path and
 # Monomial objects with checked name lookups, collected and ordered by
-# ``Monomial.sort_key``, and written out from the terms.  The integer kernel
+# :func:`term_order`, and written out from the terms.  The integer kernel
 # in ``leavitt.elements`` must agree with it byte for byte.  The oracle
 # works on term lists, so no part of the kernel takes part in its answers.
 
@@ -389,12 +391,18 @@ def _reduced_turn(g: Graph, out: dict, m: Monomial) -> str | None:
     return None
 
 
+def term_order(m: Monomial) -> tuple:
+    """(ghost degree desc, degree asc, alpha code, beta code): the term order."""
+    a, b = m.code
+    return (1 - len(b), len(a) - len(b), a, b)
+
+
 def collect_by_paths(items) -> tuple[tuple[Monomial, Fraction], ...]:
     """Like terms summed, zeros dropped, in term order."""
     acc: dict[Monomial, Fraction] = {}
     for m, c in items:
         acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
-    return tuple(sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda t: t[0].sort_key()))
+    return tuple(sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda t: term_order(t[0])))
 
 
 def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]:
@@ -411,8 +419,8 @@ def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]
             out.append((m, c))
             continue
         gam = m.alpha.edges[-1]
-        ap = m.alpha.drop_last()
-        bp = m.beta.drop_last()
+        ap = Path(g, m.alpha.code[:-1])
+        bp = Path(g, m.beta.code[:-1])
         stack.append((_monomial(ap, bp), c))
         for f in out_edges[w]:
             if f != gam:
@@ -425,7 +433,7 @@ def mul_raw_by_paths(m1: Monomial, m2: Monomial) -> Monomial | None:
     beta, gamma = m1.beta, m2.alpha
     if beta.src != gamma.src:
         return None
-    nb, ng = beta.deg, gamma.deg
+    nb, ng = len(beta.edges), len(gamma.edges)
     if nb <= ng:
         if gamma.edges[:nb] != beta.edges:
             return None
@@ -550,7 +558,7 @@ def cycle_polynomial_by_classes(g: Graph, cycle_edges, base: str, coeffs) -> Cyc
             "use a vertex generator instead"
         )
     vc = classify_vertex(g, base)
-    if not vc.is_k1 or vc.cycle.canonical() != cyc.canonical():
+    if vc.kind != "K1" or vc.cycle.canonical() != cyc.canonical():
         raise DomainError(
             f"cycle {cyc} is not the unique closed simple path at {base!r}"
         )
@@ -608,6 +616,21 @@ def generator_set_by_fractions(g: Graph, data) -> LambdaGeneratorSet:
             raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
         polys.append(cycle_polynomial_by_classes(g, cycle_edges, base, coeffs))
     return LambdaGeneratorSet.of(g, polys, vertices)
+
+
+def generator_set_of(red: LambdaReduction) -> LambdaGeneratorSet:
+    """Generators of a reduction: its vertex part, and each polynomial on its
+    cycle based at the cycle's first source."""
+    polys = tuple(CyclePolynomial(c, c.sources[0], p) for c, p in red.polys)
+    return LambdaGeneratorSet(red.graph, polys, red.vertex_part.mask)
+
+
+def class_members() -> dict[str, tuple[int, ...]]:
+    """The canonical types of each class label, read from the type table."""
+    members: dict[str, tuple[int, ...]] = {}
+    for i, label in sorted(_CLASS_OF_TYPE.items()):
+        members[label] = members.get(label, ()) + (i,)
+    return members
 
 
 def outcome(f, *args):

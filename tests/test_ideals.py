@@ -3,6 +3,7 @@ containment."""
 
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from helpers import (
     R1,
     R2,
     generator_set_by_fractions,
+    generator_set_of,
     outcome,
     paths_by_range,
     random_element,
@@ -386,7 +388,7 @@ def test_lambda_reduce_idempotent_on_randoms():
         for _ in range(25):
             gens = _random_generator_set(g, rng)
             red = lambda_reduce(g, gens)
-            again = lambda_reduce(g, red.generator_set())
+            again = lambda_reduce(g, generator_set_of(red))
             assert red == again, name
 
 
@@ -525,13 +527,13 @@ def test_contains_exhaustive_partial_order():
 
 def test_reduction_core_matches_the_generator_set_round_trip():
     """The core trusts validated data; revalidating every cycle through
-    ``generator_set()`` and reducing again must give the same result."""
+    its generator set and reducing again must give the same result."""
     # a vertex part below the exit-range closure, which only the raw constructor builds
     empty, e = hereditary_saturated_closure(G6, []), k1_cycles(G6)[0]
     noncanonical = LambdaReduction(G6, empty, ((e, QPoly.of([1, 1])),))
     for g, extra in ((R1, []), (G6, [noncanonical])):
         for r in _canonical_reductions(g) + extra:
-            old_path = lambda_reduce(g, r.generator_set())
+            old_path = lambda_reduce(g, generator_set_of(r))
             assert _reduce(g, r.polys, r.vertex_part.mask) == old_path
 
 
@@ -595,7 +597,7 @@ def test_reduction_of_rejects_a_cycle_based_inside_the_vertex_part():
 def test_generator_set_json_round_trip_lists_vertices_in_vertex_order():
     cp = CyclePolynomial.of(E38, ["e"], "v", [Fraction(1, 2), 0, Fraction(-3, 4)])
     gens = LambdaGeneratorSet.of(E38, [cp, cp], ["w", "u", "w"])
-    assert gens.vertex_gens == frozenset({"u", "w"}) and gens.mask == 0b101
+    assert gens.mask == 0b101
     data = generator_set_to_json(gens)
     assert data == {
         "vertices": ["u", "w"],
@@ -722,3 +724,57 @@ def test_generator_set_json_rejects_deep_nesting():
     text = '{"vertices": %s}' % ("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ParseError, match="^bad ideal JSON: nested too deeply$"):
         generator_set_from_json(R1, text)
+
+
+def test_generator_set_json_reads_each_coefficient_once(monkeypatch):
+    from leavitt import ideals, polynomials
+
+    calls = []
+    rule = polynomials._rational
+
+    def counting(c):
+        calls.append(c)
+        return rule(c)
+
+    monkeypatch.setattr(polynomials, "_rational", counting)
+    monkeypatch.setattr(ideals, "_rational", counting, raising=False)
+    text = (
+        '{"polys": [{"cycle": ["e"], "coeffs": ["1", "0", 1]},'
+        ' {"cycle": ["e"], "coeffs": [2, "1/2"]}]}'
+    )
+    gens = generator_set_from_json(R1, text)
+    assert calls == ["1", "0", "1", "2", "1/2"]
+    assert [p.poly for p in gens.polys] == [QPoly.of([1, 0, 1]), QPoly.of([2, Fraction(1, 2)])]
+
+
+@pytest.mark.parametrize("literal", ["1.0000000000000001", "0.0000001", "12345678901234567890.5"])
+def test_generator_set_json_reads_a_number_as_its_digits(literal):
+    """A JSON number gives the coefficient its digits give in a string: not
+    rounded to the nearest float, and not refused for an exponent that the
+    float's repr has and the literal does not."""
+    as_number = '{"polys": [{"cycle": ["e"], "coeffs": [%s, 1]}]}' % literal
+    as_string = '{"polys": [{"cycle": ["e"], "coeffs": ["%s", 1]}]}' % literal
+    gens = generator_set_from_json(R1, as_number)
+    assert gens == generator_set_from_json(R1, as_string)
+    assert gens.polys[0].poly.coeffs == (Fraction(literal), 1)
+
+
+def test_generator_set_json_number_refusals_keep_their_messages():
+    """A literal with an exponent is refused as its string is; a number that
+    overflows, and a number where a name belongs, fail as they always did."""
+    cases = [
+        ('"polys": [{"cycle": ["e"], "coeffs": [1e-05, 1]}]',
+         ParseError, "exponent notation in coefficients [1e-05, 1]"),
+        ('"polys": [{"cycle": ["e"], "coeffs": [1e20]}]',
+         ParseError, "exponent notation in coefficients [1e+20]"),
+        ('"polys": [{"cycle": ["e"], "coeffs": [1.5E2, 1]}]',
+         ParseError, "exponent notation in coefficients [150.0, 1]"),
+        ('"polys": [{"cycle": ["e"], "coeffs": [1e999, 1]}]',
+         ParseError, "bad coefficient in [inf, 1]: Invalid literal for Fraction: 'inf'"),
+        ('"vertices": [1.5]', ParseError, "'vertices' must be a list of names"),
+        ('"polys": [{"cycle": ["e"], "base": 1.5, "coeffs": [1, 1]}]',
+         DomainError, "1.5 is not a source on the cycle"),
+    ]
+    for body, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            generator_set_from_json(R1, "{%s}" % body)

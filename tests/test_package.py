@@ -1,9 +1,11 @@
 """The package surface: the names ``leavitt`` re-exports, resolved on first
-access so that importing the package loads no layer."""
+access so that importing the package loads no layer, and each layer's own
+``__all__``."""
 
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,9 @@ EXPORTS = {
         "validate_graph",
     ],
     "elements": [
-        "Element", "GradedDecomposition", "Monomial", "add", "degree", "format_element", "gdeg",
-        "ghost_path_element", "graded_components", "is_homogeneous", "monomial",
-        "monomial_element", "mul", "mul_monomials", "normalize", "parse_element", "path_element",
-        "scale", "sub", "unit", "vertex_element",
+        "Element", "GradedDecomposition", "Monomial", "add", "format_element", "gdeg",
+        "ghost_path_element", "graded_components", "monomial", "monomial_element", "mul",
+        "normalize", "parse_element", "path_element", "scale", "sub", "unit", "vertex_element",
     ],
     "polynomials": ["QPoly"],
     "ideals": [
@@ -38,11 +39,49 @@ EXPORTS = {
     ],
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
+# Each layer's ``__all__``, in its own order: the package's names plus the
+# ones a layer offers only under its own name.
+LAYER_ALL = {
+    "graphs": [
+        "Graph", "Path", "Cycle", "VertexClass", "HeredSatSet", "Poset", "validate_graph",
+        "parse_graph", "serialize_graph", "classify_vertex", "condition_k",
+        "hereditary_saturated_closure", "all_hereditary_saturated_sets", "exit_range",
+        "k1_cycles",
+    ],
+    "elements": [
+        "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
+        "ghost_path_element", "monomial", "monomial_element", "unit", "normalize", "mul", "add",
+        "sub", "scale", "graded_components", "gdeg", "parse_element", "format_element",
+    ],
+    "polynomials": ["QPoly"],
+    "ideals": [
+        "Poset", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
+        "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
+        "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
+        "generator_set_from_json", "generator_set_to_json", "reduction_to_json",
+    ],
+    "twovertex": [
+        "TwoVertexShape", "CanonicalForm16", "LatticeSkeleton", "SkeletonFamily",
+        "Classification", "count_closed_form", "enumerate_up_to_iso", "canonicalize16",
+        "canonical_form_of_shape", "build_skeleton", "classify",
+    ],
+    "records": ["FrozenInstanceError", "Record"],
+}
 
 
 def test_all_lists_the_re_exported_names():
-    assert len(NAMES) == 65
-    assert set(leavitt.__all__) == NAMES and len(leavitt.__all__) == 65
+    assert len(NAMES) == 62
+    assert set(leavitt.__all__) == NAMES and len(leavitt.__all__) == 62
+
+
+def test_each_layer_pins_its_all():
+    for module, names in LAYER_ALL.items():
+        layer = import_module(f"leavitt.{module}")
+        assert layer.__all__ == names, module
+        assert all(hasattr(layer, name) for name in names), module
+    for module, names in EXPORTS.items():
+        if module != "errors":
+            assert set(names) <= set(LAYER_ALL[module]), module
 
 
 def test_star_import_binds_every_name_from_its_module():

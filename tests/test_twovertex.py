@@ -6,7 +6,7 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from helpers import G1, G4, G5, G6, G7, G8, L2, covers_by_definition
+from helpers import G1, G4, G5, G6, G7, G8, L2, class_members, covers_by_definition
 
 from leavitt import (
     CyclePolynomial,
@@ -26,7 +26,7 @@ from leavitt import (
     lambda_reduce,
     validate_graph,
 )
-from leavitt.twovertex import _SHAPES_16, canonical_form_of_shape, class_members
+from leavitt.twovertex import _SHAPES_16, canonical_form_of_shape
 
 
 # --- counting ------------------------------------------------------------------
@@ -200,6 +200,7 @@ def test_distinct_singletons():
 
 def test_class_members_table():
     members = class_members()
+    assert len(members) == 9
     assert members["I"] == (2, 4, 8, 13)
     assert members["II"] == (3, 7)
     assert members["III"] == (6, 15)
@@ -428,7 +429,7 @@ def _skeleton_lattice(skel) -> nx.DiGraph:
 
 
 def test_nine_classes_from_the_ideal_layer():
-    """The sixteen types fall into the nine classes of ``class_members``;
+    """The sixteen types fall into the nine classes of the type table;
     every census shape's ideal lattice is isomorphic to the one of its
     label's representative and to no other, and to the lattice its
     skeleton describes."""
