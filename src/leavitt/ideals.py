@@ -474,31 +474,32 @@ def is_graded(i: LambdaReduction) -> bool:
 #
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
-# rejected for the whole list.  Once those two guards pass, the list is read
-# once, by ``QPoly.of`` and so by the coefficient rule,
-# ``polynomials._rational``, and a text it refuses is reported with
-# Fraction's error.  A JSON number reads as its digits in a string would:
-# 1.0000000000000001 is not rounded to 1, and 1e5 is refused as "1e5" is.
+# rejected for the whole list, which ``QPoly.of`` then reads once by the
+# coefficient rule, ``polynomials._rational``, reporting Fraction's error.
+# A JSON number reads as its digits in a string would: 1.0000000000000001
+# is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.
 
 
 class _JsonDecimal(float):
-    """A JSON number with a fraction or an exponent: the float ``json`` reads,
-    whose ``str`` is its literal text.  ``repr`` stays the float's, as error
-    messages show it."""
+    """A JSON number with a fraction or an exponent, read by ``parse_float``:
+    the float, with the float's ``repr``, whose ``str`` is its literal text
+    unless it overflows ("inf", which the coefficient rule refuses)."""
 
     __slots__ = ("text",)
 
+    def __init__(self, text: str) -> None:
+        self.text = text
+
     def __str__(self) -> str:
-        return self.text
+        return float.__str__(self) if isinf(self) else self.text
 
 
-def _json_decimal(text: str) -> float:
-    """The ``parse_float`` hook: a number keeps its literal text unless it
-    overflows; then its text is the float's, "inf" or "-inf", which the
-    coefficient rule refuses."""
-    x = _JsonDecimal(text)
-    x.text = str(float(x)) if isinf(x) else text
-    return x
+def _shown(coeffs: list) -> str:
+    """A list refused for an exponent as messages show it: JSON numbers as
+    floats, or as literals if only a literal shows the exponent (1e5)."""
+    floats = " ".join(repr(c) if isinstance(c, _JsonDecimal) else str(c) for c in coeffs)
+    literals = ", ".join(str(c) if isinstance(c, _JsonDecimal) else repr(c) for c in coeffs)
+    return repr(coeffs) if _EXPONENT.search(floats) else f"[{literals}]"
 
 
 def _names(value, key: str) -> list:
@@ -510,7 +511,7 @@ def _names(value, key: str) -> list:
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     if isinstance(data, str):
         try:
-            data = json.loads(data, parse_float=_json_decimal)
+            data = json.loads(data, parse_float=_JsonDecimal)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad ideal JSON: {exc}") from exc
         except ValueError as exc:  # an integer beyond the interpreter's int() digit limit
@@ -539,7 +540,7 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         texts = [str(c) for c in entry["coeffs"]]
         joined = " ".join(texts)  # a space starts no match of either guard
         if _EXPONENT.search(joined):
-            raise ParseError(f"exponent notation in coefficients {entry['coeffs']}")
+            raise ParseError(f"exponent notation in coefficients {_shown(entry['coeffs'])}")
         if _NOT_ASCII_DIGIT.search(joined):
             raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
         try:

@@ -2,22 +2,24 @@
 
 Usage, from the root of a checkout::
 
-    python tests/lpa_differential.py --base REV [--head REV] [--seed N] [--graphs N]
+    python tests/lpa_differential.py --base REV [--graphs N]
 
-The ``src/`` of each revision is extracted with ``git archive`` (``--head``
-defaults to the working tree's ``src/``).  One worker process per tree runs
+The ``src/`` of REV is extracted with ``git archive`` and compared with the
+working tree's ``src/``.  One worker process per tree runs
 ``leavitt.cli.main`` in process for every argument list, every command of
 ``COMMANDS`` in every format it offers, and records stdout, stderr and the
 exit code (a crash as its exception type and message).  The inputs are
-seeded: random multigraphs with at most six vertices, loops and parallel
-edges, under shuffled names and order; every two-vertex shape with at most
-six edges, and random ones beyond; elements built by walks on each graph;
-ideal JSON on each graph's K1 cycles; and some malformed arguments.  Each
-differing argument list is printed with the fields that differ, and the
-exit status is 1 on any difference, 0 otherwise.
+drawn from a fixed seed: random multigraphs with at most six vertices,
+loops and parallel edges, under shuffled names and order; every two-vertex
+shape with at most six edges, and random ones beyond; elements built by
+walks on each graph; ideal JSON on each graph's K1 cycles, which the
+working tree's ``leavitt`` finds (both trees get the same inputs); and
+some malformed arguments.  Each differing argument list is printed with
+the fields that differ, and the exit status is 1 on any difference, 0
+otherwise.
 
-It uses the standard library and ``git`` only, and is not collected by
-pytest.
+It uses the standard library, ``git`` and the working tree's ``leavitt``
+only, and is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HEAD_SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, HEAD_SRC)
+
+from leavitt import k1_cycles, validate_graph
+from leavitt.cli import COMMANDS
+
+SEED = 0
 
 # Run by ``python -s -c WORKER SRC CASES RESULTS``: import ``leavitt`` from
 # SRC, run every argument list of CASES, write the outcomes to RESULTS.
@@ -126,67 +135,40 @@ def element(vertices, edges, rng: random.Random) -> str:
     return " ".join(terms)
 
 
-def k1_cycles(vertices, edges) -> list[list[str]]:
-    """Each K1 cycle once, rotated to start at its least edge: a strongly
-    connected component with as many internal edges as vertices is one
-    cycle, and its vertices are K1."""
-    reach = {v: {v} for v in vertices}
-    changed = True
-    while changed:
-        changed = False
-        for _, s, r in edges:
-            new = reach[r] - reach[s]
-            if new:
-                reach[s] |= new
-                changed = True
-    comp = {v: frozenset(w for w in vertices if w in reach[v] and v in reach[w]) for v in vertices}
-    inner = {v: [(e, r) for e, s, r in edges if s == v and r in comp[v]] for v in vertices}
-    order = {e: i for i, (e, _, _) in enumerate(edges)}
-    cycles, seen = [], set()
-    for v in vertices:
-        size = sum(len(inner[w]) for w in comp[v])
-        if size != len(comp[v]) or v in seen:
-            continue
-        cycle, here = [], v
-        while True:
-            e, here = inner[here][0]
-            cycle.append(e)
-            seen.add(here)
-            if here == v:
-                break
-        i = min(range(len(cycle)), key=lambda k: order[cycle[k]])
-        cycles.append(cycle[i:] + cycle[:i])
-    return cycles
+# JSON text of each coefficient: strings, integers, and numbers whose
+# literal differs from their float (1e5 is 100000.0, 0.0000001 is 1e-07).
+COEFFS = ['"1"', '"-1"', '"2"', '"0"', '"1/2"', '"-3/4"', '"0.25"', "1", "-2", "0.5", "3",
+          "1e5", "1.5E2", "1e-5", "0.0000001", "1.0000000000000001", "0.50"]
 
 
-COEFFS = ["1", "-1", "2", "0", "1/2", "-3/4", "0.25", 1, -2, 0.5, 3]
-
-
-def ideal(vertices, edges, rng: random.Random) -> str:
-    data: dict = {}
+def ideal(vertices, cycles, rng: random.Random) -> str:
+    """Ideal JSON text over the K1 ``cycles``, each a list of ``(edge,
+    source)`` pairs, rotated and based at random."""
+    parts = []
     if rng.random() < 0.5:
-        data["vertices"] = rng.sample(vertices, rng.randint(0, min(2, len(vertices))))
+        named = rng.sample(vertices, rng.randint(0, min(2, len(vertices))))
+        parts.append('"vertices": ' + json.dumps(named))
     polys = []
-    for cycle in k1_cycles(vertices, edges):
+    for cycle in cycles:
         if rng.random() < 0.6:
             k = rng.randrange(len(cycle))
-            entry = {"cycle": cycle[k:] + cycle[:k]}
+            entry = {"cycle": [e for e, _ in cycle[k:] + cycle[:k]]}
             if rng.random() < 0.5:
-                sources = {e: s for e, s, _ in edges}
-                entry["base"] = sources[rng.choice(cycle)]
-            entry["coeffs"] = [rng.choice(COEFFS) for _ in range(rng.randint(1, 4))]
-            polys.append(entry)
+                entry["base"] = rng.choice(cycle)[1]
+            coeffs = ", ".join(rng.choice(COEFFS) for _ in range(rng.randint(1, 4)))
+            polys.append(json.dumps(entry)[:-1] + f', "coeffs": [{coeffs}]}}')
     if polys or rng.random() < 0.5:
-        data["polys"] = polys
+        parts.append('"polys": [' + ", ".join(polys) + "]")
     if rng.random() < 0.04:
-        data[rng.choice(["extra", "polys"])] = "e"
-    return json.dumps(data)
+        parts.append(f'"{rng.choice(["extra", "polys"])}": "e"')  # a later "polys" wins
+    return "{" + ", ".join(parts) + "}"
 
 
 def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, list[list[str]]]:
     """Argument lists, without ``--format``, keyed by command."""
     g = ["--graph", path]
     el = lambda: element(vertices, edges, rng)
+    cycles = [list(zip(c.edges, c.sources)) for c in k1_cycles(validate_graph(vertices, edges))]
     subset = lambda: ",".join(rng.sample(vertices, rng.randint(0, len(vertices))))
     return {
         "check-k": [g],
@@ -197,16 +179,16 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
         "normalize": [g + [el()], g + ["--", el()]],
         "mul": [g + [el(), el()]],
         "grade": [g + [el()]],
-        "lambda-reduce": [g + ["--ideal", ideal(vertices, edges, rng)]],
-        "contains": [g + [ideal(vertices, edges, rng), ideal(vertices, edges, rng)]],
+        "lambda-reduce": [g + ["--ideal", ideal(vertices, cycles, rng)]],
+        "contains": [g + [ideal(vertices, cycles, rng), ideal(vertices, cycles, rng)]],
         "extract-vertex": [g + [el()]],
         "nongraded-witness": [g],
         "classify2": [g],
     }
 
 
-def build_cases(directory: str, seed: int, graphs: int, commands) -> list[list[str]]:
-    rng = random.Random(seed)
+def build_cases(directory: str, graphs: int, commands) -> list[list[str]]:
+    rng = random.Random(SEED)
     by_command: dict[str, list[list[str]]] = {name: [] for name in commands}
     inputs = [random_graph(rng) for _ in range(graphs)]
     shapes = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)]
@@ -253,21 +235,13 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     p.add_argument("--base", required=True, help="revision to compare against")
-    p.add_argument("--head", help="revision to check (default: the working tree)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graphs", type=int, default=300, help="random multigraphs")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        head = os.path.join(ROOT, "src")
-        if args.head:
-            head = extract(args.head, os.path.join(tmp, "head"))
-        trees = {"base": extract(args.base, os.path.join(tmp, "base")), "head": head}
-        sys.path.insert(0, trees["head"])
-        from leavitt.cli import COMMANDS
-
+        trees = {"base": extract(args.base, os.path.join(tmp, "base")), "head": HEAD_SRC}
         inputs = os.path.join(tmp, "inputs")
         os.mkdir(inputs)
-        cases = build_cases(inputs, args.seed, args.graphs, {cmd.name: cmd for cmd in COMMANDS})
+        cases = build_cases(inputs, args.graphs, {cmd.name: cmd for cmd in COMMANDS})
         case_file = os.path.join(tmp, "cases.json")
         with open(case_file, "w", encoding="utf-8") as fh:
             json.dump(cases, fh)

@@ -449,6 +449,8 @@ def test_mixed_graph_rejected():
 def test_graph_mismatches_rejected():
     with pytest.raises(DomainError, match="monomial from a different graph"):
         Element.of(R1, [(monomial(R2, at="v"), 1)])
+    with pytest.raises(DomainError, match="elements live over different graphs"):
+        mul(vertex_element(R1, "v"), vertex_element(R2, "v"))
 
 
 def test_monomial_row_and_col():

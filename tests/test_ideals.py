@@ -760,15 +760,20 @@ def test_generator_set_json_reads_a_number_as_its_digits(literal):
 
 
 def test_generator_set_json_number_refusals_keep_their_messages():
-    """A literal with an exponent is refused as its string is; a number that
-    overflows, and a number where a name belongs, fail as they always did."""
+    """A literal with an exponent is refused as its string is, and quoted when
+    its float shows no exponent; a number that overflows, and a number where
+    a name belongs, fail as they always did."""
     cases = [
         ('"polys": [{"cycle": ["e"], "coeffs": [1e-05, 1]}]',
          ParseError, "exponent notation in coefficients [1e-05, 1]"),
         ('"polys": [{"cycle": ["e"], "coeffs": [1e20]}]',
          ParseError, "exponent notation in coefficients [1e+20]"),
         ('"polys": [{"cycle": ["e"], "coeffs": [1.5E2, 1]}]',
-         ParseError, "exponent notation in coefficients [150.0, 1]"),
+         ParseError, "exponent notation in coefficients [1.5E2, 1]"),
+        ('"polys": [{"cycle": ["e"], "coeffs": ["1", 1e5, 0.50]}]',
+         ParseError, "exponent notation in coefficients ['1', 1e5, 0.50]"),
+        ('"polys": [{"cycle": ["e"], "coeffs": [1e5, 1e-5]}]',
+         ParseError, "exponent notation in coefficients [100000.0, 1e-05]"),
         ('"polys": [{"cycle": ["e"], "coeffs": [1e999, 1]}]',
          ParseError, "bad coefficient in [inf, 1]: Invalid literal for Fraction: 'inf'"),
         ('"vertices": [1.5]', ParseError, "'vertices' must be a list of names"),
