@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 Commands live in one table, ``COMMANDS``.  Each entry names the command, its
 help text and its own arguments, and holds a function that takes the parsed
 ``--graph`` (``None`` for commands without one) and the parsed arguments and
-returns an :class:`Output`: the JSON payload, the text lines, and for the
-commands that offer ``--format dot`` a DOT renderer.  Every command offers
+returns an :class:`Output`: the JSON payload, a renderer of the text lines,
+and for the commands that offer ``--format dot`` a DOT renderer; only the
+chosen format's renderer runs.  Every command offers
 ``text`` and ``json``.  :func:`main` loads the graph, runs the command,
 prints the chosen format, and maps library and file errors to exit 1.
 
@@ -32,7 +33,8 @@ from .graphs import (
 
 
 Output = namedtuple("Output", "payload lines dot", defaults=(None,))
-Output.__doc__ = "What a command returns; ``dot`` is called only under ``--format dot``."
+Output.__doc__ = """What a command returns: the JSON payload, and the zero-argument
+renderers ``lines`` (a list of text lines) and ``dot``, each called only under its format."""
 
 
 def _read_text(path: str) -> str:
@@ -53,25 +55,26 @@ def _ideal(g: Graph, spec: str):
 def _check_k(g, args):
     ok, offenders = condition_k(g)
     text = "true" if ok else f"false: K1 vertices [{', '.join(offenders)}]"
-    return Output({"condition_k": ok, "k1_vertices": list(offenders)}, [text])
+    return Output({"condition_k": ok, "k1_vertices": list(offenders)}, lambda: [text])
 
 
 def _classify_vertex(g, args):
     vc = classify_vertex(g, args.vertex)
     if vc.cycle is None:
-        return Output({"class": vc.kind}, [vc.kind])
+        return Output({"class": vc.kind}, lambda: [vc.kind])
     payload = {"class": vc.kind, "cycle": list(vc.cycle.edges)}
-    return Output(payload, [f"{vc.kind} cycle ({vc.cycle})"])
+    return Output(payload, lambda: [f"{vc.kind} cycle ({vc.cycle})"])
 
 
 def _closure(g, args):
     t = hereditary_saturated_closure(g, [v for v in args.vertices.split(",") if v])
-    return Output({"closure": list(t.sorted_members())}, [str(t)])
+    return Output({"closure": list(t.sorted_members())}, lambda: [str(t)])
 
 
 def _hs_sets(g, args):
     sets = all_hereditary_saturated_sets(g)
-    return Output({"sets": [list(s.sorted_members()) for s in sets]}, [str(s) for s in sets])
+    payload = {"sets": [list(s.sorted_members()) for s in sets]}
+    return Output(payload, lambda: [str(s) for s in sets])
 
 
 def _graded_lattice(g, args):
@@ -80,40 +83,42 @@ def _graded_lattice(g, args):
     nodes, covers = poset.elements, poset.covers()
     members = [node.vertex_part.sorted_members() for node in nodes]
     payload = {"nodes": [list(ms) for ms in members], "covers": [list(c) for c in covers]}
-    names = ["<" + (", ".join(ms) or "0") + ">" for ms in members]
-    lines = names + [f"{names[i]} < {names[j]}" for i, j in covers]
+
+    def lines():
+        names = ["<" + (", ".join(ms) or "0") + ">" for ms in members]
+        return names + [f"{names[i]} < {names[j]}" for i, j in covers]
     return Output(payload, lines, lambda: lattice_dot(g, poset))
 
 
 def _normalize(g, args):
     from .elements import format_element, parse_element
     text = format_element(parse_element(g, args.element))
-    return Output({"normal_form": text}, [text])
+    return Output({"normal_form": text}, lambda: [text])
 
 
 def _mul(g, args):
     from .elements import format_element, mul, parse_element
     text = format_element(mul(parse_element(g, args.left), parse_element(g, args.right)))
-    return Output({"product": text}, [text])
+    return Output({"product": text}, lambda: [text])
 
 
 def _grade(g, args):
     from .elements import format_element, graded_components, parse_element
     dec = graded_components(parse_element(g, args.element))
     parts = [(str(d), format_element(e)) for d, e in dec.components]
-    return Output({"components": dict(parts)}, [f"{d}: {e}" for d, e in parts] or ["0"])
+    return Output({"components": dict(parts)}, lambda: [f"{d}: {e}" for d, e in parts] or ["0"])
 
 
 def _lambda_reduce(g, args):
     from .ideals import reduction_to_json
     red = _ideal(g, args.ideal)
-    return Output(reduction_to_json(red), [str(red)])
+    return Output(reduction_to_json(red), lambda: [str(red)])
 
 
 def _contains(g, args):
     from .ideals import contains
     result = contains(g, _ideal(g, args.ideal_a), _ideal(g, args.ideal_b))
-    return Output({"contains": result}, ["true" if result else "false"])
+    return Output({"contains": result}, lambda: ["true" if result else "false"])
 
 
 def _extract_vertex(g, args):
@@ -123,7 +128,7 @@ def _extract_vertex(g, args):
     left, right = [str(m) for m in w.left], [str(m) for m in w.right]
     payload = {"vertex": w.vertex, "scalar": str(w.scalar), "left": left, "right": right}
     via = f"left [{', '.join(left) or '-'}] right [{', '.join(right) or '-'}]"
-    return Output(payload, [f"{w.scalar}*{w.vertex} via {via}"])
+    return Output(payload, lambda: [f"{w.scalar}*{w.vertex} via {via}"])
 
 
 def _nongraded_witness(g, args):
@@ -131,10 +136,10 @@ def _nongraded_witness(g, args):
     from .ideals import nongraded_witness
     w = nongraded_witness(g)
     if w is None:
-        return Output({"witness": None}, ["none"])
+        return Output({"witness": None}, lambda: ["none"])
     v, lam, gen = w
     witness = {"vertex": v, "cycle": list(lam.edges), "generator": format_element(gen)}
-    return Output({"witness": witness}, [f"({v}, ({lam}), {witness['generator']})"])
+    return Output({"witness": witness}, lambda: [f"({v}, ({lam}), {witness['generator']})"])
 
 
 def _count2(g, args):
@@ -145,18 +150,19 @@ def _count2(g, args):
     except ValueError as exc:  # beyond the interpreter's int() digit limit
         raise DomainError(f"the count has more than {sys.get_int_max_str_digits()} digits") from exc
     if not args.verify:
-        return Output({"count": formula}, [text])
+        return Output({"count": formula}, lambda: [text])
     oracle = len(twovertex.enumerate_up_to_iso(args.edges))
     if formula != oracle:
         raise LpaError(f"mismatch: {formula} (formula) != {oracle} (enumeration)")
     payload = {"count": formula, "enumeration": oracle, "verified": True}
-    return Output(payload, [f"{formula} (formula) == {oracle} (enumeration)"])
+    return Output(payload, lambda: [f"{formula} (formula) == {oracle} (enumeration)"])
 
 
 def _enum2(g, args):
     from . import twovertex
     shapes = [s.astuple() for s in twovertex.enumerate_up_to_iso(args.edges)]
-    return Output({"shapes": [list(s) for s in shapes]}, ["(%d,%d,%d,%d)" % s for s in shapes])
+    payload = {"shapes": [list(s) for s in shapes]}
+    return Output(payload, lambda: ["(%d,%d,%d,%d)" % s for s in shapes])
 
 
 def _classify2(g, args):
@@ -168,7 +174,7 @@ def _classify2(g, args):
     if result.note:
         payload["note"] = result.note
         lines.append(f"note: {result.note}")
-    return Output(payload, lines, result.skeleton.to_dot)
+    return Output(payload, lambda: lines, result.skeleton.to_dot)
 
 
 Command = namedtuple("Command", "name help run arguments graph dot", defaults=((), True, False))
@@ -243,7 +249,7 @@ def main(argv=None) -> int:
         elif args.format == "dot":
             print(out.dot(), end="")
         else:
-            print("\n".join(out.lines))
+            print("\n".join(out.lines()))
     except (LpaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,19 +15,27 @@ with like-term collection, makes equality decidable by comparing terms.
 Representation: a path is the integer tuple ``(base_vertex_id, *edge_ids)``,
 the ``code`` a :class:`~leavitt.graphs.Path` holds, and a monomial a.b*' is
 the record ``(graph, code)`` whose code is the pair ``(a, b)`` of path
-codes.  An element is the record ``(graph, codes)`` of its terms
-``((a, b), c)``.  Ids are positions in
-the graph's vertex and edge lists, so the term order (ghost degree
-descending, degree ascending, then the paths' codes) is the tuple
-``(1 - len(b), len(a) - len(b), a, b)``.  Coefficients are ints while
-integral and Fractions otherwise, read by the package's one coefficient
-rule, ``polynomials._rational``; sums and products work on integer
-numerators over a common denominator.  They, rewriting and text read only
-these tuples and the graph's cached integer adjacency (the range of each
-edge, and the vertex identity's other edges for a special edge), so their
-cost does not depend on unrelated vertices and edges.  ``Element.terms``
-pairs each code with a ``Monomial`` record on every access, and names are
-built only for text.
+codes.  An element is the record ``(graph, codes, den)``: its terms
+``((a, b), n)`` in term order, each with an int numerator n, over one
+positive denominator ``den``, in lowest terms (``gcd(den, *ns) == 1``), so
+equal elements have equal records.  Ids are positions in the graph's vertex
+and edge lists, so the term order (ghost degree descending, degree
+ascending, then the paths' codes) is the tuple
+``(1 - len(b), len(a) - len(b), a, b)``.
+
+Parsing, sums, products, rewriting and scaling work on the numerators: a
+sum brings its operands over the lcm of their denominators, a product over
+their product, and each result is reduced by one gcd (the method of
+Knuth, TAOCP vol. 2, 4.5.1).  They and text read only these tuples and
+the graph's cached integer adjacency (the range of each edge, and the
+vertex identity's other edges for a special edge), so their cost does not
+depend on unrelated vertices and edges.  A coefficient is a Fraction only
+where it enters or leaves the kernel: ``Element.of`` reads Fractions, ints
+and strings by the package's one coefficient rule,
+``polynomials._rational``; ``Element.terms`` pairs each code with a
+``Monomial`` record and a Fraction on every access, and
+``ideals.ExtractionWitness.scalar`` is a Fraction.  Names are built only
+for text.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path, _index, _listing
@@ -119,15 +127,20 @@ def _is_scalar(c) -> bool:
 
 class Element(Record):
     """Immutable sum of monomials with nonzero rational coefficients, held as
-    the kernel's terms ``((a, b), c)`` in term order.
+    the kernel's terms ``((a, b), n)`` in term order over one denominator.
+
+    The coefficient of the term ``((a, b), n)`` is ``n / den``: every ``n``
+    is a nonzero int, ``den`` a positive int, and ``gcd(den, *ns) == 1``, so
+    each element has one record and record equality is equality of
+    elements.  :attr:`terms` gives the coefficients as Fractions.
 
     :meth:`of` collects like terms and drops zeros but performs no
     rewriting; arithmetic helpers and :func:`normalize` produce normal
     forms.  Terms are ordered by (ghost degree desc, degree asc, paths).
-    ``Element(graph, codes)`` is the raw constructor and checks nothing.
+    ``Element(graph, codes, den)`` is the raw constructor and checks nothing.
     """
 
-    __slots__ = __match_args__ = ("graph", "codes")
+    __slots__ = __match_args__ = ("graph", "codes", "den")
 
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int | str]]) -> "Element":
@@ -139,25 +152,22 @@ class Element(Record):
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
             codes.append((m.code, _rational(c)))
-        return _sum(graph, codes)
+        den = lcm(*[c.denominator for _, c in codes])
+        return _sum(graph, [(m, c.numerator * (den // c.denominator)) for m, c in codes], den)
 
     @staticmethod
     def zero(graph: Graph) -> "Element":
-        return Element(graph, ())
+        return Element(graph, (), 1)
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """The ``(Monomial, Fraction)`` pairs of the codes, built on each access."""
-        g = self.graph
-        return tuple([(Monomial(g, m), Fraction(c)) for m, c in self.codes])
+        g, den = self.graph, self.den
+        return tuple([(Monomial(g, m), Fraction(n, den)) for m, n in self.codes])
 
     @property
     def is_zero(self) -> bool:
         return not self.codes
-
-    def coeff(self, m: Monomial) -> Fraction:
-        """The coefficient of ``m`` among the terms; 0 for a monomial of another graph."""
-        return Fraction(dict(self.codes).get(m.code, 0) if m.graph == self.graph else 0)
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -166,7 +176,7 @@ class Element(Record):
         return sub(self, other)
 
     def __neg__(self) -> "Element":
-        return Element(self.graph, tuple((m, -c) for m, c in self.codes))
+        return Element(self.graph, tuple([(m, -n) for m, n in self.codes]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -218,40 +228,35 @@ def _order(term: tuple) -> tuple:
     return (1 - len(b), len(a) - len(b), a, b)
 
 
-def _scaled(terms) -> tuple[list[tuple], int]:
-    """``terms`` with their last entries (coefficients) as numerators over their LCD d; and d."""
-    dens = [c.denominator for *_, c in terms if type(c) is not int]
-    if not dens:
-        return terms, 1
-    d = lcm(*dens)
-    return [(*t, c.numerator * (d // c.denominator)) for *t, c in terms], d
-
-
-def _collect(g: Graph, acc: dict, den: int = 1) -> Element:
-    """Element of the nonzero terms of ``acc`` (over ``den``), checked and in term order."""
+def _collect(g: Graph, acc: dict, den: int) -> Element:
+    """Element of the nonzero numerators of ``acc`` over ``den``, checked, in
+    term order and in lowest terms."""
     rng = _index(g).rng
     kept = []
-    for m, c in acc.items():
-        if c:
+    for m, n in acc.items():
+        if n:
             a, b = m
             if (rng[a[-1]] if len(a) > 1 else a[0]) != (rng[b[-1]] if len(b) > 1 else b[0]):
                 raise DomainError("monomial paths end at different vertices")
-            if den != 1:
-                c = c // den if c % den == 0 else Fraction(c, den)
-            kept.append((m, c))
+            kept.append((m, n))
+    if den != 1:
+        q = gcd(den, *[n for _, n in kept])
+        if q != 1:
+            den //= q
+            kept = [(m, n // q) for m, n in kept]
     kept.sort(key=_order)
-    return Element(g, tuple(kept))
+    return Element(g, tuple(kept), den)
 
 
-def _sum(g: Graph, codes: Iterable[tuple]) -> Element:
-    codes, d = _scaled(list(codes))
+def _sum(g: Graph, codes: Iterable[tuple], den: int) -> Element:
+    """Element of the ``(m, n)`` terms of ``codes``, numerators over ``den``."""
     acc: dict[tuple, int] = {}
-    for m, c in codes:
-        acc[m] = acc.get(m, 0) + c
-    return _collect(g, acc, d)
+    for m, n in codes:
+        acc[m] = acc.get(m, 0) + n
+    return _collect(g, acc, den)
 
 
-def _rewrite(g: Graph, stack: list[tuple], den: int = 1) -> Element:
+def _rewrite(g: Graph, stack: list[tuple], den: int) -> Element:
     """Normal form of the sum of the (a, b, c) triples on ``stack``.
 
     A monomial whose paths both end in the special edge e of their turn
@@ -280,17 +285,16 @@ def _rewrite(g: Graph, stack: list[tuple], den: int = 1) -> Element:
 
 def normalize(x: Element) -> Element:
     """Normal form of x; idempotent and degree-preserving per term."""
-    return _rewrite(x.graph, *_scaled([(a, b, c) for (a, b), c in x.codes]))
+    return _rewrite(x.graph, [(a, b, n) for (a, b), n in x.codes], x.den)
 
 
-def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
-    """Normal form of the product of two term tuples.
+def _product(g: Graph, xs: tuple, ys: tuple, den: int) -> Element:
+    """Normal form of the product of two term tuples, over ``den``.
 
     The ghost half b1 of a left term eats into the real half a2 of a right
     term edge by edge; the product survives exactly when one of the two is
     a prefix of the other, base vertex id included.
     """
-    (xs, dx), (ys, dy) = _scaled(xs), _scaled(ys)
     stack = []
     for (a1, b1), c1 in xs:
         nb = len(b1)
@@ -301,7 +305,7 @@ def _product(g: Graph, xs: tuple, ys: tuple) -> Element:
                     stack.append((a1 + a2[nb:], b2, c1 * c2))
             elif b1[:na] == a2:
                 stack.append((a1, b2 + b1[na:], c1 * c2))
-    return _rewrite(g, stack, dx * dy)
+    return _rewrite(g, stack, den)
 
 
 def _same_graph(x: Element, y: Element) -> None:
@@ -312,24 +316,31 @@ def _same_graph(x: Element, y: Element) -> None:
 def mul(x: Element, y: Element) -> Element:
     """Bilinear product, returned in normal form."""
     _same_graph(x, y)
-    return _product(x.graph, x.codes, y.codes)
+    return _product(x.graph, x.codes, y.codes, x.den * y.den)
+
+
+def _combine(x: Element, y: Element, sign: int) -> Element:
+    """x + sign * y, numerators brought over the lcm of the two denominators."""
+    _same_graph(x, y)
+    den = lcm(x.den, y.den)
+    p, q = den // x.den, sign * (den // y.den)
+    return _sum(x.graph, [(m, p * n) for m, n in x.codes] + [(m, q * n) for m, n in y.codes], den)
 
 
 def add(x: Element, y: Element) -> Element:
-    _same_graph(x, y)
-    return _sum(x.graph, x.codes + y.codes)
+    return _combine(x, y, 1)
 
 
 def sub(x: Element, y: Element) -> Element:
-    _same_graph(x, y)
-    return _sum(x.graph, x.codes + tuple((m, -c) for m, c in y.codes))
+    return _combine(x, y, -1)
 
 
 def scale(c: Fraction | int, x: Element) -> Element:
     """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
     if not _is_scalar(c):
         raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
-    return _sum(x.graph, ((m, c * cc) for m, cc in x.codes))
+    p = c.numerator
+    return _sum(x.graph, [(m, p * n) for m, n in x.codes], c.denominator * x.den)
 
 
 class GradedDecomposition(Record):
@@ -344,7 +355,7 @@ def graded_components(x: Element) -> GradedDecomposition:
     for t in x.codes:
         (a, b), _ = t
         by_deg.setdefault(len(a) - len(b), []).append(t)
-    comps = tuple((d, _sum(x.graph, by_deg[d])) for d in sorted(by_deg))
+    comps = tuple((d, _sum(x.graph, by_deg[d], x.den)) for d in sorted(by_deg))
     return GradedDecomposition(x.graph, comps)
 
 
@@ -396,7 +407,8 @@ def _tokenize(s: str) -> list[tuple[str, str]]:
 
 
 def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
-    """The (a, b, c) triple of every word of the sum that does not vanish.
+    """The (a, b, n, d) of every word of the sum that does not vanish: its
+    pair of path codes and its coefficient n/d, with d > 0 not reduced.
 
     All factors of a word are looked up before their composability is
     checked, so an unknown name is reported before a mismatch.
@@ -442,15 +454,14 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
     if tokens[0][0] in ("plus", "minus"):
         pos = 1
     while True:
-        c = sign
+        n, d = sign, 1
         if tokens[pos][0] == "num":
-            num, den = integer(), 1
+            n *= integer()
             if tokens[pos][0] == "slash":
                 pos += 1
-                den = integer()
-                if den == 0:
+                d = integer()
+                if d == 0:
                     raise ParseError("zero denominator")
-            c *= num if den == 1 else Fraction(num, den)
             take("star")
         factors = [factor()]
         while tokens[pos][0] == "dot":
@@ -475,7 +486,7 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
             else:
                 break
         else:
-            words.append((a, b, c))
+            words.append((a, b, n, d))
         if tokens[pos][0] not in ("plus", "minus"):
             break
         sign = 1 if tokens[pos][0] == "plus" else -1
@@ -494,21 +505,25 @@ def parse_element(g: Graph, text: str) -> Element:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty element expression")
-    return _rewrite(g, *_scaled(_parse_words(g, tokens)))
+    words = _parse_words(g, tokens)
+    den = lcm(*[d for *_, d in words])
+    return _rewrite(g, [(a, b, n * (den // d)) for a, b, n, d in words], den)
 
 
 def format_element(x: Element) -> str:
     """Deterministic textual form of an element (normal or not)."""
     if x.is_zero:
         return "0"
-    g = x.graph
+    g, den = x.graph, x.den
     parts = []
-    for (a, b), c in x.codes:
+    for (a, b), n in x.codes:
         word = _word(g, a, b)
-        mag = abs(c)
-        body = word if mag == 1 else f"{mag}*{word}"
+        q = gcd(n, den)  # the term's |n|/den in lowest terms
+        mag, d = abs(n) // q, den // q
+        text = str(mag) if d == 1 else f"{mag}/{d}"
+        body = word if text == "1" else f"{text}*{word}"
         if parts:
-            parts.append(("+ " if c > 0 else "- ") + body)
+            parts.append(("+ " if n > 0 else "- ") + body)
         else:
-            parts.append(body if c > 0 else "-" + body)
+            parts.append(body if n > 0 else "-" + body)
     return " ".join(parts)

@@ -454,6 +454,11 @@ def mul_by_paths(g: Graph, xs, ys) -> tuple[tuple[Monomial, Fraction], ...]:
     return normalize_by_paths(g, raw)
 
 
+def coeff(x: Element, m: Monomial) -> Fraction:
+    """The coefficient of ``m`` among the terms of ``x``; 0 for a monomial of another graph."""
+    return dict(x.terms).get(m, Fraction(0))
+
+
 def format_by_terms(terms) -> str:
     if not terms:
         return "0"

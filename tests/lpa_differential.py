@@ -130,7 +130,8 @@ def element(vertices, edges, rng: random.Random) -> str:
     terms = []
     for i in range(rng.randint(1, 3)):
         sign = rng.choice(["+ ", "- "]) if i else rng.choice(["", "", "", "-"])
-        coeff = rng.choice(["", "", "2*", "1/2*", "3/4*", "10*"])
+        coeff = rng.choice(["", "", "2*", "1/2*", "3/4*", "10*", "1/3*", "5/6*", "7/12*", "100/7*",
+                            "6/4*"])
         terms.append(sign + coeff + word(vertices, edges, rng))
     return " ".join(terms)
 

@@ -513,6 +513,27 @@ def test_golden_output(graph_dir, capsys, argv, code, expected):
         assert (out, err) == (json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
 
 
+def test_only_the_chosen_format_is_rendered(graph_dir, capsys, monkeypatch):
+    """Each golden argument list that succeeds renders its text lines once
+    under text and never under json or dot."""
+    rendered = []
+
+    def counted(run):
+        def wrapped(g, args):
+            out = run(g, args)
+            return out._replace(lines=lambda: rendered.append(args.format) or out.lines())
+        return wrapped
+
+    commands = tuple(c._replace(run=counted(c.run)) for c in leavitt.cli.COMMANDS)
+    monkeypatch.setattr(leavitt.cli, "COMMANDS", commands)
+    for argv, code, _ in GOLDEN:
+        rendered.clear()
+        assert main(_resolve(argv, graph_dir)) == code
+        capsys.readouterr()
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        assert rendered == ([] if code or fmt != "text" else ["text"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -687,6 +708,18 @@ def test_lambda_reduce_coprime_degree_200_pair(r1, capsys):
     ideal = _loop_ideal(*coprime_pair(200))
     assert main(["lambda-reduce", "--graph", r1, "--ideal", ideal, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"polys": [], "vertices": ["v"]}
+
+
+def test_degree_budget_exits_1(r1, capsys):
+    """A polynomial of degree 257 is refused at once by both ideal commands;
+    one of degree 256 is read."""
+    at, over = _loop_ideal(coprime_pair(256)[0]), _loop_ideal(coprime_pair(257)[0])
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", at]) == 0
+    assert capsys.readouterr().out.startswith("vertices {} with x^256 ")
+    err = "error: polynomial of degree 257 is over the degree budget of 256\n"
+    for argv in (["lambda-reduce", "--ideal", over], ["contains", at, over]):
+        assert main(argv + ["--graph", r1]) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 def test_lambda_reduce_planted_factor_matches_sympy(r1, capsys):

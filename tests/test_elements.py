@@ -7,6 +7,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     L2,
     R1,
     R2,
+    coeff,
     paths_by_range,
     paths_up_to,
     random_element,
@@ -502,8 +504,8 @@ def test_fractional_products_keep_integral_coefficients_as_ints():
     half = parse_element(R2, "1/2*e + 1/2*f")
     for z in (mul(scale(2, half), vertex_element(R2, "v")), add(half, half), scale(2, half),
               parse_element(R2, "1/2*e + 1/2*e"), Fraction(1, 2) * parse_element(R2, "2*e - 4*f")):
-        assert all(type(c) is int for _, c in z.codes)
-    assert all(type(c) is int or c.denominator > 1 for _, c in xy.codes)
+        assert z.den == 1 and all(type(n) is int for _, n in z.codes)
+    assert xy.den > 1 and gcd(xy.den, *[n for _, n in xy.codes]) == 1
 
 
 @pytest.mark.parametrize("bad", ["3", 0.1, 1.0, True, False, None, 2j])
@@ -524,10 +526,11 @@ def test_elements_are_immutable_values():
         x.graph = R1
     assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
     assert hash(pickle.loads(pickle.dumps(x))) == hash(x)
-    assert Element(R2, x.codes) == x and Element.of(R2, x.terms) == x
+    assert Element(R2, x.codes, x.den) == x and Element.of(R2, x.terms) == x
+    assert x.den == 3 and Element(R2, x.codes, 1) != x
     assert -x == scale(-1, x) and -(-x) == x
-    assert x.coeff(monomial(R2, ("f",))) == Fraction(-1, 3)
-    assert x.coeff(monomial(R2, ("e",))) == 0
+    assert coeff(x, monomial(R2, ("f",))) == Fraction(-1, 3)
+    assert coeff(x, monomial(R2, ("e",))) == 0
 
 
 # --- scale: cost that does not grow with unrelated vertices ------------------------

@@ -25,6 +25,7 @@ from helpers import (
     NOT_CONDITION_K,
     R1,
     R2,
+    coprime_pair,
     generator_set_by_fractions,
     generator_set_of,
     outcome,
@@ -66,7 +67,7 @@ from leavitt import (
     vertex_element,
     vertex_membership,
 )
-from leavitt.ideals import _reduce
+from leavitt.ideals import DEGREE_BUDGET, _reduce
 
 # Each entry point below would read a string as the listing of its characters:
 # "e" as the cycle e, "v" as the vertex v, "11" as the coefficients of 1 + x.
@@ -625,6 +626,20 @@ def test_generator_set_json_errors():
         generator_set_from_json(G6, '{"polys": [{"cycle": ["a"], "coeffs": ["1","1"]}]}')
     with pytest.raises(Exception):
         generator_set_from_json(G6, "not json")
+
+
+def test_wire_polynomials_over_the_degree_budget_are_refused():
+    """Degree 256 is read and degree 257 refused, before any gcd runs;
+    trailing zeros do not count, and QPoly itself has no bound."""
+    assert DEGREE_BUDGET == 256
+    at, _ = coprime_pair(256)
+    over, _ = coprime_pair(257)
+    gens = generator_set_from_json(R1, {"polys": [{"cycle": ["e"], "coeffs": at + [0, 0]}]})
+    assert gens.polys[0].poly.degree == 256
+    refused = "^polynomial of degree 257 is over the degree budget of 256$"
+    with pytest.raises(DomainError, match=refused):
+        generator_set_from_json(R1, json.dumps({"polys": [{"cycle": ["e"], "coeffs": over}]}))
+    assert QPoly.of(over).degree == 257
 
 
 def test_generator_set_json_requires_lists():

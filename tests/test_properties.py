@@ -5,8 +5,11 @@ sinks, graph and generator ingest against the retired per-item parsers,
 plus a closed-form dimension count and the paper's characterization of
 graded ideals."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations, islice
+from math import gcd
 
 import networkx as nx
 import pytest
@@ -18,6 +21,8 @@ from helpers import (
     canonical_key_by_permutations,
     class_members,
     classify_by_cycle_count,
+    coeff,
+    collect_by_paths,
     covers_by_definition,
     format_by_terms,
     generator_set_by_fractions,
@@ -34,6 +39,7 @@ from helpers import (
     parse_graph_line_by_line,
     paths_by_range,
     rotation_key_by_rotations,
+    term_order,
     validate_graph_item_by_item,
 )
 from hypothesis import example, given, settings
@@ -60,6 +66,7 @@ from leavitt import (
     condition_k,
     format_element,
     generator_set_from_json,
+    graded_components,
     graded_lattice,
     is_graded,
     k1_cycles,
@@ -72,6 +79,8 @@ from leavitt import (
     parse_element,
     parse_graph,
     path_element,
+    scale,
+    sub,
     vertex_element,
     validate_graph,
 )
@@ -377,6 +386,72 @@ def test_element_kernel_matches_path_oracle(case):
 
 
 @st.composite
+def term_lists(draw):
+    """A multigraph, three lists of ``(monomial, n, d)`` with paths of up to
+    three edges and the coefficient n/d not in lowest terms (|n| <= 12,
+    1 <= d <= 12), and a rational scalar."""
+    g = draw(multigraphs(max_vertices=5, max_edges=8))
+    table = paths_by_range(g, 3)
+    coefficient = st.tuples(st.integers(-12, 12), st.integers(1, 12))
+
+    def items():
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            w = draw(st.sampled_from(g.vertices))
+            (_, a), (_, b) = draw(st.sampled_from(table[w])), draw(st.sampled_from(table[w]))
+            out.append((monomial(g, a, b, at=w), *draw(coefficient)))
+        return out
+
+    return g, (items(), items(), items()), Fraction(*draw(coefficient))
+
+
+def _held_in_lowest_terms(x: Element) -> None:
+    """One positive denominator, nonzero int numerators, no common factor of
+    all of them, and strictly increasing terms; and copies equal x."""
+    nums = [n for _, n in x.codes]
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert gcd(x.den, *nums) == 1
+    keys = [term_order(m) for m, _ in x.terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert twin == x and twin.den == x.den and hash(twin) == hash(x)
+
+
+@given(term_lists())
+def test_every_element_is_held_in_lowest_terms(case):
+    """Every element the library returns is in lowest terms over one
+    denominator, and its Fraction terms are the path oracle's."""
+    g, lists, c = case
+    xs, results = [], []
+    for items in lists:
+        x = Element.of(g, [(m, f"{n}/{d}") for m, n, d in items])
+        assert x == Element.of(g, [(m, Fraction(n, d)) for m, n, d in items])
+        terms = collect_by_paths([(m, Fraction(n, d)) for m, n, d in items])
+        text = " ".join(f"{'-' if n < 0 else '+'} {abs(n)}/{d}*{m}" for m, n, d in items)
+        parsed = parse_element(g, text) if items else Element.zero(g)
+        results += [(x, terms), (parsed, normalize_by_paths(g, terms))]
+        xs.append(x)
+    x, y, z = xs
+    xn, yn = normalize(x), normalize(y)
+    results += [
+        (xn, normalize_by_paths(g, x.terms)),
+        (mul(xn, yn), mul_by_paths(g, xn.terms, yn.terms)),
+        (mul(x, z), mul_by_paths(g, x.terms, z.terms)),
+        (add(x, z), collect_by_paths(x.terms + z.terms)),
+        (sub(x, z), collect_by_paths(x.terms + tuple((m, -k) for m, k in z.terms))),
+        (scale(c, x), collect_by_paths([(m, c * k) for m, k in x.terms])),
+        (-x, collect_by_paths([(m, -k) for m, k in x.terms])),
+    ]
+    components = graded_components(x).components
+    assert [d for d, _ in components] == sorted({m.degree for m, _ in x.terms})
+    results += [(e, tuple(t for t in x.terms if t[0].degree == d)) for d, e in components]
+    for e, terms in results:
+        _held_in_lowest_terms(e)
+        assert e.terms == terms
+
+
+@st.composite
 def acyclic_multigraphs(draw, max_vertices=5, max_edges=7):
     """Edges run forward in a random topological order; parallel edges allowed."""
     n = draw(st.integers(1, max_vertices))
@@ -669,7 +744,7 @@ def test_library_and_wire_read_a_coefficient_alike(text):
     text with one value, or all refuse it: DomainError from the library,
     ParseError from the wire."""
     m = monomial(E38, ["e"])
-    element = outcome(lambda: Element.of(E38, [(m, text)]).coeff(m))
+    element = outcome(lambda: coeff(Element.of(E38, [(m, text)]), m))
     poly = outcome(lambda: QPoly.of([text]).constant)
     data = {"polys": [{"cycle": ["e"], "coeffs": ["1", text, "1"]}]}
     wire = outcome(lambda: generator_set_from_json(E38, data).polys[0].poly.coeffs[1])

@@ -6,7 +6,8 @@ caches or defaults something.  Only ``Graph`` writes its own equality and
 hash.
 
 The repr literals are the strings the dataclass versions printed, except
-that paths, cycles, monomials and elements print their integer codes, so a
+that paths, cycles, monomials and elements print their integer codes (an
+element its numerators and their one denominator), so a
 change in any field's name, order or repr shows here.  Every ``Record``
 subclass must have samples, so none escapes these checks of the methods
 they inherit.
@@ -106,7 +107,7 @@ FIELDS = {
     "VertexClass": ("kind", "cycle"),
     "HeredSatSet": ("graph", "mask"),
     "Monomial": ("graph", "code"),
-    "Element": ("graph", "codes"),
+    "Element": ("graph", "codes", "den"),
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("coeffs",),
     "Poset": ("elements", "cover_pairs"),
@@ -144,12 +145,12 @@ REPRS = {
     "HeredSatSet": R1_V,
     "Monomial": f"Monomial(graph={G_P2}, code=((0, 0), (1,)))",
     "Element": (
-        f"Element(graph={G_R1}, codes=((((0,), (0,)), 1), (((0, 0), (0,)), Fraction(-1, 2))))"
+        f"Element(graph={G_R1}, codes=((((0,), (0,)), 2), (((0, 0), (0,)), -1)), den=2)"
     ),
     "GradedDecomposition": (
         f"GradedDecomposition(graph={G_R1}, components=("
-        f"(0, Element(graph={G_R1}, codes=((((0,), (0,)), 1),))), "
-        f"(1, Element(graph={G_R1}, codes=((((0, 0), (0,)), 2),)))))"
+        f"(0, Element(graph={G_R1}, codes=((((0,), (0,)), 1),), den=1)), "
+        f"(1, Element(graph={G_R1}, codes=((((0, 0), (0,)), 2),), den=1))))"
     ),
     "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
     "Poset": (
