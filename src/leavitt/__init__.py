@@ -24,8 +24,7 @@ _EXPORTS = {
     "graphs": (
         "Cycle", "Graph", "HeredSatSet", "Path", "Poset", "VertexClass",
         "all_hereditary_saturated_sets", "classify_vertex", "condition_k", "exit_range",
-        "hereditary_saturated_closure", "k1_cycles", "parse_graph", "serialize_graph",
-        "validate_graph",
+        "hereditary_saturated_closure", "k1_cycles", "parse_graph", "validate_graph",
     ),
     "elements": (
         "Element", "GradedDecomposition", "Monomial", "add", "format_element", "gdeg",
@@ -36,9 +35,9 @@ _EXPORTS = {
     "polynomials": ("QPoly",),
     "ideals": (
         "CyclePolynomial", "ExtractionWitness", "LambdaGeneratorSet", "LambdaReduction",
-        "contains", "extract_vertex", "generator_set_from_json", "generator_set_to_json",
-        "graded_lattice", "is_graded", "lambda_reduce", "lattice_dot", "nongraded_witness",
-        "reduction_to_json", "vertex_membership",
+        "contains", "extract_vertex", "generator_set_from_json", "graded_lattice", "is_graded",
+        "lambda_reduce", "lattice_dot", "nongraded_witness", "reduction_to_json",
+        "vertex_membership",
     ),
     "twovertex": (
         "CanonicalForm16", "Classification", "LatticeSkeleton", "TwoVertexShape",

@@ -56,7 +56,7 @@ from .records import Record, _set
 
 __all__ = [
     "Graph", "Path", "Cycle", "VertexClass", "HeredSatSet", "Poset", "validate_graph",
-    "parse_graph", "serialize_graph", "classify_vertex", "condition_k",
+    "parse_graph", "classify_vertex", "condition_k",
     "hereditary_saturated_closure", "all_hereditary_saturated_sets", "exit_range", "k1_cycles",
 ]
 
@@ -252,14 +252,6 @@ def parse_graph(text: str) -> Graph:
     return validate_graph(vertices, edges)
 
 
-def serialize_graph(g: Graph) -> str:
-    """Inverse of :func:`parse_graph`; output is byte-deterministic."""
-    lines = ["vertices: " + " ".join(g.vertices)]
-    for e, (s, r) in zip(g.edges, g.ends):
-        lines.append(f"edge {e}: {s} -> {r}")
-    return "\n".join(lines) + "\n"
-
-
 class Path(Record):
     """Composable edge sequence from a base vertex, held as the element
     kernel's code ``(base_id, *edge_ids)``; with no edges it denotes that
@@ -333,13 +325,21 @@ class Cycle(Record):
         es = _listing(edges, "cycle edges")
         if not es:
             raise DomainError("a cycle needs at least one edge")
-        code = Path.of(graph, es).code
-        rng = _index(graph).rng
-        if rng[code[-1]] != code[0]:
+        # One pass, checking each edge and then its composition, as Path.of does.
+        rng, vi, ends = _index(graph).rng, graph._vindex, graph.ends
+        start = here = vi[graph.src(es[0])]
+        ids = []
+        for e in es:
+            i = graph.edge_index(e)
+            if vi[ends[i][0]] != here:
+                raise DomainError(f"edges do not compose at {e!r}")
+            ids.append(i)
+            here = rng[i]
+        if here != start:
             raise DomainError(f"edge sequence {'.'.join(es)} is not closed")
-        if len({rng[e] for e in code[1:]}) != len(es):  # a closed path's ranges are its sources
+        if len({rng[i] for i in ids}) != len(es):  # a closed path's ranges are its sources
             raise DomainError(f"edge sequence {'.'.join(es)} repeats a source vertex")
-        return Cycle(graph, code[1:])
+        return Cycle(graph, tuple(ids))
 
     @property
     def edges(self) -> tuple[str, ...]:

@@ -28,7 +28,7 @@ from math import isinf
 from .errors import DomainError, ParseError
 from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
-    _k_classes, _lattice, _listing, _mask_names, lattice_label,
+    _k_classes, _lattice, _listing, lattice_label,
 )
 from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly
 from .records import Record
@@ -41,12 +41,14 @@ __all__ = [
     "Poset", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
     "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
     "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
-    "generator_set_from_json", "generator_set_to_json", "reduction_to_json",
+    "generator_set_from_json", "reduction_to_json",
 ]
 
 # Highest degree of a polynomial read from ideal JSON.  The gcd of a coprime
-# pair of degree d costs about 0.67 s at 256, 1.2 s at 300 and 5 s at 400,
-# so a larger input is refused at once instead.
+# pair of degree d (``coprime_pair`` in the tests) costs about 0.67 s at 256
+# (0.61-0.86 s over five runs), 1.2-1.4 s at 300 and 4.7 s at 400, in one
+# process on a two-core Intel Xeon under Python 3.11.7, so a larger input is
+# refused at once instead.
 DEGREE_BUDGET = 256
 
 
@@ -280,7 +282,8 @@ class CyclePolynomial(Record):
     name on it.  ``poly`` has a nonzero constant coefficient and degree at
     least one; a plain power multiple is shifted down so the lowest term is
     the vertex.  Canonical generating sets use monic polynomials, but inputs
-    need not be monic.
+    need not be monic.  :meth:`of` takes the coefficients as a list, each
+    read by the coefficient rule, or as a finished :class:`QPoly`.
     """
 
     __slots__ = __match_args__ = ("cycle", "base", "poly")
@@ -290,12 +293,12 @@ class CyclePolynomial(Record):
         g: Graph,
         cycle_edges: Iterable[str],
         base: str,
-        coeffs: Iterable[Fraction | int | str],
+        coeffs: QPoly | Iterable[Fraction | int | str],
     ) -> "CyclePolynomial":
         cyc = Cycle.of(g, cycle_edges)
         if base not in cyc.sources:
             raise DomainError(f"{base!r} is not a source on the cycle")
-        p = QPoly.of(coeffs)
+        p = coeffs if type(coeffs) is QPoly else QPoly.of(coeffs)
         if p.is_zero:
             raise DomainError("zero polynomial")
         p = p.shift_down(p.valuation())
@@ -366,7 +369,7 @@ class LambdaReduction(Record):
             seen.add(c.ids)
             if _k1_key(g, rng[c.ids[-1]]) != c.ids:  # the source of the first edge
                 raise DomainError(f"cycle {c} is not a K1 cycle")
-            if p.is_zero or p.degree < 1 or p.constant == 0 or not p.is_monic:
+            if p.degree < 1 or not p.nums[0] or not p.is_monic:
                 raise DomainError(
                     f"polynomial {p} on cycle {c} is not monic with nonzero "
                     "constant term and positive degree"
@@ -480,7 +483,8 @@ def is_graded(i: LambdaReduction) -> bool:
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
 # rejected for the whole list, which ``QPoly.of`` then reads once by the
-# coefficient rule, ``polynomials._rational``, reporting Fraction's error.
+# coefficient rule, ``polynomials._rational``, reporting Fraction's error;
+# ``CyclePolynomial.of`` takes the finished polynomial.
 # A JSON number reads as its digits in a string would: 1.0000000000000001
 # is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.
 
@@ -559,23 +563,15 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
             raise DomainError(
                 f"polynomial of degree {poly.degree} is over the degree budget of {DEGREE_BUDGET}"
             )
-        polys.append(CyclePolynomial.of(g, cycle_edges, base, poly.coeffs))
+        polys.append(CyclePolynomial.of(g, cycle_edges, base, poly))
     return LambdaGeneratorSet.of(g, polys, vertices)
-
-
-def _poly_to_json(cycle: Cycle, base: str, poly: QPoly) -> dict:
-    return {"cycle": list(cycle.edges), "base": base, "coeffs": list(poly.to_strings())}
-
-
-def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:
-    return {
-        "vertices": list(_mask_names(gens.graph, gens.mask)),
-        "polys": [_poly_to_json(p.cycle, p.base, p.poly) for p in gens.polys],
-    }
 
 
 def reduction_to_json(red: LambdaReduction) -> dict:
     return {
         "vertices": list(red.vertex_part.sorted_members()),
-        "polys": [_poly_to_json(c, c.sources[0], p) for c, p in red.polys],
+        "polys": [
+            {"cycle": list(c.edges), "base": c.sources[0], "coeffs": list(p.to_strings())}
+            for c, p in red.polys
+        ],
     }

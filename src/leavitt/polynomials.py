@@ -2,12 +2,21 @@
 
 Just enough arithmetic for canonicalizing cycle-polynomial generators:
 exact division with remainder, monic normalization, divisibility, and the
-monic greatest common divisor.  Coefficients are stored in ascending
-degree with no trailing zeros.
+monic greatest common divisor.
 
-Divisibility and the gcd run in Z[x]: each operand is scaled to its
-primitive integer part (denominators cleared, content divided out), which
-by Gauss's lemma leaves divisibility over Q unchanged and determines the
+A :class:`QPoly` is held as int numerators in ascending degree over one
+positive int denominator, in lowest terms, as an element holds its terms
+(Knuth, TAOCP vol. 2, 4.5.1: one gcd per result keeps a fraction reduced).
+Every operation works on those ints.  A ``Fraction`` appears only where
+a coefficient enters or leaves: ``QPoly.of`` takes Fractions and reads a
+fractional text such as "1/2" or "0.25" into one, and the
+:attr:`QPoly.coeffs`, :attr:`QPoly.constant` and :attr:`QPoly.leading`
+views build Fractions when read.  An integer coefficient, read or printed,
+never becomes one.
+
+Divisibility and the gcd run in Z[x]: the numerators, with their content
+divided out, are the primitive integer part of the polynomial, which by
+Gauss's lemma leaves divisibility over Q unchanged and determines the
 monic gcd.  The gcd is a primitive pseudo-remainder sequence (Collins,
 JACM 14 (1967); Knuth, TAOCP vol. 2, 4.6.1), made monic only at the end,
 so its coefficients stay bounded where Euclid's algorithm over Q lets them
@@ -32,110 +41,146 @@ __all__ = ["QPoly"]
 
 
 class QPoly(Record):
-    """A polynomial over Q: ``coeffs`` is a tuple of Fractions in ascending
-    degree, last entry nonzero."""
+    """A polynomial over Q: the coefficient of x^i is ``nums[i] / den``.
 
-    __slots__ = __match_args__ = ("coeffs",)
+    ``nums`` is a tuple of ints, last entry nonzero, and ``den`` a positive
+    int with ``gcd(den, *nums) == 1``, so each polynomial has one record and
+    record equality is equality of polynomials; zero is ``QPoly((), 1)``.
+    Arithmetic, division, the gcd and printing read only these ints; the
+    :attr:`coeffs`, :attr:`constant` and :attr:`leading` views build
+    Fractions when read.  ``QPoly(nums, den)`` is the raw constructor and
+    checks nothing.
+    """
+
+    __slots__ = __match_args__ = ("nums", "den")
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
+        """The polynomial of ascending coefficients, each read by :func:`_rational`."""
         if isinstance(coeffs, (str, bytes, bytearray)):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
-        cs = [c if type(c) is Fraction else Fraction(_rational(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return QPoly(tuple(cs))
+        cs = [_rational(c) for c in coeffs]
+        dens = [c.denominator for c in cs if type(c) is not int]
+        if not dens:
+            return _reduced(cs, 1)
+        den = lcm(*dens)
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly((Fraction(1),))
+        return _ONE
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions in ascending degree, built on each access."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.nums])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
+        return not self.is_zero and self.nums[-1] == self.den
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient."""
         if self.is_zero:
             raise DomainError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, n in enumerate(self.nums):
+            if n:
                 return i
         raise AssertionError("unreachable")
 
     def shift_down(self, k: int) -> "QPoly":
-        return QPoly(self.coeffs[k:]) if k else self
+        """The polynomial with its k lowest coefficients dropped, divided by x^k."""
+        return _reduced(list(self.nums[k:]), self.den) if k else self
 
     def monic(self) -> "QPoly":
-        if self.is_zero or self.coeffs[-1] == 1:
+        nums = self.nums
+        if not nums or nums[-1] == self.den:
             return self
-        lead = self.leading
-        return QPoly(tuple(c / lead for c in self.coeffs))
+        lead = nums[-1]
+        if lead < 0:
+            return _reduced([-n for n in nums], -lead)
+        return _reduced(list(nums), lead)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly.of(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
+        den = lcm(self.den, other.den)
+        a = [n * (den // self.den) for n in self.nums]
+        b = [n * (den // other.den) for n in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, n in enumerate(b):
+            a[i] += n
+        return _reduced(a, den)
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly(tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         if self.is_zero or other.is_zero:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            return _ZERO
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return QPoly.of(out)
+        return _reduced(out, self.den * other.den)
 
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
+        """Quotient and remainder over Q, from a division of the numerators.
+
+        With a = A/da and b = B/db, each step scales the remainder by
+        lead(B)/g and subtracts (lead(rem)/g)*x^k*B, g their gcd, so that
+        A*s = quo*B + rem for the product s of the scales; then
+        a = (quo*db / (s*da)) * b + rem / (s*da).
+        """
         if other.is_zero:
             raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
+        b, db = other.nums, other.den
+        if b[-1] < 0:  # a positive leading coefficient keeps every scale positive
+            b, db = [-n for n in b], -db
+        rem, quo, scale = list(self.nums), [0] * max(0, len(self.nums) - len(b) + 1), 1
+        lb, top = b[-1], len(b) - 1
+        while len(rem) > top:
+            lr = rem[-1]
+            g = gcd(lr, lb)
+            s, t = lb // g, lr // g
+            k = len(rem) - 1 - top
+            if s != 1:
+                rem = [s * c for c in rem]
+                quo = [s * c for c in quo]
+                scale *= s
+            quo[k] += t
+            for i, c in enumerate(b):
+                rem[k + i] -= t * c
+            while rem and not rem[-1]:
                 rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            quo[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-        return QPoly.of(quo), QPoly.of(rem)
+        den = scale * self.den
+        return _reduced([n * db for n in quo], den), _reduced(rem, den)
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
@@ -151,7 +196,7 @@ class QPoly(Record):
             return other.is_zero
         if other.is_zero:
             return True
-        d, rem = _primitive(self.coeffs), _primitive(other.coeffs)
+        d, rem = _primitive_part(self.nums), _primitive_part(other.nums)
         lead, top = d[-1], len(d) - 1
         while len(rem) > top:
             q, r = divmod(rem[-1], lead)
@@ -169,37 +214,64 @@ class QPoly(Record):
         """Monic greatest common divisor (zero when both inputs are zero)."""
         if p.is_zero or q.is_zero:
             return (q if p.is_zero else p).monic()
-        a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+        a, b = _primitive_part(p.nums), _primitive_part(q.nums)
         if len(a) < len(b):
             a, b = b, a
         while len(b) > 1:
             a, b = b, _primitive_prem(a, b)
-            if not b:
-                lead = a[-1]
-                return QPoly(tuple(Fraction(c, lead) for c in a))
-        return QPoly.one()
+            if not b:  # a is primitive with a positive lead: a / lead is in lowest terms
+                return QPoly(tuple(a), a[-1])
+        return _ONE
 
     def to_strings(self) -> tuple[str, ...]:
-        return tuple(str(c) for c in self.coeffs)
+        """Each coefficient as ``str`` of its Fraction prints it: "-3/4", "2", "0"."""
+        den = self.den
+        out = []
+        for n in self.nums:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return tuple(out)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        den = self.den
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
+            n = self.nums[i]
+            if not n:
                 continue
+            g = gcd(n, den)  # |n|/den in lowest terms
+            mag, d = abs(n) // g, den // g
+            text = str(mag) if d == 1 else f"{mag}/{d}"
             if i == 0:
-                body = str(abs(c))
+                body = text
             else:
                 x = "x" if i == 1 else f"x^{i}"
-                body = x if abs(c) == 1 else f"{abs(c)}*{x}"
+                body = x if text == "1" else f"{text}*{x}"
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if n > 0 else "-" + body)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if n > 0 else "- ") + body)
         return " ".join(parts)
+
+
+_ZERO = QPoly((), 1)
+_ONE = QPoly((1,), 1)
+
+
+def _reduced(nums: list[int], den: int) -> QPoly:
+    """The record of the polynomial nums/den, den positive: trailing zeros
+    dropped and one gcd divided out of den and every numerator."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    return QPoly(tuple(nums), den)
 
 
 # Fraction("1e999999999") would build a billion-digit integer, and Fraction
@@ -213,14 +285,22 @@ def _rational(c) -> int | Fraction:
     (not a bool), a Fraction, or a string with no exponent, no ``_`` and no
     non-ASCII digit, read by ``int()`` and, when that refuses it, by
     ``Fraction()``.  Anything else raises DomainError, from Fraction's own
-    error when Fraction refuses a string."""
+    error when Fraction refuses a string.
+
+    An ASCII text with no ``_`` cannot hold a non-ASCII digit, and a text
+    that ``int()`` reads holds no exponent, so an integer text costs one
+    ``int()`` and no pattern search."""
     if type(c) is int:
         return c
-    if isinstance(c, str) and not (_EXPONENT.search(c) or _NOT_ASCII_DIGIT.search(c)):
+    if isinstance(c, str):
+        if ("_" in c or not c.isascii()) and _NOT_ASCII_DIGIT.search(c):
+            raise DomainError(_refusal(c))
         try:
             return int(c)
         except ValueError:
             pass
+        if _EXPONENT.search(c):
+            raise DomainError(_refusal(c))
         try:
             c = Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
@@ -238,14 +318,9 @@ def _refusal(c) -> str:
     return f"coefficient {text} is not a rational number"
 
 
-def _primitive(coeffs: tuple[Fraction, ...]) -> list[int]:
-    """The primitive integer multiple of a nonzero polynomial."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
-
-
-def _primitive_part(ns: list[int]) -> list[int]:
-    """A nonzero integer polynomial divided by its content, leading coefficient positive."""
+def _primitive_part(ns) -> list[int]:
+    """A nonzero integer polynomial, as a new list, divided by its content,
+    leading coefficient positive."""
     content = gcd(*ns)
     if ns[-1] < 0:
         content = -content

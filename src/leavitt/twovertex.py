@@ -12,8 +12,9 @@ types and map onto them.  The type fixes the class.
 The lattice skeleton of a graph records its graded nodes (hereditary
 saturated sets under inclusion) plus one family of polynomial-generated
 ideals per K1 cycle and compatible vertex part.  Two graphs share a class
-exactly when their skeletons are isomorphic, but skeletons are compared
-only by :meth:`LatticeSkeleton.isomorphic` and in the tests of the table.
+exactly when their skeletons are isomorphic, but skeletons are compared,
+by :meth:`LatticeSkeleton.canonical_key`, only in the benchmark and in the
+tests of the table.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class TwoVertexShape(Record):
 
     def canon(self) -> "TwoVertexShape":
         return self if self.is_canonical else self.swapped()
-
-    @property
-    def total(self) -> int:
-        return self.loops_u + self.loops_v + self.uv + self.vu
 
     def to_graph(self, u: str = "u", v: str = "v") -> Graph:
         _check_counts(self.astuple(), self)
@@ -249,9 +246,6 @@ class LatticeSkeleton(Record):
             return n, tuple(sorted([(new[i], new[j]) for i, j in covers])), fam_key
 
         return min(map(encoding, product(*map(permutations, cells))))
-
-    def isomorphic(self, other: "LatticeSkeleton") -> bool:
-        return self.canonical_key() == other.canonical_key()
 
     def to_dot(self, name: str = "skeleton") -> str:
         """DOT rendering: solid arcs for covering containments of the full

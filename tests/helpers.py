@@ -89,6 +89,14 @@ def coprime_pair(degree: int, seed: int = 0) -> tuple[list[int], list[int]]:
     return p, q
 
 
+def serialize_graph(g: Graph) -> str:
+    """Inverse of ``parse_graph``; output is byte-deterministic."""
+    lines = ["vertices: " + " ".join(g.vertices)]
+    for e, (s, r) in zip(g.edges, g.ends):
+        lines.append(f"edge {e}: {s} -> {r}")
+    return "\n".join(lines) + "\n"
+
+
 def out_edge_map(g: Graph) -> dict[str, list[str]]:
     """The edges leaving each vertex, in input order, scanned from ``g.ends``.
 
@@ -628,6 +636,132 @@ def generator_set_of(red: LambdaReduction) -> LambdaGeneratorSet:
     cycle based at the cycle's first source."""
     polys = tuple(CyclePolynomial(c, c.sources[0], p) for c, p in red.polys)
     return LambdaGeneratorSet(red.graph, polys, red.vertex_part.mask)
+
+
+def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:
+    """Ideal JSON of a generator set, vertices in vertex order; the inverse
+    of ``generator_set_from_json``."""
+    return {
+        "vertices": [v for i, v in enumerate(gens.graph.vertices) if gens.mask >> i & 1],
+        "polys": [
+            {"cycle": list(p.cycle.edges), "base": p.base, "coeffs": list(p.poly.to_strings())}
+            for p in gens.polys
+        ],
+    }
+
+
+def shape_total(shape) -> int:
+    """The number of edges of a two-vertex shape."""
+    return shape.loops_u + shape.loops_v + shape.uv + shape.vu
+
+
+def skeletons_isomorphic(a, b) -> bool:
+    """Whether two lattice skeletons are isomorphic: equal canonical keys."""
+    return a.canonical_key() == b.canonical_key()
+
+
+# --- polynomials over Q on Fractions ---------------------------------------
+#
+# ``QPoly`` as the library once held it: a tuple of Fractions, with
+# Euclid's algorithm over Q for the gcd.  ``leavitt.polynomials.QPoly``
+# holds int numerators over one denominator and must agree with it on
+# every coefficient and every printed form.
+
+
+class FractionPoly:
+    """A polynomial over Q: ``coeffs`` is a tuple of Fractions in ascending
+    degree, last entry nonzero."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs) -> None:
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({self.coeffs!r})"
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def shift_down(self, k: int) -> "FractionPoly":
+        return FractionPoly(self.coeffs[k:])
+
+    def monic(self) -> "FractionPoly":
+        if not self.coeffs:
+            return self
+        lead = self.coeffs[-1]
+        return FractionPoly(c / lead for c in self.coeffs)
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        pad = lambda cs: list(cs) + [Fraction(0)] * (n - len(cs))
+        return FractionPoly(a + b for a, b in zip(pad(self.coeffs), pad(other.coeffs)))
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly(())
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __divmod__(self, other: "FractionPoly") -> tuple["FractionPoly", "FractionPoly"]:
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        d, lead = other.degree, other.coeffs[-1]
+        quo = [Fraction(0)] * max(0, len(rem) - d)
+        while len(rem) - 1 >= d and rem:
+            k = len(rem) - 1 - d
+            f = rem[-1] / lead
+            quo[k] = f
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= f * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FractionPoly(quo), FractionPoly(rem)
+
+    def divides(self, other: "FractionPoly") -> bool:
+        if not self.coeffs:
+            return not other.coeffs
+        return not divmod(other, self)[1].coeffs
+
+    @staticmethod
+    def gcd(p: "FractionPoly", q: "FractionPoly") -> "FractionPoly":
+        """Monic gcd by Euclid's algorithm over Q."""
+        while q.coeffs:
+            p, q = q, divmod(p, q)[1]
+        return p.monic()
+
+    def to_strings(self) -> tuple[str, ...]:
+        return tuple(str(c) for c in self.coeffs)
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                body = str(abs(c))
+            else:
+                x = "x" if i == 1 else f"x^{i}"
+                body = x if abs(c) == 1 else f"{abs(c)}*{x}"
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts)
 
 
 def class_members() -> dict[str, tuple[int, ...]]:

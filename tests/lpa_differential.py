@@ -13,8 +13,10 @@ drawn from a fixed seed: random multigraphs with at most six vertices,
 loops and parallel edges, under shuffled names and order; every two-vertex
 shape with at most six edges, and random ones beyond; elements built by
 walks on each graph; ideal JSON on each graph's K1 cycles, which the
-working tree's ``leavitt`` finds (both trees get the same inputs); and
-some malformed arguments.  Each differing argument list is printed with
+working tree's ``leavitt`` finds (both trees get the same inputs), with
+fractional, decimal and padded coefficient texts and, now and then, two
+polynomials of degree 20 to 60 with a planted common factor on one cycle;
+and some malformed arguments.  Each differing argument list is printed with
 the fields that differ, and the exit status is 1 on any difference, 0
 otherwise.
 
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEAD_SRC = os.path.join(ROOT, "src")
@@ -136,10 +139,13 @@ def element(vertices, edges, rng: random.Random) -> str:
     return " ".join(terms)
 
 
-# JSON text of each coefficient: strings, integers, and numbers whose
-# literal differs from their float (1e5 is 100000.0, 0.0000001 is 1e-07).
+# JSON text of each coefficient: strings (fractions, one unreduced,
+# decimals, and integers padded, signed or with leading zeros), integers, and
+# numbers whose literal differs from their float (1e5 is 100000.0,
+# 0.0000001 is 1e-07).
 COEFFS = ['"1"', '"-1"', '"2"', '"0"', '"1/2"', '"-3/4"', '"0.25"', "1", "-2", "0.5", "3",
-          "1e5", "1.5E2", "1e-5", "0.0000001", "1.0000000000000001", "0.50"]
+          "1e5", "1.5E2", "1e-5", "0.0000001", "1.0000000000000001", "0.50",
+          '"1/3"', '"-5/6"', '"6/4"', '"-1.50"', '" 3 "', '"+3"', '"007"']
 
 
 def ideal(vertices, cycles, rng: random.Random) -> str:
@@ -165,12 +171,39 @@ def ideal(vertices, cycles, rng: random.Random) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+def _random_poly(degree: int, rng: random.Random) -> list[Fraction]:
+    """Ascending coefficients p/q, |p| <= 9 and q <= 4, of exactly ``degree``."""
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+    return cs + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))]
+
+
+def _times(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def planted_ideal(cycles, rng: random.Random) -> str:
+    """Ideal JSON text with two polynomials on one of the K1 ``cycles``, each
+    of degree 20 to 60, sharing a planted factor of degree 1 to 6."""
+    cycle = rng.choice(cycles)
+    factor = _random_poly(rng.randint(1, 6), rng)
+    polys = []
+    for _ in range(2):
+        p = _times(_random_poly(rng.randint(20, 60) - len(factor) + 1, rng), factor)
+        polys.append({"cycle": [e for e, _ in cycle], "coeffs": [str(c) for c in p]})
+    return json.dumps({"polys": polys})
+
+
 def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, list[list[str]]]:
     """Argument lists, without ``--format``, keyed by command."""
     g = ["--graph", path]
     el = lambda: element(vertices, edges, rng)
     cycles = [list(zip(c.edges, c.sources)) for c in k1_cycles(validate_graph(vertices, edges))]
     subset = lambda: ",".join(rng.sample(vertices, rng.randint(0, len(vertices))))
+    planted = [planted_ideal(cycles, rng) for _ in range(2)] if cycles and rng.random() < 0.2 else []
     return {
         "check-k": [g],
         "classify-vertex": [g + ["--vertex", v] for v in vertices] + [g + ["--vertex", "nope"]],
@@ -180,8 +213,10 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
         "normalize": [g + [el()], g + ["--", el()]],
         "mul": [g + [el(), el()]],
         "grade": [g + [el()]],
-        "lambda-reduce": [g + ["--ideal", ideal(vertices, cycles, rng)]],
-        "contains": [g + [ideal(vertices, cycles, rng), ideal(vertices, cycles, rng)]],
+        "lambda-reduce": [g + ["--ideal", ideal(vertices, cycles, rng)]]
+        + [g + ["--ideal", text] for text in planted],
+        "contains": [g + [ideal(vertices, cycles, rng), ideal(vertices, cycles, rng)]]
+        + ([g + planted] if planted else []),
         "extract-vertex": [g + [el()]],
         "nongraded-witness": [g],
         "classify2": [g],

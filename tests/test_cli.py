@@ -747,6 +747,43 @@ def test_lambda_reduce_planted_factor_matches_sympy(r1, capsys):
     }
 
 
+def test_integer_ideals_build_no_fraction(graph_dir, capsys, monkeypatch):
+    """On integer coefficients, lambda-reduce and contains read, reduce,
+    compare and print the loop chain's ideals on ints alone."""
+    import fractions
+
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    chain = str(graph_dir / "chain.graph")
+    a = [
+        {"cycle": ["l2"], "base": "c2", "coeffs": ["-2", "0", "2"]},
+        {"cycle": ["l2"], "coeffs": [4, 4]},
+    ]
+    b = [{"cycle": ["l2"], "coeffs": ["-3", "0", "3"]}]
+    c = a + [{"cycle": ["l0"], "coeffs": ["3", "-6", "3"]}]
+    a, b, c = (json.dumps({"polys": polys}) for polys in (a, b, c))
+    runs = [
+        (["lambda-reduce", "--ideal", a], "vertices {} with x + 1 on (l2)\n"),
+        (["lambda-reduce", "--ideal", c], "vertices {c1, c2} with x^2 - 2*x + 1 on (l0)\n"),
+        (["contains", a, b], "false\n"),
+        (["contains", b, a], "true\n"),
+        (["lambda-reduce", "--ideal", b, "--format", "json"], json.dumps(
+            {"polys": [{"base": "c2", "coeffs": ["-1", "0", "1"], "cycle": ["l2"]}],
+             "vertices": []}, indent=2, sort_keys=True) + "\n"),
+    ]
+    for argv, out in runs:
+        assert main(argv + ["--graph", chain]) == 0
+        assert capsys.readouterr() == (out, "")
+    assert built == []
+    assert fractions.Fraction("6/4") == fractions.Fraction(3, 2) and len(built) == 2
+
+
 def test_unreadable_files_exit_1(tmp_path, r1, capsys):
     directory = tmp_path / "dir"
     directory.mkdir()

@@ -23,6 +23,7 @@ from helpers import (
     R1,
     R2,
     iter_closed_simple_paths,
+    serialize_graph,
     simple_cycles_through,
 )
 
@@ -39,7 +40,6 @@ from leavitt import (
     hereditary_saturated_closure,
     k1_cycles,
     parse_graph,
-    serialize_graph,
     validate_graph,
 )
 

@@ -28,6 +28,7 @@ from helpers import (
     coprime_pair,
     generator_set_by_fractions,
     generator_set_of,
+    generator_set_to_json,
     outcome,
     paths_by_range,
     random_element,
@@ -48,7 +49,6 @@ from leavitt import (
     contains,
     extract_vertex,
     generator_set_from_json,
-    generator_set_to_json,
     graded_lattice,
     hereditary_saturated_closure,
     exit_range,

@@ -17,8 +17,7 @@ EXPORTS = {
     "graphs": [
         "Cycle", "Graph", "HeredSatSet", "Path", "Poset", "VertexClass",
         "all_hereditary_saturated_sets", "classify_vertex", "condition_k", "exit_range",
-        "hereditary_saturated_closure", "k1_cycles", "parse_graph", "serialize_graph",
-        "validate_graph",
+        "hereditary_saturated_closure", "k1_cycles", "parse_graph", "validate_graph",
     ],
     "elements": [
         "Element", "GradedDecomposition", "Monomial", "add", "format_element", "gdeg",
@@ -28,9 +27,9 @@ EXPORTS = {
     "polynomials": ["QPoly"],
     "ideals": [
         "CyclePolynomial", "ExtractionWitness", "LambdaGeneratorSet", "LambdaReduction",
-        "contains", "extract_vertex", "generator_set_from_json", "generator_set_to_json",
-        "graded_lattice", "is_graded", "lambda_reduce", "lattice_dot", "nongraded_witness",
-        "reduction_to_json", "vertex_membership",
+        "contains", "extract_vertex", "generator_set_from_json", "graded_lattice", "is_graded",
+        "lambda_reduce", "lattice_dot", "nongraded_witness", "reduction_to_json",
+        "vertex_membership",
     ],
     "twovertex": [
         "CanonicalForm16", "Classification", "LatticeSkeleton", "TwoVertexShape",
@@ -44,7 +43,7 @@ NAMES = {name for names in EXPORTS.values() for name in names}
 LAYER_ALL = {
     "graphs": [
         "Graph", "Path", "Cycle", "VertexClass", "HeredSatSet", "Poset", "validate_graph",
-        "parse_graph", "serialize_graph", "classify_vertex", "condition_k",
+        "parse_graph", "classify_vertex", "condition_k",
         "hereditary_saturated_closure", "all_hereditary_saturated_sets", "exit_range",
         "k1_cycles",
     ],
@@ -58,7 +57,7 @@ LAYER_ALL = {
         "Poset", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
         "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
         "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
-        "generator_set_from_json", "generator_set_to_json", "reduction_to_json",
+        "generator_set_from_json", "reduction_to_json",
     ],
     "twovertex": [
         "TwoVertexShape", "CanonicalForm16", "LatticeSkeleton", "SkeletonFamily",
@@ -70,8 +69,8 @@ LAYER_ALL = {
 
 
 def test_all_lists_the_re_exported_names():
-    assert len(NAMES) == 62
-    assert set(leavitt.__all__) == NAMES and len(leavitt.__all__) == 62
+    assert len(NAMES) == 60
+    assert set(leavitt.__all__) == NAMES and len(leavitt.__all__) == 60
 
 
 def test_each_layer_pins_its_all():

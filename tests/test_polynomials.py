@@ -1,11 +1,14 @@
 """Exact rational polynomial arithmetic."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from helpers import coprime_pair
+from helpers import FractionPoly, coprime_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,3 +217,47 @@ def test_gcd_of_coprime_degree_200_pair_is_one():
     p, q = (QPoly.of(cs) for cs in coprime_pair(200))
     assert QPoly.gcd(p * QPoly.of([Fraction(1, 3)]), q) == QPoly.one()
     assert not p.divides(q) and not q.divides(p)
+
+
+# --- the representation against the Fraction oracle ----------------------------
+
+# Texts the coefficient rule reads: fractions, unreduced ones, decimals, and
+# integers with padding, a sign or leading zeros.
+_TEXTS = ["1/3", "-5/6", "6/4", "-4/6", "0.50", "0.25", "-1.50", " 3 ", "+3", "007", "-0", "0"]
+_coeffs = st.lists(
+    st.one_of(
+        st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6), st.sampled_from(_TEXTS)
+    ),
+    max_size=5,
+)
+
+
+def _held_in_lowest_terms(p: QPoly) -> None:
+    assert type(p.den) is int and p.den >= 1
+    assert type(p.nums) is tuple and all(type(n) is int for n in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+
+
+@given(_coeffs, _coeffs, st.integers(0, 3))
+def test_every_qpoly_is_held_in_lowest_terms(xs, ys, k):
+    """Every constructor and operation returns int numerators over a
+    positive denominator with no common factor and a nonzero last
+    numerator, and the same coefficients and printed forms as the
+    Fraction oracle."""
+    p, q = QPoly.of(xs), QPoly.of(ys)
+    fp, fq = FractionPoly(xs), FractionPoly(ys)
+    pairs = [
+        (p, fp), (q, fq), (p.monic(), fp.monic()), (QPoly.gcd(p, q), FractionPoly.gcd(fp, fq)),
+        (p + q, fp + fq), (p * q, fp * fq), (p.shift_down(k), fp.shift_down(k)),
+    ]
+    if not q.is_zero:
+        pairs += zip(divmod(p, q), divmod(fp, fq))
+    for got, want in pairs:
+        _held_in_lowest_terms(got)
+        assert got.coeffs == want.coeffs
+        assert got.to_strings() == want.to_strings()
+        assert str(got) == str(want)
+    assert q.divides(p) == fq.divides(fp)

@@ -7,8 +7,9 @@ hash.
 
 The repr literals are the strings the dataclass versions printed, except
 that paths, cycles, monomials and elements print their integer codes (an
-element its numerators and their one denominator), so a
-change in any field's name, order or repr shows here.  Every ``Record``
+element its numerators and their one denominator) and polynomials their
+numerators and one denominator, so a change in any field's name, order or
+repr shows here.  Every ``Record``
 subclass must have samples, so none escapes these checks of the methods
 they inherit.
 """
@@ -109,7 +110,7 @@ FIELDS = {
     "Monomial": ("graph", "code"),
     "Element": ("graph", "codes", "den"),
     "GradedDecomposition": ("graph", "components"),
-    "QPoly": ("coeffs",),
+    "QPoly": ("nums", "den"),
     "Poset": ("elements", "cover_pairs"),
     "ExtractionWitness": ("left", "right", "vertex", "scalar"),
     "CyclePolynomial": ("cycle", "base", "poly"),
@@ -127,7 +128,7 @@ G_P2 = "Graph(vertices=('a', 'b'), edges=('x',), ends=(('a', 'b'),))"
 CYCLE_E = f"Cycle(graph={G_R1}, ids=(0,))"
 R1_EMPTY = f"HeredSatSet(graph={G_R1}, mask=0)"
 R1_V = f"HeredSatSet(graph={G_R1}, mask=1)"
-R1_POLY = "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))"
+R1_POLY = "QPoly(nums=(-1, 0, 1), den=1)"
 R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
 R1_SKELETON = (
@@ -152,7 +153,7 @@ REPRS = {
         f"(0, Element(graph={G_R1}, codes=((((0,), (0,)), 1),), den=1)), "
         f"(1, Element(graph={G_R1}, codes=((((0, 0), (0,)), 2),), den=1))))"
     ),
-    "QPoly": "QPoly(coeffs=(Fraction(-1, 1), Fraction(0, 1), Fraction(1, 2)))",
+    "QPoly": "QPoly(nums=(-2, 0, 1), den=2)",
     "Poset": (
         f"Poset(elements=(LambdaReduction(graph={G_R1}, vertex_part={R1_EMPTY}, polys=()), "
         f"LambdaReduction(graph={G_R1}, vertex_part={R1_V}, polys=())), cover_pairs=((0, 1),))"

@@ -6,7 +6,10 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from helpers import G1, G4, G5, G6, G7, G8, L2, class_members, covers_by_definition
+from helpers import (
+    G1, G4, G5, G6, G7, G8, L2, class_members, covers_by_definition, shape_total,
+    skeletons_isomorphic,
+)
 
 from leavitt import (
     CyclePolynomial,
@@ -78,7 +81,7 @@ def test_enumeration_is_swap_canonical_and_duplicate_free():
         for s in shapes:
             assert s.is_canonical
             assert s.swapped().canon() == s
-            assert s.total == k
+            assert shape_total(s) == k
 
 
 def test_enumeration_guard():
@@ -143,10 +146,10 @@ def test_loop_only_leftovers_share_their_lattice_targets():
     assert canonical_form_of_shape(TwoVertexShape(2, 2, 0, 0)).id == 1
     a = build_skeleton(TwoVertexShape(2, 1, 0, 0).to_graph())
     b = build_skeleton(TwoVertexShape(*_SHAPES_16[5]).to_graph())
-    assert a.isomorphic(b)
+    assert skeletons_isomorphic(a, b)
     c = build_skeleton(TwoVertexShape(2, 2, 0, 0).to_graph())
     d = build_skeleton(TwoVertexShape(*_SHAPES_16[1]).to_graph())
-    assert c.isomorphic(d)
+    assert skeletons_isomorphic(c, d)
 
 
 def test_canonicalize_rejects_wrong_vertex_count():
@@ -188,7 +191,7 @@ def test_same_class_listings_are_isomorphic():
     for group in [(2, 4, 8, 13), (6, 15), (12, 16), (1, 11), (3, 7)]:
         base = _skel(group[0])
         for other in group[1:]:
-            assert base.isomorphic(_skel(other)), group
+            assert skeletons_isomorphic(base, _skel(other)), group
 
 
 def test_distinct_singletons():
@@ -267,11 +270,11 @@ def test_three_loop_skeleton_matches_a_relisting():
     h = validate_graph(["c", "a", "b"], [("y", "b", "b"), ("z", "c", "c"), ("x", "a", "a")])
     skel = build_skeleton(g)
     assert len(skel.graded) == 8
-    assert skel.isomorphic(build_skeleton(h))
+    assert skeletons_isomorphic(skel, build_skeleton(h))
     joined = validate_graph(
         ["a", "b", "c"], [("w", "a", "b"), ("x", "a", "a"), ("y", "b", "b"), ("z", "c", "c")]
     )
-    assert not skel.isomorphic(build_skeleton(joined))
+    assert not skeletons_isomorphic(skel, build_skeleton(joined))
 
 
 def test_canonical_key_refuses_an_exponential_tie_search():
@@ -359,7 +362,6 @@ def test_census_class_counts(monkeypatch):
         raise AssertionError("classify compared skeletons")
 
     monkeypatch.setattr(LatticeSkeleton, "canonical_key", refuse)
-    monkeypatch.setattr(LatticeSkeleton, "isomorphic", refuse)
     counts = Counter(
         classify(shape.to_graph()).label
         for k in range(13)
