@@ -289,18 +289,25 @@ class Path(Record):
         return _index(self.graph).rng[code[-1]] if len(code) > 1 else code[0]
 
     def extend(self, more: Iterable[str]) -> "Path":
-        g, code, here = self.graph, list(self.code), self._rng_id()
-        rng, vi = _index(g).rng, g._vindex
-        for e in _listing(more, "edges"):
-            i = g.edge_index(e)
-            if vi[g.ends[i][0]] != here:
-                raise DomainError(f"edges do not compose at {e!r}")
-            code.append(i)
-            here = rng[i]
-        return Path(g, tuple(code))
+        ids, _ = _walk(self.graph, self._rng_id(), _listing(more, "edges"))
+        return Path(self.graph, self.code + ids)
 
     def __str__(self) -> str:
         return ".".join(self.edges) if len(self.code) > 1 else self.base
+
+
+def _walk(g: Graph, here: int, es: tuple) -> tuple[tuple[int, ...], int]:
+    """The ids of the edges named by es, checked in order to exist and to
+    compose from vertex id ``here``, and the vertex id the walk ends at."""
+    rng, vi, ends = _index(g).rng, g._vindex, g.ends
+    ids = []
+    for e in es:
+        i = g.edge_index(e)
+        if vi[ends[i][0]] != here:
+            raise DomainError(f"edges do not compose at {e!r}")
+        ids.append(i)
+        here = rng[i]
+    return tuple(ids), here
 
 
 def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -325,21 +332,14 @@ class Cycle(Record):
         es = _listing(edges, "cycle edges")
         if not es:
             raise DomainError("a cycle needs at least one edge")
-        # One pass, checking each edge and then its composition, as Path.of does.
-        rng, vi, ends = _index(graph).rng, graph._vindex, graph.ends
-        start = here = vi[graph.src(es[0])]
-        ids = []
-        for e in es:
-            i = graph.edge_index(e)
-            if vi[ends[i][0]] != here:
-                raise DomainError(f"edges do not compose at {e!r}")
-            ids.append(i)
-            here = rng[i]
-        if here != start:
+        start = graph._vindex[graph.src(es[0])]
+        ids, end = _walk(graph, start, es)
+        if end != start:
             raise DomainError(f"edge sequence {'.'.join(es)} is not closed")
+        rng = _index(graph).rng
         if len({rng[i] for i in ids}) != len(es):  # a closed path's ranges are its sources
             raise DomainError(f"edge sequence {'.'.join(es)} repeats a source vertex")
-        return Cycle(graph, tuple(ids))
+        return Cycle(graph, ids)
 
     @property
     def edges(self) -> tuple[str, ...]:

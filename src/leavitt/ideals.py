@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 # Highest degree of a polynomial read from ideal JSON.  The gcd of a coprime
-# pair of degree d (``coprime_pair`` in the tests) costs about 0.67 s at 256
-# (0.61-0.86 s over five runs), 1.2-1.4 s at 300 and 4.7 s at 400, in one
+# pair of degree d (``coprime_pair`` in the tests) costs about 0.8 s at 256
+# (0.75-1.03 s over ten runs), 1.4-1.7 s at 300 and 4.6-5.1 s at 400, in one
 # process on a two-core Intel Xeon under Python 3.11.7, so a larger input is
 # refused at once instead.
 DEGREE_BUDGET = 256
@@ -282,7 +282,8 @@ class CyclePolynomial(Record):
     name on it.  ``poly`` has a nonzero constant coefficient and degree at
     least one; a plain power multiple is shifted down so the lowest term is
     the vertex.  Canonical generating sets use monic polynomials, but inputs
-    need not be monic.  :meth:`of` takes the coefficients as a list, each
+    need not be monic.  :meth:`of` takes the cycle as a list of edge names
+    or as a :class:`Cycle` of ``g``, and the coefficients as a list, each
     read by the coefficient rule, or as a finished :class:`QPoly`.
     """
 
@@ -291,11 +292,13 @@ class CyclePolynomial(Record):
     @staticmethod
     def of(
         g: Graph,
-        cycle_edges: Iterable[str],
+        cycle: Cycle | Iterable[str],
         base: str,
         coeffs: QPoly | Iterable[Fraction | int | str],
     ) -> "CyclePolynomial":
-        cyc = Cycle.of(g, cycle_edges)
+        cyc = cycle if type(cycle) is Cycle else Cycle.of(g, cycle)
+        if cyc.graph != g:
+            raise DomainError("cycle over a different graph")
         if base not in cyc.sources:
             raise DomainError(f"{base!r} is not a source on the cycle")
         p = coeffs if type(coeffs) is QPoly else QPoly.of(coeffs)
@@ -484,7 +487,8 @@ def is_graded(i: LambdaReduction) -> bool:
 # or "0.25", written with ASCII digits; exponent notation and "_" are
 # rejected for the whole list, which ``QPoly.of`` then reads once by the
 # coefficient rule, ``polynomials._rational``, reporting Fraction's error;
-# ``CyclePolynomial.of`` takes the finished polynomial.
+# ``CyclePolynomial.of`` takes the finished polynomial, and the cycle read
+# once for a missing base.
 # A JSON number reads as its digits in a string would: 1.0000000000000001
 # is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.
 
@@ -543,12 +547,13 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     for entry in entries:
         if not isinstance(entry, dict) or not {"cycle", "coeffs"} <= set(entry):
             raise ParseError("each poly needs 'cycle' and 'coeffs'")
-        cycle_edges = _names(entry["cycle"], "cycle")
+        cycle = _names(entry["cycle"], "cycle")
         if not isinstance(entry["coeffs"], list):
             raise ParseError("'coeffs' must be a list of coefficients")
         base = entry.get("base")
-        if base is None:
-            base = Cycle.of(g, cycle_edges).sources[0]
+        if base is None:  # a bad cycle is then reported before bad coefficients
+            cycle = Cycle.of(g, cycle)
+            base = cycle.sources[0]
         texts = [str(c) for c in entry["coeffs"]]
         joined = " ".join(texts)  # a space starts no match of either guard
         if _EXPONENT.search(joined):
@@ -563,7 +568,7 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
             raise DomainError(
                 f"polynomial of degree {poly.degree} is over the degree budget of {DEGREE_BUDGET}"
             )
-        polys.append(CyclePolynomial.of(g, cycle_edges, base, poly))
+        polys.append(CyclePolynomial.of(g, cycle, base, poly))
     return LambdaGeneratorSet.of(g, polys, vertices)
 
 

@@ -10,17 +10,17 @@ positive int denominator, in lowest terms, as an element holds its terms
 Every operation works on those ints.  A ``Fraction`` appears only where
 a coefficient enters or leaves: ``QPoly.of`` takes Fractions and reads a
 fractional text such as "1/2" or "0.25" into one, and the
-:attr:`QPoly.coeffs`, :attr:`QPoly.constant` and :attr:`QPoly.leading`
-views build Fractions when read.  An integer coefficient, read or printed,
-never becomes one.
+:attr:`QPoly.coeffs` view builds Fractions when read.  An integer
+coefficient, read or printed, never becomes one.
 
-Divisibility and the gcd run in Z[x]: the numerators, with their content
-divided out, are the primitive integer part of the polynomial, which by
-Gauss's lemma leaves divisibility over Q unchanged and determines the
-monic gcd.  The gcd is a primitive pseudo-remainder sequence (Collins,
-JACM 14 (1967); Knuth, TAOCP vol. 2, 4.6.1), made monic only at the end,
-so its coefficients stay bounded where Euclid's algorithm over Q lets them
-grow with every step.
+Division, divisibility and the gcd all run one loop, the pseudo-division
+of integer polynomials in :func:`_pseudo_divide`.  Divisibility and the
+gcd divide the numerators with their content divided out, the primitive
+integer part of the polynomial, which by Gauss's lemma leaves
+divisibility over Q unchanged and determines the monic gcd.  The gcd is a
+primitive pseudo-remainder sequence (Collins, JACM 14 (1967); Knuth,
+TAOCP vol. 2, 4.6.1), made monic only at the end, so its coefficients stay
+bounded where Euclid's algorithm over Q lets them grow with every step.
 
 The module owns the package's one coefficient rule, :func:`_rational`:
 ``QPoly.of``, ``CyclePolynomial.of``, ``Element.of`` and the JSON wire
@@ -30,7 +30,7 @@ format read every coefficient through it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -47,9 +47,8 @@ class QPoly(Record):
     int with ``gcd(den, *nums) == 1``, so each polynomial has one record and
     record equality is equality of polynomials; zero is ``QPoly((), 1)``.
     Arithmetic, division, the gcd and printing read only these ints; the
-    :attr:`coeffs`, :attr:`constant` and :attr:`leading` views build
-    Fractions when read.  ``QPoly(nums, den)`` is the raw constructor and
-    checks nothing.
+    :attr:`coeffs` view builds Fractions when read.  ``QPoly(nums, den)``
+    is the raw constructor and checks nothing.
     """
 
     __slots__ = __match_args__ = ("nums", "den")
@@ -66,14 +65,6 @@ class QPoly(Record):
         den = lcm(*dens)
         return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
-    @staticmethod
-    def zero() -> "QPoly":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "QPoly":
-        return _ONE
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions in ascending degree, built on each access."""
@@ -88,16 +79,6 @@ class QPoly(Record):
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.nums) - 1
-
-    @property
-    def constant(self) -> Fraction:
-        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_monic(self) -> bool:
@@ -135,12 +116,6 @@ class QPoly(Record):
             a[i] += n
         return _reduced(a, den)
 
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple([-n for n in self.nums]), self.den)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         if self.is_zero or other.is_zero:
             return _ZERO
@@ -151,63 +126,30 @@ class QPoly(Record):
         return _reduced(out, self.den * other.den)
 
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        """Quotient and remainder over Q, from a division of the numerators.
+        """Quotient and remainder over Q, from a pseudo-division of the numerators.
 
-        With a = A/da and b = B/db, each step scales the remainder by
-        lead(B)/g and subtracts (lead(rem)/g)*x^k*B, g their gcd, so that
-        A*s = quo*B + rem for the product s of the scales; then
-        a = (quo*db / (s*da)) * b + rem / (s*da).
+        With a = A/da and b = B/db, s*A = quo*B + rem for the scale s of
+        :func:`_pseudo_divide`, so a = (quo*db / (s*da)) * b + rem / (s*da).
         """
         if other.is_zero:
             raise DomainError("polynomial division by zero")
         b, db = other.nums, other.den
-        if b[-1] < 0:  # a positive leading coefficient keeps every scale positive
+        if b[-1] < 0:  # the division needs a positive leading coefficient
             b, db = [-n for n in b], -db
-        rem, quo, scale = list(self.nums), [0] * max(0, len(self.nums) - len(b) + 1), 1
-        lb, top = b[-1], len(b) - 1
-        while len(rem) > top:
-            lr = rem[-1]
-            g = gcd(lr, lb)
-            s, t = lb // g, lr // g
-            k = len(rem) - 1 - top
-            if s != 1:
-                rem = [s * c for c in rem]
-                quo = [s * c for c in quo]
-                scale *= s
-            quo[k] += t
-            for i, c in enumerate(b):
-                rem[k + i] -= t * c
-            while rem and not rem[-1]:
-                rem.pop()
+        quo, rem, scale = _pseudo_divide(self.nums, b)
         den = scale * self.den
         return _reduced([n * db for n in quo], den), _reduced(rem, den)
 
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
     def divides(self, other: "QPoly") -> bool:
-        """Whether self divides other; zero divides only zero.
-
-        Exact trial division of primitive parts in Z[x]: over Q a quotient
-        of primitive polynomials is itself primitive, so a leading
-        coefficient that does not divide exactly settles the answer.
-        """
+        """Whether self divides other; zero divides only zero.  An exact
+        trial division of the primitive parts in Z[x], which Gauss's lemma
+        makes equivalent to division over Q."""
         if self.is_zero:
             return other.is_zero
         if other.is_zero:
             return True
-        d, rem = _primitive_part(self.nums), _primitive_part(other.nums)
-        lead, top = d[-1], len(d) - 1
-        while len(rem) > top:
-            q, r = divmod(rem[-1], lead)
-            if r:
-                return False
-            k = len(rem) - 1 - top
-            for i, c in enumerate(d):
-                rem[k + i] -= q * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return not rem
+        a, b = _primitive_part(other.nums), _primitive_part(self.nums)
+        return not _pseudo_divide(a, b, exact=True)[1]
 
     @staticmethod
     def gcd(p: "QPoly", q: "QPoly") -> "QPoly":
@@ -218,9 +160,10 @@ class QPoly(Record):
         if len(a) < len(b):
             a, b = b, a
         while len(b) > 1:
-            a, b = b, _primitive_prem(a, b)
-            if not b:  # a is primitive with a positive lead: a / lead is in lowest terms
-                return QPoly(tuple(a), a[-1])
+            rem = _pseudo_divide(a, b)[1]
+            if not rem:  # b is primitive with a positive lead: b / lead is in lowest terms
+                return QPoly(tuple(b), b[-1])
+            a, b = b, _primitive_part(rem)
         return _ONE
 
     def to_strings(self) -> tuple[str, ...]:
@@ -327,12 +270,21 @@ def _primitive_part(ns) -> list[int]:
     return [n // content for n in ns]
 
 
-def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a pseudo-remainder of a by b (len(a) >= len(b) >= 2),
-    or [] when b divides a.  Each step scales by lead(b)/g and subtracts
-    (lead(rem)/g)*x^k*b, g their gcd, so before its content is divided out
-    the result is a nonzero integer multiple of the remainder over Q."""
-    rem = a[:]
+def _pseudo_divide(
+    a: Sequence[int], b: Sequence[int], exact: bool = False
+) -> tuple[list[int], list[int], int]:
+    """Quotient, remainder and scale of the integer polynomial a (no trailing
+    zero) divided by b (leading coefficient positive): scale*a == quo*b + rem,
+    scale > 0 and len(rem) < len(b).  Each step scales by lead(b)/g and
+    subtracts (lead(rem)/g)*x^k*b, g their gcd; the scale is the product of
+    those factors.
+
+    With ``exact`` the division stops at the first step that would scale
+    and returns a remainder no shorter than b, with scale 1.  For primitive
+    a and b that settles divisibility: a quotient of primitive polynomials
+    is itself primitive, so every step of an exact division is exact.
+    """
+    rem, quo, scale = list(a), [0] * max(0, len(a) - len(b) + 1), 1
     lb, top = b[-1], len(b) - 1
     while len(rem) > top:
         lr = rem[-1]
@@ -340,9 +292,14 @@ def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
         s, t = lb // g, lr // g
         k = len(rem) - 1 - top
         if s != 1:
+            if exact:
+                break
             rem = [s * c for c in rem]
+            quo = [s * c for c in quo]
+            scale *= s
+        quo[k] += t
         for i, c in enumerate(b):
             rem[k + i] -= t * c
         while rem and not rem[-1]:
             rem.pop()
-    return _primitive_part(rem) if rem else rem
+    return quo, rem, scale

@@ -15,7 +15,8 @@ shape with at most six edges, and random ones beyond; elements built by
 walks on each graph; ideal JSON on each graph's K1 cycles, which the
 working tree's ``leavitt`` finds (both trees get the same inputs), with
 fractional, decimal and padded coefficient texts and, now and then, two
-polynomials of degree 20 to 60 with a planted common factor on one cycle;
+polynomials of degree 20 to 60 with a planted common factor on one cycle,
+or a ``contains`` pair whose divisor has a non-unit leading coefficient;
 and some malformed arguments.  Each differing argument list is printed with
 the fields that differ, and the exit status is 1 on any difference, 0
 otherwise.
@@ -197,6 +198,24 @@ def planted_ideal(cycles, rng: random.Random) -> str:
     return json.dumps({"polys": polys})
 
 
+def inexact_pair(cycles, rng: random.Random) -> list[str]:
+    """Two ideal JSON texts with one integer polynomial each on the same K1
+    cycle: a divisor whose leading coefficient is 2, 3 or 5 and a dividend
+    of degree 3 to 20 whose leading coefficient that one does not divide,
+    so an exact trial division stops at its first step; or, now and then,
+    the divisor times a cofactor, which it divides."""
+    cycle = [e for e, _ in rng.choice(cycles)]
+    lead = rng.choice((2, 3, 5))
+    divisor = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [lead]
+    if rng.random() < 0.25:
+        cofactor = [rng.choice((-1, 1))] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        dividend = [int(c) for c in _times(divisor, cofactor + [1])]
+    else:
+        rest = [rng.randint(-9, 9) for _ in range(rng.randint(2, 19))]
+        dividend = [rng.choice((-1, 1))] + rest + [rng.choice([n for n in range(-9, 10) if n % lead])]
+    return [json.dumps({"polys": [{"cycle": cycle, "coeffs": cs}]}) for cs in (dividend, divisor)]
+
+
 def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, list[list[str]]]:
     """Argument lists, without ``--format``, keyed by command."""
     g = ["--graph", path]
@@ -204,6 +223,7 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
     cycles = [list(zip(c.edges, c.sources)) for c in k1_cycles(validate_graph(vertices, edges))]
     subset = lambda: ",".join(rng.sample(vertices, rng.randint(0, len(vertices))))
     planted = [planted_ideal(cycles, rng) for _ in range(2)] if cycles and rng.random() < 0.2 else []
+    inexact = inexact_pair(cycles, rng) if cycles and rng.random() < 0.3 else []
     return {
         "check-k": [g],
         "classify-vertex": [g + ["--vertex", v] for v in vertices] + [g + ["--vertex", "nope"]],
@@ -216,7 +236,8 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
         "lambda-reduce": [g + ["--ideal", ideal(vertices, cycles, rng)]]
         + [g + ["--ideal", text] for text in planted],
         "contains": [g + [ideal(vertices, cycles, rng), ideal(vertices, cycles, rng)]]
-        + ([g + planted] if planted else []),
+        + ([g + planted] if planted else [])
+        + ([g + inexact, g + inexact[::-1]] if inexact else []),
         "extract-vertex": [g + [el()]],
         "nongraded-witness": [g],
         "classify2": [g],

@@ -762,6 +762,45 @@ def test_generator_set_json_reads_each_coefficient_once(monkeypatch):
     assert [p.poly for p in gens.polys] == [QPoly.of([1, 0, 1]), QPoly.of([2, Fraction(1, 2)])]
 
 
+def test_generator_set_json_reads_each_cycle_once(monkeypatch):
+    data = {"polys": [
+        {"cycle": ["g", "e", "f"], "coeffs": ["2", "-1", "1"]},  # base from the cycle
+        {"cycle": ["h"], "base": "d", "coeffs": ["1", "1"]},
+    ]}
+    want = generator_set_by_fractions(INGEST, data)
+    calls = []
+    of = Cycle.of
+
+    def counting(g, edges):
+        calls.append(tuple(edges))
+        return of(g, edges)
+
+    monkeypatch.setattr(Cycle, "of", staticmethod(counting))
+    assert generator_set_from_json(INGEST, data) == want
+    assert calls == [("g", "e", "f"), ("h",)]
+
+
+@pytest.mark.parametrize("base, error, message", [
+    (None, DomainError, "edge sequence e.f is not closed"),
+    ("a", ParseError, "bad coefficient in ['x', '1']"),
+])
+def test_generator_set_json_reports_a_bad_cycle_first_only_without_a_base(base, error, message):
+    entry = {"cycle": ["e", "f"], "coeffs": ["x", "1"]}
+    if base is not None:
+        entry["base"] = base
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        generator_set_from_json(INGEST, {"polys": [entry]})
+
+
+def test_cycle_polynomial_takes_a_cycle_of_its_graph():
+    cyc = Cycle.of(INGEST, ["f", "g", "e"])
+    assert CyclePolynomial.of(INGEST, cyc, "b", [1, 1]) == CyclePolynomial.of(
+        INGEST, ["f", "g", "e"], "b", [1, 1]
+    )
+    with pytest.raises(DomainError, match="^cycle over a different graph$"):
+        CyclePolynomial.of(R1, cyc, "b", [1, 1])
+
+
 @pytest.mark.parametrize("literal", ["1.0000000000000001", "0.0000001", "12345678901234567890.5"])
 def test_generator_set_json_reads_a_number_as_its_digits(literal):
     """A JSON number gives the coefficient its digits give in a string: not

@@ -12,8 +12,9 @@ from helpers import FractionPoly, coprime_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import CyclePolynomial, Element, QPoly, monomial, validate_graph
+from leavitt import CyclePolynomial, Element, QPoly, monomial, polynomials, validate_graph
 from leavitt.errors import DomainError
+from leavitt.polynomials import _pseudo_divide
 
 
 def test_construction_strips_trailing_zeros():
@@ -81,7 +82,7 @@ def test_arithmetic():
     q = QPoly.of([-1, 1])       # -1 + x
     assert p * q == QPoly.of([-1, 0, 1])
     assert p + q == QPoly.of([0, 2])
-    assert p - p == QPoly.zero()
+    assert p + QPoly.of([-1, -1]) == QPoly.of([])
 
 
 def test_divmod_exact():
@@ -101,24 +102,24 @@ def test_divmod_with_remainder():
     assert rem.degree < q.degree
 
 
-def test_mod_is_the_divmod_remainder():
+def test_divmod_remainder():
     p = QPoly.of([1, 0, 1])  # 1 + x^2
     q = QPoly.of([1, 1])  # 1 + x
-    assert p % q == divmod(p, q)[1] == QPoly.of([2])
-    assert (q % p) == q
+    assert divmod(p, q)[1] == QPoly.of([2])
+    assert divmod(q, p) == (QPoly.of([]), q)
 
 
 def test_division_by_zero():
     with pytest.raises(DomainError):
-        divmod(QPoly.one(), QPoly.zero())
+        divmod(QPoly.of([1]), QPoly.of([]))
 
 
 def test_divides():
     assert QPoly.of([1, 1]).divides(QPoly.of([-1, 0, 1]))
     assert not QPoly.of([-1, 0, 1]).divides(QPoly.of([1, 1]))
-    assert QPoly.zero().divides(QPoly.zero())
-    assert not QPoly.zero().divides(QPoly.one())
-    assert QPoly.one().divides(QPoly.zero())
+    assert QPoly.of([]).divides(QPoly.of([]))
+    assert not QPoly.of([]).divides(QPoly.of([1]))
+    assert QPoly.of([1]).divides(QPoly.of([]))
 
 
 def test_gcd_monic():
@@ -129,15 +130,15 @@ def test_gcd_monic():
 
 
 def test_gcd_of_coprime_is_one():
-    assert QPoly.gcd(QPoly.of([1, 1]), QPoly.of([-1, 1])) == QPoly.one()
-    assert QPoly.gcd(QPoly.zero(), QPoly.of([2, 4])) == QPoly.of([1, 2]).monic()
+    assert QPoly.gcd(QPoly.of([1, 1]), QPoly.of([-1, 1])) == QPoly.of([1])
+    assert QPoly.gcd(QPoly.of([]), QPoly.of([2, 4])) == QPoly.of([1, 2]).monic()
 
 
 def test_monic_and_valuation():
     p = QPoly.of([0, 0, 2, 4])
     assert p.valuation() == 2
     assert p.shift_down(2) == QPoly.of([2, 4])
-    assert p.monic().leading == 1
+    assert p.monic().is_monic and p.monic().coeffs == (0, 0, Fraction(1, 2), 1)
     assert not p.is_monic
     assert QPoly.of([1, 1]).is_monic
 
@@ -146,7 +147,7 @@ def test_str():
     assert str(QPoly.of([1, 1])) == "x + 1"
     assert str(QPoly.of([-1, 0, 1])) == "x^2 - 1"
     assert str(QPoly.of([Fraction(1, 2)])) == "1/2"
-    assert str(QPoly.zero()) == "0"
+    assert str(QPoly.of([])) == "0"
 
 
 # --- sympy as an oracle --------------------------------------------------------
@@ -178,7 +179,7 @@ def test_divmod_gcd_divides_match_sympy(a, b, common):
     else:
         assert q.divides(p) == p.is_zero
     g = sp.gcd(sq)
-    assert QPoly.gcd(p, q) == (_from_sympy(g.monic()) if not g.is_zero else QPoly.zero())
+    assert QPoly.gcd(p, q) == (_from_sympy(g.monic()) if not g.is_zero else QPoly.of([]))
 
 
 def _random_poly(degree, seed):
@@ -204,7 +205,7 @@ def test_high_degree_gcd_and_divides_match_sympy(a, b, common):
     p, q = a * common, b * common
     sp, sq = _to_sympy(sympy, p), _to_sympy(sympy, q)
     g = sp.gcd(sq)
-    expected = _from_sympy(g.monic()) if not g.is_zero else QPoly.zero()
+    expected = _from_sympy(g.monic()) if not g.is_zero else QPoly.of([])
     assert QPoly.gcd(p, q) == expected
     assert QPoly.gcd(q, p) == expected
     assert common.divides(p) and common.divides(q)
@@ -215,8 +216,84 @@ def test_high_degree_gcd_and_divides_match_sympy(a, b, common):
 
 def test_gcd_of_coprime_degree_200_pair_is_one():
     p, q = (QPoly.of(cs) for cs in coprime_pair(200))
-    assert QPoly.gcd(p * QPoly.of([Fraction(1, 3)]), q) == QPoly.one()
+    assert QPoly.gcd(p * QPoly.of([Fraction(1, 3)]), q) == QPoly.of([1])
     assert not p.divides(q) and not q.divides(p)
+
+
+# --- the one integer division routine -----------------------------------------
+
+_ints = st.lists(st.integers(-30, 30), max_size=6)
+_leads = st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])  # nonzero, mostly non-unit
+_int_polys = st.builds(lambda lower, lead: QPoly.of(lower + [lead]), _ints, _leads)
+
+
+def _int_mul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _int_sub(a, b):
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@given(st.lists(st.integers(-50, 50), max_size=9), _ints, st.integers(1, 6), st.booleans())
+def test_pseudo_division_contract(a, lower, lead, exact):
+    """scale*a == quo*b + rem with scale > 0 and len(rem) < len(b), except
+    that exact mode never scales and stops at a remainder whose leading
+    coefficient b's does not divide."""
+    while a and not a[-1]:
+        a.pop()
+    b = lower + [lead]
+    quo, rem, scale = _pseudo_divide(a, b, exact=exact)
+    assert scale > 0 and (scale == 1 or not exact)
+    assert _int_sub([scale * c for c in a], _int_mul(quo, b)) == rem
+    if len(rem) >= len(b):
+        assert exact and rem[-1] % lead
+
+
+@settings(max_examples=150)
+@given(_int_polys, _int_polys, _int_polys, st.booleans())
+def test_divmod_divides_gcd_match_fraction_poly_and_sympy(a, b, common, plant):
+    """Negative and non-unit leading coefficients, with a common factor
+    planted in half the pairs."""
+    sympy = pytest.importorskip("sympy")
+    p, q = (a * common, b * common) if plant else (a, b)
+    fp, fq = FractionPoly(p.coeffs), FractionPoly(q.coeffs)
+    sp, sq = _to_sympy(sympy, p), _to_sympy(sympy, q)
+    quo, rem = divmod(p, q)
+    squo, srem = sp.div(sq)
+    assert (quo.coeffs, rem.coeffs) == tuple(x.coeffs for x in divmod(fp, fq))
+    assert (quo, rem) == (_from_sympy(squo), _from_sympy(srem))
+    assert q.divides(p) == fq.divides(fp) == srem.is_zero
+    assert p.divides(q) == fp.divides(fq) == sq.rem(sp).is_zero
+    g = QPoly.gcd(p, q)
+    assert g.coeffs == FractionPoly.gcd(fp, fq).coeffs
+    assert g == _from_sympy(sp.gcd(sq).monic())
+    assert not plant or common.divides(g)
+
+
+def test_divides_stops_at_the_first_inexact_step(monkeypatch):
+    """2 + x + ... + x^200 does not divide a monic polynomial of degree 400:
+    the first leading coefficient, 1/2, is no integer.  One gcd finds each
+    primitive part's content, and one the first step's scale."""
+    d = QPoly.of([1] * 200 + [2])
+    p = QPoly.of(coprime_pair(200)[0])
+    p = p * p
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(polynomials, "gcd", counting)
+    assert not d.divides(p)
+    assert len(calls) == 3
 
 
 # --- the representation against the Fraction oracle ----------------------------

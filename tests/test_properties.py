@@ -745,7 +745,7 @@ def test_library_and_wire_read_a_coefficient_alike(text):
     ParseError from the wire."""
     m = monomial(E38, ["e"])
     element = outcome(lambda: coeff(Element.of(E38, [(m, text)]), m))
-    poly = outcome(lambda: QPoly.of([text]).constant)
+    poly = outcome(lambda: (QPoly.of([text]).coeffs or (0,))[0])  # zero has no coefficients
     data = {"polys": [{"cycle": ["e"], "coeffs": ["1", text, "1"]}]}
     wire = outcome(lambda: generator_set_from_json(E38, data).polys[0].poly.coeffs[1])
     assert element == poly
