@@ -35,7 +35,7 @@ and strings by the package's one coefficient rule,
 ``polynomials._rational``; ``Element.terms`` pairs each code with a
 ``Monomial`` record and a Fraction on every access, and
 ``ideals.ExtractionWitness.scalar`` is a Fraction.  Names are built only
-for text.
+for text, which ``records._signed_sum`` writes, as it writes polynomials.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from math import gcd, lcm
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path, _index, _listing
-from .records import Record
+from .records import Record, _signed_sum
 
 __all__ = [
     "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
@@ -512,18 +512,5 @@ def parse_element(g: Graph, text: str) -> Element:
 
 def format_element(x: Element) -> str:
     """Deterministic textual form of an element (normal or not)."""
-    if x.is_zero:
-        return "0"
-    g, den = x.graph, x.den
-    parts = []
-    for (a, b), n in x.codes:
-        word = _word(g, a, b)
-        q = gcd(n, den)  # the term's |n|/den in lowest terms
-        mag, d = abs(n) // q, den // q
-        text = str(mag) if d == 1 else f"{mag}/{d}"
-        body = word if text == "1" else f"{text}*{word}"
-        if parts:
-            parts.append(("+ " if n > 0 else "- ") + body)
-        else:
-            parts.append(body if n > 0 else "-" + body)
-    return " ".join(parts)
+    g = x.graph
+    return _signed_sum([(n, _word(g, a, b)) for (a, b), n in x.codes], x.den)

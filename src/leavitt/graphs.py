@@ -83,12 +83,13 @@ class Graph(Record):
 
     Construct through :func:`validate_graph` or :func:`parse_graph`; the
     raw constructor performs no checking.  The slots after the three fields
-    are caches, outside equality, hash and repr; a copy or an unpickled
-    graph rebuilds them, since string hashes differ between processes.
+    cache the name indexes, the integer adjacency and the K-classes; they
+    are outside equality, hash and repr, and a copy or an unpickled graph
+    rebuilds them, since string hashes differ between processes.
     """
 
     __match_args__ = ("vertices", "edges", "ends")
-    __slots__ = __match_args__ + ("_vindex", "_eindex", "_index", "_kclass", "_hash")
+    __slots__ = __match_args__ + ("_vindex", "_eindex", "_index", "_kclass")
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[str, ...], ends: tuple) -> None:
         _set(self, "vertices", vertices)
@@ -98,14 +99,6 @@ class Graph(Record):
         _set(self, "_eindex", {e: i for i, e in enumerate(edges)})
         _set(self, "_index", None)  # filled by _index
         _set(self, "_kclass", None)  # filled by _k_classes
-        _set(self, "_hash", None)  # filled by __hash__
-
-    def __hash__(self) -> int:
-        # Monomials and elements hash their graph each time they are hashed,
-        # so the hash of the three tuples is computed once.
-        if self._hash is None:
-            _set(self, "_hash", hash(self._field_tuple(self)))
-        return self._hash
 
     def check_vertex(self, v: str) -> None:
         if v not in self._vindex:
@@ -362,13 +355,10 @@ class Cycle(Record):
 
 
 class VertexClass(Record):
-    """K-classification of a vertex; K1 carries its unique cycle."""
+    """K-classification of a vertex: ``kind`` is "K0", "K1" or "K2", and
+    ``cycle`` is a K1 vertex's unique cycle, else None."""
 
     __slots__ = __match_args__ = ("kind", "cycle")
-
-    def __init__(self, kind: str, cycle: Cycle | None = None) -> None:
-        _set(self, "kind", kind)  # "K0" | "K1" | "K2"
-        _set(self, "cycle", cycle)
 
 
 class _Index:

@@ -64,9 +64,9 @@ def graded_lattice(g: Graph) -> Poset:
     return Poset(tuple([LambdaReduction(g, HeredSatSet(g, m), ()) for m in masks]), covers)
 
 
-def lattice_dot(g: Graph, poset: Poset, name: str = "lattice") -> str:
+def lattice_dot(g: Graph, poset: Poset) -> str:
     """Hasse diagram of a graded-ideal poset in DOT form."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, node in enumerate(poset.elements):
         lines.append(f'  n{i} [label="{lattice_label(node.vertex_part)}"];')
     for i, j in poset.covers():

@@ -11,7 +11,8 @@ Every operation works on those ints.  A ``Fraction`` appears only where
 a coefficient enters or leaves: ``QPoly.of`` takes Fractions and reads a
 fractional text such as "1/2" or "0.25" into one, and the
 :attr:`QPoly.coeffs` view builds Fractions when read.  An integer
-coefficient, read or printed, never becomes one.
+coefficient, read or printed, never becomes one.  ``records._signed_sum``
+and ``records._ratio`` print them, as they print elements.
 
 Division, divisibility and the gcd all run one loop, the pseudo-division
 of integer polynomials in :func:`_pseudo_divide`.  Divisibility and the
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
-from .records import Record
+from .records import Record, _ratio, _signed_sum
 
 __all__ = ["QPoly"]
 
@@ -59,10 +60,7 @@ class QPoly(Record):
         if isinstance(coeffs, (str, bytes, bytearray)):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
         cs = [_rational(c) for c in coeffs]
-        dens = [c.denominator for c in cs if type(c) is not int]
-        if not dens:
-            return _reduced(cs, 1)
-        den = lcm(*dens)
+        den = lcm(*[c.denominator for c in cs])
         return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @property
@@ -88,10 +86,7 @@ class QPoly(Record):
         """Index of the lowest nonzero coefficient."""
         if self.is_zero:
             raise DomainError("zero polynomial has no valuation")
-        for i, n in enumerate(self.nums):
-            if n:
-                return i
-        raise AssertionError("unreachable")
+        return next(i for i, n in enumerate(self.nums) if n)
 
     def shift_down(self, k: int) -> "QPoly":
         """The polynomial with its k lowest coefficients dropped, divided by x^k."""
@@ -169,34 +164,11 @@ class QPoly(Record):
     def to_strings(self) -> tuple[str, ...]:
         """Each coefficient as ``str`` of its Fraction prints it: "-3/4", "2", "0"."""
         den = self.den
-        out = []
-        for n in self.nums:
-            g = gcd(n, den)
-            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return tuple(out)
+        return tuple([_ratio(n, den) for n in self.nums])
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        den = self.den
-        parts = []
-        for i in range(self.degree, -1, -1):
-            n = self.nums[i]
-            if not n:
-                continue
-            g = gcd(n, den)  # |n|/den in lowest terms
-            mag, d = abs(n) // g, den // g
-            text = str(mag) if d == 1 else f"{mag}/{d}"
-            if i == 0:
-                body = text
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                body = x if text == "1" else f"{text}*{x}"
-            if not parts:
-                parts.append(body if n > 0 else "-" + body)
-            else:
-                parts.append(("+ " if n > 0 else "- ") + body)
-        return " ".join(parts)
+        terms = [(n, f"x^{i}" if i > 1 else "x" if i else "") for i, n in enumerate(self.nums) if n]
+        return _signed_sum(terms[::-1], self.den)
 
 
 _ZERO = QPoly((), 1)

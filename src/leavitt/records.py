@@ -1,4 +1,5 @@
-"""The immutable base class of the package's value classes.
+"""The immutable base class of the package's value classes, and the one
+writer of rational sums.
 
 A record names its fields once, in ``__match_args__``.  From them the base
 class derives, once per subclass, a getter of the field tuple, and from it
@@ -7,19 +8,22 @@ a 1-tuple for a single field), as a frozen dataclass would, along with the
 ``Name(field=value, ...)`` repr, copying and pickling through the
 constructor, and the constructor itself, which sets the fields in order
 through :data:`_set`.  A class writes its own ``__init__`` only when it
-checks, caches or defaults something.  Assignment and deletion raise.  All
-of it comes without the start-up cost of importing :mod:`dataclasses`.
+checks or caches something.  Assignment and deletion raise.  All of it
+comes without the start-up cost of importing :mod:`dataclasses`.
 
-Only :class:`~leavitt.graphs.Graph` overrides one of the pair: it keeps
-equality but caches its hash, which every monomial and element hash
-repeats.  Equality and hashing are cold paths (a few thousand calls in a
-census round of 1,861 operations), but construction is hot.  So the
-constructor is written as source, one ``_set(self, "f", f)`` line per
-field, and compiled once per class, as :mod:`dataclasses` does: it runs
-the same bytecode a hand-written body would, with no loop over the field
-names in any call.
+Equality and hashing are cold paths (a few thousand calls in a census
+round of 1,861 operations), but construction is hot.  So the constructor
+is written as source, one ``_set(self, "f", f)`` line per field, and
+compiled once per class, as :mod:`dataclasses` does: it runs the same
+bytecode a hand-written body would, with no loop over the field names in
+any call.
+
+Elements and cycle polynomials print as signed sums of rational multiples
+through :func:`_signed_sum`.  It lives here, in the one module every layer
+loads, so that printing loads no other layer.
 """
 
+from math import gcd
 from operator import attrgetter
 
 __all__ = ["FrozenInstanceError", "Record"]
@@ -75,3 +79,23 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._field_tuple(self)
+
+
+def _ratio(n: int, den: int) -> str:
+    """``str`` of the Fraction n/den for a positive den: "-3/4", "2", "0"."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _signed_sum(terms, den: int) -> str:
+    """Text of the sum of (n/den)*word over ``(n, word)`` terms, "2*a - 1/2*b + c",
+    with a bare constant for an empty word and "0" for no terms."""
+    parts = []
+    for n, word in terms:
+        c = _ratio(abs(n), den)
+        body = c if not word else word if c == "1" else f"{c}*{word}"
+        if parts:
+            parts.append(("- " if n < 0 else "+ ") + body)
+        else:
+            parts.append("-" + body if n < 0 else body)
+    return " ".join(parts) or "0"

@@ -28,7 +28,7 @@ from .graphs import (
     Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, k1_cycles,
     lattice_label, validate_graph,
 )
-from .records import Record, _set
+from .records import Record
 
 __all__ = [
     "TwoVertexShape", "CanonicalForm16", "LatticeSkeleton", "SkeletonFamily", "Classification",
@@ -68,11 +68,11 @@ class TwoVertexShape(Record):
     def canon(self) -> "TwoVertexShape":
         return self if self.is_canonical else self.swapped()
 
-    def to_graph(self, u: str = "u", v: str = "v") -> Graph:
+    def to_graph(self) -> Graph:
         _check_counts(self.astuple(), self)
-        kinds = zip("pqab", (u, v, u, v), (u, v, v, u), self.astuple())
+        kinds = zip("pqab", "uvuv", "uvvu", self.astuple())
         edges = [(f"{p}{i + 1}", s, r) for p, s, r, n in kinds for i in range(n)]
-        return validate_graph((u, v), edges)
+        return validate_graph(("u", "v"), edges)
 
 
 def _check_counts(counts: tuple, shape: TwoVertexShape | None = None) -> None:
@@ -247,7 +247,7 @@ class LatticeSkeleton(Record):
 
         return min(map(encoding, product(*map(permutations, cells))))
 
-    def to_dot(self, name: str = "skeleton") -> str:
+    def to_dot(self) -> str:
         """DOT rendering: solid arcs for covering containments of the full
         order on nodes and families, dashed arcs for partial containment
         between same-cycle families."""
@@ -266,7 +266,7 @@ class LatticeSkeleton(Record):
                 return ix == iy
             return self.families[iy].att in fx.inside
 
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
+        lines = ["digraph skeleton {", "  rankdir=BT;"]
         for i, node in enumerate(nodes):
             lines.append(f'  n{i} [shape=box, label="{lattice_label(node)}"];')
         for i, f in enumerate(self.families):
@@ -322,13 +322,6 @@ class Classification(Record):
     None."""
 
     __slots__ = __match_args__ = ("label", "canonical", "skeleton", "note")
-
-    def __init__(self, label: str, canonical: CanonicalForm16, skeleton: LatticeSkeleton,
-                 note: str | None = None) -> None:
-        _set(self, "label", label)
-        _set(self, "canonical", canonical)
-        _set(self, "skeleton", skeleton)
-        _set(self, "note", note)
 
 
 def classify(g: Graph) -> Classification:

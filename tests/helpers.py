@@ -306,9 +306,9 @@ def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:
     g.check_vertex(v)
     cycles = simple_cycles_through(g, v)
     if not cycles:
-        return VertexClass("K0")
+        return VertexClass("K0", None)
     if len(cycles) >= 2:
-        return VertexClass("K2")
+        return VertexClass("K2", None)
     (c,) = cycles
     on_cycle = set(c.edges)
     cycle_vertices = set(c.sources)
@@ -316,7 +316,7 @@ def classify_by_cycle_count(g: Graph, v: str) -> VertexClass:
         if f in on_cycle or g.src(f) not in cycle_vertices:
             continue
         if v in reach_by_scan(g, g.rng(f)):
-            return VertexClass("K2")
+            return VertexClass("K2", None)
     return VertexClass("K1", c)
 
 

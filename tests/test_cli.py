@@ -688,6 +688,11 @@ def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):
     assert capsys.readouterr().out == "vertices {} with x + 1 on (e)\n"
 
 
+def test_lambda_reduce_refuses_unknown_ideal_keys(r1, capsys):
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", '{"poly": []}']) == 1
+    assert capsys.readouterr() == ("", "error: unknown ideal JSON keys: ['poly']\n")
+
+
 def test_deeply_nested_ideal_json_is_an_error(r1, tmp_path, capsys):
     deep = '{"vertices": %s}' % ("[" * 100_000 + "]" * 100_000)
     path = tmp_path / "deep.json"

@@ -86,6 +86,63 @@ def test_a_string_is_no_listing_of_names_or_coefficients(entry):
         call()
 
 
+# Refusals that no other test reaches, each with its full message: arguments
+# built over another graph handed to R1, and malformed ideal JSON.
+REFUSALS = {
+    "extract_vertex": (
+        DomainError, "element is not over this graph",
+        lambda: extract_vertex(R1, parse_element(R2, "v")),
+    ),
+    "LambdaGeneratorSet.of": (
+        DomainError, "cycle polynomial over a different graph",
+        lambda: LambdaGeneratorSet.of(R1, [CyclePolynomial.of(C2, ["g", "h"], "u", [1, 1])]),
+    ),
+    "LambdaReduction.of": (
+        DomainError, "cycle over a different graph",
+        lambda: LambdaReduction.of(R1, [], [(Cycle.of(R2, ["e"]), QPoly.of([1, 1]))]),
+    ),
+    "lambda_reduce": (
+        DomainError, "generator set over a different graph",
+        lambda: lambda_reduce(R1, LambdaGeneratorSet.of(R2)),
+    ),
+    "contains(a)": (
+        DomainError, "reductions over a different graph",
+        lambda: contains(R1, LambdaReduction.of(R2, []), LambdaReduction.of(R1, [])),
+    ),
+    "contains(b)": (
+        DomainError, "reductions over a different graph",
+        lambda: contains(R1, LambdaReduction.of(R1, []), LambdaReduction.of(R2, [])),
+    ),
+    "json not an object": (
+        ParseError, "ideal JSON must be an object",
+        lambda: generator_set_from_json(R1, '["v"]'),
+    ),
+    "json unknown keys": (
+        ParseError, "unknown ideal JSON keys: ['poly', 'vertex']",
+        lambda: generator_set_from_json(R1, '{"vertex": [], "poly": [], "polys": []}'),
+    ),
+    "json poly not an object": (
+        ParseError, "each poly needs 'cycle' and 'coeffs'",
+        lambda: generator_set_from_json(R1, '{"polys": [["e"]]}'),
+    ),
+    "json poly without coeffs": (
+        ParseError, "each poly needs 'cycle' and 'coeffs'",
+        lambda: generator_set_from_json(R1, '{"polys": [{"cycle": ["e"]}]}'),
+    ),
+    "QPoly.valuation": (
+        DomainError, "zero polynomial has no valuation",
+        lambda: QPoly.of([]).valuation(),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSALS))
+def test_refusals_give_their_full_message(entry):
+    error, message, call = REFUSALS[entry]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- graded lattice -----------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 and hash, ``Name(field=value, ...)`` repr, no assignment or deletion, copy
 and pickle, field-tuple ordering for ``TwoVertexShape``, and a constructor
 that takes the fields in order, written by ``Record`` unless the class
-caches or defaults something.  Only ``Graph`` writes its own equality and
+caches something (only ``Graph``).  No record writes its own equality or
 hash.
 
 The repr literals are the strings the dataclass versions printed, except
@@ -93,7 +93,7 @@ def _samples():
         "SkeletonFamily": (skel.families[0], SkeletonFamily(Cycle.of(R1, ["e"]), 0, frozenset())),
         "LatticeSkeleton": (skel, build_skeleton(SINK)),
         "Classification": (
-            Classification("VIII", canonicalize16(TWO), skel),
+            Classification("VIII", canonicalize16(TWO), skel, None),
             Classification("VIII", canonicalize16(TWO), skel, "a note"),
         ),
     }
@@ -201,9 +201,9 @@ def _record_classes():
 
 
 RECORDS = _record_classes()
-# The records that cache (Graph) or default (VertexClass, Classification)
-# something in their constructor.
-OWN_INIT = {"Graph", "VertexClass", "Classification"}
+# The one record that caches something in its constructor: Graph builds
+# its name indexes.
+OWN_INIT = {"Graph"}
 GENERATED = sorted(set(RECORDS) - OWN_INIT)
 
 
@@ -245,13 +245,13 @@ def test_equality_is_only_against_the_same_class(name):
     assert a != _fields(a)
 
 
-def test_only_graph_writes_its_own_equality_and_hash():
-    """Graph caches its hash; every other record compares and hashes its field tuple."""
+def test_no_record_writes_its_own_equality_or_hash():
+    """Every record compares and hashes its field tuple through Record."""
     own = {
         name for name, cls in RECORDS.items()
         if "__eq__" in cls.__dict__ or "__hash__" in cls.__dict__
     }
-    assert own == {"Graph"}
+    assert own == set()
 
 
 @pytest.mark.parametrize("name", NAMES)
