@@ -80,7 +80,7 @@ def _hs_sets(g, args):
 def _graded_lattice(g, args):
     from .ideals import graded_lattice, lattice_dot
     poset = graded_lattice(g)
-    nodes, covers = poset.elements, poset.covers()
+    nodes, covers = poset.elements, poset.covers
     members = [node.vertex_part.sorted_members() for node in nodes]
     payload = {"nodes": [list(ms) for ms in members], "covers": [list(c) for c in covers]}
 

@@ -23,6 +23,8 @@ and edge lists, so the term order (ghost degree descending, degree
 ascending, then the paths' codes) is the tuple
 ``(1 - len(b), len(a) - len(b), a, b)``.
 
+Arithmetic is spelled only as the functions :func:`add`, :func:`sub`,
+:func:`mul` and :func:`scale`; :class:`Element` defines no operators.
 Parsing, sums, products, rewriting and scaling work on the numerators: a
 sum brings its operands over the lcm of their denominators, a product over
 their product, and each result is reduced by one gcd (the method of
@@ -121,10 +123,6 @@ def _word(g: Graph, a: tuple, b: tuple) -> str:
     return g.vertices[a[0]]
 
 
-def _is_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-
-
 class Element(Record):
     """Immutable sum of monomials with nonzero rational coefficients, held as
     the kernel's terms ``((a, b), n)`` in term order over one denominator.
@@ -135,9 +133,13 @@ class Element(Record):
     elements.  :attr:`terms` gives the coefficients as Fractions.
 
     :meth:`of` collects like terms and drops zeros but performs no
-    rewriting; arithmetic helpers and :func:`normalize` produce normal
-    forms.  Terms are ordered by (ghost degree desc, degree asc, paths).
-    ``Element(graph, codes, den)`` is the raw constructor and checks nothing.
+    rewriting; :func:`add`, :func:`sub`, :func:`mul`, :func:`scale` and
+    :func:`normalize` produce normal forms.  They are the only spelling of
+    element arithmetic; there are no operators: ``lpa`` and the benchmark
+    call ``mul`` as a module attribute, and the benchmark's tracer wraps
+    module functions, not operator slots.  Terms are ordered by (ghost
+    degree desc, degree asc, paths).  ``Element(graph, codes, den)`` is
+    the raw constructor and checks nothing.
     """
 
     __slots__ = __match_args__ = ("graph", "codes", "den")
@@ -168,23 +170,6 @@ class Element(Record):
     @property
     def is_zero(self) -> bool:
         return not self.codes
-
-    def __add__(self, other: "Element") -> "Element":
-        return add(self, other)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return sub(self, other)
-
-    def __neg__(self) -> "Element":
-        return Element(self.graph, tuple([(m, -n) for m, n in self.codes]), self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return mul(self, other)
-        return scale(other, self) if _is_scalar(other) else NotImplemented
-
-    def __rmul__(self, other):
-        return scale(other, self) if _is_scalar(other) else NotImplemented
 
     def __str__(self) -> str:
         return format_element(self)
@@ -337,7 +322,7 @@ def sub(x: Element, y: Element) -> Element:
 
 def scale(c: Fraction | int, x: Element) -> Element:
     """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
-    if not _is_scalar(c):
+    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
         raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
     p = c.numerator
     return _sum(x.graph, [(m, p * n) for m, n in x.codes], c.denominator * x.den)

@@ -271,8 +271,6 @@ class Path(Record):
         edges = self.graph.edges
         return tuple([edges[e] for e in self.code[1:]])
 
-    src = base
-
     @property
     def rng(self) -> str:
         return self.graph.vertices[self._rng_id()]
@@ -651,11 +649,11 @@ def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
 
 
 class Poset(Record):
-    """Finite poset as an element tuple plus its sorted cover pairs (i, j):
-    element i lies strictly below element j, with nothing in between.  The
-    order is derived from them on demand, as bitmask rows."""
+    """Finite poset as an element tuple plus the field ``covers``: the sorted
+    pairs (i, j) with element i strictly below element j and nothing in
+    between.  The order is derived from them on demand, as bitmask rows."""
 
-    __slots__ = __match_args__ = ("elements", "cover_pairs")
+    __slots__ = __match_args__ = ("elements", "covers")
 
     @staticmethod
     def build(elements: Iterable, leq_fn) -> "Poset":
@@ -668,20 +666,13 @@ class Poset(Record):
         pairs = [(i, j) for i in ids for j in ids if ups[i] >> j & 1 and not ups[i] & downs[j]]
         return Poset(els, tuple(pairs))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with i strictly below j and nothing in between, sorted."""
-        return self.cover_pairs
-
     def up_sets(self) -> list[int]:
         """Bit j of row i is set when element i lies below element j: upper rows
         are ORed into lower ones until a pass (in a linear extension, the second) adds nothing."""
         rows, before = [1 << i for i in range(len(self.elements))], None
         while rows != before:
             before = rows.copy()
-            for i, j in reversed(self.cover_pairs):
+            for i, j in reversed(self.covers):
                 rows[i] |= rows[j]
         return rows
 

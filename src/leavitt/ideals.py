@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from .elements import Element, Monomial
 
 __all__ = [
-    "Poset", "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
+    "CyclePolynomial", "LambdaGeneratorSet", "LambdaReduction",
     "ExtractionWitness", "graded_lattice", "lattice_dot", "extract_vertex",
     "nongraded_witness", "lambda_reduce", "contains", "vertex_membership", "is_graded",
     "generator_set_from_json", "reduction_to_json",
@@ -69,7 +69,7 @@ def lattice_dot(g: Graph, poset: Poset) -> str:
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, node in enumerate(poset.elements):
         lines.append(f'  n{i} [label="{lattice_label(node.vertex_part)}"];')
-    for i, j in poset.covers():
+    for i, j in poset.covers:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -100,8 +100,8 @@ class ExtractionWitness(Record):
         return x
 
     def verify(self, a: Element) -> bool:
-        from .elements import vertex_element
-        expected = self.scalar * vertex_element(a.graph, self.vertex)
+        from .elements import scale, vertex_element
+        expected = scale(self.scalar, vertex_element(a.graph, self.vertex))
         return self.apply(a) == expected
 
 

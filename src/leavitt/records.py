@@ -3,13 +3,16 @@ writer of rational sums.
 
 A record names its fields once, in ``__match_args__``.  From them the base
 class derives, once per subclass, a getter of the field tuple, and from it
-``__eq__`` (same class only) and ``__hash__`` (the hash of the field tuple,
-a 1-tuple for a single field), as a frozen dataclass would, along with the
-``Name(field=value, ...)`` repr, copying and pickling through the
-constructor, and the constructor itself, which sets the fields in order
+``__eq__`` (same class only) and ``__hash__`` (the hash of the field
+tuple), as a frozen dataclass would, along with the ``Name(field=value,
+...)`` repr, copying and pickling through the constructor, and the
+constructor itself, which sets the fields in order
 through :data:`_set`.  A class writes its own ``__init__`` only when it
 checks or caches something.  Assignment and deletion raise.  All of it
-comes without the start-up cost of importing :mod:`dataclasses`.
+comes without the start-up cost of importing :mod:`dataclasses`.  A class
+with fewer than two fields raises TypeError when it is defined: the getter,
+the repr and pickling need a field tuple, and ``attrgetter`` of one name
+gives the bare value instead.
 
 Equality and hashing are cold paths (a few thousand calls in a census
 round of 1,861 operations), but construction is hot.  So the constructor
@@ -42,15 +45,10 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         names = cls.__match_args__
-        if len(names) == 1:  # attrgetter of one name returns the bare value
-            value = attrgetter(names[0])
-
-            def get(self):
-                return (value(self),)
-        else:
-            get = attrgetter(*names)
-        cls._field_tuple = staticmethod(get)  # called as self._field_tuple(self)
-        if names and "__init__" not in cls.__dict__:
+        if len(names) < 2:  # attrgetter of one name returns the bare value, of none raises
+            raise TypeError(f"record {cls.__qualname__} needs two or more fields, not {names!r}")
+        cls._field_tuple = staticmethod(attrgetter(*names))  # called as self._field_tuple(self)
+        if "__init__" not in cls.__dict__:
             src = f"def __init__(self, {', '.join(names)}):" + "".join(
                 f"\n    _set(self, {f!r}, {f})" for f in names)
             scope = {"_set": _set, "__name__": cls.__module__}

@@ -61,12 +61,10 @@ class TwoVertexShape(Record):
     def swapped(self) -> "TwoVertexShape":
         return TwoVertexShape(self.loops_v, self.loops_u, self.vu, self.uv)
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.astuple() >= self.swapped().astuple()
-
     def canon(self) -> "TwoVertexShape":
-        return self if self.is_canonical else self.swapped()
+        """The shape or its swap, whichever has the larger field tuple."""
+        swapped = self.swapped()
+        return self if self.astuple() >= swapped.astuple() else swapped
 
     def to_graph(self) -> Graph:
         _check_counts(self.astuple(), self)
@@ -220,7 +218,7 @@ class LatticeSkeleton(Record):
         and permute only the ties.  The covers fix the order, so two
         skeletons share a key exactly when they are isomorphic.  Past
         :data:`ORDER_BUDGET` orders, counted first, it raises DomainError."""
-        rows, covers = self.graded.up_sets(), self.graded.covers()
+        rows, covers = self.graded.up_sets(), self.graded.covers
         n = len(rows)
         fams = [(f.cycle.ids, f.att, f.inside) for f in self.families]
         attached = [att for _, att, _ in fams]
@@ -275,7 +273,7 @@ class LatticeSkeleton(Record):
             if att.mask:
                 label += ", " + ",".join(att.sorted_members())
             lines.append(f'  f{i} [shape=ellipse, label="<{label}>"];')
-        for i, j in Poset.build(items, full_leq).covers():
+        for i, j in Poset.build(items, full_leq).covers:
             (kx, ix), (ky, iy) = items[i], items[j]
             lines.append(f"  {kx}{ix} -> {ky}{iy};")
         for i, fx in enumerate(self.families):

@@ -439,7 +439,7 @@ def normalize_by_paths(g: Graph, terms) -> tuple[tuple[Monomial, Fraction], ...]
 def mul_raw_by_paths(m1: Monomial, m2: Monomial) -> Monomial | None:
     """Product of two monomials before rewriting; None when it vanishes."""
     beta, gamma = m1.beta, m2.alpha
-    if beta.src != gamma.src:
+    if beta.base != gamma.base:
         return None
     nb, ng = len(beta.edges), len(gamma.edges)
     if nb <= ng:

@@ -13,7 +13,8 @@ drawn from a fixed seed: random multigraphs with at most six vertices,
 loops and parallel edges, under shuffled names and order; every two-vertex
 shape with at most six edges, and random ones beyond; elements built by
 walks on each graph; ideal JSON on each graph's K1 cycles, which the
-working tree's ``leavitt`` finds (both trees get the same inputs), with
+cycle-counting oracle of ``helpers`` finds, not ``k1_cycles``, so that a
+change to the library does not change the inputs; with
 fractional, decimal and padded coefficient texts and, now and then, two
 polynomials of degree 20 to 60 with a planted common factor on one cycle,
 or a ``contains`` pair whose divisor has a non-unit leading coefficient;
@@ -21,8 +22,8 @@ and some malformed arguments.  Each differing argument list is printed with
 the fields that differ, and the exit status is 1 on any difference, 0
 otherwise.
 
-It uses the standard library, ``git`` and the working tree's ``leavitt``
-only, and is not collected by pytest.
+It uses the standard library, ``git``, the working tree's ``leavitt`` and
+``tests/helpers.py`` only, and is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEAD_SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, HEAD_SRC)
 
-from leavitt import k1_cycles, validate_graph
+from helpers import k1_cycles_by_cycle_count
+from leavitt import validate_graph
 from leavitt.cli import COMMANDS
 
 SEED = 0
@@ -220,7 +222,9 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
     """Argument lists, without ``--format``, keyed by command."""
     g = ["--graph", path]
     el = lambda: element(vertices, edges, rng)
-    cycles = [list(zip(c.edges, c.sources)) for c in k1_cycles(validate_graph(vertices, edges))]
+    source = {e: s for e, s, _ in edges}
+    found = k1_cycles_by_cycle_count(validate_graph(vertices, edges))
+    cycles = [[(e, source[e]) for e in c] for c in found]
     subset = lambda: ",".join(rng.sample(vertices, rng.randint(0, len(vertices))))
     planted = [planted_ideal(cycles, rng) for _ in range(2)] if cycles and rng.random() < 0.2 else []
     inexact = inexact_pair(cycles, rng) if cycles and rng.random() < 0.3 else []

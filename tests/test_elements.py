@@ -462,15 +462,6 @@ def test_monomial_row_and_col():
     assert (monomial(E38, at="v").alpha.base, monomial(E38, at="v").beta.base) == ("v", "v")
 
 
-def test_operators_match_the_functions():
-    x = parse_element(R2, "e + 2*f*'")
-    y = parse_element(R2, "v - 1/2*f")
-    assert x + y == add(x, y) and x - y == sub(x, y) and x * y == mul(x, y)
-    assert y * x == mul(y, x) != x * y
-    assert str(x) == format_element(x) and str(x - x) == format_element(sub(x, x))
-    assert (x == 1) is False and x != 1 and (x == "e + 2*f*'") is False
-
-
 def test_monomial_range_mismatch():
     with pytest.raises(DomainError, match="different vertices|range"):
         monomial(E38, alpha=("a",), beta=("b",))
@@ -489,10 +480,10 @@ def test_monomial_range_mismatch():
 
 def test_scalars_are_ints_and_fractions():
     x = path_element(R1, ("e",))
-    assert format_element(3 * x) == format_element(x * 3) == format_element(scale(3, x)) == "3*e"
-    assert format_element(Fraction(-1, 2) * x) == format_element(x * Fraction(-1, 2)) == "-1/2*e"
-    assert (0 * x).is_zero and scale(Fraction(0), x).is_zero
-    assert all(type(c) is Fraction for _, c in (3 * x).terms)
+    assert format_element(scale(3, x)) == "3*e"
+    assert format_element(scale(Fraction(-1, 2), x)) == "-1/2*e"
+    assert scale(0, x).is_zero and scale(Fraction(0), x).is_zero
+    assert all(type(c) is Fraction for _, c in scale(3, x).terms)
 
 
 def test_fractional_products_keep_integral_coefficients_as_ints():
@@ -503,7 +494,8 @@ def test_fractional_products_keep_integral_coefficients_as_ints():
     assert mul(scale(Fraction(1, 2), x), scale(2, y)) == xy
     half = parse_element(R2, "1/2*e + 1/2*f")
     for z in (mul(scale(2, half), vertex_element(R2, "v")), add(half, half), scale(2, half),
-              parse_element(R2, "1/2*e + 1/2*e"), Fraction(1, 2) * parse_element(R2, "2*e - 4*f")):
+              parse_element(R2, "1/2*e + 1/2*e"),
+              scale(Fraction(1, 2), parse_element(R2, "2*e - 4*f"))):
         assert z.den == 1 and all(type(n) is int for _, n in z.codes)
     assert xy.den > 1 and gcd(xy.den, *[n for _, n in xy.codes]) == 1
 
@@ -511,12 +503,8 @@ def test_fractional_products_keep_integral_coefficients_as_ints():
 @pytest.mark.parametrize("bad", ["3", 0.1, 1.0, True, False, None, 2j])
 def test_other_scalars_raise_type_error(bad):
     x = path_element(R1, ("e",))
-    assert x.__mul__(bad) is NotImplemented and x.__rmul__(bad) is NotImplemented
-    with pytest.raises(TypeError):
-        x * bad
-    with pytest.raises(TypeError):
-        bad * x
-    with pytest.raises(TypeError):
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"^a scalar must be an int or a Fraction, not {name}$"):
         scale(bad, x)
 
 
@@ -528,7 +516,11 @@ def test_elements_are_immutable_values():
     assert hash(pickle.loads(pickle.dumps(x))) == hash(x)
     assert Element(R2, x.codes, x.den) == x and Element.of(R2, x.terms) == x
     assert x.den == 3 and Element(R2, x.codes, 1) != x
-    assert -x == scale(-1, x) and -(-x) == x
+    assert scale(-1, scale(-1, x)) == x and add(x, scale(-1, x)) == sub(x, x) == Element.zero(R2)
+    assert str(x) == format_element(x) and str(sub(x, x)) == "0"
+    assert (x == 1) is False and x != 1 and (x == "2*e.f*' - 1/3*f + v") is False
+    y = parse_element(R2, "v - 1/2*f")
+    assert mul(y, x) != mul(x, y)
     assert coeff(x, monomial(R2, ("f",))) == Fraction(-1, 3)
     assert coeff(x, monomial(R2, ("e",))) == 0
 

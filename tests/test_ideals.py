@@ -39,6 +39,7 @@ from leavitt import (
     CyclePolynomial,
     DomainError,
     Element,
+    ExtractionWitness,
     GraphError,
     LambdaGeneratorSet,
     LambdaReduction,
@@ -154,13 +155,13 @@ def test_lattice_disjoint_vertices_is_boolean():
         {"v"},
         {"u", "v"},
     ]
-    assert set(poset.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+    assert set(poset.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
 
 def test_lattice_two_line_is_a_two_chain():
     poset = graded_lattice(L2)
     assert [n.vertex_part.members for n in poset.elements] == [frozenset(), {"u", "v"}]
-    assert poset.covers() == ((0, 1),)
+    assert poset.covers == ((0, 1),)
 
 
 def test_lattice_of_twelve_isolated_vertices_is_boolean():
@@ -168,10 +169,10 @@ def test_lattice_of_twelve_isolated_vertices_is_boolean():
     adding one of the vertices it lacks, so 12 * 2^11 covers."""
     g = validate_graph([f"v{i}" for i in range(12)], [])
     poset = graded_lattice(g)
-    assert len(poset) == 4096
-    assert len(poset.covers()) == 12 * 2048
+    assert len(poset.elements) == 4096
+    assert len(poset.covers) == 12 * 2048
     sets = [node.vertex_part.members for node in poset.elements]
-    assert all(len(sets[j] - sets[i]) == 1 and sets[i] < sets[j] for i, j in poset.covers())
+    assert all(len(sets[j] - sets[i]) == 1 and sets[i] < sets[j] for i, j in poset.covers)
 
 
 def test_lattice_rose():
@@ -236,6 +237,19 @@ def test_extract_trivial_vertex_multiple():
     assert (w.vertex, w.scalar) == ("u", Fraction(7, 2))
     assert w.left == () and w.right == ()
     assert w.verify(a)
+
+
+def test_verify_refuses_a_tampered_witness():
+    """A witness with its scalar doubled, or with a left or right factor
+    dropped, no longer carries the element to the vertex multiple."""
+    a = scale(Fraction(7, 2), parse_element(R2, "v + e"))
+    w = extract_vertex(R2, a)
+    assert w.scalar == Fraction(7, 2) and w.left and w.right and w.verify(a)
+    left, right, v, c = w.left, w.right, w.vertex, w.scalar
+    for bad in (ExtractionWitness(left, right, v, 2 * c),
+                ExtractionWitness(left[1:], right, v, c),
+                ExtractionWitness(left, right[1:], v, c)):
+        assert not bad.verify(a)
 
 
 def test_extract_single_edge_graph4():

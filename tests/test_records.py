@@ -111,7 +111,7 @@ FIELDS = {
     "Element": ("graph", "codes", "den"),
     "GradedDecomposition": ("graph", "components"),
     "QPoly": ("nums", "den"),
-    "Poset": ("elements", "cover_pairs"),
+    "Poset": ("elements", "covers"),
     "ExtractionWitness": ("left", "right", "vertex", "scalar"),
     "CyclePolynomial": ("cycle", "base", "poly"),
     "LambdaGeneratorSet": ("graph", "polys", "mask"),
@@ -133,7 +133,7 @@ R1_CYCLE_POLY = f"CyclePolynomial(cycle={CYCLE_E}, base='v', poly={R1_POLY})"
 R1_FAMILY = f"SkeletonFamily(cycle={CYCLE_E}, att=0, inside=frozenset({{1}}))"
 R1_SKELETON = (
     f"LatticeSkeleton(graph={G_R1}, graded=Poset(elements=({R1_EMPTY}, {R1_V}), "
-    f"cover_pairs=((0, 1),)), families=({R1_FAMILY},))"
+    f"covers=((0, 1),)), families=({R1_FAMILY},))"
 )
 SHAPE_6 = "TwoVertexShape(loops_u=1, loops_v=0, uv=1, vu=0)"
 
@@ -156,7 +156,7 @@ REPRS = {
     "QPoly": "QPoly(nums=(-2, 0, 1), den=2)",
     "Poset": (
         f"Poset(elements=(LambdaReduction(graph={G_R1}, vertex_part={R1_EMPTY}, polys=()), "
-        f"LambdaReduction(graph={G_R1}, vertex_part={R1_V}, polys=())), cover_pairs=((0, 1),))"
+        f"LambdaReduction(graph={G_R1}, vertex_part={R1_V}, polys=())), covers=((0, 1),))"
     ),
     "ExtractionWitness": (
         f"ExtractionWitness(left=(Monomial(graph={G_P2}, code=((1,), (0, 0))),), "
@@ -252,6 +252,15 @@ def test_no_record_writes_its_own_equality_or_hash():
         if "__eq__" in cls.__dict__ or "__hash__" in cls.__dict__
     }
     assert own == set()
+
+
+@pytest.mark.parametrize("fields", [(), ("value",)])
+def test_a_record_with_fewer_than_two_fields_is_refused(fields):
+    """The field getter, repr and pickling need a field tuple, which
+    ``attrgetter`` of one name does not give, so such a class is refused."""
+    message = f"record Short needs two or more fields, not {fields!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        type("Short", (Record,), {"__slots__": fields, "__match_args__": fields})
 
 
 @pytest.mark.parametrize("name", NAMES)
