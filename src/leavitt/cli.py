@@ -13,6 +13,14 @@ chosen format's renderer runs.  Every command offers
 ``text`` and ``json``.  :func:`main` loads the graph, runs the command,
 prints the chosen format, and maps library and file errors to exit 1.
 
+Dispatch builds as little parser as it can: when the first argument names
+a command, :func:`main` parses with a parser that holds only that
+command's subparser, whose errors and help do not depend on its siblings.
+Anything that parser leaves over, and every argument list that does not
+start with a command (none, ``--help``, an unknown word), is parsed again
+by the full :func:`build_parser`, so every help text and usage error is
+the full parser's.
+
 The graph layer, which every other layer builds on, is imported here; each
 command function imports the other layers it uses itself, so an ``lpa``
 process loads only its own command's layers.
@@ -220,13 +228,15 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The ``lpa`` parser with a subparser for each of ``commands``, by
+    default every entry of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Analyze Leavitt path algebras of finite directed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    for cmd in COMMANDS if commands is None else commands:
         p = sub.add_parser(cmd.name, help=cmd.help)
         if cmd.graph:
             p.add_argument("--graph", required=True, help="graph file")
@@ -238,8 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named command's
+    subparser when that parses argv with nothing left over."""
+    named = [cmd for cmd in COMMANDS if argv[:1] == [cmd.name]]
+    if named:
+        args, rest = build_parser(named).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     cmd = args.cmd
     try:
         g = parse_graph(_read_text(args.graph)) if cmd.graph else None

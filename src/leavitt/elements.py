@@ -32,24 +32,32 @@ Knuth, TAOCP vol. 2, 4.5.1).  They and text read only these tuples and
 the graph's cached integer adjacency (the range of each edge, and the
 vertex identity's other edges for a special edge), so their cost does not
 depend on unrelated vertices and edges.  A coefficient is a Fraction only
-where it enters or leaves the kernel: ``Element.of`` reads Fractions, ints
-and strings by the package's one coefficient rule,
-``polynomials._rational``; ``Element.terms`` pairs each code with a
-``Monomial`` record and a Fraction on every access, and
-``ideals.ExtractionWitness.scalar`` is a Fraction.  Names are built only
-for text, which ``records._signed_sum`` writes, as it writes polynomials.
+where it enters or leaves the kernel, and ``fractions`` is imported only
+there: ``Element.of`` reads ints, strings and Fractions by the package's
+one coefficient rule, ``polynomials._rational``, which builds a Fraction
+only from a text that ``int()`` refuses; :func:`scale` looks for one only
+when its scalar is not an int; ``Element.terms`` pairs each code with a
+``Monomial`` record and a Fraction on every access; and
+``ideals.ExtractionWitness.scalar`` is a Fraction only when it is not
+integral.  So an ``lpa`` command on integer input never loads
+``fractions``, nor the ``decimal`` and ``numbers`` it imports.  Names are
+built only for text, which ``records._signed_sum`` writes, as it writes
+polynomials.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path, _index, _listing
 from .records import Record, _signed_sum
+
+TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Monomial", "Element", "GradedDecomposition", "vertex_element", "path_element",
@@ -164,6 +172,7 @@ class Element(Record):
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """The ``(Monomial, Fraction)`` pairs of the codes, built on each access."""
+        from fractions import Fraction
         g, den = self.graph, self.den
         return tuple([(Monomial(g, m), Fraction(n, den)) for m, n in self.codes])
 
@@ -322,10 +331,14 @@ def sub(x: Element, y: Element) -> Element:
 
 def scale(c: Fraction | int, x: Element) -> Element:
     """c times x for an int (not a bool) or a Fraction c; other types raise TypeError."""
-    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
-        raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
-    p = c.numerator
-    return _sum(x.graph, [(m, p * n) for m, n in x.codes], c.denominator * x.den)
+    if type(c) is int:
+        p, q = c, 1
+    else:
+        from fractions import Fraction
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
+        p, q = c.numerator, c.denominator
+    return _sum(x.graph, [(m, p * n) for m, n in x.codes], q * x.den)
 
 
 class GradedDecomposition(Record):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from math import isinf
 
 from .errors import DomainError, ParseError
@@ -30,11 +29,13 @@ from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, lattice_label,
 )
-from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly
+from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly, _refusal
 from .records import Record
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .elements import Element, Monomial
 
 __all__ = [
@@ -85,7 +86,9 @@ class ExtractionWitness(Record):
     ``right`` factors multiply on the right in list order, then ``left``
     factors on the left in list order:
     left[k-1] * ... * left[0] * a * right[0] * ... * right[m-1].  Both are
-    tuples of Monomials; ``vertex`` is a vertex name and ``scalar`` a Fraction.
+    tuples of Monomials; ``vertex`` is a vertex name and ``scalar`` a nonzero
+    rational by the package's coefficient rule: an int when integral, else a
+    Fraction.
     """
 
     __slots__ = __match_args__ = ("left", "right", "vertex", "scalar")
@@ -245,11 +248,12 @@ def extract_vertex(g: Graph, a: Element) -> ExtractionWitness:
 
     if len(x.codes) != 1 or x.codes[0][0] != ((w,), (w,)):
         raise AssertionError(f"extraction ended on a non-vertex element {x}")
+    scalar = x.codes[0][1]
+    if x.den != 1:
+        from fractions import Fraction
+        scalar = Fraction(scalar, x.den)
     witness = ExtractionWitness(
-        tuple([Monomial(g, m) for m in left]),
-        tuple([Monomial(g, m) for m in right]),
-        name,
-        Fraction(x.codes[0][1], x.den),
+        tuple([Monomial(g, m) for m in left]), tuple([Monomial(g, m) for m in right]), name, scalar
     )
     if not witness.verify(a):
         raise AssertionError("extraction witness failed verification")
@@ -490,7 +494,9 @@ def is_graded(i: LambdaReduction) -> bool:
 # ``CyclePolynomial.of`` takes the finished polynomial, and the cycle read
 # once for a missing base.
 # A JSON number reads as its digits in a string would: 1.0000000000000001
-# is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.
+# is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.  A
+# coefficient that is true, false, null, an array or an object is refused
+# by its JSON type, before any text is read.
 
 
 class _JsonDecimal(float):
@@ -554,6 +560,9 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         if base is None:  # a bad cycle is then reported before bad coefficients
             cycle = Cycle.of(g, cycle)
             base = cycle.sources[0]
+        for c in entry["coeffs"]:
+            if c is None or isinstance(c, (bool, list, dict)):  # a bool is an int
+                raise ParseError(_refusal(json.dumps(c, default=str), "a number or a string"))
         texts = [str(c) for c in entry["coeffs"]]
         joined = " ".join(texts)  # a space starts no match of either guard
         if _EXPONENT.search(joined):

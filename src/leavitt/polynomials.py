@@ -11,8 +11,10 @@ Every operation works on those ints.  A ``Fraction`` appears only where
 a coefficient enters or leaves: ``QPoly.of`` takes Fractions and reads a
 fractional text such as "1/2" or "0.25" into one, and the
 :attr:`QPoly.coeffs` view builds Fractions when read.  An integer
-coefficient, read or printed, never becomes one.  ``records._signed_sum``
-and ``records._ratio`` print them, as they print elements.
+coefficient, read or printed, never becomes one, and ``fractions`` is
+imported only where one is built or checked for, after ``int()`` has
+refused a text.  ``records._signed_sum`` and ``records._ratio`` print
+them, as they print elements.
 
 Division, divisibility and the gcd all run one loop, the pseudo-division
 of integer polynomials in :func:`_pseudo_divide`.  Divisibility and the
@@ -32,11 +34,14 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
 from .records import Record, _ratio, _signed_sum
+
+TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["QPoly"]
 
@@ -66,6 +71,7 @@ class QPoly(Record):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions in ascending degree, built on each access."""
+        from fractions import Fraction
         den = self.den
         return tuple([Fraction(n, den) for n in self.nums])
 
@@ -209,28 +215,31 @@ def _rational(c) -> int | Fraction:
         return c
     if isinstance(c, str):
         if ("_" in c or not c.isascii()) and _NOT_ASCII_DIGIT.search(c):
-            raise DomainError(_refusal(c))
+            raise DomainError(_refusal(repr(c)))
         try:
             return int(c)
         except ValueError:
             pass
         if _EXPONENT.search(c):
-            raise DomainError(_refusal(c))
+            raise DomainError(_refusal(repr(c)))
+        from fractions import Fraction
         try:
             c = Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(_refusal(c)) from exc
-    elif not isinstance(c, (int, Fraction)) or isinstance(c, bool):
-        raise DomainError(_refusal(c))
+            raise DomainError(_refusal(repr(c))) from exc
+    else:
+        from fractions import Fraction
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            raise DomainError(_refusal(repr(c)))
     return c.numerator if c.denominator == 1 else c
 
 
-def _refusal(c) -> str:
-    """The message for a refused coefficient; a long repr shows its head and length."""
-    text = repr(c)
+def _refusal(text: str, what: str = "a rational number") -> str:
+    """The message refusing a coefficient spelled ``text``; a long spelling
+    shows its head and length."""
     if len(text) > 40:
         text = f"{text[:20]}… ({len(text)} characters)"
-    return f"coefficient {text} is not a rational number"
+    return f"coefficient {text} is not {what}"
 
 
 def _primitive_part(ns) -> list[int]:

@@ -18,9 +18,10 @@ change to the library does not change the inputs; with
 fractional, decimal and padded coefficient texts and, now and then, two
 polynomials of degree 20 to 60 with a planted common factor on one cycle,
 or a ``contains`` pair whose divisor has a non-unit leading coefficient;
-and some malformed arguments.  Each differing argument list is printed with
-the fields that differ, and the exit status is 1 on any difference, 0
-otherwise.
+and some malformed arguments, with each command's ``--help``, a trailing
+unknown option and an extra positional.  Each differing argument list is
+printed with the fields that differ, and the exit status is 1 on any
+difference, 0 otherwise.
 
 It uses the standard library, ``git``, the working tree's ``leavitt`` and
 ``tests/helpers.py`` only, and is not collected by pytest.
@@ -269,12 +270,14 @@ def build_cases(directory: str, graphs: int, commands) -> list[list[str]]:
         raise SystemExit(f"no inputs for commands {missing}: add them to graph_cases")
     missing_graph = os.path.join(directory, "missing.graph")
     cases = [[name, "--graph", missing_graph] for name, cmd in commands.items() if cmd.graph]
-    cases += [[], ["nope"], ["check-k"], ["--help"], ["mul", "--help"]]
+    cases += [[], ["nope"], ["check-k"], ["--help"]]
     for name, cmd in commands.items():
         formats = ("text", "json", "dot") if cmd.dot else ("text", "json")
         for argv in by_command[name]:
             cases += [[name, "--format", f, *argv] for f in formats]  # before any "--"
-        cases.append([name, "--format", "yaml", *by_command[name][0]])
+        first = by_command[name][0]
+        cases += [[name, "--format", "yaml", *first], [name, "--help"],
+                  [name, *first, "--bogus"], [name, *first, "extra"]]
     return cases
 
 

@@ -19,7 +19,7 @@ import pytest
 from helpers import coprime_pair
 
 import leavitt
-from leavitt.cli import main
+from leavitt.cli import COMMANDS, build_parser, main
 
 R1_TEXT = "vertices: v\nedge e: v -> v\n"
 
@@ -650,10 +650,20 @@ sys.exit(code)
 
 
 def test_every_command_has_a_module_budget():
-    from leavitt.cli import COMMANDS
-
     budgeted = [argv[0] for _, runs in LAYERS_BY_COMMAND for argv in runs]
     assert sorted(budgeted) == sorted(cmd.name for cmd in COMMANDS)
+
+
+def _run_reporting_modules(argv):
+    """The finished ``lpa`` process of argv, run under ``-S`` so that site
+    hooks add no modules of their own, and the set of modules it loaded."""
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REPORT_MODULES, *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return done, set(done.stderr.split())
 
 
 @pytest.mark.parametrize(
@@ -663,19 +673,55 @@ def test_every_command_has_a_module_budget():
 )
 def test_each_command_loads_only_its_layers(graph_dir, layers, argv):
     """No command imports a layer it does not use, nor ``dataclasses``,
-    ``inspect``, ``pathlib`` or ``typing``; ``-S`` keeps site hooks from adding
-    modules of their own."""
-    src = str(Path(leavitt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _REPORT_MODULES, *_resolve(argv, graph_dir)],
-        capture_output=True, text=True, env=env,
-    )
+    ``inspect``, ``pathlib`` or ``typing``; on these integer inputs none
+    imports ``fractions`` or the ``decimal`` and ``numbers`` it brings."""
+    done, loaded = _run_reporting_modules(_resolve(argv, graph_dir))
     assert done.returncode == 0 and done.stdout, done.stderr
-    loaded = set(done.stderr.split())
     expected = {"leavitt", "leavitt.errors", "leavitt.records", *(f"leavitt.{m}" for m in layers)}
     assert {m for m in loaded if m.startswith("leavitt")} == expected
     assert not loaded & {"dataclasses", "inspect", "pathlib", "typing"}
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
+def test_a_fractional_coefficient_still_reads_exactly(graph_dir):
+    """``fractions`` is loaded when a coefficient needs it: "0.25" is 1/4."""
+    ideal = '{"polys": [{"cycle": ["e"], "coeffs": ["0.25", "1"]}]}'
+    argv = ["lambda-reduce", "--graph", str(graph_dir / "r1.graph"), "--ideal", ideal]
+    done, loaded = _run_reporting_modules(argv)
+    assert (done.returncode, done.stdout) == (0, "vertices {} with x + 1/4 on (e)\n")
+    assert "fractions" in loaded
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse that is expected to exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (*capsys.readouterr(), exc.value.code)
+
+
+def _parser_cases():
+    """Argument lists that exit while parsing: each command's help, the
+    command alone, and a valid argument list (from ``LAYERS_BY_COMMAND``)
+    with a bad ``--format``, a trailing unknown option or an extra
+    positional; then no arguments, the top-level help and an unknown word."""
+    valid = {argv[0]: argv for _, runs in LAYERS_BY_COMMAND for argv in runs}
+    cases = []
+    for cmd in COMMANDS:
+        argv = valid[cmd.name]
+        cases += [[cmd.name, "--help"], [cmd.name], [*argv, "--format", "yaml"],
+                  [*argv, "--bogus"], [*argv, "extra"]]
+    return cases + [[], ["--help"], ["nope"]]
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_as_the_full_parser(graph_dir, capsys, monkeypatch, argv):
+    """``main`` builds only the named command's subparser; its help, usage
+    errors and exit codes are byte for byte those of the full parser."""
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+    argv = _resolve(argv, graph_dir)
+    full = _parse_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == full
+    assert full[2] == (0 if "--help" in argv else 2)
 
 
 def test_lambda_reduce_rejects_strings_for_lists(r1, capsys):

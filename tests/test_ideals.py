@@ -239,6 +239,15 @@ def test_extract_trivial_vertex_multiple():
     assert w.verify(a)
 
 
+def test_witness_scalar_follows_the_coefficient_rule():
+    """The scalar is an int when integral, else a Fraction, as ``_rational``
+    reads a coefficient; either way it prints as the Fraction would."""
+    for text, scalar, kind in (("2*u", "2", int), ("-3*u", "-3", int), ("7/2*u", "7/2", Fraction)):
+        w = extract_vertex(G4, parse_element(G4, text))
+        assert (type(w.scalar), str(w.scalar)) == (kind, scalar)
+        assert w.verify(parse_element(G4, text))
+
+
 def test_verify_refuses_a_tampered_witness():
     """A witness with its scalar doubled, or with a left or right factor
     dropped, no longer carries the element to the vertex multiple."""
@@ -741,6 +750,23 @@ def test_generator_set_json_rejects_exponent_notation():
     text = '{"polys": [{"cycle": ["e"], "coeffs": ["-1/2", "0.25", 3]}]}'
     gens = generator_set_from_json(R1, text)
     assert list(gens.polys[0].poly.to_strings()) == ["-1/2", "1/4", "3"]
+
+
+@pytest.mark.parametrize("coeff, shown", [
+    ("true", "true"), ("false", "false"), ("null", "null"), ("[1, 2]", "[1, 2]"),
+    ('{"a": 0.5}', '{"a": 0.5}'), ("[[]]", "[[]]"),
+    ("[%s]" % ", ".join(["12"] * 20), "[12, 12, 12, 12, 12,… (80 characters)"),
+])
+def test_generator_set_json_refuses_a_coefficient_by_its_json_type(coeff, shown):
+    """true, false, null, arrays and objects are refused as JSON spells
+    them, not read from their Python text ("True", "None")."""
+    message = f"coefficient {shown} is not a number or a string"
+    for text in ('{"polys": [{"cycle": ["e"], "coeffs": [%s, 1]}]}' % coeff,
+                 '{"polys": [{"cycle": ["e"], "base": "v", "coeffs": ["1", %s]}]}' % coeff):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            generator_set_from_json(R1, text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            generator_set_from_json(R1, json.loads(text))
 
 
 def test_generator_set_json_rejects_non_ascii_digits_and_underscores():

@@ -160,7 +160,7 @@ REPRS = {
     ),
     "ExtractionWitness": (
         f"ExtractionWitness(left=(Monomial(graph={G_P2}, code=((1,), (0, 0))),), "
-        "right=(), vertex='b', scalar=Fraction(2, 1))"
+        "right=(), vertex='b', scalar=2)"
     ),
     "CyclePolynomial": R1_CYCLE_POLY,
     "LambdaGeneratorSet": (
