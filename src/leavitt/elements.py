@@ -34,7 +34,7 @@ vertex identity's other edges for a special edge), so their cost does not
 depend on unrelated vertices and edges.  A coefficient is a Fraction only
 where it enters or leaves the kernel, and ``fractions`` is imported only
 there: ``Element.of`` reads ints, strings and Fractions by the package's
-one coefficient rule, ``polynomials._rational``, which builds a Fraction
+one coefficient rule, ``records._rational``, which builds a Fraction
 only from a text that ``int()`` refuses; :func:`scale` looks for one only
 when its scalar is not an int; ``Element.terms`` pairs each code with a
 ``Monomial`` record and a Fraction on every access; and
@@ -53,7 +53,7 @@ from math import gcd, lcm
 
 from .errors import DomainError, ParseError
 from .graphs import Graph, Path, _index, _listing
-from .records import Record, _signed_sum
+from .records import Record, _rational, _signed_sum
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
@@ -155,8 +155,7 @@ class Element(Record):
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int | str]]) -> "Element":
         """Sum of ``(monomial, coefficient)`` pairs, each coefficient read by
-        the rule of :func:`leavitt.polynomials._rational`."""
-        from .polynomials import _rational
+        the rule of :func:`leavitt.records._rational`."""
         codes = []
         for m, c in items:
             if m.graph != graph:

@@ -655,17 +655,6 @@ class Poset(Record):
 
     __slots__ = __match_args__ = ("elements", "covers")
 
-    @staticmethod
-    def build(elements: Iterable, leq_fn) -> "Poset":
-        """``elements`` under the partial order ``leq_fn``, asked of every
-        pair: j covers i when it is above i and nothing above i is below it."""
-        els = tuple(elements)
-        ids = range(len(els))
-        ups = [sum(1 << j for j in ids if j != i and leq_fn(els[i], els[j])) for i in ids]
-        downs = [sum(1 << i for i in ids if ups[i] >> j & 1) for j in ids]
-        pairs = [(i, j) for i in ids for j in ids if ups[i] >> j & 1 and not ups[i] & downs[j]]
-        return Poset(els, tuple(pairs))
-
     def up_sets(self) -> list[int]:
         """Bit j of row i is set when element i lies below element j: upper rows
         are ORed into lower ones until a pass (in a linear extension, the second) adds nothing."""

@@ -29,8 +29,8 @@ from .graphs import (
     Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, lattice_label,
 )
-from .polynomials import _EXPONENT, _NOT_ASCII_DIGIT, QPoly, _refusal
-from .records import Record
+from .polynomials import QPoly
+from .records import _EXPONENT, _NOT_ASCII_DIGIT, Record, _refusal
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
@@ -51,6 +51,14 @@ __all__ = [
 # process on a two-core Intel Xeon under Python 3.11.7, so a larger input is
 # refused at once instead.
 DEGREE_BUDGET = 256
+# Largest size, degree times the bit lengths of the numerators and the
+# denominator summed, of a polynomial read from ideal JSON: the degree alone
+# lets long coefficients through.  On the same machine the gcd of two random
+# polynomials took 0.36-0.57 s at degrees 16-128 and sizes 230k-258k, and
+# 1.2-1.4 s at degree 256 (252k-263k; ``coprime_pair`` is 178k); over the
+# budget, 1.7 s at degree 256 with 5-bit coefficients (269k) and 4.9 s at
+# degree 32 with 300-digit ones (1.05M, 20 KB of JSON).
+SIZE_BUDGET = 250_000
 
 
 def graded_lattice(g: Graph) -> Poset:
@@ -490,7 +498,7 @@ def is_graded(i: LambdaReduction) -> bool:
 # Coefficients are ascending-degree rationals as strings, such as "-3", "1/2"
 # or "0.25", written with ASCII digits; exponent notation and "_" are
 # rejected for the whole list, which ``QPoly.of`` then reads once by the
-# coefficient rule, ``polynomials._rational``, reporting Fraction's error;
+# coefficient rule, ``records._rational``, reporting Fraction's error;
 # ``CyclePolynomial.of`` takes the finished polynomial, and the cycle read
 # once for a missing base.
 # A JSON number reads as its digits in a string would: 1.0000000000000001
@@ -530,7 +538,8 @@ def _names(value, key: str) -> list:
 def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
     """Generators from ideal JSON, ``{"vertices": [...], "polys": [...]}``,
     given as text or as the decoded object.  A polynomial of degree above
-    :data:`DEGREE_BUDGET` raises DomainError."""
+    :data:`DEGREE_BUDGET`, or whose degree times coefficient bits is above
+    :data:`SIZE_BUDGET`, raises DomainError."""
     if isinstance(data, str):
         try:
             data = json.loads(data, parse_float=_JsonDecimal)
@@ -572,11 +581,17 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         try:
             poly = QPoly.of(texts)
         except DomainError as exc:
-            raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc.__cause__}") from exc
+            why = exc.__cause__
+            why = "zero denominator" if isinstance(why, ZeroDivisionError) else why
+            raise ParseError(f"bad coefficient in {entry['coeffs']}: {why}") from exc
         if poly.degree > DEGREE_BUDGET:
             raise DomainError(
                 f"polynomial of degree {poly.degree} is over the degree budget of {DEGREE_BUDGET}"
             )
+        bits = sum(map(int.bit_length, poly.nums)) + poly.den.bit_length()
+        if poly.degree * bits > SIZE_BUDGET:
+            raise DomainError(f"polynomial of size {poly.degree * bits} (degree {poly.degree} times"
+                              f" {bits} coefficient bits) is over the size budget of {SIZE_BUDGET}")
         polys.append(CyclePolynomial.of(g, cycle, base, poly))
     return LambdaGeneratorSet.of(g, polys, vertices)
 

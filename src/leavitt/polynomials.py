@@ -9,8 +9,8 @@ positive int denominator, in lowest terms, as an element holds its terms
 (Knuth, TAOCP vol. 2, 4.5.1: one gcd per result keeps a fraction reduced).
 Every operation works on those ints.  A ``Fraction`` appears only where
 a coefficient enters or leaves: ``QPoly.of`` takes Fractions and reads a
-fractional text such as "1/2" or "0.25" into one, and the
-:attr:`QPoly.coeffs` view builds Fractions when read.  An integer
+fractional text such as "1/2" or "0.25" into one, by ``records._rational``,
+and the :attr:`QPoly.coeffs` view builds Fractions when read.  An integer
 coefficient, read or printed, never becomes one, and ``fractions`` is
 imported only where one is built or checked for, after ``int()`` has
 refused a text.  ``records._signed_sum`` and ``records._ratio`` print
@@ -24,20 +24,15 @@ divisibility over Q unchanged and determines the monic gcd.  The gcd is a
 primitive pseudo-remainder sequence (Collins, JACM 14 (1967); Knuth,
 TAOCP vol. 2, 4.6.1), made monic only at the end, so its coefficients stay
 bounded where Euclid's algorithm over Q lets them grow with every step.
-
-The module owns the package's one coefficient rule, :func:`_rational`:
-``QPoly.of``, ``CyclePolynomial.of``, ``Element.of`` and the JSON wire
-format read every coefficient through it.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
 
 from .errors import DomainError
-from .records import Record, _ratio, _signed_sum
+from .records import Record, _ratio, _rational, _signed_sum
 
 TYPE_CHECKING = False  # type checkers read it as true; importing typing slows every lpa process
 if TYPE_CHECKING:
@@ -61,7 +56,7 @@ class QPoly(Record):
 
     @staticmethod
     def of(coeffs: Iterable[Fraction | int | str]) -> "QPoly":
-        """The polynomial of ascending coefficients, each read by :func:`_rational`."""
+        """The polynomial of ascending coefficients, each read by ``records._rational``."""
         if isinstance(coeffs, (str, bytes, bytearray)):  # "11" would read as 1 + x
             raise DomainError("coefficients must be a list, not a string")
         cs = [_rational(c) for c in coeffs]
@@ -193,53 +188,6 @@ def _reduced(nums: list[int], den: int) -> QPoly:
         den //= g
         nums = [n // g for n in nums]
     return QPoly(tuple(nums), den)
-
-
-# Fraction("1e999999999") would build a billion-digit integer, and Fraction
-# reads "\u0663" (Arabic-Indic three) as 3 and "1_0" as 10.
-_EXPONENT = re.compile(r"[eE][-+]?\d")
-_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
-
-
-def _rational(c) -> int | Fraction:
-    """The coefficient rule: an int when integral, else a Fraction, of an int
-    (not a bool), a Fraction, or a string with no exponent, no ``_`` and no
-    non-ASCII digit, read by ``int()`` and, when that refuses it, by
-    ``Fraction()``.  Anything else raises DomainError, from Fraction's own
-    error when Fraction refuses a string.
-
-    An ASCII text with no ``_`` cannot hold a non-ASCII digit, and a text
-    that ``int()`` reads holds no exponent, so an integer text costs one
-    ``int()`` and no pattern search."""
-    if type(c) is int:
-        return c
-    if isinstance(c, str):
-        if ("_" in c or not c.isascii()) and _NOT_ASCII_DIGIT.search(c):
-            raise DomainError(_refusal(repr(c)))
-        try:
-            return int(c)
-        except ValueError:
-            pass
-        if _EXPONENT.search(c):
-            raise DomainError(_refusal(repr(c)))
-        from fractions import Fraction
-        try:
-            c = Fraction(c)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(_refusal(repr(c))) from exc
-    else:
-        from fractions import Fraction
-        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
-            raise DomainError(_refusal(repr(c)))
-    return c.numerator if c.denominator == 1 else c
-
-
-def _refusal(text: str, what: str = "a rational number") -> str:
-    """The message refusing a coefficient spelled ``text``; a long spelling
-    shows its head and length."""
-    if len(text) > 40:
-        text = f"{text[:20]}… ({len(text)} characters)"
-    return f"coefficient {text} is not {what}"
 
 
 def _primitive_part(ns) -> list[int]:

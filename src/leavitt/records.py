@@ -22,12 +22,16 @@ bytecode a hand-written body would, with no loop over the field names in
 any call.
 
 Elements and cycle polynomials print as signed sums of rational multiples
-through :func:`_signed_sum`.  It lives here, in the one module every layer
-loads, so that printing loads no other layer.
+through :func:`_signed_sum` and read every coefficient by the package's one
+coefficient rule, :func:`_rational`.  Both live here, in the one module
+every layer loads, so that neither loads another layer.
 """
 
+import re
 from math import gcd
 from operator import attrgetter
+
+from .errors import DomainError
 
 __all__ = ["FrozenInstanceError", "Record"]
 
@@ -97,3 +101,50 @@ def _signed_sum(terms, den: int) -> str:
         else:
             parts.append("-" + body if n < 0 else body)
     return " ".join(parts) or "0"
+
+
+# Fraction("1e999999999") would build a billion-digit integer, and Fraction
+# reads "\u0663" (Arabic-Indic three) as 3 and "1_0" as 10.
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+_NOT_ASCII_DIGIT = re.compile(r"_|(?![0-9])\d")
+
+
+def _rational(c):
+    """The coefficient rule: an int when integral, else a Fraction, of an int
+    (not a bool), a Fraction, or a string with no exponent, no ``_`` and no
+    non-ASCII digit, read by ``int()`` and, when that refuses it, by
+    ``Fraction()``.  Anything else raises DomainError, from Fraction's own
+    error when Fraction refuses a string.
+
+    An ASCII text with no ``_`` cannot hold a non-ASCII digit, and a text
+    that ``int()`` reads holds no exponent, so an integer text costs one
+    ``int()`` and no pattern search."""
+    if type(c) is int:
+        return c
+    if isinstance(c, str):
+        if ("_" in c or not c.isascii()) and _NOT_ASCII_DIGIT.search(c):
+            raise DomainError(_refusal(repr(c)))
+        try:
+            return int(c)
+        except ValueError:
+            pass
+        if _EXPONENT.search(c):
+            raise DomainError(_refusal(repr(c)))
+        from fractions import Fraction
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(_refusal(repr(c))) from exc
+    else:
+        from fractions import Fraction
+        if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            raise DomainError(_refusal(repr(c)))
+    return c.numerator if c.denominator == 1 else c
+
+
+def _refusal(text: str, what: str = "a rational number") -> str:
+    """The message refusing a coefficient spelled ``text``; a long spelling
+    shows its head and length."""
+    if len(text) > 40:
+        text = f"{text[:20]}… ({len(text)} characters)"
+    return f"coefficient {text} is not {what}"

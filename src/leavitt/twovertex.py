@@ -198,6 +198,13 @@ class SkeletonFamily(Record):
     ``cycle`` is a K1 cycle in its canonical rotation.  ``att`` indexes
     the attached graded node; ``inside``, a frozenset of node indices, lists
     the graded nodes whose ideal contains every member of the family.
+
+    In a skeleton from :func:`build_skeleton`, ``inside`` is every node
+    holding the node's vertices and the cycle's sources.  Nodes are listed by
+    size and closed under intersection, so ``min(inside)`` is the least, and
+    it covers ``att``: a node between them misses the cycle, whose vertices
+    reach one another, and the first vertex that saturation would add to
+    ``att`` is in ``att``.  So each family splits one graded cover.
     """
 
     __slots__ = __match_args__ = ("cycle", "att", "inside")
@@ -246,39 +253,28 @@ class LatticeSkeleton(Record):
         return min(map(encoding, product(*map(permutations, cells))))
 
     def to_dot(self) -> str:
-        """DOT rendering: solid arcs for covering containments of the full
-        order on nodes and families, dashed arcs for partial containment
-        between same-cycle families."""
-        nodes, rows = self.graded.elements, self.graded.up_sets()
-        items = [("n", i) for i in range(len(nodes))]
-        items += [("f", i) for i in range(len(self.families))]
-
-        def full_leq(x, y) -> bool:
-            (kx, ix), (ky, iy) = x, y
-            if kx == "n":
-                return rows[ix] >> (iy if ky == "n" else self.families[iy].att) & 1
-            fx = self.families[ix]
-            if ky == "n":
-                return iy in fx.inside
-            if fx.cycle.ids == self.families[iy].cycle.ids:
-                return ix == iy
-            return self.families[iy].att in fx.inside
-
+        """DOT rendering of the order on nodes and families: solid arcs for
+        its covers, in item order (nodes, then families), and dashed arcs
+        from a family to each other family on its cycle whose node contains
+        its own.  Each family splits the graded cover from ``att`` to
+        ``min(inside)`` (see :class:`SkeletonFamily`), so the covers are the
+        graded ones no family splits, and ``att -> f -> min(inside)``."""
+        nodes, fams, n = self.graded.elements, self.families, len(self.graded.elements)
+        split = {(f.att, min(f.inside)) for f in fams}
+        arcs = [c for c in self.graded.covers if c not in split]
+        for i, f in enumerate(fams):
+            arcs += [(f.att, n + i), (n + i, min(f.inside))]
+        names = [f"n{i}" for i in range(n)] + [f"f{i}" for i in range(len(fams))]
         lines = ["digraph skeleton {", "  rankdir=BT;"]
-        for i, node in enumerate(nodes):
-            lines.append(f'  n{i} [shape=box, label="{lattice_label(node)}"];')
-        for i, f in enumerate(self.families):
-            att = nodes[f.att]
-            label = f"P({f.cycle})"
-            if att.mask:
-                label += ", " + ",".join(att.sorted_members())
+        lines += [f'  n{i} [shape=box, label="{lattice_label(v)}"];' for i, v in enumerate(nodes)]
+        for i, f in enumerate(fams):
+            part = nodes[f.att].sorted_members()
+            label = f"P({f.cycle})" + (", " + ",".join(part) if part else "")
             lines.append(f'  f{i} [shape=ellipse, label="<{label}>"];')
-        for i, j in Poset.build(items, full_leq).covers:
-            (kx, ix), (ky, iy) = items[i], items[j]
-            lines.append(f"  {kx}{ix} -> {ky}{iy};")
-        for i, fx in enumerate(self.families):
-            for j, fy in enumerate(self.families):
-                if i != j and fx.cycle.ids == fy.cycle.ids and rows[fx.att] >> fy.att & 1:
+        lines += [f"  {names[i]} -> {names[j]};" for i, j in sorted(arcs)]
+        for i, fx in enumerate(fams):
+            for j, fy in enumerate(fams):
+                if i != j and fx.cycle.ids == fy.cycle.ids and nodes[fx.att] <= nodes[fy.att]:
                     lines.append(f"  f{i} -> f{j} [style=dashed];")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -31,6 +31,7 @@ from leavitt import (
     normalize,
     validate_graph,
 )
+from leavitt.graphs import lattice_label
 from leavitt.twovertex import _CLASS_OF_TYPE
 
 # Small named graphs used throughout.  Vertex/edge order is significant.
@@ -625,8 +626,10 @@ def generator_set_by_fractions(g: Graph, data) -> LambdaGeneratorSet:
             raise ParseError(f"non-ASCII digit or '_' in coefficients {entry['coeffs']}")
         try:
             coeffs = [Fraction(t) for t in texts]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad coefficient in {entry['coeffs']}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise ParseError(f"bad coefficient in {entry['coeffs']}: zero denominator") from exc
         polys.append(cycle_polynomial_by_classes(g, cycle_edges, base, coeffs))
     return LambdaGeneratorSet.of(g, polys, vertices)
 
@@ -658,6 +661,46 @@ def shape_total(shape) -> int:
 def skeletons_isomorphic(a, b) -> bool:
     """Whether two lattice skeletons are isomorphic: equal canonical keys."""
     return a.canonical_key() == b.canonical_key()
+
+
+def skeleton_dot_by_all_pairs(skel) -> str:
+    """DOT of a lattice skeleton as the library once drew it: an order on
+    nodes and families, asked of every pair, its covers found by
+    :func:`covers_by_definition`, and dashed arcs between same-cycle
+    families whose nodes are nested.  A node lies below a family when it
+    lies below the family's node, a family below the nodes in its
+    ``inside``, and below a family on another cycle when that family's node
+    is inside it."""
+    nodes, fams = skel.graded.elements, skel.families
+    rows = skel.graded.up_sets()
+    items = [("n", i) for i in range(len(nodes))] + [("f", i) for i in range(len(fams))]
+
+    def leq(x, y) -> bool:
+        (kx, ix), (ky, iy) = x, y
+        if kx == "n":
+            return bool(rows[ix] >> (iy if ky == "n" else fams[iy].att) & 1)
+        if ky == "n":
+            return iy in fams[ix].inside
+        if fams[ix].cycle.ids == fams[iy].cycle.ids:
+            return ix == iy
+        return fams[iy].att in fams[ix].inside
+
+    lines = ["digraph skeleton {", "  rankdir=BT;"]
+    for i, node in enumerate(nodes):
+        lines.append(f'  n{i} [shape=box, label="{lattice_label(node)}"];')
+    for i, f in enumerate(fams):
+        part = nodes[f.att].sorted_members()
+        label = f"P({f.cycle})" + (", " + ",".join(part) if part else "")
+        lines.append(f'  f{i} [shape=ellipse, label="<{label}>"];')
+    for i, j in covers_by_definition(items, leq):
+        (kx, ix), (ky, iy) = items[i], items[j]
+        lines.append(f"  {kx}{ix} -> {ky}{iy};")
+    for i, fx in enumerate(fams):
+        for j, fy in enumerate(fams):
+            if i != j and fx.cycle.ids == fy.cycle.ids and rows[fx.att] >> fy.att & 1:
+                lines.append(f"  f{i} -> f{j} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # --- polynomials over Q on Fractions ---------------------------------------

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -771,6 +772,25 @@ def test_degree_budget_exits_1(r1, capsys):
     for argv in (["lambda-reduce", "--ideal", over], ["contains", at, over]):
         assert main(argv + ["--graph", r1]) == 1
         assert capsys.readouterr() == ("", err)
+
+
+def test_size_budget_exits_1(r1, capsys):
+    """Two degree-32 polynomials with 300-digit coefficients, 20 KB of JSON
+    whose gcd takes seconds, are refused before any gcd runs."""
+    rng = random.Random(1)
+    big = [[rng.randrange(10**299, 10**300) for _ in range(33)] for _ in range(2)]
+    start = time.perf_counter()
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", _loop_ideal(*big)]) == 1
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: polynomial of size ")
+    assert err.endswith(" coefficient bits) is over the size budget of 250000\n")
+
+
+def test_zero_denominator_is_named(r1, capsys):
+    ideal = '{"polys": [{"cycle": ["e"], "coeffs": ["1", "1/0"]}]}'
+    assert main(["lambda-reduce", "--graph", r1, "--ideal", ideal]) == 1
+    assert capsys.readouterr() == ("", "error: bad coefficient in ['1', '1/0']: zero denominator\n")
 
 
 def test_lambda_reduce_planted_factor_matches_sympy(r1, capsys):

@@ -68,7 +68,7 @@ from leavitt import (
     vertex_element,
     vertex_membership,
 )
-from leavitt.ideals import DEGREE_BUDGET, _reduce
+from leavitt.ideals import DEGREE_BUDGET, SIZE_BUDGET, _reduce
 
 # Each entry point below would read a string as the listing of its characters:
 # "e" as the cycle e, "v" as the vertex v, "11" as the coefficients of 1 + x.
@@ -722,6 +722,25 @@ def test_wire_polynomials_over_the_degree_budget_are_refused():
     assert QPoly.of(over).degree == 257
 
 
+def test_wire_polynomials_over_the_size_budget_are_refused():
+    """Degree times coefficient bits, the denominator's counted: c + x^100
+    of size 250,000 is read and the next size up refused, with an integer c
+    and with a fractional one."""
+    assert SIZE_BUDGET == 250_000
+
+    def loop(c):
+        return {"polys": [{"cycle": ["e"], "coeffs": [c] + ["0"] * 99 + ["1"]}]}
+
+    for at, over, bits in ((2**2497, 2**2498, 2501), (f"3/{2**1248}", f"3/{2**1249}", 2502)):
+        assert generator_set_from_json(R1, loop(str(at))).polys[0].poly.degree == 100
+        refused = (
+            f"^polynomial of size {100 * bits} \\(degree 100 times {bits} coefficient bits\\)"
+            " is over the size budget of 250000$"
+        )
+        with pytest.raises(DomainError, match=refused):
+            generator_set_from_json(R1, loop(str(over)))
+
+
 def test_generator_set_json_requires_lists():
     # a string would be read character by character: "11" as 1 + x
     for entry in (
@@ -839,10 +858,10 @@ def test_generator_set_json_rejects_deep_nesting():
 
 
 def test_generator_set_json_reads_each_coefficient_once(monkeypatch):
-    from leavitt import ideals, polynomials
+    from leavitt import ideals, polynomials, records
 
     calls = []
-    rule = polynomials._rational
+    rule = records._rational
 
     def counting(c):
         calls.append(c)

@@ -39,6 +39,7 @@ from helpers import (
     parse_graph_line_by_line,
     paths_by_range,
     rotation_key_by_rotations,
+    skeleton_dot_by_all_pairs,
     term_order,
     validate_graph_item_by_item,
 )
@@ -239,15 +240,19 @@ def orders(draw, max_size=9):
 
 def posets(max_size=9):
     """Posets on the numbers 0..n-1, built from random order matrices."""
-    return orders(max_size).map(lambda leq: Poset.build(range(len(leq)), lambda a, b: leq[a][b]))
+    return orders(max_size).map(_poset_of)
+
+
+def _poset_of(leq) -> Poset:
+    """The poset on 0..n-1 of an order matrix, its covers by definition."""
+    els = tuple(range(len(leq)))
+    return Poset(els, covers_by_definition(els, lambda a, b: leq[a][b]))
 
 
 @given(orders())
-def test_covers_match_definition(leq):
+def test_up_sets_match_the_order(leq):
     n = len(leq)
-    poset = Poset.build(range(n), lambda a, b: leq[a][b])
-    assert poset.covers == covers_by_definition(range(n), lambda a, b: leq[a][b])
-    assert poset.up_sets() == [sum(1 << j for j in range(n) if row[j]) for row in leq]
+    assert _poset_of(leq).up_sets() == [sum(1 << j for j in range(n) if row[j]) for row in leq]
 
 
 TWO_LOOPS = validate_graph(["u", "v"], [("p", "u", "u"), ("q", "v", "v")])
@@ -277,7 +282,8 @@ def relabellings(draw, skel):
     order = draw(st.permutations(range(len(skel.graded.elements))))
     new = {old: k for k, old in enumerate(order)}
     rows = skel.graded.up_sets()
-    graded = Poset.build(order, lambda i, j: rows[i] >> j & 1)  # the nodes are their numbers
+    # the nodes are their numbers
+    graded = Poset(tuple(order), covers_by_definition(order, lambda i, j: rows[i] >> j & 1))
     families = [
         SkeletonFamily(f.cycle, new[f.att], frozenset(new[i] for i in f.inside))
         for f in skel.families
@@ -337,6 +343,34 @@ def test_type_table_class_is_the_skeleton_class(shape):
         if build_skeleton(TwoVertexShape(*_SHAPES_16[ids[0]]).to_graph()).canonical_key() == key
     }
     assert matching == {classify(shape.to_graph()).label}
+
+
+@st.composite
+def loop_rich_multigraphs(draw):
+    """Up to four vertices, most with one loop and some with two, and up to
+    four more edges, in random input order, so that K1 cycles, and
+    skeleton families on them, are common."""
+    n = draw(st.integers(1, 4))
+    pairs = [(v, v) for v in range(n) for _ in range(draw(st.sampled_from((1, 0, 1, 2))))]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    pairs = draw(st.permutations(pairs))
+    return validate_graph(
+        [f"v{i}" for i in range(n)], [(f"e{k}", f"v{s}", f"v{r}") for k, (s, r) in enumerate(pairs)]
+    )
+
+
+@given(loop_rich_multigraphs())
+def test_each_skeleton_family_splits_one_graded_cover(g):
+    """A family's ``inside`` is every node above its least member ``top``,
+    ``top`` covers the family's node, and the DOT drawn from those covers
+    is the one the all-pairs order gives."""
+    skel = build_skeleton(g)
+    nodes = skel.graded.elements
+    for f in skel.families:
+        top = min(f.inside)
+        assert f.inside == {j for j, node in enumerate(nodes) if nodes[top] <= node}
+        assert (f.att, top) in skel.graded.covers
+    assert skel.to_dot() == skeleton_dot_by_all_pairs(skel)
 
 
 @st.composite

@@ -80,7 +80,7 @@ def _samples():
             graded_components(parse_element(R1, "e")),
         ),
         "QPoly": (QPoly.of(["-1", "0", "1/2"]), QPoly.of([1])),
-        "Poset": (lattice, Poset.build([1, 2, 3], lambda a, b: a <= b)),
+        "Poset": (lattice, Poset((1, 2, 3), ((0, 1), (1, 2)))),
         "ExtractionWitness": (
             extract_vertex(P2, parse_element(P2, "2*x")),
             extract_vertex(P2, parse_element(P2, "b")),

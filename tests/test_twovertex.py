@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from helpers import (
     G1, G4, G5, G6, G7, G8, L2, class_members, covers_by_definition, shape_total,
-    skeletons_isomorphic,
+    skeleton_dot_by_all_pairs, skeletons_isomorphic,
 )
 
 from leavitt import (
@@ -296,7 +296,29 @@ def test_skeleton_dot_output():
     assert dot9.count("style=dashed") == 2
 
 
+# Types 3 and 6 carry one family each.  In type 3 it splits the only
+# graded cover, 0 -> L; in type 6 it splits {v} -> L, and 0 -> {v} stays.
 SKELETON_DOT = {
+    3: """digraph skeleton {
+  rankdir=BT;
+  n0 [shape=box, label="0"];
+  n1 [shape=box, label="L"];
+  f0 [shape=ellipse, label="<P(a1.b1)>"];
+  n0 -> f0;
+  f0 -> n1;
+}
+""",
+    6: """digraph skeleton {
+  rankdir=BT;
+  n0 [shape=box, label="0"];
+  n1 [shape=box, label="{v}"];
+  n2 [shape=box, label="L"];
+  f0 [shape=ellipse, label="<P(p1), v>"];
+  n0 -> n1;
+  n1 -> f0;
+  f0 -> n2;
+}
+""",
     5: """digraph skeleton {
   rankdir=BT;
   n0 [shape=box, label="0"];
@@ -352,6 +374,16 @@ SKELETON_DOT = {
 def test_skeleton_dot_exact(cid):
     """Solid arcs are the covers of the order on nodes and families."""
     assert _skel(cid).to_dot() == SKELETON_DOT[cid]
+
+
+def test_skeleton_dot_matches_the_all_pairs_oracle_on_the_census():
+    """Every shape with at most 12 edges, and its swap, draws as the covers
+    of the order on nodes and families, asked of every pair."""
+    for k in range(13):
+        for shape in enumerate_up_to_iso(k):
+            for s in (shape, shape.swapped()):
+                skel = build_skeleton(s.to_graph())
+                assert skel.to_dot() == skeleton_dot_by_all_pairs(skel), s
 
 
 def test_census_class_counts(monkeypatch):
