@@ -7,7 +7,9 @@ v->u), canonical under the vertex swap.  For lattice purposes a vertex
 keeps at most two loops, a direction with no opposite keeps one edge, and
 anything dominating one of the two minimal simple configurations collapses
 onto it.  Two leftover loop-only shapes share their lattice with smaller
-types and map onto them.  The type fixes the class.
+types and map onto them.  So the type is a function of the four counts
+capped at two, found by one lookup in a table the rule fills at import for
+the 81 capped count tuples.  The type fixes the class.
 
 The lattice skeleton of a graph records its graded nodes (hereditary
 saturated sets under inclusion) plus one family of polynomial-generated
@@ -58,14 +60,6 @@ class TwoVertexShape(Record):
     def astuple(self) -> tuple[int, int, int, int]:
         return self._field_tuple(self)
 
-    def swapped(self) -> "TwoVertexShape":
-        return TwoVertexShape(self.loops_v, self.loops_u, self.vu, self.uv)
-
-    def canon(self) -> "TwoVertexShape":
-        """The shape or its swap, whichever has the larger field tuple."""
-        swapped = self.swapped()
-        return self if self.astuple() >= swapped.astuple() else swapped
-
     def to_graph(self) -> Graph:
         _check_counts(self.astuple(), self)
         kinds = zip("pqab", "uvuv", "uvvu", self.astuple())
@@ -98,7 +92,10 @@ def count_closed_form(k: int) -> int:
 
 
 def enumerate_up_to_iso(k: int) -> tuple[TwoVertexShape, ...]:
-    """All k-edge shapes up to the vertex swap, largest tuple first."""
+    """All k-edge shapes up to the vertex swap, largest tuple first: count
+    tuples, each the larger of itself and its swap, made records only when
+    returned.  A shape's type is a function of its counts capped at two,
+    looked up in one table (see :func:`canonical_form_of_shape`)."""
     _check_counts((k,))
     if k > ENUMERATION_GUARD:
         raise DomainError(f"edge count {k} exceeds the enumeration guard {ENUMERATION_GUARD}")
@@ -106,9 +103,9 @@ def enumerate_up_to_iso(k: int) -> tuple[TwoVertexShape, ...]:
     for lu in range(k + 1):
         for lv in range(k + 1 - lu):
             for uv in range(k + 1 - lu - lv):
-                shape = TwoVertexShape(lu, lv, uv, k - lu - lv - uv)
-                shapes.add(shape.canon())
-    return tuple(sorted(shapes, reverse=True))
+                vu = k - lu - lv - uv
+                shapes.add(max((lu, lv, uv, vu), (lv, lu, vu, uv)))
+    return tuple([TwoVertexShape(*t) for t in sorted(shapes, reverse=True)])
 
 
 class CanonicalForm16(Record):
@@ -151,42 +148,47 @@ _ID_BY_SHAPE[(2, 1, 0, 0)] = 5
 _ID_BY_SHAPE[(2, 2, 0, 0)] = 1
 
 
+def _type_of_counts(counts: tuple[int, int, int, int]) -> int:
+    """The reduction rule on counts (loops u, loops v, u->v, v->u) capped
+    at two.  A shape dominating the minimal simple configurations -- two
+    parallel edges with one back edge, or a loop with edges both ways -- has
+    a simple algebra, and extra edges keep it simple, so it collapses to
+    that base type.  Otherwise a direction with no opposite keeps one edge."""
+    lu, lv, uv, vu = max(counts, (counts[1], counts[0], counts[3], counts[2]))
+    if not (lu or lv) and uv >= 2 and vu:
+        return 4
+    if (lu or lv) and uv and vu:
+        return 8
+    uv, vu = min(uv, 1), min(vu, 1)
+    return _ID_BY_SHAPE[max((lu, lv, uv, vu), (lv, lu, vu, uv))]
+
+
+_FORMS_16 = {i: CanonicalForm16(i, TwoVertexShape(*shape)) for i, shape in _SHAPES_16.items()}
+# The type of every shape, keyed by its four counts each capped at two.
+_TYPES = {c: _FORMS_16[_type_of_counts(c)] for c in product(range(3), repeat=4)}
+
+
 def canonical_form_of_shape(shape: TwoVertexShape) -> CanonicalForm16:
     """Reduce an arbitrary shape to its canonical type.
 
     Loops cap at two (extra loops on a two-or-more-loop vertex change no
-    hereditary saturated set and add no K1 cycle).  A shape dominating the
-    minimal simple configurations -- two parallel edges with one back edge,
-    or a loop with edges both ways -- has a simple algebra, and extra edges
-    keep it simple, so it collapses to that base type.  Otherwise a
-    direction with no opposite keeps a single edge.
+    hereditary saturated set and add no K1 cycle), and the reduction rule
+    reads no count past two, so the type is a function of the four counts
+    capped at two: one lookup in the table the rule fills at import.
     """
-    _check_counts(shape.astuple(), shape)
-    s = TwoVertexShape(
-        min(shape.loops_u, 2), min(shape.loops_v, 2), shape.uv, shape.vu
-    ).canon()
-    if s.loops_u == 0 and s.loops_v == 0 and s.uv >= 2 and s.vu >= 1:
-        cid = 4
-    elif (s.loops_u > 0 or s.loops_v > 0) and s.uv >= 1 and s.vu >= 1:
-        cid = 8
-    else:
-        capped = TwoVertexShape(
-            s.loops_u, s.loops_v, min(s.uv, 1), min(s.vu, 1)
-        ).canon()
-        cid = _ID_BY_SHAPE[capped.astuple()]
-    return CanonicalForm16(cid, TwoVertexShape(*_SHAPES_16[cid]))
+    counts = shape.astuple()
+    _check_counts(counts, shape)
+    return _TYPES[tuple([min(n, 2) for n in counts])]
 
 
 def canonicalize16(g: Graph) -> CanonicalForm16:
-    """Canonical type of a two-vertex graph."""
+    """Canonical type of a two-vertex graph: its four edge counts, capped at
+    two, looked up in the table the reduction rule fills at import."""
     if len(g.vertices) != 2:
         raise DomainError("canonicalization needs exactly two vertices")
     u, v = g.vertices
-    counts = {(u, u): 0, (u, v): 0, (v, u): 0, (v, v): 0}
-    for ends in g.ends:
-        counts[ends] += 1
-    shape = TwoVertexShape(counts[(u, u)], counts[(v, v)], counts[(u, v)], counts[(v, u)])
-    return canonical_form_of_shape(shape)
+    n = g.ends.count
+    return _TYPES[min(n((u, u)), 2), min(n((v, v)), 2), min(n((u, v)), 2), min(n((v, u)), 2)]
 
 
 # --- lattice skeletons --------------------------------------------------------

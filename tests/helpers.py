@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 from leavitt import (
+    CanonicalForm16,
     Cycle,
     CyclePolynomial,
     DomainError,
@@ -25,6 +26,7 @@ from leavitt import (
     ParseError,
     Path,
     QPoly,
+    TwoVertexShape,
     VertexClass,
     classify_vertex,
     monomial,
@@ -32,7 +34,7 @@ from leavitt import (
     validate_graph,
 )
 from leavitt.graphs import lattice_label
-from leavitt.twovertex import _CLASS_OF_TYPE
+from leavitt.twovertex import _CLASS_OF_TYPE, _ID_BY_SHAPE, _SHAPES_16
 
 # Small named graphs used throughout.  Vertex/edge order is significant.
 R1 = validate_graph(["v"], [("e", "v", "v")])
@@ -656,6 +658,46 @@ def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:
 def shape_total(shape) -> int:
     """The number of edges of a two-vertex shape."""
     return shape.loops_u + shape.loops_v + shape.uv + shape.vu
+
+
+def swapped(shape: TwoVertexShape) -> TwoVertexShape:
+    """The shape of the same graph with its two vertices exchanged."""
+    return TwoVertexShape(shape.loops_v, shape.loops_u, shape.vu, shape.uv)
+
+
+def canon(shape: TwoVertexShape) -> TwoVertexShape:
+    """The shape or its swap, whichever has the larger field tuple."""
+    other = swapped(shape)
+    return shape if shape.astuple() >= other.astuple() else other
+
+
+def enumerate_by_records(k: int) -> tuple[TwoVertexShape, ...]:
+    """All k-edge shapes up to the vertex swap, largest tuple first, as the
+    library once listed them: a record per candidate, kept in its
+    :func:`canon` form."""
+    shapes = set()
+    for lu in range(k + 1):
+        for lv in range(k + 1 - lu):
+            for uv in range(k + 1 - lu - lv):
+                shapes.add(canon(TwoVertexShape(lu, lv, uv, k - lu - lv - uv)))
+    return tuple(sorted(shapes, reverse=True))
+
+
+def canonical_form_by_records(shape: TwoVertexShape) -> CanonicalForm16:
+    """The canonical type of a shape by the reduction rule as the library
+    once ran it on every call, on records and uncapped edge counts: loops
+    cap at two; no loops, two parallel edges and a back edge give type 4;
+    a loop with edges both ways gives type 8; otherwise each direction
+    keeps at most one edge."""
+    s = canon(TwoVertexShape(min(shape.loops_u, 2), min(shape.loops_v, 2), shape.uv, shape.vu))
+    if s.loops_u == 0 and s.loops_v == 0 and s.uv >= 2 and s.vu >= 1:
+        cid = 4
+    elif (s.loops_u > 0 or s.loops_v > 0) and s.uv >= 1 and s.vu >= 1:
+        cid = 8
+    else:
+        capped = canon(TwoVertexShape(s.loops_u, s.loops_v, min(s.uv, 1), min(s.vu, 1)))
+        cid = _ID_BY_SHAPE[capped.astuple()]
+    return CanonicalForm16(cid, TwoVertexShape(*_SHAPES_16[cid]))
 
 
 def skeletons_isomorphic(a, b) -> bool:

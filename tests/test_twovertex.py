@@ -7,8 +7,9 @@ from collections import Counter
 import networkx as nx
 import pytest
 from helpers import (
-    G1, G4, G5, G6, G7, G8, L2, class_members, covers_by_definition, shape_total,
-    skeleton_dot_by_all_pairs, skeletons_isomorphic,
+    G1, G4, G5, G6, G7, G8, L2, canon, canonical_form_by_records, class_members,
+    covers_by_definition, enumerate_by_records, shape_total, skeleton_dot_by_all_pairs,
+    skeletons_isomorphic, swapped,
 )
 
 from leavitt import (
@@ -79,9 +80,14 @@ def test_enumeration_is_swap_canonical_and_duplicate_free():
         shapes = enumerate_up_to_iso(k)
         assert len(set(shapes)) == len(shapes)
         for s in shapes:
-            assert s.astuple() >= s.swapped().astuple() and s.canon() is s
-            assert s.swapped().canon() == s
+            assert s.astuple() >= swapped(s).astuple() and canon(s) is s
+            assert canon(swapped(s)) == s
             assert shape_total(s) == k
+
+
+def test_enumeration_matches_the_record_loop():
+    for k in range(13):
+        assert enumerate_up_to_iso(k) == enumerate_by_records(k)
 
 
 def test_enumeration_guard():
@@ -129,15 +135,33 @@ def test_canonicalize_idempotent_and_swap_invariant():
         cf = canonical_form_of_shape(s)
         assert cf.id == i
         assert canonical_form_of_shape(cf.shape).id == i
-        assert canonical_form_of_shape(s.swapped()).id == i
+        assert canonical_form_of_shape(swapped(s)).id == i
+
+
+def _swapped_graph(g):
+    """``g`` with its two vertices exchanged and its edges renamed and
+    listed in reverse order."""
+    u, v = g.vertices
+    other = {u: v, v: u}
+    edges = [(f"x{i}", other[s], other[r]) for i, (s, r) in enumerate(reversed(g.ends))]
+    return validate_graph(g.vertices, edges)
 
 
 def test_every_small_shape_maps_into_the_sixteen():
-    for k in range(5):
-        for s in enumerate_up_to_iso(k):
-            cf = canonical_form_of_shape(s)
-            assert 1 <= cf.id <= 16
-            assert cf.shape.astuple() == _SHAPES_16[cf.id]
+    """Every shape with at most 12 edges, and its swap, gets the type the
+    reduction rule gives on records from its graph, from that graph swapped
+    and renamed, and from its counts; and its skeleton is isomorphic to its
+    type's."""
+    types = {i: build_skeleton(TwoVertexShape(*t).to_graph()) for i, t in _SHAPES_16.items()}
+    for k in range(13):
+        for shape in enumerate_up_to_iso(k):
+            for s in (shape, swapped(shape)):
+                want, g = canonical_form_by_records(s), s.to_graph()
+                assert want.shape.astuple() == _SHAPES_16[want.id]
+                assert canonicalize16(g) == want, s
+                assert canonicalize16(_swapped_graph(g)) == want, s
+                assert canonical_form_of_shape(s) == want, s
+                assert skeletons_isomorphic(build_skeleton(g), types[want.id]), s
 
 
 def test_loop_only_leftovers_share_their_lattice_targets():
@@ -381,7 +405,7 @@ def test_skeleton_dot_matches_the_all_pairs_oracle_on_the_census():
     of the order on nodes and families, asked of every pair."""
     for k in range(13):
         for shape in enumerate_up_to_iso(k):
-            for s in (shape, shape.swapped()):
+            for s in (shape, swapped(shape)):
                 skel = build_skeleton(s.to_graph())
                 assert skel.to_dot() == skeleton_dot_by_all_pairs(skel), s
 
