@@ -38,12 +38,18 @@ question in linear time; its work stack holds vertex ids, each with one
 pointer into its successor list, so no cycle or path is too long for it.
 
 Hereditary saturated sets are the closed sets of a closure operator, which
-is computed with a worklist; :func:`all_hereditary_saturated_sets` lists
-them with Ganter's NextClosure ("Two basic algorithms in concept analysis",
-1984), with polynomial delay instead of a scan of all vertex subsets; the
-covers of their inclusion come from n closures per set (Lindig, "Fast concept
-analysis", 2000).  Every finite order the package draws is a Poset, which
-stores its covers and derives the order from them.
+is computed with a worklist that counts, for every vertex, its out-edges
+still outside the set.  :func:`all_hereditary_saturated_sets` lists them by
+Close-by-One (Kuznetsov, "A fast algorithm for computing all intersections
+of objects in a finite semi-lattice", 1993) on an explicit stack: each set
+is closed from its parent's counts, kept in one array that backtracking
+restores, and a closure stops at the first vertex that shows it is made
+elsewhere in the search, as In-Close does (Andrews, "In-Close, a fast
+algorithm for computing formal concepts", 2009).  The delay between two
+sets is polynomial, and no vertex subset is scanned.  The covers of their
+inclusion come from n closures per set (Lindig, "Fast concept analysis",
+2000).  Every finite order the package draws is a Poset, which stores its
+covers and derives the order from them.
 """
 
 from __future__ import annotations
@@ -554,11 +560,14 @@ def _mask_names(g: Graph, mask: int) -> tuple[str, ...]:
     return tuple([v for v, bit in zip(g.vertices, bits) if bit == "1"])
 
 
-def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None) -> int:
+def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None,
+           stop: int = 0) -> int:
     """Hereditary saturated closure of a closed bitmask and the distinct
     vertices ``todo`` outside it; ``todo`` is the worklist, and ends listing
     what was added.  ``missing[u]``, consumed, counts the out-edges of u whose
-    range is not in (by default, for the empty mask); u joins when it hits 0."""
+    range is not in (by default, for the empty mask); u joins when it hits 0.
+    Once a vertex of ``stop``, a bitmask outside ``mask``, joins, it returns
+    -1 after the vertex in hand, with ``missing`` as it was on entry."""
     succ, pred = ix.succ, ix.pred
     if missing is None:
         missing = ix.outdeg.copy()
@@ -574,6 +583,12 @@ def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None
             if not missing[u] and not mask >> u & 1:
                 mask |= 1 << u
                 todo.append(u)
+        if stop and mask & stop:  # give back the counts of w and of every vertex before it
+            for x in todo:
+                for u in pred[x]:
+                    missing[u] += 1
+                if x == w:
+                    return -1
     return mask
 
 
@@ -586,37 +601,43 @@ def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
 
 def _closed_sets(g: Graph) -> list[int]:
     """Bitmasks of the hereditary saturated sets, by (size, vertex order).
-    Ganter's NextClosure lists them in lectic order, a set after those that
-    lack the first vertex where they differ, at most one closure per vertex
-    each; reversed, then sorted stably by size, that is the order wanted.
-    Past :data:`HS_SET_BUDGET` sets it raises DomainError, not running for hours."""
+    Close-by-One (Kuznetsov, 1993) makes each once, depth first: a child of
+    the set A made by vertex j is the closure of A + i, i > j outside A, kept
+    if it adds no vertex below i.  That closure starts from A's counts of
+    missing out-edges, one array that a kept child updates and gives back on
+    backtrack, and stops at the first vertex below i that joins, as In-Close
+    does (Andrews, 2009).  Preorder lists each size in vertex order, so a
+    stable sort by size finishes.  Past :data:`HS_SET_BUDGET` sets it raises
+    DomainError, not running for hours."""
     ix = _index(g)
-    n = len(ix.succ)
-    full = (1 << n) - 1
-    a, bits, found = 0, [], [0]  # bits lists the members of a
-    while a != full:
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if a & bit:
-                a ^= bit
-                bits.pop()
-                continue
-            todo = bits + [i]
-            b = _close(ix, todo)
-            if not (b & ~a) & (bit - 1):
-                a, bits = b, sorted(todo)
-                break
-        found.append(a)
-        if len(found) > HS_SET_BUDGET:
-            raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
-    found.reverse()
+    n, pred = len(ix.succ), ix.pred
+    missing, found = ix.outdeg.copy(), [0]
+    stack = [(0, iter(range(n)), [])]  # a closed set, the vertices left to add, what it added
+    while stack:
+        a, left, added = stack[-1]
+        for i in left:
+            if not a >> i & 1:
+                b = _close(ix, todo := [i], a, missing, ((1 << i) - 1) & ~a)
+                if b >= 0:
+                    found.append(b)
+                    if len(found) > HS_SET_BUDGET:
+                        raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
+                    stack.append((b, iter(range(i + 1, n)), todo))
+                    break
+        else:  # every child of A is done: give back what A added
+            stack.pop()
+            for w in added:
+                for u in pred[w]:
+                    missing[u] += 1
     found.sort(key=int.bit_count)
     return found
 
 
 def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
     """Every hereditary saturated subset, ordered by (size, vertex order), in
-    time polynomial in the graph and the output (at most HS_SET_BUDGET)."""
+    time polynomial in the graph and the output (at most HS_SET_BUDGET): a
+    Close-by-One search whose closures share one count array and stop at the
+    first vertex that makes a set non-canonical."""
     return tuple([HeredSatSet(g, m) for m in _closed_sets(g)])
 
 

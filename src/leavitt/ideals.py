@@ -504,7 +504,8 @@ def is_graded(i: LambdaReduction) -> bool:
 # A JSON number reads as its digits in a string would: 1.0000000000000001
 # is not rounded to 1, and 1e5 is refused, and quoted, as "1e5" is.  A
 # coefficient that is true, false, null, an array or an object is refused
-# by its JSON type, before any text is read.
+# by its JSON type, before any text is read; so is a "base" that is not a
+# string, and null stands for no "base".
 
 
 class _JsonDecimal(float):
@@ -569,6 +570,8 @@ def generator_set_from_json(g: Graph, data) -> LambdaGeneratorSet:
         if base is None:  # a bad cycle is then reported before bad coefficients
             cycle = Cycle.of(g, cycle)
             base = cycle.sources[0]
+        elif not isinstance(base, str):
+            raise ParseError("'base' must be a name")
         for c in entry["coeffs"]:
             if c is None or isinstance(c, (bool, list, dict)):  # a bool is an int
                 raise ParseError(_refusal(json.dumps(c, default=str), "a number or a string"))

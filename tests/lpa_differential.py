@@ -249,7 +249,8 @@ def graph_cases(path: str, vertices, edges, rng: random.Random) -> dict[str, lis
     }
 
 
-def build_cases(directory: str, graphs: int, commands) -> list[list[str]]:
+def build_cases(directory: str, graphs: int) -> list[list[str]]:
+    commands = {cmd.name: cmd for cmd in COMMANDS}
     rng = random.Random(SEED)
     by_command: dict[str, list[list[str]]] = {name: [] for name in commands}
     inputs = [random_graph(rng) for _ in range(graphs)]
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
         trees = {"base": extract(args.base, os.path.join(tmp, "base")), "head": HEAD_SRC}
         inputs = os.path.join(tmp, "inputs")
         os.mkdir(inputs)
-        cases = build_cases(inputs, args.graphs, {cmd.name: cmd for cmd in COMMANDS})
+        cases = build_cases(inputs, args.graphs)
         case_file = os.path.join(tmp, "cases.json")
         with open(case_file, "w", encoding="utf-8") as fh:
             json.dump(cases, fh)

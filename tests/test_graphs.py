@@ -499,6 +499,22 @@ def test_all_hs_sets_twelve_isolated_vertices():
     ]
 
 
+def test_all_hs_sets_reversed_loop_chain_are_its_suffixes():
+    """A chain x0 -> ... -> x299 with a loop at every vertex, listed from x299
+    back to x0: its hereditary saturated sets are its 301 suffixes, nested,
+    which in vertex order are the prefixes of the vertex list.  The search
+    goes 300 levels deep, and each closure that would find a set a second
+    time stops at its first vertex, so the listing takes well under a second."""
+    n = 300
+    g = _named(n, [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)])
+    start = time.perf_counter()
+    sets = all_hereditary_saturated_sets(g)
+    elapsed = time.perf_counter() - start
+    assert [s.mask for s in sets] == [(1 << k) - 1 for k in range(n + 1)]
+    assert [s.sorted_members() for s in sets[:3]] == [(), ("v0",), ("v0", "v1")]
+    assert elapsed < 2.0
+
+
 def test_hs_set_budget_is_checked_as_the_sets_are_listed(monkeypatch):
     """n isolated vertices have 2^n hereditary saturated sets: 64 fit a
     budget of 100, and 128 raise once the 101st set is found."""

@@ -130,6 +130,16 @@ REFUSALS = {
         ParseError, "each poly needs 'cycle' and 'coeffs'",
         lambda: generator_set_from_json(R1, '{"polys": [{"cycle": ["e"]}]}'),
     ),
+    "json base a number": (
+        ParseError, "'base' must be a name",
+        lambda: generator_set_from_json(
+            R1, '{"polys": [{"cycle": ["e"], "base": 5, "coeffs": []}]}'),
+    ),
+    "json base a list": (
+        ParseError, "'base' must be a name",
+        lambda: generator_set_from_json(
+            R1, '{"polys": [{"cycle": ["e"], "base": ["v"], "coeffs": []}]}'),
+    ),
     "QPoly.valuation": (
         DomainError, "zero polynomial has no valuation",
         lambda: QPoly.of([]).valuation(),
@@ -931,8 +941,8 @@ def test_generator_set_json_reads_a_number_as_its_digits(literal):
 
 def test_generator_set_json_number_refusals_keep_their_messages():
     """A literal with an exponent is refused as its string is, and quoted when
-    its float shows no exponent; a number that overflows, and a number where
-    a name belongs, fail as they always did."""
+    its float shows no exponent; a number that overflows fails as it always
+    did, and a number where a name belongs is refused by its JSON type."""
     cases = [
         ('"polys": [{"cycle": ["e"], "coeffs": [1e-05, 1]}]',
          ParseError, "exponent notation in coefficients [1e-05, 1]"),
@@ -948,8 +958,14 @@ def test_generator_set_json_number_refusals_keep_their_messages():
          ParseError, "bad coefficient in [inf, 1]: Invalid literal for Fraction: 'inf'"),
         ('"vertices": [1.5]', ParseError, "'vertices' must be a list of names"),
         ('"polys": [{"cycle": ["e"], "base": 1.5, "coeffs": [1, 1]}]',
-         DomainError, "1.5 is not a source on the cycle"),
+         ParseError, "'base' must be a name"),
     ]
     for body, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             generator_set_from_json(R1, "{%s}" % body)
+
+
+def test_generator_set_json_null_base_means_no_base():
+    without = '{"polys": [{"cycle": ["e"], "coeffs": ["1", "1"]}]}'
+    null = '{"polys": [{"cycle": ["e"], "base": null, "coeffs": ["1", "1"]}]}'
+    assert generator_set_from_json(R1, null) == generator_set_from_json(R1, without)

@@ -85,7 +85,7 @@ from leavitt import (
     vertex_element,
     validate_graph,
 )
-from leavitt.graphs import _index, _strong_components, lattice_label
+from leavitt.graphs import _close, _index, _strong_components, lattice_label
 from leavitt.ideals import _two_closed_simple_paths
 from leavitt.twovertex import _SHAPES_16, SkeletonFamily
 
@@ -171,9 +171,31 @@ def test_strong_components_match_networkx(g):
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, want))
 
 
-@given(multigraphs())
-def test_next_closure_matches_brute_force(g):
+@given(multigraphs(max_vertices=10, max_edges=16))
+def test_hs_sets_match_brute_force(g):
+    """Up to ten vertices, so the search goes deep and many closures stop early."""
     assert all_hereditary_saturated_sets(g) == hs_sets_by_brute_force(g)
+
+
+@given(multigraphs(max_vertices=9, max_edges=16), st.data())
+def test_stopped_closure_aborts_exactly_when_it_adds_a_stop_vertex(g, data):
+    """``_close`` with a stop mask, from a closed set and its missing counts:
+    -1, with the counts given back, exactly when the unstopped closure adds a
+    stop vertex; otherwise the unstopped closure and its counts."""
+    ix, n = _index(g), len(g.vertices)
+    a = data.draw(st.sampled_from(all_hereditary_saturated_sets(g))).mask
+    outside = [v for v in range(n) if not a >> v & 1]
+    todo = data.draw(st.lists(st.sampled_from(outside), unique=True) if outside else st.just([]))
+    stop = data.draw(st.integers(0, (1 << n) - 1)) & ~a
+    missing = [sum(not a >> r & 1 for r in rs) for rs in ix.succ]
+    after = missing.copy()
+    full = _close(ix, todo.copy(), a, after)
+    counts = missing.copy()
+    got = _close(ix, todo.copy(), a, counts, stop)
+    if full & ~a & stop:
+        assert got == -1 and counts == missing
+    else:
+        assert got == full and counts == after
 
 
 @given(multigraphs(max_vertices=6))
