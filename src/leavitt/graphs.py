@@ -46,10 +46,15 @@ is closed from its parent's counts, kept in one array that backtracking
 restores, and a closure stops at the first vertex that shows it is made
 elsewhere in the search, as In-Close does (Andrews, "In-Close, a fast
 algorithm for computing formal concepts", 2009).  The delay between two
-sets is polynomial, and no vertex subset is scanned.  The covers of their
-inclusion come from n closures per set (Lindig, "Fast concept analysis",
-2000).  Every finite order the package draws is a Poset, which stores its
-covers and derives the order from them.
+sets is polynomial, and no vertex subset is scanned.  Their lattice takes no
+closure: saturation adds no sink and no vertex on a cycle, so the sets are
+{v : need(v) in D} for the down-sets D of J, the sinks and cyclic SCCs
+ordered by reachability, need(v) being those v reaches, and D + j covers D
+for each j outside D with its strict successors in D (Birkhoff, "Rings of
+sets", Duke Math. J. 3, 1937; graded ideals as hereditary saturated sets:
+Abrams, Ara and Siles Molina, *Leavitt Path Algebras*, LNM 2191, 2017).
+Every finite order the package draws is a Poset, which stores its covers and
+derives the order from them.
 """
 
 from __future__ import annotations
@@ -454,10 +459,10 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
     return comp
 
 
-def _k_classes(g: Graph) -> tuple[list[str], list[int]]:
-    """K-class of every vertex id, plus the id of an out-edge of each vertex
-    that stays inside its SCC (the unique one for K1 vertices; -1 when there
-    is none).  Cached on the graph."""
+def _k_classes(g: Graph) -> tuple[list[str], list[int], list[int]]:
+    """K-class of every vertex id, the id of an out-edge of each vertex that
+    stays inside its SCC (the unique one for K1 vertices; -1 when there is
+    none), and its SCC's number from the Tarjan pass.  Cached on the graph."""
     if g._kclass is None:
         ix = _index(g)
         comp = _strong_components(ix.succ)
@@ -472,7 +477,7 @@ def _k_classes(g: Graph) -> tuple[list[str], list[int]]:
                     internal[c] += 1
                     inner[v] = e
         kind = ["K0" if m == 0 else "K1" if m == k else "K2" for m, k in zip(internal, sizes)]
-        _set(g, "_kclass", ([kind[c] for c in comp], inner))
+        _set(g, "_kclass", ([kind[c] for c in comp], inner, comp))
     return g._kclass
 
 
@@ -641,32 +646,66 @@ def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
     return tuple([HeredSatSet(g, m) for m in _closed_sets(g)])
 
 
-def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
-    """Bitmasks of :func:`_closed_sets` and the sorted covers of inclusion
-    between their positions (Lindig, "Fast concept analysis", 2000).  The
-    covers of A are the minimal closures of A + v, v outside A, each closed
-    from A with the missing counts left by the closure that found A, unless
-    v lies in one found already; v stops generating when its closure holds a
-    vertex still generating."""
-    ix, masks, pairs = _index(g), _closed_sets(g), []
-    pos = {m: k for k, m in enumerate(masks)}
-    counts = {0: ix.outdeg}  # missing counts of each set found, until its turn
-    for k, a in enumerate(masks[:-1]):  # the last is every vertex, with no cover
-        base, minimal, covered, ups = counts.pop(k), masks[-1] ^ a, a, []
-        for v in range(len(ix.succ)):
-            bit = 1 << v
-            if covered & bit:  # in A, or in a cover found, which it generates
-                continue
-            missing = base.copy()  # unused when A + v is every vertex, already closed
-            b = masks[-1] if a | bit == masks[-1] else _close(ix, [v], a, missing)
-            if (b ^ a ^ bit) & minimal:
-                minimal ^= bit
-            else:
-                covered |= b
-                ups.append(pos[b])
-                counts.setdefault(pos[b], missing)
-        pairs += [(k, j) for j in sorted(ups)]
-    return masks, tuple(pairs)
+_LOW_BITS = [tuple([i for i in range(8) if m >> i & 1]) for m in range(256)]
+
+
+def _bits(m: int):
+    """The positions of the set bits of ``m``, lowest first, by a table per byte."""
+    if m < 256:
+        return _LOW_BITS[m]
+    data = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    return [8 * k + i for k, byte in enumerate(data) for i in _LOW_BITS[byte]]
+
+
+def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int]]:
+    """Bitmasks of the hereditary saturated sets by (size, vertex order), the
+    sorted covers between their positions, and their down-sets of J over SCC
+    numbers.  Each SCC keeps ``first``, the elements of J met first out of it
+    (itself, when in J); j in J keeps its own as ``under`` and is ``above``
+    them.  At most HS_SET_BUDGET down-sets are listed, breadth first, before
+    any vertex mask; a vertex joins D + j as j completes its SCC's ``first``."""
+    succ, (kinds, _, comp) = _index(g).succ, _k_classes(g)
+    members = [[] for _ in range(max(comp) + 1)]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    first, under, above, joins, start = [0] * len(members), {}, {}, {}, 0
+    for c, vs in enumerate(members):
+        low = 0  # first[c] is still 0, so edges inside c add nothing
+        for v in vs:
+            for w in succ[v]:
+                low |= first[comp[w]]
+        if not low or kinds[vs[0]] != "K0":  # a sink or a cycle: an element of J
+            for d in _bits(low):
+                above[d].append(c)
+            start |= 0 if low else 1 << c
+            under[c], above[c], joins[c], low = low, [], [], 1 << c
+        first[c] = low
+        for d in _bits(low):
+            joins[d].append((low, sum(map((1).__lshift__, vs))))
+    nodes = [(0, start, 0, -1)]  # D, addable, parent, last j
+    for i, (d, a, _, last) in enumerate(nodes):  # grows while it is read
+        for c in _bits(a >> (last + 1) << (last + 1)):  # past last: each down-set once
+            e, more = d | 1 << c, a ^ 1 << c
+            for k in above[c]:
+                if not under[k] & ~e:
+                    more |= 1 << k
+            nodes.append((e, more, i, c))
+        if len(nodes) > HS_SET_BUDGET:
+            raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
+    masks = [0]
+    for d, _, parent, c in nodes[1:]:
+        m = masks[parent]
+        for low, part in joins[c]:
+            if not low & ~d:
+                m |= part
+        masks.append(m)
+    rows = sorted(zip(sizes := list(map(int.bit_count, masks)), masks, nodes))
+    if len(set(sizes)) < len(sizes):  # equal sizes: the least vertex they differ in goes first
+        rows.sort(key=lambda r: (-r[0], format(r[1], f"0{len(comp)}b")[::-1]), reverse=True)
+    _, masks, nodes = zip(*rows)
+    at = {node[0]: k for k, node in enumerate(nodes)}  # in position order
+    covers = sorted([(k, at[d | 1 << c]) for k, (d, a, _, _) in enumerate(nodes) for c in _bits(a)])
+    return list(masks), tuple(covers), list(at)
 
 
 class Poset(Record):
@@ -717,13 +756,10 @@ def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
     cycle edges are taken in edge order, so each cycle is met first at its
     least edge, which is where its canonical rotation starts.
     """
-    kinds, inner = _k_classes(g)
-    rng = _index(g).rng
-    seen: set[int] = set()
-    out = []
+    kinds, inner, comp = _k_classes(g)
+    seen, out = set(), []
     for _, v in sorted([(inner[v], v) for v, k in enumerate(kinds) if k == "K1"]):
-        if v not in seen:
-            ids = _k1_cycle_ids(g, v)
-            seen.update([rng[e] for e in ids])  # the ranges of a cycle are its sources
-            out.append(Cycle(g, ids))
+        if comp[v] not in seen:
+            seen.add(comp[v])
+            out.append(Cycle(g, _k1_cycle_ids(g, v)))
     return tuple(out)

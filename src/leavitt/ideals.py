@@ -66,10 +66,10 @@ def graded_lattice(g: Graph) -> Poset:
 
     The ideals come in the order of their vertex sets in
     :func:`~leavitt.graphs.all_hereditary_saturated_sets`, and the poset
-    stores the covers of inclusion, computed from closures; the full order
-    is derived from them only on demand.
+    stores the covers of inclusion, read off the poset of sinks and cycles
+    (see :mod:`leavitt.graphs`); the order is derived from them on demand.
     """
-    masks, covers = _lattice(g)
+    masks, covers, _ = _lattice(g)
     return Poset(tuple([LambdaReduction(g, HeredSatSet(g, m), ()) for m in masks]), covers)
 
 

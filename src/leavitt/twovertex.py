@@ -27,8 +27,8 @@ from math import factorial, prod
 
 from .errors import DomainError
 from .graphs import (
-    Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _lattice, k1_cycles,
-    lattice_label, validate_graph,
+    Graph, HeredSatSet, Poset, _index, _k_classes, _lattice, k1_cycles, lattice_label,
+    validate_graph,
 )
 from .records import Record
 
@@ -201,12 +201,10 @@ class SkeletonFamily(Record):
     the attached graded node; ``inside``, a frozenset of node indices, lists
     the graded nodes whose ideal contains every member of the family.
 
-    In a skeleton from :func:`build_skeleton`, ``inside`` is every node
-    holding the node's vertices and the cycle's sources.  Nodes are listed by
-    size and closed under intersection, so ``min(inside)`` is the least, and
-    it covers ``att``: a node between them misses the cycle, whose vertices
-    reach one another, and the first vertex that saturation would add to
-    ``att`` is in ``att``.  So each family splits one graded cover.
+    In a skeleton from :func:`build_skeleton`, the families of a cycle are
+    the covers D -> D + j of its element j of J, the poset of sinks and
+    cyclic SCCs: ``att`` is D and ``inside`` the up-set of D + j, whose
+    least node ``min(inside)`` is D + j.  So each family splits one cover.
     """
 
     __slots__ = __match_args__ = ("cycle", "att", "inside")
@@ -286,21 +284,17 @@ def build_skeleton(g: Graph) -> LatticeSkeleton:
     """Graded nodes plus one family per K1 cycle and compatible vertex part.
 
     A vertex part is compatible with a cycle when it misses the cycle's
-    sources and already contains the closure of the cycle's exit range (the
-    exit range sits inside any ideal with a polynomial on the cycle).
+    sources and holds the closure of its exit range: on the down-sets of J,
+    when it is a cover D -> D + j of the cycle's element j (no closure made).
     """
-    masks, covers = _lattice(g)
-    ix = _index(g)
-    families = []
-    for c in k1_cycles(g):  # ordered by rotation key, so the families are too
-        required = _close(ix, list(_exit_ids(ix, c.ids)))
-        srcs = sum(1 << ix.rng[e] for e in c.ids)  # edge ranges: the distinct sources
-        for i, m in enumerate(masks):
-            if not m & srcs and not required & ~m:
-                inside = frozenset(j for j, b in enumerate(masks) if not (m | srcs) & ~b)
-                families.append(SkeletonFamily(c, i, inside))
+    masks, covers, downs = _lattice(g)
+    comp, rng = _k_classes(g)[2], _index(g).rng
+    families = tuple([  # k1_cycles are ordered by rotation key, so the families are too
+        SkeletonFamily(c, i, frozenset([t for t, d in enumerate(downs) if not downs[k] & ~d]))
+        for c in k1_cycles(g) for i, k in covers if downs[k] ^ downs[i] == 1 << comp[rng[c.ids[0]]]
+    ])
     graded = Poset(tuple([HeredSatSet(g, m) for m in masks]), covers)
-    return LatticeSkeleton(g, graded, tuple(families))
+    return LatticeSkeleton(g, graded, families)
 
 
 # --- the nine classes ---------------------------------------------------------

@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
+import networkx as nx
+
 from leavitt import (
     CanonicalForm16,
     Cycle,
@@ -29,11 +31,15 @@ from leavitt import (
     TwoVertexShape,
     VertexClass,
     classify_vertex,
+    exit_range,
+    hereditary_saturated_closure,
+    k1_cycles,
     monomial,
     normalize,
     validate_graph,
 )
-from leavitt.graphs import lattice_label
+from leavitt.graphs import _close, _closed_sets, _index, lattice_label
+from leavitt.twovertex import SkeletonFamily
 from leavitt.twovertex import _CLASS_OF_TYPE, _ID_BY_SHAPE, _SHAPES_16
 
 # Small named graphs used throughout.  Vertex/edge order is significant.
@@ -354,6 +360,100 @@ def covers_by_definition(elements, leq) -> tuple[tuple[int, int], ...]:
         and le[i][j]
         and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
     )
+
+
+def lattice_by_lindig(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """Bitmasks of the hereditary saturated sets and the sorted covers of
+    their inclusion, as the library once found them (Lindig, "Fast concept
+    analysis", 2000): the covers of A are the minimal closures of A + v, v
+    outside A, each closed from A with the missing counts left by the
+    closure that found A, unless v lies in one found already; v stops
+    generating when its closure holds a vertex still generating."""
+    ix, masks, pairs = _index(g), _closed_sets(g), []
+    pos = {m: k for k, m in enumerate(masks)}
+    counts = {0: ix.outdeg}  # missing counts of each set found, until its turn
+    for k, a in enumerate(masks[:-1]):  # the last is every vertex, with no cover
+        base, minimal, covered, ups = counts.pop(k), masks[-1] ^ a, a, []
+        for v in range(len(ix.succ)):
+            bit = 1 << v
+            if covered & bit:  # in A, or in a cover found, which it generates
+                continue
+            missing = base.copy()  # unused when A + v is every vertex, already closed
+            b = masks[-1] if a | bit == masks[-1] else _close(ix, [v], a, missing)
+            if (b ^ a ^ bit) & minimal:
+                minimal ^= bit
+            else:
+                covered |= b
+                ups.append(pos[b])
+                counts.setdefault(pos[b], missing)
+        pairs += [(k, j) for j in sorted(ups)]
+    return masks, tuple(pairs)
+
+
+def skeleton_families_by_closure(g: Graph) -> tuple[SkeletonFamily, ...]:
+    """Skeleton families by the rule the library once ran: a graded node is
+    compatible with a K1 cycle when it misses the cycle's sources and holds
+    the closure of its exit range, and the family's ``inside`` is every node
+    holding both the node and the cycle.  Nodes come from
+    :func:`lattice_by_lindig`."""
+    masks, _ = lattice_by_lindig(g)
+    families = []
+    for c in k1_cycles(g):
+        required = hereditary_saturated_closure(g, exit_range(g, c)).mask
+        srcs = sum(1 << g.vertex_index(v) for v in c.sources)
+        for i, m in enumerate(masks):
+            if not m & srcs and not required & ~m:
+                inside = frozenset(j for j, b in enumerate(masks) if not (m | srcs) & ~b)
+                families.append(SkeletonFamily(c, i, inside))
+    return tuple(families)
+
+
+def marked_poset(g: Graph) -> tuple[tuple, frozenset[tuple[int, int]]]:
+    """The poset J of a graph by networkx: its sinks and cyclic strongly
+    connected components as (vertices, marked) pairs, ordered by their least
+    vertex in input order and marked when the component is one cycle (as
+    many internal edges as vertices), plus the pairs (i, j) with component i
+    reaching component j, i != j."""
+    h = nx.MultiDiGraph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.ends)
+    points = []
+    for scc in nx.strongly_connected_components(h):
+        internal = h.subgraph(scc).number_of_edges()
+        if internal or not h.out_degree(next(iter(scc))):
+            points.append((frozenset(scc), internal == len(scc)))
+    points.sort(key=lambda p: min(map(g.vertices.index, p[0])))
+    reps = [next(iter(vs)) for vs, _ in points]
+    above = frozenset(
+        (i, j)
+        for i, a in enumerate(reps)
+        for j, b in enumerate(reps)
+        if i != j and nx.has_path(h, a, b)
+    )
+    return tuple(points), above
+
+
+# The class of each marked poset on at most two points: one point, unmarked
+# or marked; an antichain with 0, 1 or 2 marks; a chain by the marks of its
+# (upper, lower) point.
+MARKED_POSET_CLASS = {
+    (False,): "I", (True,): "II",
+    ("antichain", 0): "VII", ("antichain", 1): "VIII", ("antichain", 2): "IX",
+    ("chain", False, False): "V", ("chain", False, True): "VI",
+    ("chain", True, False): "III", ("chain", True, True): "IV",
+}
+
+
+def class_by_marked_poset(g: Graph) -> str:
+    """The class of a two-vertex graph read from its marked poset J."""
+    points, above = marked_poset(g)
+    marks = [m for _, m in points]
+    if len(points) == 1:
+        return MARKED_POSET_CLASS[tuple(marks)]
+    if not above:
+        return MARKED_POSET_CLASS["antichain", sum(marks)]
+    ((upper, lower),) = above
+    return MARKED_POSET_CLASS["chain", marks[upper], marks[lower]]
 
 
 def canonical_key_by_permutations(skeleton) -> tuple:

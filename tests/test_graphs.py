@@ -37,6 +37,7 @@ from leavitt import (
     classify_vertex,
     condition_k,
     exit_range,
+    graded_lattice,
     hereditary_saturated_closure,
     k1_cycles,
     parse_graph,
@@ -513,6 +514,30 @@ def test_all_hs_sets_reversed_loop_chain_are_its_suffixes():
     assert [s.mask for s in sets] == [(1 << k) - 1 for k in range(n + 1)]
     assert [s.sorted_members() for s in sets[:3]] == [(), ("v0",), ("v0", "v1")]
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 2000])
+def test_paths_and_cycles_have_a_two_element_lattice(n):
+    """P_n and C_n: J is the sink or the cycle, so the lattice is 0 < L."""
+    path, cycle = [(i, i + 1) for i in range(n - 1)], [(i, (i + 1) % n) for i in range(n)]
+    for g in (_named(n, path), _named(n, cycle)):
+        poset = graded_lattice(g)
+        assert [node.vertex_part.mask for node in poset.elements] == [0, (1 << n) - 1]
+        assert poset.covers == ((0, 1),)
+
+
+def test_graded_lattice_of_the_reversed_loop_chain_is_a_chain():
+    """The loop chain of 300, listed from its sink back: J is a chain of 300
+    loops, so the lattice is its 301 nested suffixes with 300 covers, read
+    off J with no closure."""
+    n = 300
+    g = _named(n, [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)])
+    start = time.perf_counter()
+    poset = graded_lattice(g)
+    elapsed = time.perf_counter() - start
+    assert [node.vertex_part.mask for node in poset.elements] == [(1 << k) - 1 for k in range(n + 1)]
+    assert poset.covers == tuple((k, k + 1) for k in range(n))
+    assert elapsed < 1.0
 
 
 def test_hs_set_budget_is_checked_as_the_sets_are_listed(monkeypatch):

@@ -19,6 +19,7 @@ from helpers import (
     _is_hereditary,
     _is_saturated,
     canonical_key_by_permutations,
+    class_by_marked_poset,
     class_members,
     classify_by_cycle_count,
     coeff,
@@ -31,6 +32,8 @@ from helpers import (
     hs_subsets_by_brute_force,
     iter_closed_simple_paths,
     k1_cycles_by_cycle_count,
+    lattice_by_lindig,
+    marked_poset,
     mul_by_paths,
     normalize_by_paths,
     on_graph,
@@ -40,6 +43,7 @@ from helpers import (
     paths_by_range,
     rotation_key_by_rotations,
     skeleton_dot_by_all_pairs,
+    skeleton_families_by_closure,
     term_order,
     validate_graph_item_by_item,
 )
@@ -85,7 +89,7 @@ from leavitt import (
     vertex_element,
     validate_graph,
 )
-from leavitt.graphs import _close, _index, _strong_components, lattice_label
+from leavitt.graphs import _close, _index, _lattice, _strong_components, lattice_label
 from leavitt.ideals import _two_closed_simple_paths
 from leavitt.twovertex import _SHAPES_16, SkeletonFamily
 
@@ -223,6 +227,56 @@ def test_lattice_covers_match_definition(g):
     poset = graded_lattice(g)
     sets = [node.vertex_part.members for node in poset.elements]
     assert poset.covers == covers_by_definition(sets, lambda a, b: a <= b)
+
+
+@given(multigraphs(max_vertices=9, max_edges=14))
+def test_lattice_matches_the_lindig_oracle(g):
+    """Down-sets of J give the sets, their order and their covers that n
+    closures per set give."""
+    assert _lattice(g)[:2] == lattice_by_lindig(g)
+
+
+@given(multigraphs(max_vertices=6))
+def test_join_irreducible_sets_are_the_closures_of_j(g):
+    """Birkhoff: the sets with exactly one lower cover are the least
+    hereditary saturated sets holding one sink or cyclic component, all by
+    brute force and networkx."""
+    sets = hs_subsets_by_brute_force(g)
+    covers = covers_by_definition(sets, lambda a, b: a <= b)
+    irreducible = {sets[j] for j in range(len(sets)) if [k for _, k in covers].count(j) == 1}
+    points, _ = marked_poset(g)
+    closures = {min((s for s in sets if vs <= s), key=len) for vs, _ in points}
+    assert irreducible == closures
+
+
+@given(multigraphs(max_vertices=5))
+def test_graded_lattice_is_distributive(g):
+    """Meets are intersections, joins the least set above a union, and
+    meet distributes over join."""
+    masks, _, _ = _lattice(g)
+
+    def join(a, b):
+        return min((m for m in masks if not (a | b) & ~m), key=int.bit_count)
+
+    assert all(a & b in masks for a in masks for b in masks)
+    table = {(a, b): join(a, b) for a in masks for b in masks}
+    for a in masks:
+        for b in masks:
+            for c in masks:
+                assert a & table[b, c] == table[a & b, a & c]
+
+
+@given(multigraphs(max_vertices=6))
+def test_skeleton_families_match_the_closure_rule(g):
+    assert build_skeleton(g).families == skeleton_families_by_closure(g)
+
+
+@given(st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from("uv")), max_size=20))
+def test_classify_matches_the_marked_poset(pairs):
+    """The class of a two-vertex multigraph is the kind of its marked poset
+    of sinks and cyclic components."""
+    g = validate_graph(["u", "v"], [(f"e{i}", s, r) for i, (s, r) in enumerate(pairs)])
+    assert classify(g).label == class_by_marked_poset(g)
 
 
 @given(multigraphs(max_vertices=5))
@@ -385,8 +439,10 @@ def loop_rich_multigraphs(draw):
 def test_each_skeleton_family_splits_one_graded_cover(g):
     """A family's ``inside`` is every node above its least member ``top``,
     ``top`` covers the family's node, and the DOT drawn from those covers
-    is the one the all-pairs order gives."""
+    is the one the all-pairs order gives; the families are the ones the
+    closure rule finds."""
     skel = build_skeleton(g)
+    assert skel.families == skeleton_families_by_closure(g)
     nodes = skel.graded.elements
     for f in skel.families:
         top = min(f.inside)

@@ -7,9 +7,9 @@ from collections import Counter
 import networkx as nx
 import pytest
 from helpers import (
-    G1, G4, G5, G6, G7, G8, L2, canon, canonical_form_by_records, class_members,
-    covers_by_definition, enumerate_by_records, shape_total, skeleton_dot_by_all_pairs,
-    skeletons_isomorphic, swapped,
+    G1, G4, G5, G6, G7, G8, L2, canon, canonical_form_by_records, class_by_marked_poset,
+    class_members, covers_by_definition, enumerate_by_records, shape_total,
+    skeleton_dot_by_all_pairs, skeletons_isomorphic, swapped,
 )
 
 from leavitt import (
@@ -30,7 +30,7 @@ from leavitt import (
     lambda_reduce,
     validate_graph,
 )
-from leavitt.twovertex import _SHAPES_16, canonical_form_of_shape
+from leavitt.twovertex import _SHAPES_16, ENUMERATION_GUARD, canonical_form_of_shape
 
 
 # --- counting ------------------------------------------------------------------
@@ -408,6 +408,17 @@ def test_skeleton_dot_matches_the_all_pairs_oracle_on_the_census():
             for s in (shape, swapped(shape)):
                 skel = build_skeleton(s.to_graph())
                 assert skel.to_dot() == skeleton_dot_by_all_pairs(skel), s
+
+
+def test_classify_matches_the_marked_poset_on_the_census():
+    """Every shape with k <= 12 and its swap: the class is the kind of the
+    graph's marked poset of sinks and cyclic components (networkx), so
+    neither the type table nor the skeleton decides it."""
+    for k in range(ENUMERATION_GUARD + 1):
+        for shape in enumerate_up_to_iso(k):
+            for s in (shape, swapped(shape)):
+                g = s.to_graph()
+                assert classify(g).label == class_by_marked_poset(g), s
 
 
 def test_census_class_counts(monkeypatch):
