@@ -39,20 +39,14 @@ pointer into its successor list, so no cycle or path is too long for it.
 
 Hereditary saturated sets are the closed sets of a closure operator, which
 is computed with a worklist that counts, for every vertex, its out-edges
-still outside the set.  :func:`all_hereditary_saturated_sets` lists them by
-Close-by-One (Kuznetsov, "A fast algorithm for computing all intersections
-of objects in a finite semi-lattice", 1993) on an explicit stack: each set
-is closed from its parent's counts, kept in one array that backtracking
-restores, and a closure stops at the first vertex that shows it is made
-elsewhere in the search, as In-Close does (Andrews, "In-Close, a fast
-algorithm for computing formal concepts", 2009).  The delay between two
-sets is polynomial, and no vertex subset is scanned.  Their lattice takes no
-closure: saturation adds no sink and no vertex on a cycle, so the sets are
-{v : need(v) in D} for the down-sets D of J, the sinks and cyclic SCCs
-ordered by reachability, need(v) being those v reaches, and D + j covers D
-for each j outside D with its strict successors in D (Birkhoff, "Rings of
-sets", Duke Math. J. 3, 1937; graded ideals as hereditary saturated sets:
-Abrams, Ara and Siles Molina, *Leavitt Path Algebras*, LNM 2191, 2017).
+still outside the set.  Listing them takes no closure: saturation adds no
+sink and no vertex on a cycle, so the sets are {v : need(v) in D} for the
+down-sets D of J, the sinks and cyclic SCCs ordered by reachability,
+need(v) being those v reaches, and D + j covers D for each j outside D with
+its strict successors in D (Birkhoff, "Rings of sets", Duke Math. J. 3,
+1937; graded ideals as hereditary saturated sets: Abrams, Ara and Siles
+Molina, *Leavitt Path Algebras*, LNM 2191, 2017).  One listing of the
+down-sets serves :func:`all_hereditary_saturated_sets` and the lattice.
 Every finite order the package draws is a Poset, which stores its covers and
 derives the order from them.
 """
@@ -74,6 +68,7 @@ __all__ = [
 _TRIPLE_TYPES = {tuple, list}
 _STRINGS = (str, bytes, bytearray)  # never a listing: they iterate as characters or ints
 HS_SET_BUDGET = 1 << 16  # most hereditary saturated sets listed for one graph
+MEMBER_BUDGET = 10**7  # most vertex names listed over all those sets
 
 
 def _check_name(name: str) -> None:
@@ -565,17 +560,12 @@ def _mask_names(g: Graph, mask: int) -> tuple[str, ...]:
     return tuple([v for v, bit in zip(g.vertices, bits) if bit == "1"])
 
 
-def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None = None,
-           stop: int = 0) -> int:
-    """Hereditary saturated closure of a closed bitmask and the distinct
-    vertices ``todo`` outside it; ``todo`` is the worklist, and ends listing
-    what was added.  ``missing[u]``, consumed, counts the out-edges of u whose
-    range is not in (by default, for the empty mask); u joins when it hits 0.
-    Once a vertex of ``stop``, a bitmask outside ``mask``, joins, it returns
-    -1 after the vertex in hand, with ``missing`` as it was on entry."""
-    succ, pred = ix.succ, ix.pred
-    if missing is None:
-        missing = ix.outdeg.copy()
+def _close(ix: _Index, todo: list[int]) -> int:
+    """Hereditary saturated closure of the distinct vertex ids ``todo``, as a
+    bitmask.  ``todo`` is the worklist, and ends listing the members: out-
+    neighbours of members join, and so does a vertex once its count of
+    out-edges whose range is still outside reaches 0."""
+    succ, pred, missing, mask = ix.succ, ix.pred, ix.outdeg.copy(), 0
     for v in todo:
         mask |= 1 << v
     for w in todo:  # grows while it is read
@@ -588,12 +578,6 @@ def _close(ix: _Index, todo: list[int], mask: int = 0, missing: list[int] | None
             if not missing[u] and not mask >> u & 1:
                 mask |= 1 << u
                 todo.append(u)
-        if stop and mask & stop:  # give back the counts of w and of every vertex before it
-            for x in todo:
-                for u in pred[x]:
-                    missing[u] += 1
-                if x == w:
-                    return -1
     return mask
 
 
@@ -604,70 +588,46 @@ def hereditary_saturated_closure(g: Graph, xs: Iterable[str]) -> HeredSatSet:
     return HeredSatSet(g, _close(_index(g), list(ids)))
 
 
-def _closed_sets(g: Graph) -> list[int]:
-    """Bitmasks of the hereditary saturated sets, by (size, vertex order).
-    Close-by-One (Kuznetsov, 1993) makes each once, depth first: a child of
-    the set A made by vertex j is the closure of A + i, i > j outside A, kept
-    if it adds no vertex below i.  That closure starts from A's counts of
-    missing out-edges, one array that a kept child updates and gives back on
-    backtrack, and stops at the first vertex below i that joins, as In-Close
-    does (Andrews, 2009).  Preorder lists each size in vertex order, so a
-    stable sort by size finishes.  Past :data:`HS_SET_BUDGET` sets it raises
-    DomainError, not running for hours."""
-    ix = _index(g)
-    n, pred = len(ix.succ), ix.pred
-    missing, found = ix.outdeg.copy(), [0]
-    stack = [(0, iter(range(n)), [])]  # a closed set, the vertices left to add, what it added
-    while stack:
-        a, left, added = stack[-1]
-        for i in left:
-            if not a >> i & 1:
-                b = _close(ix, todo := [i], a, missing, ((1 << i) - 1) & ~a)
-                if b >= 0:
-                    found.append(b)
-                    if len(found) > HS_SET_BUDGET:
-                        raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
-                    stack.append((b, iter(range(i + 1, n)), todo))
-                    break
-        else:  # every child of A is done: give back what A added
-            stack.pop()
-            for w in added:
-                for u in pred[w]:
-                    missing[u] += 1
-    found.sort(key=int.bit_count)
-    return found
-
-
 def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
-    """Every hereditary saturated subset, ordered by (size, vertex order), in
-    time polynomial in the graph and the output (at most HS_SET_BUDGET): a
-    Close-by-One search whose closures share one count array and stop at the
-    first vertex that makes a set non-canonical."""
-    return tuple([HeredSatSet(g, m) for m in _closed_sets(g)])
+    """Every hereditary saturated subset, ordered by (size, vertex order), read
+    off the down-sets of the poset of sinks and cycles with no closure (at
+    most HS_SET_BUDGET sets and MEMBER_BUDGET members in all)."""
+    return tuple([HeredSatSet(g, m) for m in _hs_listing(g)[0]])
 
 
 _LOW_BITS = [tuple([i for i in range(8) if m >> i & 1]) for m in range(256)]
 
 
 def _bits(m: int):
-    """The positions of the set bits of ``m``, lowest first, by a table per byte."""
+    """The positions of the set bits of ``m``, lowest first: by a table below
+    256, above it by lowest-bit steps, which cost its set bits, not its bytes."""
     if m < 256:
         return _LOW_BITS[m]
-    data = m.to_bytes((m.bit_length() + 7) // 8, "little")
-    return [8 * k + i for k, byte in enumerate(data) for i in _LOW_BITS[byte]]
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
-def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int]]:
-    """Bitmasks of the hereditary saturated sets by (size, vertex order), the
-    sorted covers between their positions, and their down-sets of J over SCC
-    numbers.  Each SCC keeps ``first``, the elements of J met first out of it
-    (itself, when in J); j in J keeps its own as ``under`` and is ``above``
-    them.  At most HS_SET_BUDGET down-sets are listed, breadth first, before
-    any vertex mask; a vertex joins D + j as j completes its SCC's ``first``."""
+def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Bitmasks of the hereditary saturated sets by (size, vertex order), and
+    beside each its node (D, addable, parent, last j): D its down-set of J
+    over SCC numbers, ``addable`` the j outside D whose strict successors in
+    J all lie in D.  Each SCC keeps ``first``, the elements of J met first
+    out of it (itself, when in J); j in J keeps its own as ``under`` and is
+    ``above`` them.  At most HS_SET_BUDGET down-sets are listed, breadth
+    first, before any vertex mask; an SCC's vertices join D + j as j
+    completes its ``first``, and past MEMBER_BUDGET members in all it raises
+    DomainError.  Only when a pair is out of order, the later mask smaller or
+    as large with the lowest bit of the two's difference in it, is it sorted."""
     succ, (kinds, _, comp) = _index(g).succ, _k_classes(g)
     members = [[] for _ in range(max(comp) + 1)]
+    own = [0] * len(members)  # the vertices of each SCC, as a mask
     for v, c in enumerate(comp):
         members[c].append(v)
+        own[c] |= 1 << v
     first, under, above, joins, start = [0] * len(members), {}, {}, {}, 0
     for c, vs in enumerate(members):
         low = 0  # first[c] is still 0, so edges inside c add nothing
@@ -681,8 +641,8 @@ def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int
             under[c], above[c], joins[c], low = low, [], [], 1 << c
         first[c] = low
         for d in _bits(low):
-            joins[d].append((low, sum(map((1).__lshift__, vs))))
-    nodes = [(0, start, 0, -1)]  # D, addable, parent, last j
+            joins[d].append((low, own[c]))
+    nodes = [(0, start, 0, -1)]
     for i, (d, a, _, last) in enumerate(nodes):  # grows while it is read
         for c in _bits(a >> (last + 1) << (last + 1)):  # past last: each down-set once
             e, more = d | 1 << c, a ^ 1 << c
@@ -692,20 +652,34 @@ def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int
             nodes.append((e, more, i, c))
         if len(nodes) > HS_SET_BUDGET:
             raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
-    masks = [0]
+    masks, size, total, ordered = [0], 0, 0, True
     for d, _, parent, c in nodes[1:]:
         m = masks[parent]
         for low, part in joins[c]:
             if not low & ~d:
                 m |= part
+        k = m.bit_count()
+        total += k
+        if total > MEMBER_BUDGET:
+            raise DomainError(f"more than {MEMBER_BUDGET} members of hereditary saturated sets")
+        if k < size or k == size and (x := m ^ masks[-1]) & -x & m:
+            ordered = False
+        size = k
         masks.append(m)
-    rows = sorted(zip(sizes := list(map(int.bit_count, masks)), masks, nodes))
-    if len(set(sizes)) < len(sizes):  # equal sizes: the least vertex they differ in goes first
-        rows.sort(key=lambda r: (-r[0], format(r[1], f"0{len(comp)}b")[::-1]), reverse=True)
-    _, masks, nodes = zip(*rows)
+    if not ordered:  # size up, then the bit strings read from bit 0, greatest first
+        rows = sorted(zip(masks, nodes), reverse=True,
+                      key=lambda r: (-r[0].bit_count(), bin(r[0])[:1:-1]))
+        masks, nodes = map(list, zip(*rows))
+    return masks, nodes
+
+
+def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int]]:
+    """The bitmasks of :func:`_hs_listing`, the sorted covers between their
+    positions, D -> D + j for each addable j, and their down-sets of J."""
+    masks, nodes = _hs_listing(g)
     at = {node[0]: k for k, node in enumerate(nodes)}  # in position order
     covers = sorted([(k, at[d | 1 << c]) for k, (d, a, _, _) in enumerate(nodes) for c in _bits(a)])
-    return list(masks), tuple(covers), list(at)
+    return masks, tuple(covers), list(at)
 
 
 class Poset(Record):

@@ -26,7 +26,7 @@ from math import isinf
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
+    Cycle, Graph, HeredSatSet, Poset, _bits, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
     _k_classes, _lattice, _listing, lattice_label,
 )
 from .polynomials import QPoly
@@ -430,7 +430,7 @@ def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> Lambda
         by_cycle[c.ids] = p if prev is None else QPoly.gcd(prev, p)
 
     ix = _index(g)
-    ids = {i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}  # worklist from mask 0
+    ids = set(_bits(mask))
     surviving: dict[tuple[int, ...], QPoly] = {}
     for key, p in by_cycle.items():
         if p.degree == 0:

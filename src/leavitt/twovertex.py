@@ -15,8 +15,8 @@ The lattice skeleton of a graph records its graded nodes (hereditary
 saturated sets under inclusion) plus one family of polynomial-generated
 ideals per K1 cycle and compatible vertex part.  Two graphs share a class
 exactly when their skeletons are isomorphic, but skeletons are compared,
-by :meth:`LatticeSkeleton.canonical_key`, only in the benchmark and in the
-tests of the table.
+by :meth:`LatticeSkeleton.canonical_key`, only in the tests that check the
+table: :func:`classify` compares none.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from leavitt import (
     normalize,
     validate_graph,
 )
-from leavitt.graphs import _close, _closed_sets, _index, lattice_label
+from leavitt.graphs import _close, _index, lattice_label
 from leavitt.twovertex import SkeletonFamily
 from leavitt.twovertex import _CLASS_OF_TYPE, _ID_BY_SHAPE, _SHAPES_16
 
@@ -365,27 +365,25 @@ def covers_by_definition(elements, leq) -> tuple[tuple[int, int], ...]:
 def lattice_by_lindig(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...]]:
     """Bitmasks of the hereditary saturated sets and the sorted covers of
     their inclusion, as the library once found them (Lindig, "Fast concept
-    analysis", 2000): the covers of A are the minimal closures of A + v, v
-    outside A, each closed from A with the missing counts left by the
-    closure that found A, unless v lies in one found already; v stops
-    generating when its closure holds a vertex still generating."""
-    ix, masks, pairs = _index(g), _closed_sets(g), []
-    pos = {m: k for k, m in enumerate(masks)}
-    counts = {0: ix.outdeg}  # missing counts of each set found, until its turn
+    analysis", 2000), over the sets of :func:`hs_sets_by_brute_force`: the
+    covers of A are the minimal closures of A + v, v outside A, each closed
+    from scratch, unless v lies in one found already; v stops generating
+    when its closure holds a vertex still generating."""
+    ix, masks, pairs = _index(g), [h.mask for h in hs_sets_by_brute_force(g)], []
+    pos, n = {m: k for k, m in enumerate(masks)}, len(g.vertices)
     for k, a in enumerate(masks[:-1]):  # the last is every vertex, with no cover
-        base, minimal, covered, ups = counts.pop(k), masks[-1] ^ a, a, []
-        for v in range(len(ix.succ)):
+        inside = [v for v in range(n) if a >> v & 1]
+        minimal, covered, ups = masks[-1] ^ a, a, []
+        for v in range(n):
             bit = 1 << v
             if covered & bit:  # in A, or in a cover found, which it generates
                 continue
-            missing = base.copy()  # unused when A + v is every vertex, already closed
-            b = masks[-1] if a | bit == masks[-1] else _close(ix, [v], a, missing)
+            b = _close(ix, inside + [v])
             if (b ^ a ^ bit) & minimal:
                 minimal ^= bit
             else:
                 covered |= b
                 ups.append(pos[b])
-                counts.setdefault(pos[b], missing)
         pairs += [(k, j) for j in sorted(ups)]
     return masks, tuple(pairs)
 

@@ -914,3 +914,22 @@ def test_hs_set_budget_exits_1(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: more than {leavitt.graphs.HS_SET_BUDGET} hereditary saturated sets\n"
+
+
+def test_member_budget_exits_1(tmp_path, capsys, monkeypatch):
+    """Four isolated vertices have 16 sets holding 32 members: a bound of 32
+    lists them, and one of 31 makes both commands exit 1 before any line is
+    written.  The bound itself, 10^7, is pinned in ``test_scale.py``."""
+    path = tmp_path / "isolated4.graph"
+    path.write_text("vertices: a b c d\n")
+    for command in ("hs-sets", "graded-lattice"):
+        for budget, code in ((32, 0), (31, 1)):
+            monkeypatch.setattr(leavitt.graphs, "MEMBER_BUDGET", budget)
+            for fmt in ("text", "json"):
+                assert main([command, "--graph", str(path), "--format", fmt]) == code
+                out, err = capsys.readouterr()
+                if code:
+                    assert out == ""
+                    assert err == "error: more than 31 members of hereditary saturated sets\n"
+                else:
+                    assert out and err == ""

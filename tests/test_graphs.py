@@ -501,19 +501,53 @@ def test_all_hs_sets_twelve_isolated_vertices():
 
 
 def test_all_hs_sets_reversed_loop_chain_are_its_suffixes():
-    """A chain x0 -> ... -> x299 with a loop at every vertex, listed from x299
-    back to x0: its hereditary saturated sets are its 301 suffixes, nested,
-    which in vertex order are the prefixes of the vertex list.  The search
-    goes 300 levels deep, and each closure that would find a set a second
-    time stops at its first vertex, so the listing takes well under a second."""
-    n = 300
+    """A chain x0 -> ... -> x1999 with a loop at every vertex, listed from
+    x1999 back to x0: J is a chain of 2,000 loops, so its hereditary
+    saturated sets are its 2,001 suffixes, nested, which in vertex order are
+    the prefixes of the vertex list.  Breadth first, the down-sets of J come
+    in that order, one per level, so about 2M members are listed with no
+    sort and no closure."""
+    n = 2000
     g = _named(n, [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)])
     start = time.perf_counter()
     sets = all_hereditary_saturated_sets(g)
     elapsed = time.perf_counter() - start
     assert [s.mask for s in sets] == [(1 << k) - 1 for k in range(n + 1)]
     assert [s.sorted_members() for s in sets[:3]] == [(), ("v0",), ("v0", "v1")]
-    assert elapsed < 2.0
+    assert elapsed < 1.0
+
+
+def test_listing_is_sorted_only_when_breadth_first_order_fails(monkeypatch):
+    """v0 -> v1 beside v2: J is the sinks v1 and v2, and breadth first the
+    sets come as {}, {v0, v1}, {v2}, all, so the listing sorts them.  With
+    v0 -> v2 and v0 -> v1 instead, they come as {}, {v2}, {v1}, all: equal
+    sizes whose least differing vertex lies in the later.  On isolated
+    vertices breadth-first order is already (size, vertex order)."""
+    sorts = []
+
+    def spy(*args, **kw):
+        sorts.append(args)
+        return sorted(*args, **kw)
+
+    monkeypatch.setattr(leavitt.graphs, "sorted", spy, raising=False)
+    cases = [
+        ("edge a: v0 -> v1", [(), ("v2",), ("v0", "v1"), ("v0", "v1", "v2")]),
+        ("edge a: v0 -> v2\nedge b: v0 -> v1", [(), ("v1",), ("v2",), ("v0", "v1", "v2")]),
+    ]
+    for edges, want in cases:
+        sorts.clear()
+        g = parse_graph(f"vertices: v0 v1 v2\n{edges}\n")
+        assert [s.sorted_members() for s in all_hereditary_saturated_sets(g)] == want
+        assert len(sorts) == 1
+        poset = graded_lattice(g)
+        assert [node.vertex_part.sorted_members() for node in poset.elements] == want
+        assert poset.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+    for n in range(1, 9):
+        sorts.clear()
+        g = _named(n, [])
+        sets = [s.sorted_members() for s in all_hereditary_saturated_sets(g)]
+        assert sets == [c for size in range(n + 1) for c in itertools.combinations(g.vertices, size)]
+        assert sorts == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 2000])
