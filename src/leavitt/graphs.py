@@ -33,9 +33,10 @@ The class of a vertex is fixed by its strongly connected component (SCC):
 K0 when the SCC has no internal edge, K1 when it has exactly as many
 internal edges as vertices (the SCC is then a single cycle), K2 otherwise.
 One iterative Tarjan pass (SIAM J. Comput. 1, 1972) per graph, made on the
-first query and cached as lists indexed by vertex id, answers every K-class
-question in linear time; its work stack holds vertex ids, each with one
-pointer into its successor list, so no cycle or path is too long for it.
+first query and cached, numbers each SCC as it pops it, classifies its
+vertices and lists them for the hereditary saturated sets and K1 cycles, all
+in linear time; its work stack holds vertex ids, each with one pointer into
+its successor list, so no cycle or path is too long for it.
 
 Hereditary saturated sets are the closed sets of a closure operator, which
 is computed with a worklist that counts, for every vertex, its out-edges
@@ -403,76 +404,66 @@ def _index(g: Graph) -> _Index:
     return g._index
 
 
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Component number of every vertex, by an iterative Tarjan pass.
-
-    The work stack holds vertex ids only: ``ptr[v]`` is the position in
-    ``succ[v]`` of the next successor to visit, so a vertex resumes its scan
-    where it left it when its child's search ends, and no deep graph can
-    overflow the interpreter's stack."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # -1 while the vertex is unvisited or on the stack
-    ptr = [0] * n
-    stack: list[int] = []
-    counter = ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [root]
-        while work:
-            v = work[-1]
-            ws, i = succ[v], ptr[v]
-            while i < len(ws):
-                w = ws[i]
-                i += 1
-                if index[w] < 0:
-                    break
-                if comp[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:  # every successor seen: v's search ends
-                work.pop()
-                if work and low[v] < low[work[-1]]:
-                    low[work[-1]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                continue
-            ptr[v] = i  # descend into w
-            index[w] = low[w] = counter
-            counter += 1
-            stack.append(w)
-            work.append(w)
-    return comp
-
-
-def _k_classes(g: Graph) -> tuple[list[str], list[int], list[int]]:
+def _k_classes(g: Graph) -> tuple[list[str], list[int], list[int], list[list[int]]]:
     """K-class of every vertex id, the id of an out-edge of each vertex that
     stays inside its SCC (the unique one for K1 vertices; -1 when there is
-    none), and its SCC's number from the Tarjan pass.  Cached on the graph."""
+    none), its SCC's number, successors first, and each SCC's vertex ids.
+    Cached on the graph.  One iterative Tarjan pass: ``ptr[v]`` is where v's
+    successor scan resumes when its child's search ends, so the work stack
+    holds vertex ids only; an SCC leaving the stack is numbered, its internal
+    edges counted and its vertices classified."""
     if g._kclass is None:
         ix = _index(g)
-        comp = _strong_components(ix.succ)
-        n, rng = len(comp), ix.rng
-        sizes, internal, inner = [0] * n, [0] * n, [-1] * n
-        for c in comp:
-            sizes[c] += 1
-        for v, es in enumerate(ix.out):
-            c = comp[v]
-            for e in es:
-                if comp[rng[e]] == c:
-                    internal[c] += 1
-                    inner[v] = e
-        kind = ["K0" if m == 0 else "K1" if m == k else "K2" for m, k in zip(internal, sizes)]
-        _set(g, "_kclass", ([kind[c] for c in comp], inner, comp))
+        succ, out, rng, n = ix.succ, ix.out, ix.rng, len(ix.succ)
+        index, low, ptr = [-1] * n, [0] * n, [0] * n
+        comp = [-1] * n  # -1 while the vertex is unvisited or on the stack
+        kinds, inner, members, stack, counter = ["K0"] * n, [-1] * n, [], [], 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            work = [root]
+            while work:
+                v = work[-1]
+                ws, i = succ[v], ptr[v]
+                while i < len(ws):
+                    w = ws[i]
+                    i += 1
+                    if index[w] < 0:
+                        break
+                    if comp[w] < 0 and index[w] < low[v]:
+                        low[v] = index[w]
+                else:  # every successor seen: v's search ends
+                    work.pop()
+                    if work and low[v] < low[work[-1]]:
+                        low[work[-1]] = low[v]
+                    if low[v] == index[v]:  # v's SCC is the stack from v up
+                        k = len(stack) - 1
+                        while stack[k] != v:
+                            k -= 1
+                        vs, c, m = stack[k:], len(members), 0
+                        del stack[k:]
+                        for w in vs:
+                            comp[w] = c
+                        for w in vs:
+                            for e in out[w]:
+                                if comp[rng[e]] == c:
+                                    m += 1
+                                    inner[w] = e
+                        if m:  # K0 when there is no internal edge, as set
+                            kind = "K1" if m == len(vs) else "K2"
+                            for w in vs:
+                                kinds[w] = kind
+                        members.append(vs)
+                    continue
+                ptr[v] = i  # descend into w
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                work.append(w)
+        _set(g, "_kclass", (kinds, inner, comp, members))
     return g._kclass
 
 
@@ -615,23 +606,24 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
     """Bitmasks of the hereditary saturated sets by (size, vertex order), and
     beside each its node (D, addable, parent, last j): D its down-set of J
     over SCC numbers, ``addable`` the j outside D whose strict successors in
-    J all lie in D.  Each SCC keeps ``first``, the elements of J met first
-    out of it (itself, when in J); j in J keeps its own as ``under`` and is
-    ``above`` them.  At most HS_SET_BUDGET down-sets are listed, breadth
-    first, before any vertex mask; an SCC's vertices join D + j as j
-    completes its ``first``, and past MEMBER_BUDGET members in all it raises
-    DomainError.  Only when a pair is out of order, the later mask smaller or
-    as large with the lowest bit of the two's difference in it, is it sorted."""
-    succ, (kinds, _, comp) = _index(g).succ, _k_classes(g)
-    members = [[] for _ in range(max(comp) + 1)]
-    own = [0] * len(members)  # the vertices of each SCC, as a mask
-    for v, c in enumerate(comp):
-        members[c].append(v)
-        own[c] |= 1 << v
-    first, under, above, joins, start = [0] * len(members), {}, {}, {}, 0
+    J all lie in D.  Each SCC of :func:`_k_classes` keeps ``first``, the
+    elements of J met first out of it (itself, when in J); j in J keeps its
+    own as ``under`` and is ``above`` them.  The vertices sharing a ``first``
+    join D + j as one mask once j completes it.  Sinks, like an addable set,
+    are pairwise incomparable, so k of them make at least 2^k sets: against
+    HS_SET_BUDGET the sinks are checked before J is built, an addable set as
+    it grows, and the down-sets as they are listed, breadth first, before
+    any vertex mask; past MEMBER_BUDGET members in all it raises DomainError.
+    Only when a pair is out of order, the later mask smaller or as large
+    with the lowest bit of the two's difference in it, is it sorted."""
+    ix = _index(g)
+    _check_sets(1 << ix.outdeg.count(0))
+    succ, (kinds, _, comp, members) = ix.succ, _k_classes(g)
+    first, under, above, joins, groups, start = [0] * len(members), {}, {}, {}, {}, 0
     for c, vs in enumerate(members):
-        low = 0  # first[c] is still 0, so edges inside c add nothing
+        low = own = 0  # first[c] is still 0, so edges inside c add nothing
         for v in vs:
+            own |= 1 << v
             for w in succ[v]:
                 low |= first[comp[w]]
         if not low or kinds[vs[0]] != "K0":  # a sink or a cycle: an element of J
@@ -640,8 +632,11 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
             start |= 0 if low else 1 << c
             under[c], above[c], joins[c], low = low, [], [], 1 << c
         first[c] = low
+        groups[low] = groups.get(low, 0) | own
+    for low, own in groups.items():
         for d in _bits(low):
-            joins[d].append((low, own[c]))
+            joins[d].append((low, own))
+    _check_sets(1 << start.bit_count())
     nodes = [(0, start, 0, -1)]
     for i, (d, a, _, last) in enumerate(nodes):  # grows while it is read
         for c in _bits(a >> (last + 1) << (last + 1)):  # past last: each down-set once
@@ -649,9 +644,9 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
             for k in above[c]:
                 if not under[k] & ~e:
                     more |= 1 << k
+                    _check_sets(1 << more.bit_count())
             nodes.append((e, more, i, c))
-        if len(nodes) > HS_SET_BUDGET:
-            raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
+        _check_sets(len(nodes))
     masks, size, total, ordered = [0], 0, 0, True
     for d, _, parent, c in nodes[1:]:
         m = masks[parent]
@@ -671,6 +666,12 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
                       key=lambda r: (-r[0].bit_count(), bin(r[0])[:1:-1]))
         masks, nodes = map(list, zip(*rows))
     return masks, nodes
+
+
+def _check_sets(at_least: int) -> None:
+    """Refuse a listing bound to hold ``at_least`` sets, past HS_SET_BUDGET."""
+    if at_least > HS_SET_BUDGET:
+        raise DomainError(f"more than {HS_SET_BUDGET} hereditary saturated sets")
 
 
 def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int]]:
@@ -726,14 +727,11 @@ def exit_range(g: Graph, c: Cycle) -> frozenset[str]:
 def k1_cycles(g: Graph) -> tuple[Cycle, ...]:
     """Distinct cycles (canonical rotations) carried by the K1 vertices.
 
-    One cycle per K1 component, ordered by rotation key.  The K1 vertices'
-    cycle edges are taken in edge order, so each cycle is met first at its
-    least edge, which is where its canonical rotation starts.
+    One cycle per K1 component, ordered by rotation key: each starts at the
+    component's vertex whose cycle edge is least, which is where its
+    canonical rotation starts, and the cycles are sorted by that edge.
     """
-    kinds, inner, comp = _k_classes(g)
-    seen, out = set(), []
-    for _, v in sorted([(inner[v], v) for v, k in enumerate(kinds) if k == "K1"]):
-        if comp[v] not in seen:
-            seen.add(comp[v])
-            out.append(Cycle(g, _k1_cycle_ids(g, v)))
-    return tuple(out)
+    kinds, inner, _, members = _k_classes(g)
+    least = inner.__getitem__
+    firsts = sorted([min(vs, key=least) for vs in members if kinds[vs[0]] == "K1"], key=least)
+    return tuple([Cycle(g, _k1_cycle_ids(g, v)) for v in firsts])

@@ -576,11 +576,31 @@ def test_graded_lattice_of_the_reversed_loop_chain_is_a_chain():
 
 def test_hs_set_budget_is_checked_as_the_sets_are_listed(monkeypatch):
     """n isolated vertices have 2^n hereditary saturated sets: 64 fit a
-    budget of 100, and 128 raise once the 101st set is found."""
+    budget of 100, and the 128 of seven are refused by the count of sinks,
+    which are pairwise incomparable, before any set is listed."""
     monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", 100)
     assert len(all_hereditary_saturated_sets(_named(6, []))) == 64
     with pytest.raises(DomainError, match="more than 100 hereditary saturated sets"):
         all_hereditary_saturated_sets(_named(7, []))
+
+
+def test_hs_set_budget_refuses_by_sinks_addable_sets_and_count(monkeypatch):
+    """Seven sinks, seven minimal loops, or seven loops made addable at once
+    by the loop they all reach mean at least 2^7 sets; five loops, each above
+    its own sink, make 3^5 with at most five sinks or addable elements.  Each
+    is refused past a budget of 100, the sinks before the K-classes are
+    made, and listed in full when the budget is its exact count."""
+    sinks = (_named(7, []), 128)
+    loops = (_named(7, [(i, i) for i in range(7)]), 128)
+    fan = (_named(8, [(i, i) for i in range(8)] + [(i, 0) for i in range(1, 8)]), 129)
+    chains = (_named(10, [(2 * i, 2 * i) for i in range(5)] + [(2 * i, 2 * i + 1) for i in range(5)]), 243)
+    for g, count in (sinks, loops, fan, chains):
+        monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", 100)
+        with pytest.raises(DomainError, match="more than 100 hereditary saturated sets"):
+            all_hereditary_saturated_sets(g)
+        assert (g._kclass is None) == (g is sinks[0])
+        monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", count)
+        assert len(all_hereditary_saturated_sets(g)) == count
 
 
 # --- hashing -----------------------------------------------------------------------

@@ -89,7 +89,7 @@ from leavitt import (
     vertex_element,
     validate_graph,
 )
-from leavitt.graphs import _index, _lattice, _strong_components, lattice_label
+from leavitt.graphs import _index, _k_classes, _lattice, lattice_label
 from leavitt.ideals import _two_closed_simple_paths
 from leavitt.twovertex import _SHAPES_16, SkeletonFamily
 
@@ -108,6 +108,24 @@ def multigraphs(draw, max_vertices=7, max_edges=12):
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_edges)
     )
     pairs = draw(st.permutations(planted + extra))
+    enames = [f"e{i}" for i in draw(st.permutations(range(len(pairs))))]
+    return validate_graph(
+        vnames, [(e, vnames[s], vnames[r]) for e, (s, r) in zip(enames, pairs)]
+    )
+
+
+@st.composite
+def sinks_against_order(draw, max_sinks=4, max_others=5, max_edges=8):
+    """Sinks last in vertex order, every edge into them listed after the
+    others and by falling sink id: the Tarjan pass reaches them highest
+    first and numbers them against vertex order, so sets that differ by
+    which sinks they hold tie in size and come out of J in the wrong order.
+    Names are permuted against input order, as in :func:`multigraphs`."""
+    k, m = draw(st.integers(2, max_sinks)), draw(st.integers(1, max_others))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=max_edges))
+    into = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(m, m + k - 1)), max_size=max_edges))
+    pairs += sorted(into, key=lambda p: -p[1])
+    vnames = [f"v{i}" for i in draw(st.permutations(range(m + k)))]
     enames = [f"e{i}" for i in draw(st.permutations(range(len(pairs))))]
     return validate_graph(
         vnames, [(e, vnames[s], vnames[r]) for e, (s, r) in zip(enames, pairs)]
@@ -166,19 +184,27 @@ def test_k1_cycles_match_cycle_counting(g):
 @given(multigraphs())
 def test_strong_components_match_networkx(g):
     """The Tarjan pass as a partition of the vertices, not only through the
-    K-kinds it decides."""
-    comp = _strong_components(_index(g).succ)
+    K-kinds it decides: its SCC numbers, the vertex lists it keeps per SCC,
+    and the numbering, every SCC's successors before it."""
+    _, _, comp, members = _k_classes(g)
     parts: dict[int, set] = {}
     for v, c in zip(g.vertices, comp):
         parts.setdefault(c, set()).add(v)
     want = nx.strongly_connected_components(_networkx(g))
     assert sorted(map(sorted, parts.values())) == sorted(map(sorted, want))
+    assert [sorted(vs) for vs in members] == [
+        sorted(i for i, d in enumerate(comp) if d == c) for c in range(len(members))
+    ]
+    succ = _index(g).succ
+    assert all(comp[w] <= comp[v] for v in range(len(comp)) for w in succ[v])
 
 
-@given(multigraphs(max_vertices=10, max_edges=16))
+@given(multigraphs(max_vertices=10, max_edges=16) | sinks_against_order())
 def test_hs_sets_match_brute_force(g):
     """Up to ten vertices, so J has many elements and breadth-first order
-    often differs from (size, vertex order), which the listing then sorts."""
+    often differs from (size, vertex order), which the listing then sorts;
+    sinks numbered against vertex order make same-size ties the only
+    disorder of some listings."""
     assert all_hereditary_saturated_sets(g) == hs_sets_by_brute_force(g)
 
 
@@ -209,7 +235,7 @@ def test_lattice_covers_match_definition(g):
     assert poset.covers == covers_by_definition(sets, lambda a, b: a <= b)
 
 
-@given(multigraphs(max_vertices=9, max_edges=14))
+@given(multigraphs(max_vertices=9, max_edges=14) | sinks_against_order())
 def test_lattice_matches_the_lindig_oracle(g):
     """Down-sets of J give the sets, their order and their covers that n
     closures per set give."""

@@ -1,11 +1,14 @@
 """Scale envelope: commands on large graphs answer in bounded time, run in
-process through ``cli.main`` so that a traceback fails the test."""
+process through ``cli.main`` so that a traceback fails the test, and the
+library's listing of hereditary saturated sets where printing the names
+would be the cost."""
 
 import json
 import time
 
 import pytest
 
+from leavitt import all_hereditary_saturated_sets, validate_graph
 from leavitt.cli import main
 
 
@@ -56,3 +59,43 @@ def test_member_budget_refuses_the_reversed_20000_vertex_loop_chain(tmp_path, ca
             assert code == 1 and out == ""
             assert err == "error: more than 10000000 members of hereditary saturated sets\n"
             assert elapsed < 2.0
+
+
+def test_sixteen_sinks_behind_a_2000_vertex_path_list_in_under_a_second():
+    """The path's end feeds sinks s0..s15, so every subset of the sinks is
+    a down-set of J, 65,536 in all.  The path's vertices share one need-set
+    and join each set as one group, so a set costs the same whatever the
+    path's length."""
+    n = 2000
+    vs = [f"s{j}" for j in range(16)] + [f"p{i}" for i in range(n)]
+    es = [(f"a{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)]
+    es += [(f"b{j}", f"p{n - 1}", f"s{j}") for j in range(16)]
+    g = validate_graph(vs, es)
+    start = time.perf_counter()
+    sets = all_hereditary_saturated_sets(g)
+    elapsed = time.perf_counter() - start
+    assert len(sets) == 65536
+    assert sets[0].mask == 0 and sets[-1].mask == (1 << (n + 16)) - 1
+    assert all(s.mask < 1 << 16 for s in sets[:-1])  # only all 16 sinks pull the path in
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "name, n, pairs",
+    [
+        ("isolated100000", 100000, []),
+        ("star100000", 100001, [(0, i) for i in range(1, 100001)]),
+    ],
+)
+def test_hs_set_budget_refuses_100000_sinks_before_listing(tmp_path, capsys, name, n, pairs):
+    """100,000 sinks are pairwise incomparable in J, so they have 2^100000
+    down-sets: both commands exit 1 on the sinks' count, before J is built."""
+    path = _graph_file(tmp_path, name, n, pairs)
+    for command in ("hs-sets", "graded-lattice"):
+        start = time.perf_counter()
+        code = main([command, "--graph", str(path), "--format", "json"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: more than 65536 hereditary saturated sets\n"
+        assert elapsed < 2.0
