@@ -308,12 +308,6 @@ def _walk(g: Graph, here: int, es: tuple) -> tuple[tuple[int, ...], int]:
     return tuple(ids), here
 
 
-def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
-    """The rotation of a cycle's distinct edge ids that starts at the least."""
-    i = ids.index(min(ids))
-    return ids[i:] + ids[:i]
-
-
 class Cycle(Record):
     """Closed path with pairwise-distinct edge sources, held as its edge ids.
 
@@ -350,7 +344,9 @@ class Cycle(Record):
         return tuple([ends[e][0] for e in self.ids])
 
     def rotation_key(self) -> tuple[int, ...]:
-        return _least_rotation(self.ids)
+        """The edge ids rotated to start at the least, shared by all rotations."""
+        i = self.ids.index(min(self.ids))
+        return self.ids[i:] + self.ids[:i]
 
     def canonical(self) -> "Cycle":
         return Cycle(self.graph, self.rotation_key())
@@ -478,11 +474,6 @@ def _k1_cycle_ids(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _k1_key(g: Graph, v: int) -> tuple[int, ...] | None:
-    """Rotation key of the cycle of vertex id v, or None unless v is K1."""
-    return _least_rotation(_k1_cycle_ids(g, v)) if _k_classes(g)[0][v] == "K1" else None
-
-
 def classify_vertex(g: Graph, v: str) -> VertexClass:
     """K-classify v by 0 / 1 / >=2 closed simple paths based at it.
 
@@ -547,8 +538,7 @@ class HeredSatSet(Record):
 
 def _mask_names(g: Graph, mask: int) -> tuple[str, ...]:
     """The names of the vertices whose bits are set in ``mask``, in vertex order."""
-    bits = reversed(bin(mask))  # bit i at position i, then "b0"
-    return tuple([v for v, bit in zip(g.vertices, bits) if bit == "1"])
+    return tuple([g.vertices[i] for i in _bits(mask)])
 
 
 def _close(ix: _Index, todo: list[int]) -> int:
@@ -591,9 +581,12 @@ _LOW_BITS = [tuple([i for i in range(8) if m >> i & 1]) for m in range(256)]
 
 def _bits(m: int):
     """The positions of the set bits of ``m``, lowest first: by a table below
-    256, above it by lowest-bit steps, which cost its set bits, not its bytes."""
+    256, by a walk of its bit string if its k set bits of L have k*k > 16*L
+    (the measured crossover), else by lowest-bit steps, each a pass over m."""
     if m < 256:
         return _LOW_BITS[m]
+    if m.bit_count() ** 2 > 16 * m.bit_length():
+        return [i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]  # bit i at i
     out = []
     while m:
         low = m & -m

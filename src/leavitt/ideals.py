@@ -10,12 +10,18 @@ When Condition (K) fails, a K1 vertex v with unique cycle c yields the
 non-graded generator v + c (:func:`nongraded_witness`).
 
 An ideal given by polynomials in K1 cycles plus a vertex set reduces to a
-canonical generating set: one monic polynomial per cycle (gcd), vertex side
-closed hereditarily and saturatedly together with the exit ranges of all
-cycles that keep a polynomial, and polynomials based inside the vertex side
-dropped (:func:`lambda_reduce`, :meth:`LambdaReduction.of`); every ideal
-the library returns has this form.  Containment then reduces to vertex-set
-inclusion plus polynomial divisibility (:func:`contains`).
+canonical generating set (Rangaswamy, J. Algebra 375 (2013)): the monic gcd
+of each cycle's polynomials, kept when the cycle lies outside the vertex
+part, which is one hereditary saturated closure of the vertex generators,
+the basepoints of constant gcds and the exit ranges of the other cycles
+(:func:`lambda_reduce`, :meth:`LambdaReduction.of`).  One closure suffices:
+dropping polynomials adds no generator and removes none, so closing again
+gives the same set.  A hereditary set holding one vertex of a cycle holds
+them all, so it meets the cycle when it holds the basepoint, the source of
+the cycle's first edge.  A cycle through a K1 vertex is that vertex's one
+cycle, so it is K1 when a source on it is.  Every ideal the library returns
+has this form, and containment is vertex-set inclusion plus polynomial
+divisibility (:func:`contains`).
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from math import isinf
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _bits, _close, _exit_ids, _index, _k1_cycle_ids, _k1_key,
-    _k_classes, _lattice, _listing, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _bits, _close, _exit_ids, _index, _k1_cycle_ids, _k_classes,
+    _lattice, _listing, lattice_label,
 )
 from .polynomials import QPoly
 from .records import _EXPONENT, _NOT_ASCII_DIGIT, Record, _refusal
@@ -322,10 +328,9 @@ class CyclePolynomial(Record):
                 "polynomial reduces to a scalar multiple of a vertex; "
                 "use a vertex generator instead"
             )
-        key = cyc.rotation_key()
-        if _k1_key(g, g._vindex[base]) != key:
+        if _k_classes(g)[0][g._vindex[base]] != "K1":  # a cycle through a K1 base is its one cycle
             raise DomainError(f"cycle {cyc} is not the unique closed simple path at {base!r}")
-        return CyclePolynomial(Cycle(g, key), base, p)
+        return CyclePolynomial(cyc.canonical(), base, p)
 
     @property
     def graph(self) -> Graph:
@@ -370,29 +375,30 @@ class LambdaReduction(Record):
         vertices: Iterable[str],
         polys: Mapping[Cycle, QPoly] | Iterable[tuple[Cycle, QPoly]] = (),
     ) -> "LambdaReduction":
+        """The canonical value; a cycle must be K1 and outside the vertex part,
+        validated hereditary first, which its basepoint shows (module docstring)."""
         part = HeredSatSet.of(g, _listing(vertices, "vertices"))
         items = polys.items() if isinstance(polys, Mapping) else polys
-        rng = _index(g).rng
-        out = []
-        seen = set()
+        kinds, rng = _k_classes(g)[0], _index(g).rng
+        out = {}
         for cyc, p in items:
             if cyc.graph != g:
                 raise DomainError("cycle over a different graph")
             c = cyc.canonical()
-            if c.ids in seen:
+            if c.ids in out:
                 raise DomainError(f"two polynomials on cycle {c}")
-            seen.add(c.ids)
-            if _k1_key(g, rng[c.ids[-1]]) != c.ids:  # the source of the first edge
+            base = rng[c.ids[-1]]
+            if kinds[base] != "K1":
                 raise DomainError(f"cycle {c} is not a K1 cycle")
             if p.degree < 1 or not p.nums[0] or not p.is_monic:
                 raise DomainError(
                     f"polynomial {p} on cycle {c} is not monic with nonzero "
                     "constant term and positive degree"
                 )
-            if any(part.mask >> rng[e] & 1 for e in c.ids):
+            if part.mask >> base & 1:
                 raise DomainError(f"cycle {c} is based inside the vertex part")
-            out.append((c, p))
-        return _reduce(g, out, part.mask)
+            out[c.ids] = (c, p)
+        return _reduce(g, out.values(), part.mask)
 
     def __str__(self) -> str:
         vs = ", ".join(self.vertex_part.sorted_members())
@@ -403,12 +409,11 @@ class LambdaReduction(Record):
 def lambda_reduce(g: Graph, gens: LambdaGeneratorSet) -> LambdaReduction:
     """Canonical generating data of the ideal generated by ``gens``.
 
-    Per cycle the polynomials collapse to their monic gcd; a gcd of one
-    becomes the cycle's basepoint vertex.  The vertex side is the
-    hereditary saturated closure of the vertex generators, those basepoint
-    vertices, and the exit ranges of all cycles that keep a polynomial;
-    polynomials whose cycle meets the vertex side are dropped, iterating to
-    a fixed point.
+    Per cycle the polynomials collapse to their monic gcd; a constant gcd
+    becomes the cycle's basepoint vertex.  The vertex part is one hereditary
+    saturated closure of the vertex generators, those basepoints and the
+    exit ranges of the other cycles, and a cycle keeps its polynomial when
+    its basepoint lies outside it; no second closure would change either.
     """
     if gens.graph != g:
         raise DomainError("generator set over a different graph")
@@ -422,7 +427,8 @@ def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> Lambda
     nonzero constant term, and ``mask`` the vertex generators as a bitmask
     over vertex ids, as the ``of`` constructors validate them; nothing is
     checked again here.  Cycles are keyed by their edge ids, and the vertex
-    side stays a bitmask: the closure's mask is the returned vertex part.
+    part is the bitmask of the one closure, which is hereditary: a cycle is
+    outside it when its basepoint's bit ``rng[key[-1]]`` is clear, never for a constant gcd.
     """
     by_cycle: dict[tuple[int, ...], QPoly] = {}
     for c, p in pairs:
@@ -430,26 +436,13 @@ def _reduce(g: Graph, pairs: Iterable[tuple[Cycle, QPoly]], mask: int) -> Lambda
         by_cycle[c.ids] = p if prev is None else QPoly.gcd(prev, p)
 
     ix = _index(g)
-    ids = set(_bits(mask))
-    surviving: dict[tuple[int, ...], QPoly] = {}
+    rng, ids = ix.rng, set(_bits(mask))
     for key, p in by_cycle.items():
-        if p.degree == 0:
-            ids.add(ix.rng[key[-1]])  # the basepoint, source of the first edge
-        else:
-            surviving[key] = p.monic()
-
-    while True:
-        for key in surviving:
-            ids |= _exit_ids(ix, key)
-        mask = _close(ix, list(ids))
-        dropped = [key for key in surviving if any(mask >> ix.rng[e] & 1 for e in key)]
-        if not dropped:
-            break
-        for key in dropped:
-            del surviving[key]
-
-    polys = tuple([(Cycle(g, key), surviving[key]) for key in sorted(surviving)])
-    return LambdaReduction(g, HeredSatSet(g, mask), polys)
+        ids |= _exit_ids(ix, key) if p.degree else {rng[key[-1]]}
+    mask = _close(ix, list(ids))
+    polys = [(Cycle(g, key), by_cycle[key].monic()) for key in sorted(by_cycle)
+             if not mask >> rng[key[-1]] & 1]
+    return LambdaReduction(g, HeredSatSet(g, mask), tuple(polys))
 
 
 def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
@@ -462,7 +455,8 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     the library returns is, so nothing is reduced here: a's vertex part
     must lie in b's, and each polynomial of a must sit on a cycle that
     meets b's vertex part or be divisible by b's polynomial on that cycle
-    (a missing polynomial acts as the zero polynomial).
+    (a missing polynomial acts as the zero polynomial); b's vertex part is
+    hereditary, so it meets a cycle when it holds the cycle's basepoint.
     """
     if a.graph != g or b.graph != g:
         raise DomainError("reductions over a different graph")
@@ -471,7 +465,7 @@ def contains(g: Graph, a: LambdaReduction, b: LambdaReduction) -> bool:
     rng, bmask = _index(g).rng, b.vertex_part.mask
     bmap = {c.ids: q for c, q in b.polys}
     for c, p in a.polys:
-        if any(bmask >> rng[e] & 1 for e in c.ids):
+        if bmask >> rng[c.ids[-1]] & 1:
             continue
         q = bmap.get(c.ids)
         if q is None or not q.divides(p):

@@ -38,7 +38,7 @@ from leavitt import (
     normalize,
     validate_graph,
 )
-from leavitt.graphs import _close, _index, lattice_label
+from leavitt.graphs import _bits, _close, _exit_ids, _index, lattice_label
 from leavitt.twovertex import SkeletonFamily
 from leavitt.twovertex import _CLASS_OF_TYPE, _ID_BY_SHAPE, _SHAPES_16
 
@@ -739,6 +739,38 @@ def generator_set_of(red: LambdaReduction) -> LambdaGeneratorSet:
     cycle based at the cycle's first source."""
     polys = tuple(CyclePolynomial(c, c.sources[0], p) for c, p in red.polys)
     return LambdaGeneratorSet(red.graph, polys, red.vertex_part.mask)
+
+
+def reduce_by_fixed_point(g: Graph, pairs, mask: int) -> LambdaReduction:
+    """Lambda reduction by iterating to a fixed point: the monic gcd per
+    cycle, a constant gcd's basepoint as a vertex, then close over the exit
+    ranges of the cycles still holding a polynomial, drop those that meet
+    the closure edge by edge, and repeat until none is dropped.  ``pairs``
+    hold canonical K1 cycles with polynomials, ``mask`` the vertex
+    generators, as the library's reduction takes them."""
+    by_cycle = {}
+    for c, p in pairs:
+        prev = by_cycle.get(c.ids)
+        by_cycle[c.ids] = p if prev is None else QPoly.gcd(prev, p)
+    ix = _index(g)
+    ids = set(_bits(mask))
+    surviving = {}
+    for key, p in by_cycle.items():
+        if p.degree == 0:
+            ids.add(ix.rng[key[-1]])
+        else:
+            surviving[key] = p.monic()
+    while True:
+        for key in surviving:
+            ids |= _exit_ids(ix, key)
+        mask = _close(ix, list(ids))
+        dropped = [key for key in surviving if any(mask >> ix.rng[e] & 1 for e in key)]
+        if not dropped:
+            break
+        for key in dropped:
+            del surviving[key]
+    polys = tuple((Cycle(g, key), surviving[key]) for key in sorted(surviving))
+    return LambdaReduction(g, HeredSatSet(g, mask), polys)
 
 
 def generator_set_to_json(gens: LambdaGeneratorSet) -> dict:

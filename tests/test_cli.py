@@ -933,3 +933,23 @@ def test_member_budget_exits_1(tmp_path, capsys, monkeypatch):
                     assert err == "error: more than 31 members of hereditary saturated sets\n"
                 else:
                     assert out and err == ""
+
+
+def test_a_sample_of_the_differential_inputs_exits_without_a_traceback(tmp_path, capsys):
+    """2,000 of the argument lists that ``tests/lpa_differential.py`` compares
+    between two trees, drawn with a fixed seed, malformed ones among them, run
+    in process: each exits 0, 1 or 2, and none raises."""
+    from lpa_differential import build_cases
+
+    codes = set()
+    for argv in random.Random(0).sample(build_cases(str(tmp_path), 300), 2000):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help, and the usage errors of argparse
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -628,6 +628,30 @@ def test_reduction_core_matches_the_generator_set_round_trip():
             assert _reduce(g, r.polys, r.vertex_part.mask) == old_path
 
 
+def test_a_reduction_closes_once(monkeypatch):
+    """The vertex generator w lies upstream of u's loop, so the closure holds
+    u and drops the loop's polynomial; closing again would change nothing,
+    and no reduction runs a second closure."""
+    from leavitt import ideals
+
+    calls = []
+    close = ideals._close
+
+    def counting(ix, todo):
+        calls.append(ix)
+        return close(ix, todo)
+
+    monkeypatch.setattr(ideals, "_close", counting)
+    g = validate_graph(["w", "u"], [("e", "u", "u"), ("a", "w", "u")])
+    gens = LambdaGeneratorSet.of(g, [CyclePolynomial.of(g, ["e"], "u", [1, 1])], ["w"])
+    red = lambda_reduce(g, gens)
+    assert red.vertex_part.members == {"w", "u"} and red.polys == ()
+    assert len(calls) == 1
+    kept = LambdaReduction.of(g, [], [(Cycle.of(g, ["e"]), QPoly.of([1, 1]))])
+    assert str(kept) == "vertices {} with x + 1 on (e)"
+    assert len(calls) == 2
+
+
 def test_lambda_reduce_results_are_fixed_points_of_of():
     """``of`` validates and normalizes; the core skips it, so its results
     must already pass it unchanged."""

@@ -7,6 +7,7 @@ graded ideals."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd
@@ -41,7 +42,9 @@ from helpers import (
     outcome,
     parse_graph_line_by_line,
     paths_by_range,
+    reduce_by_fixed_point,
     rotation_key_by_rotations,
+    simple_cycles_through,
     skeleton_dot_by_all_pairs,
     skeleton_families_by_closure,
     term_order,
@@ -58,6 +61,7 @@ from leavitt import (
     HeredSatSet,
     contains,
     LambdaGeneratorSet,
+    LambdaReduction,
     LatticeSkeleton,
     ParseError,
     Poset,
@@ -73,6 +77,7 @@ from leavitt import (
     generator_set_from_json,
     graded_components,
     graded_lattice,
+    hereditary_saturated_closure,
     is_graded,
     k1_cycles,
     lambda_reduce,
@@ -746,6 +751,92 @@ def test_containment_is_absorption_under_lambda_reduction(case):
     ga, gb = generator_set_of(a), generator_set_of(b)
     joint = LambdaGeneratorSet(g, ga.polys + gb.polys, ga.mask | gb.mask)
     assert contains(g, a, b) == (lambda_reduce(g, joint) == b)
+
+
+@st.composite
+def loop_chain_forests(draw):
+    """One or two chains x0 -> x1 -> ... of up to five vertices with a loop
+    at every vertex, under shuffled vertex and edge order: every loop is a
+    K1 cycle, upstream of the loops after it on its chain."""
+    pairs, n = [], 0
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)):
+        pairs += [(n + i, n + i) for i in range(size)]
+        pairs += [(n + i - 1, n + i) for i in range(1, size)]
+        n += size
+    names = [f"x{i}" for i in range(n)]
+    pairs = draw(st.permutations(pairs))
+    return validate_graph(
+        draw(st.permutations(names)),
+        [(f"e{k}", names[s], names[r]) for k, (s, r) in enumerate(pairs)],
+    )
+
+
+@st.composite
+def generated_ideals(draw):
+    """Generators on a loop-rich multigraph or a loop-chain forest: up to
+    three polynomials from POLYS per K1 cycle, at any source, so cycles
+    repeat and their gcds are constant (x - 1 with x + 1) or not, and up to
+    two vertices, which may lie upstream of cycles."""
+    g = draw(loop_rich_multigraphs() | loop_chain_forests())
+    polys = [
+        CyclePolynomial.of(g, c.edges, draw(st.sampled_from(c.sources)), coeffs)
+        for c in k1_cycles(g)
+        for coeffs in draw(st.lists(st.sampled_from(POLYS), max_size=3))
+    ]
+    vertices = draw(st.sets(st.sampled_from(g.vertices), max_size=2))
+    return g, LambdaGeneratorSet.of(g, polys, vertices)
+
+
+@given(generated_ideals())
+def test_reduction_matches_the_fixed_point_loop(case):
+    """One closure gives what closing and dropping until nothing drops gave:
+    through ``lambda_reduce`` on the generators, and through
+    ``LambdaReduction.of`` on the closure of the vertex generators with one
+    monic polynomial on each cycle outside it, given at another rotation."""
+    g, gens = case
+    pairs = [(cp.cycle, cp.poly) for cp in gens.polys]
+    assert lambda_reduce(g, gens) == reduce_by_fixed_point(g, pairs, gens.mask)
+    vertices = [v for i, v in enumerate(g.vertices) if gens.mask >> i & 1]
+    part = hereditary_saturated_closure(g, vertices)
+    outside = {}
+    for c, p in pairs:
+        if c.sources[0] not in part:
+            outside.setdefault(c, p.monic())
+    want = reduce_by_fixed_point(g, outside.items(), part.mask)
+    rotated = [(Cycle(g, c.ids[1:] + c.ids[:1]), p) for c, p in outside.items()]
+    assert LambdaReduction.of(g, part.members, rotated) == want
+
+
+@settings(max_examples=100)
+@given(multigraphs(max_vertices=6, max_edges=10) | loop_rich_multigraphs())
+def test_cycle_polynomials_are_accepted_exactly_on_k1_cycles(g):
+    """``CyclePolynomial.of`` asks only whether its base is a K1 vertex: each
+    cycle of g, at each of its sources, is accepted exactly when the
+    cycle-counting oracle lists it, and otherwise refused with the message
+    that names the cycle and the base."""
+    k1 = set(k1_cycles_by_cycle_count(g))
+    for v in g.vertices:
+        for c in simple_cycles_through(g, v):  # rotated to start at v
+            canonical = tuple(g.edges[i] for i in rotation_key_by_rotations(c))
+            if canonical in k1:
+                assert CyclePolynomial.of(g, c.edges, v, [1, 1]).cycle.edges == canonical
+            else:
+                message = f"cycle {c} is not the unique closed simple path at {v!r}"
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    CyclePolynomial.of(g, c.edges, v, [1, 1])
+
+
+@given(multigraphs(max_vertices=6) | loop_rich_multigraphs())
+def test_a_k1_cycle_meets_a_hereditary_set_exactly_at_its_basepoint(g):
+    """The bit test that ``LambdaReduction.of``, the reduction and
+    ``contains`` make: a K1 cycle, as the cycle-counting oracle lists it,
+    meets a hereditary saturated set from the brute-force listing exactly
+    when the set holds the source of its first edge."""
+    sets = hs_sets_by_brute_force(g)
+    for edges in k1_cycles_by_cycle_count(g):
+        sources = [g.src(e) for e in edges]
+        for s in sets:
+            assert any(v in s for v in sources) == (sources[0] in s)
 
 
 # --- ingest against the retired per-item checks --------------------------------

@@ -1,7 +1,6 @@
 """Scale envelope: commands on large graphs answer in bounded time, run in
 process through ``cli.main`` so that a traceback fails the test, and the
-library's listing of hereditary saturated sets where printing the names
-would be the cost."""
+library's listing of hereditary saturated sets apart from printing it."""
 
 import json
 import time
@@ -12,12 +11,25 @@ from leavitt import all_hereditary_saturated_sets, validate_graph
 from leavitt.cli import main
 
 
-def _graph_file(tmp_path, name, n, pairs):
-    lines = ["vertices: " + " ".join(f"v{i}" for i in range(n))]
-    lines += [f"edge e{k}: v{s} -> v{r}" for k, (s, r) in enumerate(pairs)]
+def _write_graph(tmp_path, name, vertices, edges):
+    lines = ["vertices: " + " ".join(vertices)]
+    lines += [f"edge {e}: {s} -> {r}" for e, s, r in edges]
     path = tmp_path / f"{name}.graph"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _graph_file(tmp_path, name, n, pairs):
+    edges = [(f"e{k}", f"v{s}", f"v{r}") for k, (s, r) in enumerate(pairs)]
+    return _write_graph(tmp_path, name, [f"v{i}" for i in range(n)], edges)
+
+
+def _sinks_behind_a_path(n=2000):
+    """Sinks s0..s15, then a path p0 -> ... -> p(n-1) whose end feeds each sink."""
+    vs = [f"s{j}" for j in range(16)] + [f"p{i}" for i in range(n)]
+    es = [(f"a{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)]
+    es += [(f"b{j}", f"p{n - 1}", f"s{j}") for j in range(16)]
+    return vs, es
 
 
 @pytest.mark.parametrize(
@@ -67,10 +79,7 @@ def test_sixteen_sinks_behind_a_2000_vertex_path_list_in_under_a_second():
     and join each set as one group, so a set costs the same whatever the
     path's length."""
     n = 2000
-    vs = [f"s{j}" for j in range(16)] + [f"p{i}" for i in range(n)]
-    es = [(f"a{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)]
-    es += [(f"b{j}", f"p{n - 1}", f"s{j}") for j in range(16)]
-    g = validate_graph(vs, es)
+    g = validate_graph(*_sinks_behind_a_path(n))
     start = time.perf_counter()
     sets = all_hereditary_saturated_sets(g)
     elapsed = time.perf_counter() - start
@@ -78,6 +87,52 @@ def test_sixteen_sinks_behind_a_2000_vertex_path_list_in_under_a_second():
     assert sets[0].mask == 0 and sets[-1].mask == (1 << (n + 16)) - 1
     assert all(s.mask < 1 << 16 for s in sets[:-1])  # only all 16 sinks pull the path in
     assert elapsed < 1.0
+
+
+def test_sixteen_sinks_behind_a_2000_vertex_path_print_in_under_a_second(tmp_path, capsys):
+    """The same 65,536 sets through ``lpa hs-sets --format text``, with the
+    sinks listed after the path: a set's names are read off its set bits, so
+    a set of sinks costs its members, not the 2,000 ids below them."""
+    vs, es = _sinks_behind_a_path()
+    path = _write_graph(tmp_path, "sinks", vs[16:] + vs[:16], es)
+    start = time.perf_counter()
+    code = main(["hs-sets", "--graph", str(path), "--format", "text"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert len(lines) == 65536
+    assert lines[:3] == ["{}", "{s0}", "{s1}"] and lines[-1].count(", ") == 2015
+    assert not any("p" in line for line in lines[:-1])  # only all 16 sinks pull the path in
+    assert elapsed < 1.0
+
+
+def test_a_vertex_at_the_top_of_the_reversed_10000_vertex_loop_chain_drops_2000_polynomials(
+    tmp_path, capsys
+):
+    """Loops at v0..v9999, each vertex feeding the one before, and an ideal
+    file with x + 1 on 2,000 of the loops and the vertex v9999, which reaches
+    every vertex: both commands reduce it with one closure to the whole
+    vertex set and no polynomial."""
+    n = 10000
+    pairs = [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+    path = _graph_file(tmp_path, "chain10000", n, pairs)
+    polys = [{"cycle": [f"e{i}"], "base": f"v{i}", "coeffs": ["1", "1"]} for i in range(0, n, 5)]
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"vertices": [f"v{n - 1}"], "polys": polys}))
+    top = json.dumps({"vertices": [f"v{n - 1}"]})
+    everything = {"vertices": [f"v{i}" for i in range(n)], "polys": []}
+    for argv, want in [
+        (["lambda-reduce", "--ideal", str(ideal)], everything),
+        (["contains", top, str(ideal)], {"contains": True}),  # only if the file holds every vertex
+    ]:
+        start = time.perf_counter()
+        code = main([argv[0], "--graph", str(path), "--format", "json", *argv[1:]])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out) == want
+        assert elapsed < 2.0
 
 
 @pytest.mark.parametrize(
