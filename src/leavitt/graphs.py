@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from itertools import compress
 
 from .errors import DomainError, GraphError
 from .records import Record, _set
@@ -474,6 +475,16 @@ def _k1_cycle_ids(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def _is_k1_cycle(g: Graph, ids: tuple[int, ...]) -> bool:
+    """Whether the edge ids ``ids`` are a rotation of a K1 vertex's one cycle,
+    which is all of its SCC: each edge the inner edge at the range of the one
+    before it, the last before the first, and as many edges as the SCC has."""
+    rng, (kinds, inner, comp, members) = _index(g).rng, _k_classes(g)
+    v = rng[ids[-1]]
+    ok = kinds[v] == "K1" and len(ids) == len(members[comp[v]])
+    return ok and all(inner[rng[a]] == b for a, b in zip(ids[-1:] + ids, ids))
+
+
 def classify_vertex(g: Graph, v: str) -> VertexClass:
     """K-classify v by 0 / 1 / >=2 closed simple paths based at it.
 
@@ -523,7 +534,7 @@ class HeredSatSet(Record):
         return frozenset(self.sorted_members())
 
     def sorted_members(self) -> tuple[str, ...]:
-        return _mask_names(self.graph, self.mask)
+        return tuple([self.graph.vertices[i] for i in _bits(self.mask)])
 
     def __contains__(self, v: str) -> bool:
         vi = self.graph._vindex
@@ -534,11 +545,6 @@ class HeredSatSet(Record):
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.sorted_members()) + "}"
-
-
-def _mask_names(g: Graph, mask: int) -> tuple[str, ...]:
-    """The names of the vertices whose bits are set in ``mask``, in vertex order."""
-    return tuple([g.vertices[i] for i in _bits(mask)])
 
 
 def _close(ix: _Index, todo: list[int]) -> int:
@@ -577,22 +583,18 @@ def all_hereditary_saturated_sets(g: Graph) -> tuple[HeredSatSet, ...]:
 
 
 _LOW_BITS = [tuple([i for i in range(8) if m >> i & 1]) for m in range(256)]
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bits(m: int):
     """The positions of the set bits of ``m``, lowest first: by a table below
-    256, by a walk of its bit string if its k set bits of L have k*k > 16*L
-    (the measured crossover), else by lowest-bit steps, each a pass over m."""
+    256, above it by one C pass that selects, from the lowest set bit to the
+    highest, each position whose byte in the bit string is one."""
     if m < 256:
         return _LOW_BITS[m]
-    if m.bit_count() ** 2 > 16 * m.bit_length():
-        return [i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1"]  # bit i at i
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
+    low = (m & -m).bit_length() - 1
+    flags = bin(m >> low)[:1:-1].encode().translate(_FLAGS)  # byte i is bit low + i
+    return compress(range(low, m.bit_length()), flags)
 
 
 def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:

@@ -18,10 +18,10 @@ the basepoints of constant gcds and the exit ranges of the other cycles
 dropping polynomials adds no generator and removes none, so closing again
 gives the same set.  A hereditary set holding one vertex of a cycle holds
 them all, so it meets the cycle when it holds the basepoint, the source of
-the cycle's first edge.  A cycle through a K1 vertex is that vertex's one
-cycle, so it is K1 when a source on it is.  Every ideal the library returns
-has this form, and containment is vertex-set inclusion plus polynomial
-divisibility (:func:`contains`).
+the cycle's first edge.  A K1 vertex's one cycle is all of its SCC, so a
+cycle, even a raw :class:`Cycle`, is K1 when it walks once around such an
+SCC.  Every ideal the library returns has this form, and containment is
+vertex-set inclusion plus polynomial divisibility (:func:`contains`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from math import isinf
 
 from .errors import DomainError, ParseError
 from .graphs import (
-    Cycle, Graph, HeredSatSet, Poset, _bits, _close, _exit_ids, _index, _k1_cycle_ids, _k_classes,
-    _lattice, _listing, lattice_label,
+    Cycle, Graph, HeredSatSet, Poset, _bits, _close, _exit_ids, _index, _is_k1_cycle, _k1_cycle_ids,
+    _k_classes, _lattice, _listing, lattice_label,
 )
 from .polynomials import QPoly
 from .records import _EXPONENT, _NOT_ASCII_DIGIT, Record, _refusal
@@ -328,7 +328,7 @@ class CyclePolynomial(Record):
                 "polynomial reduces to a scalar multiple of a vertex; "
                 "use a vertex generator instead"
             )
-        if _k_classes(g)[0][g._vindex[base]] != "K1":  # a cycle through a K1 base is its one cycle
+        if not _is_k1_cycle(g, cyc.ids):
             raise DomainError(f"cycle {cyc} is not the unique closed simple path at {base!r}")
         return CyclePolynomial(cyc.canonical(), base, p)
 
@@ -379,7 +379,7 @@ class LambdaReduction(Record):
         validated hereditary first, which its basepoint shows (module docstring)."""
         part = HeredSatSet.of(g, _listing(vertices, "vertices"))
         items = polys.items() if isinstance(polys, Mapping) else polys
-        kinds, rng = _k_classes(g)[0], _index(g).rng
+        rng = _index(g).rng
         out = {}
         for cyc, p in items:
             if cyc.graph != g:
@@ -387,15 +387,14 @@ class LambdaReduction(Record):
             c = cyc.canonical()
             if c.ids in out:
                 raise DomainError(f"two polynomials on cycle {c}")
-            base = rng[c.ids[-1]]
-            if kinds[base] != "K1":
+            if not _is_k1_cycle(g, c.ids):
                 raise DomainError(f"cycle {c} is not a K1 cycle")
             if p.degree < 1 or not p.nums[0] or not p.is_monic:
                 raise DomainError(
                     f"polynomial {p} on cycle {c} is not monic with nonzero "
                     "constant term and positive degree"
                 )
-            if part.mask >> base & 1:
+            if part.mask >> rng[c.ids[-1]] & 1:
                 raise DomainError(f"cycle {c} is based inside the vertex part")
             out[c.ids] = (c, p)
         return _reduce(g, out.values(), part.mask)

@@ -694,6 +694,23 @@ def test_reduction_of_rejects_a_cycle_that_is_not_k1():
 
 
 @pytest.mark.parametrize(
+    "g, ids",
+    [(G6, (1,)), (G7, (1,)), (G6, (0, 0)), (C2, (0,))],
+    ids=["open-from-K1", "open-into-K1", "loop-twice", "half-of-C2"],
+)
+def test_raw_cycles_that_are_not_one_turn_of_a_k1_cycle_are_refused(g, ids):
+    """A raw ``Cycle`` checks nothing, so both constructors check that its
+    edges go once around a K1 cycle, not only that one end is a K1 vertex."""
+    raw = Cycle(g, ids)
+    message = f"cycle {raw} is not the unique closed simple path at {raw.sources[0]!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        CyclePolynomial.of(g, raw, raw.sources[0], [1, 1])
+    message = f"cycle {raw.canonical()} is not a K1 cycle"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        LambdaReduction.of(g, (), [(raw, QPoly.of([1, 1]))])
+
+
+@pytest.mark.parametrize(
     "coeffs", [[1, 2], [0, 1], [3], []], ids=["not-monic", "zero-constant", "degree-0", "zero"]
 )
 def test_reduction_of_rejects_a_polynomial_that_is_not_monic_of_positive_degree(coeffs):

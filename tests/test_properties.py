@@ -50,7 +50,7 @@ from helpers import (
     term_order,
     validate_graph_item_by_item,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leavitt import (
@@ -810,10 +810,9 @@ def test_reduction_matches_the_fixed_point_loop(case):
 @settings(max_examples=100)
 @given(multigraphs(max_vertices=6, max_edges=10) | loop_rich_multigraphs())
 def test_cycle_polynomials_are_accepted_exactly_on_k1_cycles(g):
-    """``CyclePolynomial.of`` asks only whether its base is a K1 vertex: each
-    cycle of g, at each of its sources, is accepted exactly when the
-    cycle-counting oracle lists it, and otherwise refused with the message
-    that names the cycle and the base."""
+    """Each cycle of g, at each of its sources, is accepted by
+    ``CyclePolynomial.of`` exactly when the cycle-counting oracle lists it,
+    and otherwise refused with the message that names the cycle and the base."""
     k1 = set(k1_cycles_by_cycle_count(g))
     for v in g.vertices:
         for c in simple_cycles_through(g, v):  # rotated to start at v
@@ -824,6 +823,34 @@ def test_cycle_polynomials_are_accepted_exactly_on_k1_cycles(g):
                 message = f"cycle {c} is not the unique closed simple path at {v!r}"
                 with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                     CyclePolynomial.of(g, c.edges, v, [1, 1])
+
+
+@settings(max_examples=100)
+@given(multigraphs(max_vertices=6, max_edges=10) | loop_rich_multigraphs(), st.data())
+def test_raw_cycles_are_accepted_exactly_on_k1_cycles(g, data):
+    """A raw ``Cycle`` of any edge ids, closed or open, with repeats or not,
+    passes ``CyclePolynomial.of`` and ``LambdaReduction.of`` exactly when it
+    is a rotation of a cycle the cycle-counting oracle lists; otherwise each
+    refuses it with its own message.  Half the draws bend a listed cycle."""
+    assume(g.edges)
+    k1 = set(k1_cycles_by_cycle_count(g))
+    ids = tuple(data.draw(st.lists(st.integers(0, len(g.edges) - 1), min_size=1, max_size=4)))
+    if k1 and data.draw(st.booleans()):
+        c = tuple(g.edge_index(e) for e in data.draw(st.sampled_from(sorted(k1))))
+        k = data.draw(st.integers(0, len(c) - 1))
+        ids = data.draw(st.sampled_from([c[k:] + c[:k], c + c, c[:k] + ids + c[k + 1:]]))
+    raw, one = Cycle(g, ids), QPoly.of([1, 1])
+    base = raw.sources[0]
+    if tuple(g.edges[i] for i in rotation_key_by_rotations(raw)) in k1:
+        assert CyclePolynomial.of(g, raw, base, one).cycle == raw.canonical()
+        assert LambdaReduction.of(g, (), [(raw, one)]).polys == ((raw.canonical(), one),)
+    else:
+        message = f"cycle {raw} is not the unique closed simple path at {base!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CyclePolynomial.of(g, raw, base, one)
+        message = f"cycle {raw.canonical()} is not a K1 cycle"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            LambdaReduction.of(g, (), [(raw, one)])
 
 
 @given(multigraphs(max_vertices=6) | loop_rich_multigraphs())
