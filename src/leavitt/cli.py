@@ -76,13 +76,14 @@ def _classify_vertex(g, args):
 
 def _closure(g, args):
     t = hereditary_saturated_closure(g, [v for v in args.vertices.split(",") if v])
-    return Output({"closure": list(t.sorted_members())}, lambda: [str(t)])
+    ns = t.sorted_members()
+    return Output({"closure": list(ns)}, lambda: ["{" + ", ".join(ns) + "}"])
 
 
 def _hs_sets(g, args):
-    sets = all_hereditary_saturated_sets(g)
-    payload = {"sets": [list(s.sorted_members()) for s in sets]}
-    return Output(payload, lambda: [str(s) for s in sets])
+    names = [s.sorted_members() for s in all_hereditary_saturated_sets(g)]
+    payload = {"sets": [list(ns) for ns in names]}
+    return Output(payload, lambda: ["{" + ", ".join(ns) + "}" for ns in names])
 
 
 def _graded_lattice(g, args):

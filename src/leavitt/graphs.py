@@ -46,10 +46,12 @@ down-sets D of J, the sinks and cyclic SCCs ordered by reachability,
 need(v) being those v reaches, and D + j covers D for each j outside D with
 its strict successors in D (Birkhoff, "Rings of sets", Duke Math. J. 3,
 1937; graded ideals as hereditary saturated sets: Abrams, Ara and Siles
-Molina, *Leavitt Path Algebras*, LNM 2191, 2017).  One listing of the
-down-sets serves :func:`all_hereditary_saturated_sets` and the lattice.
-Every finite order the package draws is a Poset, which stores its covers and
-derives the order from them.
+Molina, *Leavitt Path Algebras*, LNM 2191, 2017).  One pass lists the
+down-sets for :func:`all_hereditary_saturated_sets` and the lattice, each
+mask made from its parent's.  J's elements at one level, the longest chain
+below them, are an antichain (Mirsky, Amer. Math. Monthly 78, 1971), so a
+level of k means at least 2^k sets.  Every finite order the package draws is
+a Poset, which stores its covers and derives the order from them.
 """
 
 from __future__ import annotations
@@ -366,14 +368,13 @@ class VertexClass(Record):
 class _Index:
     """Integer adjacency of a graph, every list in edge input order: ``rng[e]``
     is the range of edge e, ``out[v]`` the edges leaving v, ``succ[v]`` and
-    ``pred[v]`` the range and source of each edge leaving and entering v, and
-    ``outdeg[v]`` the number of edges leaving v.
+    ``pred[v]`` the range and source of each edge leaving and entering v.
     ``expand[e]`` is None unless e is its source's special edge; then it
     lists the other edges leaving that source, which replace e.e*' in the
     vertex identity.  Ids are vertex and edge positions; read-only once built.
     """
 
-    __slots__ = ("rng", "out", "succ", "pred", "outdeg", "expand")
+    __slots__ = ("rng", "out", "succ", "pred", "expand")
 
     def __init__(self, g: Graph) -> None:
         vi = g._vindex
@@ -387,7 +388,6 @@ class _Index:
             out[s].append(e)
             succ[s].append(r)
             pred[r].append(s)
-        self.outdeg = [len(rs) for rs in succ]
         self.expand = expand = [None] * len(rng)
         for es in out:
             if es:
@@ -552,7 +552,7 @@ def _close(ix: _Index, todo: list[int]) -> int:
     bitmask.  ``todo`` is the worklist, and ends listing the members: out-
     neighbours of members join, and so does a vertex once its count of
     out-edges whose range is still outside reaches 0."""
-    succ, pred, missing, mask = ix.succ, ix.pred, ix.outdeg.copy(), 0
+    succ, pred, missing, mask = ix.succ, ix.pred, list(map(len, ix.succ)), 0
     for v in todo:
         mask |= 1 << v
     for w in todo:  # grows while it is read
@@ -597,24 +597,24 @@ def _bits(m: int):
     return compress(range(low, m.bit_length()), flags)
 
 
-def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Bitmasks of the hereditary saturated sets by (size, vertex order), and
-    beside each its node (D, addable, parent, last j): D its down-set of J
-    over SCC numbers, ``addable`` the j outside D whose strict successors in
-    J all lie in D.  Each SCC of :func:`_k_classes` keeps ``first``, the
-    elements of J met first out of it (itself, when in J); j in J keeps its
-    own as ``under`` and is ``above`` them.  The vertices sharing a ``first``
-    join D + j as one mask once j completes it.  Sinks, like an addable set,
-    are pairwise incomparable, so k of them make at least 2^k sets: against
-    HS_SET_BUDGET the sinks are checked before J is built, an addable set as
-    it grows, and the down-sets as they are listed, breadth first, before
-    any vertex mask; past MEMBER_BUDGET members in all it raises DomainError.
-    Only when a pair is out of order, the later mask smaller or as large
-    with the lowest bit of the two's difference in it, is it sorted."""
+    beside each its node (D, addable, last j): D its down-set of J over SCC
+    numbers, ``addable`` the j outside D whose strict successors in J all
+    lie in D.  Each SCC of :func:`_k_classes` keeps ``first``, the elements
+    of J met first out of it (itself, when in J); j in J keeps its own as
+    ``under`` and is ``above`` them.  The vertices sharing a ``first`` join
+    D + j as one mask once j completes it.  HS_SET_BUDGET refuses 2^k for k
+    sinks (before the K-classes), k at one level of J or k addable, each an
+    antichain, and the down-sets as one breadth-first pass lists them, each
+    mask made from its parent's and its members tallied against MEMBER_BUDGET.
+    Only a listing with a pair out of order (the later mask smaller, or as
+    large with the lowest bit of their difference in it) is sorted."""
     ix = _index(g)
-    _check_sets(1 << ix.outdeg.count(0))
+    _check_sets(1 << ix.succ.count([]))
     succ, (kinds, _, comp, members) = ix.succ, _k_classes(g)
     first, under, above, joins, groups, start = [0] * len(members), {}, {}, {}, {}, 0
+    level, width = [0] * len(members), [0] * len(members)
     for c, vs in enumerate(members):
         low = own = 0  # first[c] is still 0, so edges inside c add nothing
         for v in vs:
@@ -624,6 +624,9 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
         if not low or kinds[vs[0]] != "K0":  # a sink or a cycle: an element of J
             for d in _bits(low):
                 above[d].append(c)
+                level[c] = max(level[c], level[d] + 1)
+            width[level[c]] += 1
+            _check_sets(1 << width[level[c]])
             start |= 0 if low else 1 << c
             under[c], above[c], joins[c], low = low, [], [], 1 << c
         first[c] = low
@@ -631,31 +634,27 @@ def _hs_listing(g: Graph) -> tuple[list[int], list[tuple[int, int, int, int]]]:
     for low, own in groups.items():
         for d in _bits(low):
             joins[d].append((low, own))
-    _check_sets(1 << start.bit_count())
-    nodes = [(0, start, 0, -1)]
-    for i, (d, a, _, last) in enumerate(nodes):  # grows while it is read
+    nodes, masks, size, total, ordered = [(0, start, -1)], [0], 0, 0, True
+    for i, (d, a, last) in enumerate(nodes):  # grows while it is read
         for c in _bits(a >> (last + 1) << (last + 1)):  # past last: each down-set once
-            e, more = d | 1 << c, a ^ 1 << c
+            e, more, m = d | 1 << c, a ^ 1 << c, masks[i]
             for k in above[c]:
                 if not under[k] & ~e:
                     more |= 1 << k
                     _check_sets(1 << more.bit_count())
-            nodes.append((e, more, i, c))
+            for low, part in joins[c]:
+                if not low & ~e:
+                    m |= part
+            k = m.bit_count()
+            total += k
+            if total > MEMBER_BUDGET:
+                raise DomainError(f"more than {MEMBER_BUDGET} members of hereditary saturated sets")
+            if k < size or k == size and (x := m ^ masks[-1]) & -x & m:
+                ordered = False
+            size = k
+            nodes.append((e, more, c))
+            masks.append(m)
         _check_sets(len(nodes))
-    masks, size, total, ordered = [0], 0, 0, True
-    for d, _, parent, c in nodes[1:]:
-        m = masks[parent]
-        for low, part in joins[c]:
-            if not low & ~d:
-                m |= part
-        k = m.bit_count()
-        total += k
-        if total > MEMBER_BUDGET:
-            raise DomainError(f"more than {MEMBER_BUDGET} members of hereditary saturated sets")
-        if k < size or k == size and (x := m ^ masks[-1]) & -x & m:
-            ordered = False
-        size = k
-        masks.append(m)
     if not ordered:  # size up, then the bit strings read from bit 0, greatest first
         rows = sorted(zip(masks, nodes), reverse=True,
                       key=lambda r: (-r[0].bit_count(), bin(r[0])[:1:-1]))
@@ -674,7 +673,7 @@ def _lattice(g: Graph) -> tuple[list[int], tuple[tuple[int, int], ...], list[int
     positions, D -> D + j for each addable j, and their down-sets of J."""
     masks, nodes = _hs_listing(g)
     at = {node[0]: k for k, node in enumerate(nodes)}  # in position order
-    covers = sorted([(k, at[d | 1 << c]) for k, (d, a, _, _) in enumerate(nodes) for c in _bits(a)])
+    covers = sorted([(k, at[d | 1 << c]) for k, (d, a, _) in enumerate(nodes) for c in _bits(a)])
     return masks, tuple(covers), list(at)
 
 

@@ -3,6 +3,7 @@
 Usage, from the root of a checkout::
 
     python tests/lpa_differential.py --base REV [--graphs N]
+    python tests/lpa_differential.py --write-golden
 
 The ``src/`` of REV is extracted with ``git archive`` and compared with the
 working tree's ``src/``.  One worker process per tree runs
@@ -23,6 +24,12 @@ unknown option and an extra positional.  Each differing argument list is
 printed with the fields that differ, and the exit status is 1 on any
 difference, 0 otherwise.
 
+``--write-golden`` instead runs a seeded sample of 2,000 of these argument
+lists (300 random graphs) in this process, with ``COLUMNS=80`` so that help
+text wraps alike everywhere, and writes ``tests/golden/lpa_sample.txt``: a
+header naming the seed and the count, then one digest per list, in sample
+order, which tier-1 compares with the working tree's outputs.
+
 It uses the standard library, ``git``, the working tree's ``leavitt`` and
 ``tests/helpers.py`` only, and is not collected by pytest.
 """
@@ -30,6 +37,8 @@ It uses the standard library, ``git``, the working tree's ``leavitt`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -47,8 +56,15 @@ sys.path.insert(0, HEAD_SRC)
 from helpers import k1_cycles_by_cycle_count
 from leavitt import validate_graph
 from leavitt.cli import COMMANDS
+from leavitt.cli import main as lpa
 
 SEED = 0
+SAMPLE = 2000  # argument lists of the golden sample, out of build_cases(..., 300)
+GOLDEN = os.path.join(ROOT, "tests", "golden", "lpa_sample.txt")
+GOLDEN_HEADER = (
+    f"# seed {SEED}, {SAMPLE} argument lists of 300 graphs: sha256 of the JSON"
+    " [stdout, stderr, exit code], 16 hex digits, the inputs' directory as {dir}"
+)
 
 # Run by ``python -s -c WORKER SRC CASES RESULTS``: import ``leavitt`` from
 # SRC, run every argument list of CASES, write the outcomes to RESULTS.
@@ -282,6 +298,39 @@ def build_cases(directory: str, graphs: int) -> list[list[str]]:
     return cases
 
 
+def sample_cases(directory: str) -> list[list[str]]:
+    """The seeded sample of the golden file, its graph files under ``directory``."""
+    return random.Random(SEED).sample(build_cases(directory, 300), SAMPLE)
+
+
+def run_in_process(argv: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of ``lpa argv`` in this process; any
+    exception but SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = lpa(argv)
+        except SystemExit as exc:  # --help, and the usage errors of argparse
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def digest(directory: str, out: str, err: str, code: int) -> str:
+    """16 hex digits of the sha256 of an outcome, ``directory`` written {dir}."""
+    fields = [out.replace(directory, "{dir}"), err.replace(directory, "{dir}"), code]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()[:16]
+
+
+def write_golden() -> None:
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = [digest(tmp, *run_in_process(argv)) for argv in sample_cases(tmp)]
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([GOLDEN_HEADER, *digests]) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
+
+
 def extract(rev: str, directory: str) -> str:
     """The ``src/`` of a revision, unpacked under ``directory``."""
     archive = subprocess.run(
@@ -299,9 +348,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    p.add_argument("--base", required=True, help="revision to compare against")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--base", help="revision to compare against")
+    mode.add_argument(
+        "--write-golden", action="store_true", help="rewrite tests/golden/lpa_sample.txt"
+    )
     p.add_argument("--graphs", type=int, default=300, help="random multigraphs")
     args = p.parse_args(argv)
+    if args.write_golden:
+        write_golden()
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": extract(args.base, os.path.join(tmp, "base")), "head": HEAD_SRC}
         inputs = os.path.join(tmp, "inputs")

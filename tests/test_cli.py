@@ -935,21 +935,49 @@ def test_member_budget_exits_1(tmp_path, capsys, monkeypatch):
                     assert out and err == ""
 
 
-def test_a_sample_of_the_differential_inputs_exits_without_a_traceback(tmp_path, capsys):
+def test_hs_sets_and_closure_name_each_set_once(tmp_path, capsys, monkeypatch):
+    """Under ``--format text`` each set's names are read once, for the
+    payload and the lines alike: 16 reads for the 16 sets of four isolated
+    vertices, one for a closure."""
+    path = tmp_path / "isolated4.graph"
+    path.write_text("vertices: a b c d\n")
+    HeredSatSet, reads = leavitt.graphs.HeredSatSet, []
+    names = HeredSatSet.sorted_members
+    monkeypatch.setattr(HeredSatSet, "sorted_members", lambda s: reads.append(s) or names(s))
+    for argv, count, head in (([], 16, ["{}", "{a}"]), (["--vertices", "b,a"], 1, ["{a, b}"])):
+        reads.clear()
+        command = "closure" if argv else "hs-sets"
+        assert main([command, "--graph", str(path), "--format", "text", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == head and len(lines) == count
+        assert len(reads) == count
+
+
+def test_a_sample_of_the_differential_inputs_exits_without_a_traceback(tmp_path, monkeypatch):
     """2,000 of the argument lists that ``tests/lpa_differential.py`` compares
     between two trees, drawn with a fixed seed, malformed ones among them, run
-    in process: each exits 0, 1 or 2, and none raises."""
-    from lpa_differential import build_cases
+    in process: each exits 0, 1 or 2, none raises, and each outcome's digest
+    is the one in ``tests/golden/lpa_sample.txt`` (``lpa_differential.py
+    --write-golden`` rewrites it), so any byte of output that changes shows."""
+    from lpa_differential import GOLDEN, GOLDEN_HEADER, digest, run_in_process, sample_cases
 
-    codes = set()
-    for argv in random.Random(0).sample(build_cases(str(tmp_path), 300), 2000):
+    monkeypatch.setenv("COLUMNS", "80")  # as the golden file was written
+    with open(GOLDEN, encoding="utf-8") as fh:
+        header, *golden = fh.read().splitlines()
+    assert header == GOLDEN_HEADER
+    directory, codes, differing = str(tmp_path), set(), []
+    cases = sample_cases(directory)
+    assert len(cases) == len(golden)
+    for argv, want in zip(cases, golden):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # --help, and the usage errors of argparse
-            code = exc.code
+            out, err, code = run_in_process(argv)
         except Exception as exc:
             pytest.fail(f"{argv} raised {exc!r}")
-        capsys.readouterr()
         assert code in (0, 1, 2), argv
         codes.add(code)
+        if digest(directory, out, err, code) != want:
+            shown = [a.replace(directory, "{dir}") for a in argv]
+            differing.append(f"{shown}: exit {code}, stdout {out[:300]!r}, stderr {err[:300]!r}")
     assert codes == {0, 1, 2}
+    first = "\n".join(differing[:5])
+    assert not differing, f"{len(differing)} lists differ from the golden digests, first:\n{first}"

@@ -585,22 +585,62 @@ def test_hs_set_budget_is_checked_as_the_sets_are_listed(monkeypatch):
 
 
 def test_hs_set_budget_refuses_by_sinks_addable_sets_and_count(monkeypatch):
-    """Seven sinks, seven minimal loops, or seven loops made addable at once
-    by the loop they all reach mean at least 2^7 sets; five loops, each above
-    its own sink, make 3^5 with at most five sinks or addable elements.  Each
-    is refused past a budget of 100, the sinks before the K-classes are
-    made, and listed in full when the budget is its exact count."""
+    """Seven sinks, seven minimal loops, seven loops at level 1 of J over the
+    loop they all reach, or seven at level 2, each over a loop at level 0 and
+    one at level 1 above a sink, mean at least 2^7 sets: each level of J is
+    an antichain.  Five loops, each above its own sink, make 3^5 with at most
+    five elements of J at a level or addable.  Each is refused past a budget
+    of 100, the sinks before the K-classes are made, and listed in full when
+    the budget is its exact count."""
     sinks = (_named(7, []), 128)
     loops = (_named(7, [(i, i) for i in range(7)]), 128)
     fan = (_named(8, [(i, i) for i in range(8)] + [(i, 0) for i in range(1, 8)]), 129)
     chains = (_named(10, [(2 * i, 2 * i) for i in range(5)] + [(2 * i, 2 * i + 1) for i in range(5)]), 243)
-    for g, count in (sinks, loops, fan, chains):
+    lifts = [(1, 0)] + [(i, j) for i in range(3, 10) for j in (1, 2)]
+    high = (_named(10, [(i, i) for i in range(1, 10)] + lifts), 133)
+    for g, count in (sinks, loops, fan, chains, high):
         monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", 100)
         with pytest.raises(DomainError, match="more than 100 hereditary saturated sets"):
             all_hereditary_saturated_sets(g)
         assert (g._kclass is None) == (g is sinks[0])
         monkeypatch.setattr(leavitt.graphs, "HS_SET_BUDGET", count)
         assert len(all_hereditary_saturated_sets(g)) == count
+
+
+def test_member_budget_refuses_as_the_sets_are_made(monkeypatch):
+    """The reversed 1,000-vertex loop chain: each set is one vertex larger
+    than the last, so a budget of 1,000 members is passed by the 45th set
+    (1 + ... + 45 = 1,035).  The listing checks the set budget once for the
+    sinks, once per element of J as its level grows, and then at most twice
+    per set it makes, an addable set and the count of down-sets; it stops at
+    the 45th set, not after listing all 1,001 of them."""
+    n = 1000
+    g = _named(n, [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)])
+    monkeypatch.setattr(leavitt.graphs, "MEMBER_BUDGET", 1000)
+    calls = []
+    check = leavitt.graphs._check_sets
+    monkeypatch.setattr(leavitt.graphs, "_check_sets", lambda k: (calls.append(k), check(k)))
+    with pytest.raises(DomainError, match="more than 1000 members of hereditary saturated sets"):
+        all_hereditary_saturated_sets(g)
+    assert len(calls) <= 1 + n + 2 * 45
+
+
+def test_a_set_past_the_member_budget_is_refused_before_the_set_count():
+    """A 20,000-vertex path, listed first, feeds the bottom of a chain of 20
+    loops, each with a loop above it: 2^21 - 1 down-sets, and every one that
+    holds the bottom loop holds the path too.  Members are tallied as each
+    set is made, so the 500th such set passes MEMBER_BUDGET long before the
+    65,537th set passes HS_SET_BUDGET; a listing that counted the sets
+    first refused the graph by their number instead.  Both exit 1."""
+    n, k = 20000, 20
+    vs = [f"p{i}" for i in range(n)] + [f"c{i}" for i in range(k)] + [f"t{i}" for i in range(k)]
+    es = [(f"a{i}", f"p{i}", f"p{i + 1}") for i in range(n - 1)] + [("b", f"p{n - 1}", "c0")]
+    es += [(f"l{i}", f"c{i}", f"c{i}") for i in range(k)]
+    es += [(f"d{i}", f"c{i}", f"c{i - 1}") for i in range(1, k)]
+    es += [(f"m{i}", f"t{i}", f"t{i}") for i in range(k)]
+    es += [(f"u{i}", f"t{i}", f"c{i}") for i in range(k)]
+    with pytest.raises(DomainError, match="more than 10000000 members of hereditary saturated sets"):
+        all_hereditary_saturated_sets(validate_graph(vs, es))
 
 
 # --- hashing -----------------------------------------------------------------------

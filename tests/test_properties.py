@@ -8,9 +8,11 @@ graded ideals."""
 import copy
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -53,6 +55,7 @@ from helpers import (
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import leavitt.graphs
 from leavitt import (
     Cycle,
     CyclePolynomial,
@@ -245,6 +248,29 @@ def test_lattice_matches_the_lindig_oracle(g):
     """Down-sets of J give the sets, their order and their covers that n
     closures per set give."""
     assert _lattice(g)[:2] == lattice_by_lindig(g)
+
+
+@given(multigraphs() | sinks_against_order())
+def test_each_level_of_j_is_an_antichain_that_bounds_the_sets(g):
+    """Mirsky: the elements of J at one level, the longest chain below them,
+    are pairwise unreachable from each other (networkx), so the widest level
+    of k makes at least 2^k sets.  Every bound the listing checks against
+    HS_SET_BUDGET is at most the number of sets, and 2^k is among them."""
+    points, reaches = marked_poset(g)
+    below = {i: [j for j in range(len(points)) if (i, j) in reaches] for i in range(len(points))}
+    level: dict[int, int] = {}
+    for i in sorted(below, key=lambda i: len(below[i])):  # j below i reaches fewer than i
+        level[i] = max([level[j] + 1 for j in below[i]], default=0)
+    for i, j in combinations(level, 2):
+        if level[i] == level[j]:
+            assert (i, j) not in reaches and (j, i) not in reaches
+    widest = max(Counter(level.values()).values())
+    count = len(hs_sets_by_brute_force(g))
+    assert 2**widest <= count
+    bounds: list[int] = []
+    with mock.patch.object(leavitt.graphs, "_check_sets", bounds.append):
+        all_hereditary_saturated_sets(g)
+    assert max(bounds) <= count and 1 << widest in bounds
 
 
 @given(multigraphs(max_vertices=6))

@@ -145,7 +145,10 @@ def test_a_vertex_at_the_top_of_the_reversed_10000_vertex_loop_chain_drops_2000_
 def test_hs_set_budget_refuses_100000_sinks_before_listing(tmp_path, capsys, name, n, pairs):
     """100,000 sinks are pairwise incomparable in J, so they have 2^100000
     down-sets: both commands exit 1 on the sinks' count, before J is built."""
-    path = _graph_file(tmp_path, name, n, pairs)
+    _both_commands_exit_on_the_set_budget(_graph_file(tmp_path, name, n, pairs), capsys)
+
+
+def _both_commands_exit_on_the_set_budget(path, capsys):
     for command in ("hs-sets", "graded-lattice"):
         start = time.perf_counter()
         code = main([command, "--graph", str(path), "--format", "json"])
@@ -154,3 +157,18 @@ def test_hs_set_budget_refuses_100000_sinks_before_listing(tmp_path, capsys, nam
         assert code == 1 and out == ""
         assert err == "error: more than 65536 hereditary saturated sets\n"
         assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [
+        ("loops100000", [(i, i) for i in range(100000)]),
+        ("fan100000", [(i, i) for i in range(100000)] + [(i, 0) for i in range(1, 100000)]),
+    ],
+)
+def test_hs_set_budget_refuses_100000_loops_as_j_is_built(tmp_path, capsys, name, pairs):
+    """100,000 isolated loops, or 100,000 loops each with an edge into v0's:
+    no sinks, but 100,000 (or 99,999) elements of J at one level, which are
+    pairwise incomparable, so both commands exit 1 on the 17th of them,
+    before J's masks over all its elements are made."""
+    _both_commands_exit_on_the_set_budget(_graph_file(tmp_path, name, 100000, pairs), capsys)
