@@ -109,13 +109,9 @@ def monomial(
     other side's range).
     """
     a, b = _listing(alpha, "alpha"), _listing(beta, "beta")
-    if a:
-        ap = Path.of(g, a)
-    elif b:
-        ap = Path.of(g, (), at=Path.of(g, b).rng)
-    else:
-        ap = Path.of(g, (), at=at)
-    bp = Path.of(g, b) if b else Path.of(g, (), at=ap.rng)
+    ap = Path.of(g, a) if a else None
+    bp = Path.of(g, b) if b else Path.of(g, (), at=at if ap is None else ap.rng)
+    ap = ap or Path.of(g, (), at=bp.rng)
     if ap._rng_id() != bp._rng_id():
         raise DomainError(
             f"monomial paths end at different vertices: {ap.rng!r} vs {bp.rng!r}"
@@ -155,12 +151,17 @@ class Element(Record):
     @staticmethod
     def of(graph: Graph, items: Iterable[tuple[Monomial, Fraction | int | str]]) -> "Element":
         """Sum of ``(monomial, coefficient)`` pairs, each coefficient read by
-        the rule of :func:`leavitt.records._rational`."""
+        the rule of :func:`leavitt.records._rational`; each monomial's paths
+        must end at one vertex, whatever its coefficient."""
         codes = []
         for m, c in items:
             if m.graph != graph:
                 raise DomainError("monomial from a different graph")
             codes.append((m.code, _rational(c)))
+        rng = _index(graph).rng
+        for (a, b), _ in codes:
+            if (rng[a[-1]] if len(a) > 1 else a[0]) != (rng[b[-1]] if len(b) > 1 else b[0]):
+                raise DomainError("monomial paths end at different vertices")
         den = lcm(*[c.denominator for _, c in codes])
         return _sum(graph, [(m, c.numerator * (den // c.denominator)) for m, c in codes], den)
 
@@ -222,16 +223,9 @@ def _order(term: tuple) -> tuple:
 
 
 def _collect(g: Graph, acc: dict, den: int) -> Element:
-    """Element of the nonzero numerators of ``acc`` over ``den``, checked, in
-    term order and in lowest terms."""
-    rng = _index(g).rng
-    kept = []
-    for m, n in acc.items():
-        if n:
-            a, b = m
-            if (rng[a[-1]] if len(a) > 1 else a[0]) != (rng[b[-1]] if len(b) > 1 else b[0]):
-                raise DomainError("monomial paths end at different vertices")
-            kept.append((m, n))
+    """Element of the nonzero numerators of ``acc`` over ``den``, in term order
+    and in lowest terms; ``Element.of`` checked the monomials where they entered."""
+    kept = [(m, n) for m, n in acc.items() if n]
     if den != 1:
         q = gcd(den, *[n for _, n in kept])
         if q != 1:
@@ -249,29 +243,26 @@ def _sum(g: Graph, codes: Iterable[tuple], den: int) -> Element:
     return _collect(g, acc, den)
 
 
-def _rewrite(g: Graph, stack: list[tuple], den: int) -> Element:
-    """Normal form of the sum of the (a, b, c) triples on ``stack``.
+def _rewrite(g: Graph, terms: Iterable[tuple], den: int) -> Element:
+    """Normal form of the sum of the (a, b, c) triples of ``terms``, numerators over ``den``.
 
     A monomial whose paths both end in the special edge e of their turn
     vertex is expanded through the vertex identity: a.e.e*'.b*' becomes
     a.b*' minus a.f.f*'.b*' over the other edges f leaving the turn
-    vertex.  Each expansion swaps one monomial for a strictly shorter one
-    plus same-length monomials whose turn edge is no longer special, so
-    the rewriting terminates.  ``stack`` holds numerators over ``den``; it is consumed.
+    vertex.  No f is special, so only a.b*' expands again: two end indices
+    walk back over the common run of special edges and a, b are sliced
+    once, so a run of sole out-edges (no f) costs O(1) per edge.
     """
     expand = _index(g).expand
     acc: dict[tuple, int] = {}
-    while stack:
-        a, b, c = stack.pop()
-        if len(a) > 1 and len(b) > 1 and a[-1] == b[-1]:
-            others = expand[a[-1]]
-            if others is not None:
-                a, b = a[:-1], b[:-1]
-                stack.append((a, b, c))
-                for f in others:
-                    stack.append((a + (f,), b + (f,), -c))
-                continue
-        m = (a, b)
+    for a, b, c in terms:
+        i, j = len(a) - 1, len(b) - 1
+        while i and j and a[i] == b[j] and expand[a[i]] is not None:
+            for f in expand[a[i]]:
+                m = (a[:i] + (f,), b[:j] + (f,))
+                acc[m] = acc.get(m, 0) - c
+            i, j = i - 1, j - 1
+        m = (a, b) if j == len(b) - 1 else (a[:i + 1], b[:j + 1])
         acc[m] = acc.get(m, 0) + c
     return _collect(g, acc, den)
 
@@ -288,17 +279,17 @@ def _product(g: Graph, xs: tuple, ys: tuple, den: int) -> Element:
     term edge by edge; the product survives exactly when one of the two is
     a prefix of the other, base vertex id included.
     """
-    stack = []
+    terms = []
     for (a1, b1), c1 in xs:
         nb = len(b1)
         for (a2, b2), c2 in ys:
             na = len(a2)
             if nb <= na:
                 if a2[:nb] == b1:
-                    stack.append((a1 + a2[nb:], b2, c1 * c2))
+                    terms.append((a1 + a2[nb:], b2, c1 * c2))
             elif b1[:na] == a2:
-                stack.append((a1, b2 + b1[na:], c1 * c2))
-    return _rewrite(g, stack, den)
+                terms.append((a1, b2 + b1[na:], c1 * c2))
+    return _rewrite(g, terms, den)
 
 
 def _same_graph(x: Element, y: Element) -> None:
@@ -371,11 +362,11 @@ def gdeg(x: Element) -> int:
 # factor   := NAME | NAME "*'"          (NAME*' is a ghost edge)
 # rational := INT | INT '/' INT         (INT is [0-9]+)
 #
-# The parser emits kernel codes: a vertex v is ((v,), (v,)), an edge e from
-# s to r is ((s, e), (r,)) and its ghost ((r,), (s, e)).  A word's factors
-# multiply by the kernel's prefix rule into one pair, or into nothing when a
-# ghost edge meets a different real edge; the sum is rewritten once.  The
-# serializer emits normal forms deterministically; "0" is the zero element.
+# The parser composes each word in one pass over its factors into kernel
+# codes: real edges extend the real path, ghost edges stack up as the ghost
+# path reversed and are popped by the same real edge, and a different real
+# edge makes the word 0; the sum is rewritten once.  The serializer emits
+# normal forms deterministically; "0" is the zero element.
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -407,10 +398,12 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
     """The (a, b, n, d) of every word of the sum that does not vanish: its
     pair of path codes and its coefficient n/d, with d > 0 not reduced.
 
-    All factors of a word are looked up before their composability is
-    checked, so an unknown name is reported before a mismatch.
+    All factors of a word are looked up before the one loop that checks
+    that they compose and composes them: a real edge extends a, a ghost edge
+    is pushed on a stack (b read backwards), and a real edge that meets a
+    ghost pops it, or makes the word 0 if the two differ (e*'.f = 0).
     """
-    vi, ei, rng = g._vindex, g._eindex, _index(g).rng
+    vi, ei = g._vindex, g._eindex
     tokens = tokens + [(None, "end of input")]
     pos = 0
 
@@ -429,7 +422,7 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
         except ValueError as exc:  # beyond the interpreter's int() digit limit
             raise ParseError(f"numeral of {len(digits)} digits is too long") from exc
 
-    def factor() -> tuple[str, str, str, tuple]:
+    def factor() -> tuple[str, str, str, int | None, bool]:  # text, ends, edge id, ghost
         nonlocal pos
         name = take("name")
         ghost = tokens[pos][0] == "ghost"
@@ -438,12 +431,11 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
         if name in vi:
             if ghost:
                 raise ParseError(f"ghost marker on vertex {name!r}")
-            return (name, name, name, ((vi[name],), (vi[name],)))
+            return (name, name, name, None, False)
         if name in ei:
             e = ei[name]
             s, r = g.ends[e]
-            code = ((vi[s], e), (rng[e],))
-            return (name + "*'", r, s, code[::-1]) if ghost else (name, s, r, code)
+            return (name + "*'", r, s, e, True) if ghost else (name, s, r, e, False)
         raise ParseError(f"unknown vertex or edge {name!r}")
 
     words = []
@@ -464,26 +456,25 @@ def _parse_words(g: Graph, tokens: list[tuple[str, str]]) -> list[tuple]:
         while tokens[pos][0] == "dot":
             pos += 1
             factors.append(factor())
-        here = factors[0][2]
-        for text, src, end, _ in factors[1:]:
+        start = here = factors[0][1]
+        a, ghosts, zero = [], [], False
+        for text, src, end, e, ghost in factors:
             if src != here:
                 raise ParseError(
                     f"non-composable path: {text!r} starts at {src!r}, "
                     f"previous factor ends at {here!r}"
                 )
             here = end
-        a, b = factors[0][3]
-        for _, _, _, (a2, b2) in factors[1:]:
-            if len(b) <= len(a2):
-                if a2[: len(b)] != b:
-                    break
-                a, b = a + a2[len(b):], b2
-            elif b[: len(a2)] == a2:
-                b = b2 + b[len(a2):]
-            else:
-                break
-        else:
-            words.append((a, b, n, d))
+            if e is None or zero:
+                continue
+            if ghost:
+                ghosts.append(e)
+            elif not ghosts:
+                a.append(e)
+            elif ghosts.pop() != e:
+                zero = True
+        if not zero:
+            words.append(((vi[start], *a), (vi[here], *ghosts[::-1]), n, d))
         if tokens[pos][0] not in ("plus", "minus"):
             break
         sign = 1 if tokens[pos][0] == "plus" else -1

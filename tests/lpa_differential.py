@@ -27,8 +27,9 @@ difference, 0 otherwise.
 ``--write-golden`` instead runs a seeded sample of 2,000 of these argument
 lists (300 random graphs) in this process, with ``COLUMNS=80`` so that help
 text wraps alike everywhere, and writes ``tests/golden/lpa_sample.txt``: a
-header naming the seed and the count, then one digest per list, in sample
-order, which tier-1 compares with the working tree's outputs.
+header naming the Python minor version (whose argparse wraps the help text),
+the seed and the count, then one digest per list, in sample order, which
+tier-1 compares with the working tree's outputs.
 
 It uses the standard library, ``git``, the working tree's ``leavitt`` and
 ``tests/helpers.py`` only, and is not collected by pytest.
@@ -61,8 +62,9 @@ from leavitt.cli import main as lpa
 SEED = 0
 SAMPLE = 2000  # argument lists of the golden sample, out of build_cases(..., 300)
 GOLDEN = os.path.join(ROOT, "tests", "golden", "lpa_sample.txt")
+PYTHON = "Python %d.%d" % sys.version_info[:2]  # argparse's help text differs between minor versions
 GOLDEN_HEADER = (
-    f"# seed {SEED}, {SAMPLE} argument lists of 300 graphs: sha256 of the JSON"
+    f"# {PYTHON}, seed {SEED}, {SAMPLE} argument lists of 300 graphs: sha256 of the JSON"
     " [stdout, stderr, exit code], 16 hex digits, the inputs' directory as {dir}"
 )
 

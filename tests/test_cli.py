@@ -958,12 +958,18 @@ def test_a_sample_of_the_differential_inputs_exits_without_a_traceback(tmp_path,
     between two trees, drawn with a fixed seed, malformed ones among them, run
     in process: each exits 0, 1 or 2, none raises, and each outcome's digest
     is the one in ``tests/golden/lpa_sample.txt`` (``lpa_differential.py
-    --write-golden`` rewrites it), so any byte of output that changes shows."""
-    from lpa_differential import GOLDEN, GOLDEN_HEADER, digest, run_in_process, sample_cases
+    --write-golden`` rewrites it), so any byte of output that changes shows.
+    The file names the Python minor version that wrote it, since help text
+    wraps differently in another, and the test fails on another by name."""
+    from lpa_differential import (
+        GOLDEN, GOLDEN_HEADER, PYTHON, digest, run_in_process, sample_cases
+    )
 
     monkeypatch.setenv("COLUMNS", "80")  # as the golden file was written
     with open(GOLDEN, encoding="utf-8") as fh:
         header, *golden = fh.read().splitlines()
+    written = header.removeprefix("# ").split(",")[0]
+    assert written == PYTHON, f"{written} wrote the digests, this is {PYTHON}: use --write-golden"
     assert header == GOLDEN_HEADER
     directory, codes, differing = str(tmp_path), set(), []
     cases = sample_cases(directory)

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -26,6 +27,7 @@ from helpers import (
     random_homogeneous,
 )
 
+import leavitt.graphs
 from leavitt import (
     DomainError,
     Element,
@@ -473,6 +475,42 @@ def test_monomial_range_mismatch():
     assert raw.alpha == Path.of(g, ["e"]) and raw.beta == Path.of(g, ["f"])
     with pytest.raises(DomainError, match="^monomial paths end at different vertices$"):
         Element.of(g, [(raw, 1)])
+
+
+def test_element_of_refuses_a_monomial_whose_paths_end_apart_even_when_it_cancels():
+    """``Element.of`` checks each monomial as it enters, before like terms
+    are collected, so terms that sum to 0 or a zero coefficient do not hide
+    it; an unreadable coefficient of any item is still reported first."""
+    g = validate_graph(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+    raw, v = Monomial(g, ((0, 0), (0, 1))), monomial(g, at="v")
+    for items in ([(raw, 1), (raw, -1)], [(raw, 0)], [(v, 1), (raw, "1/2"), (raw, "-1/2")]):
+        with pytest.raises(DomainError, match="^monomial paths end at different vertices$"):
+            Element.of(g, items)
+    with pytest.raises(DomainError, match="^coefficient 'x' is not a rational number$"):
+        Element.of(g, [(raw, 1), (v, "x")])
+
+
+def test_monomial_walks_each_side_once_and_reports_alpha_first():
+    """An empty alpha anchors at beta's range without walking beta again,
+    and with two bad sides the alpha fault is the one reported."""
+    g = validate_graph(["v", "w"], [("e", "v", "v"), ("f", "v", "w")])
+    walked = []
+    real_walk = leavitt.graphs._walk
+
+    def walk(graph, here, es):
+        walked.append(es)
+        return real_walk(graph, here, es)
+
+    with mock.patch("leavitt.graphs._walk", walk):
+        for alpha, beta in (((), ("e", "f")), (("e", "f"), ()), (("e", "f"), ("f",))):
+            walked.clear()
+            m = monomial(g, alpha, beta)
+            assert m.alpha.edges == alpha and m.beta.edges == beta
+            assert sorted(walked) == sorted([alpha, beta])
+    with pytest.raises(GraphError, match="'x'"):
+        monomial(g, ["x"], ["y"])
+    with pytest.raises(DomainError, match="^edges do not compose at 'e'$"):
+        monomial(g, ["f", "e"], ["y"])
 
 
 # --- scalars ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from helpers import (
     lattice_by_lindig,
     marked_poset,
     mul_by_paths,
+    mul_raw_by_paths,
     normalize_by_paths,
     on_graph,
     out_edge_map,
@@ -697,34 +698,68 @@ def test_parse_reads_back_the_formatted_normal_form(case):
 
 
 @st.composite
-def words(draw):
-    """A graph and a composable word of vertices, edges and ghost edges with
-    a coefficient; ghost edges need not match the real edges they meet."""
-    g = draw(multigraphs(max_vertices=4, max_edges=8))
+def chains_and_cycles(draw, max_vertices=12):
+    """The chain v0 -> v1 -> ... -> v(n-1), closed to a cycle half the time,
+    with a parallel edge on up to three links, in random input order: each
+    link without one is its source's sole out-edge, so words on it end in
+    runs of such edges."""
+    n = draw(st.integers(1, max_vertices))
+    links = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * draw(st.integers(0, 1))
+    doubled = draw(st.lists(st.sampled_from(links), max_size=3)) if links else []
+    pairs = draw(st.permutations(links + doubled))
+    enames = [f"e{i}" for i in draw(st.permutations(range(len(pairs))))]
+    vnames = [f"v{i}" for i in range(n)]
+    return validate_graph(vnames, [(e, vnames[s], vnames[r]) for e, (s, r) in zip(enames, pairs)])
+
+
+@st.composite
+def words(draw, graphs=multigraphs(max_vertices=4, max_edges=8)):
+    """A graph, a coefficient, a composable word of 1 to 40 vertices, edges
+    and ghost edges as (text, monomial) factors, and a cut into two halves
+    (0: none).  Steps come in runs of one kind; a real edge that meets
+    waiting ghost edges is the latest ghost's own edge at least half the
+    time, and otherwise another edge from there, which makes the word 0."""
+    g = draw(graphs)
     here = draw(st.sampled_from(g.vertices))
-    factors = []
-    for _ in range(draw(st.integers(1, 6))):
-        steps = [(here, here, monomial(g, at=here))]
-        steps += [(e, g.rng(e), monomial(g, (e,))) for e in g.out_edges(here)]
-        steps += [
-            (e + "*'", s, monomial(g, (), (e,)))
-            for e, (s, r) in zip(g.edges, g.ends)
-            if r == here
-        ]
-        text, here, m = draw(st.sampled_from(steps))
+    factors, waiting, kind = [], [], "edge"
+    for _ in range(draw(st.integers(1, 40))):
+        if not draw(st.integers(0, 3)):  # three steps in four go on as the last one went
+            kind = draw(st.sampled_from(["vertex", "edge", "ghost"]))
+        ins = [e for e, (_, r) in zip(g.edges, g.ends) if r == here]
+        if kind == "ghost" and ins:
+            e = draw(st.sampled_from(ins))
+            text, here, m = e + "*'", g.src(e), monomial(g, (), (e,))
+            waiting.append(e)
+        elif kind == "edge" and g.out_edges(here):
+            e = draw(st.sampled_from(waiting[-1:] * 2 + list(g.out_edges(here))))
+            text, here, m = e, g.rng(e), monomial(g, (e,))
+            if waiting and waiting.pop() != e:
+                waiting.clear()  # the word is 0 from here on
+        else:
+            text, m = here, monomial(g, at=here)
         factors.append((text, m))
-    return g, draw(st.sampled_from(COEFFS)), factors
+    return g, draw(st.sampled_from(COEFFS)), factors, draw(st.integers(0, len(factors) - 1))
 
 
-@given(words())
+@given(words() | words(chains_and_cycles()))
 def test_parsed_word_is_the_product_of_its_factors(case):
-    g, c, factors = case
-    text = ".".join(t for t, _ in factors)
+    """Parsing a word, ``normalize`` of its raw monomial and ``mul`` of its
+    two halves all give the path oracle's normal form of the product of its
+    factors, taken one at a time."""
+    g, c, factors, cut = case
     want = normalize_by_paths(g, [(factors[0][1], c)])
+    raw = factors[0][1]
     for _, m in factors[1:]:
         want = mul_by_paths(g, want, [(m, Fraction(1))])
-    sign = "-" if c < 0 else ""
-    assert parse_element(g, f"{sign}{abs(c)}*{text}").terms == want
+        raw = raw and mul_raw_by_paths(raw, m)  # None once the word is 0
+    texts = [t for t, _ in factors]
+    head = f"{'-' if c < 0 else ''}{abs(c)}*"
+    assert parse_element(g, head + ".".join(texts)).terms == want
+    assert normalize(Element.of(g, [(raw, c)] if raw else [])).terms == want
+    if cut:
+        left = parse_element(g, head + ".".join(texts[:cut]))
+        right = parse_element(g, ".".join(texts[cut:]))
+        assert mul(left, right).terms == mul_by_paths(g, left.terms, right.terms) == want
 
 
 @given(multigraphs())

@@ -172,3 +172,29 @@ def test_hs_set_budget_refuses_100000_loops_as_j_is_built(tmp_path, capsys, name
     pairwise incomparable, so both commands exit 1 on the 17th of them,
     before J's masks over all its elements are made."""
     _both_commands_exit_on_the_set_budget(_graph_file(tmp_path, name, 100000, pairs), capsys)
+
+
+def test_element_commands_on_a_20000_edge_word_of_the_20000_cycle(tmp_path, capsys):
+    """The word e0.e1...e19999 once round C_20000 and its ghost: each is its
+    own normal form, their sum has two components, and both products are
+    the vertex v0: the ghost times the path by one prefix test, the path
+    times the ghost by the rewriting, which strips the whole run of sole
+    out-edges with one slice.  Each command costs O(1) per edge."""
+    n = 20000
+    path = _graph_file(tmp_path, "C20000", n, [(i, (i + 1) % n) for i in range(n)])
+    word = ".".join(f"e{i}" for i in range(n))
+    ghost = ".".join(f"e{i}*'" for i in reversed(range(n)))
+    for argv, want in [
+        (["normalize", word], {"normal_form": word}),
+        (["normalize", ghost], {"normal_form": ghost}),
+        (["grade", f"{word} + {ghost}"], {"components": {str(-n): ghost, str(n): word}}),
+        (["mul", word, ghost], {"product": "v0"}),
+        (["mul", ghost, word], {"product": "v0"}),
+    ]:
+        start = time.perf_counter()
+        code = main([argv[0], "--graph", str(path), "--format", "json", *argv[1:]])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out) == want
+        assert elapsed < 1.0, argv[0]
